@@ -1,70 +1,25 @@
 """Benchmark harness configuration.
 
-Every benchmark regenerates one table or figure of the paper.  The heavy
-accelerator sweeps are executed exactly once per benchmark (``rounds=1``)
-because the quantity of interest is the *result* (the rows / series of the
-table or figure, printed to stdout), not the harness runtime.  Paper-scale
+Every benchmark regenerates one table or figure of the paper: it runs the
+figure's scenario once, asserts the paper's qualitative claims on the
+payload and prints the rendered figure to stdout.  The heavy accelerator
+sweeps are executed exactly once per benchmark (``rounds=1``) because the
+quantity of interest is the *result*, not the harness runtime.  Paper-scale
 workloads are used wherever they finish in a few tens of seconds; the two
 largest sweeps are run at half scale, which preserves every qualitative
 trend (the sparsity profiles are unchanged).
 
-The math libraries are pinned to one thread before the first ``numpy``
-import (thread pools read the environment at library load): the engine
-benchmark compares compute-bound regimes (cold generation + statistics
-GEMMs) against IO-bound ones (disk-warm entry loads), and with a
-multi-threaded BLAS the cold baseline silently parallelises while entry IO
-cannot -- the recorded ratios would measure the host's thread count rather
-than the work the cache tiers skip.  Pinning keeps ``BENCH_engine.json``
-comparable across hosts and over time.
+Wall-clock performance is measured by ``perfbench/run.py``, not here.
 """
 
 from __future__ import annotations
 
-import os
-import sys
-
-# Whether the pin below can still take effect: thread pools read the
-# environment when the math libraries load, so importing numpy *before*
-# this conftest (e.g. the combined ``pytest tests benchmarks`` run, whose
-# test modules import numpy during collection) makes the env vars a silent
-# no-op.  Two cases still count as pinned:
-#
-# * numpy has not been imported yet -- the setdefault pin below lands in
-#   time, or
-# * every thread-count variable was already "1" when the interpreter
-#   started (the CI benchmark job exports them at the step level), in which
-#   case numpy's import order is irrelevant.
-#
-# The engine benchmark records the marker in BENCH_engine.json so a
-# thread-count-tainted measurement is at least labelled as such, and the CI
-# benchmark job *fails* on a tainted pin (conftest modules are not reliably
-# importable by name, hence the env-var hand-off).  To keep the marker
-# honest, run ``pytest benchmarks`` in its own interpreter rather than
-# appended to a tests run.
-_PIN_VARIABLES = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
-_externally_pinned = all(os.environ.get(_v) == "1" for _v in _PIN_VARIABLES)
-# setdefault cannot override a pre-existing non-"1" value, so an environment
-# carrying e.g. OMP_NUM_THREADS=8 is unpinnable even when numpy has not been
-# imported yet (the benchmark's _blas_pinned() re-checks the values too;
-# this keeps the marker itself honest).
-_pinnable_environment = all(
-    os.environ.get(_v) in (None, "1") for _v in _PIN_VARIABLES
-)
-os.environ["REPRO_BENCH_BLAS_PINNABLE"] = (
-    "1"
-    if _externally_pinned or (_pinnable_environment and "numpy" not in sys.modules)
-    else "0"
-)
-
-for _variable in _PIN_VARIABLES:
-    os.environ.setdefault(_variable, "1")
+from repro.api import Session
 
 
-def run_once(benchmark, function, *args, **kwargs):
-    """Run ``function`` exactly once under pytest-benchmark and return its value."""
-    return benchmark.pedantic(function, args=args, kwargs=kwargs, rounds=1, iterations=1)
+def run_once(benchmark, name, **params):
+    """Run scenario ``name`` exactly once under pytest-benchmark; return its payload."""
+    result = benchmark.pedantic(
+        Session().run, args=(name,), kwargs=params, rounds=1, iterations=1
+    )
+    return result.payload

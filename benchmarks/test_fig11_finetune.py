@@ -1,6 +1,6 @@
 """Benchmark regenerating Figure 11: fine-tuned preprocessing accuracy."""
 
-from repro.experiments import format_fig11, run_fig11
+from repro.experiments import format_fig11
 
 from conftest import run_once
 
@@ -9,7 +9,7 @@ def test_fig11_finetuned_preprocessing(benchmark):
     """Masking costs accuracy; a few fine-tuning epochs recover it."""
     data = run_once(
         benchmark,
-        run_fig11,
+        "fig11-preprocessing",
         num_samples=400,
         num_features=32,
         num_classes=4,
@@ -22,4 +22,4 @@ def test_fig11_finetuned_preprocessing(benchmark):
     assert data["ft_e10"] >= data["mask"] - 0.02
     assert data["ft_e10"] >= data["origin"] - 0.10
     assert data["ft_e10"] >= data["ft_e1"] - 0.05
-    print("\n" + format_fig11())
+    print("\n" + format_fig11(data))

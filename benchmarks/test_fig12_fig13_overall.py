@@ -7,7 +7,7 @@ preprocessing helps further, and LoAS moves less data on and off chip than
 the inner-product baseline.
 """
 
-from repro.experiments import format_fig12, format_fig13, run_fig12, run_fig13
+from repro.experiments import format_fig12, format_fig13
 
 from conftest import run_once
 
@@ -17,7 +17,7 @@ BASELINES = ("SparTen-SNN", "GoSPA-SNN", "Gamma-SNN")
 
 def test_fig12_speedup_and_energy(benchmark):
     """Figure 12: LoAS beats every dual-sparse SNN baseline on every network."""
-    data = run_once(benchmark, run_fig12, networks=NETWORKS, scale=1.0, seed=1)
+    data = run_once(benchmark, "fig12-overall", networks=NETWORKS, scale=1.0, seed=1)
     for network, per_accel in data.items():
         loas = per_accel["LoAS"]
         loas_ft = per_accel["LoAS-FT"]
@@ -29,12 +29,12 @@ def test_fig12_speedup_and_energy(benchmark):
         assert 2.0 < loas["speedup"] < 12.0, network
         # The fine-tuned preprocessing helps (paper: ~20 % on average).
         assert loas_ft["speedup"] >= loas["speedup"]
-    print("\n" + format_fig12(scale=1.0))
+    print("\n" + format_fig12(data))
 
 
 def test_fig13_memory_traffic(benchmark):
     """Figure 13: LoAS has the least on-chip traffic; Gamma-SNN the most."""
-    data = run_once(benchmark, run_fig13, networks=NETWORKS, scale=0.5, seed=1)
+    data = run_once(benchmark, "fig13-traffic", networks=NETWORKS, scale=0.5, seed=1)
     for network, per_accel in data.items():
         loas = per_accel["LoAS"]
         for baseline in BASELINES:
@@ -43,4 +43,4 @@ def test_fig13_memory_traffic(benchmark):
         # Gustavson suffers the most on-chip traffic once timesteps multiply
         # the partial-row working set (Section VI-A).
         assert per_accel["Gamma-SNN"]["onchip_mb"] > per_accel["SparTen-SNN"]["onchip_mb"], network
-    print("\n" + format_fig13(scale=0.5))
+    print("\n" + format_fig13(data))

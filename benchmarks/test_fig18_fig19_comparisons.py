@@ -1,13 +1,13 @@
 """Benchmarks regenerating Figures 18 and 19: SNN-vs-ANN and dense baselines."""
 
-from repro.experiments import format_fig18, format_fig19, run_fig18, run_fig19
+from repro.experiments import format_fig18, format_fig19
 
 from conftest import run_once
 
 
 def test_fig18_snn_vs_ann(benchmark):
     """Figure 18: the dual-sparse SNN on LoAS beats the dual-sparse ANN baselines."""
-    data = run_once(benchmark, run_fig18, network="vgg16", scale=1.0, seed=1)
+    data = run_once(benchmark, "fig18-snn-vs-ann", network="vgg16", scale=1.0, seed=1)
     loas = data["LoAS (SNN)"]
     sparten_ann = data["SparTen-ANN (ANN)"]
     gamma_ann = data["Gamma-ANN (ANN)"]
@@ -25,12 +25,12 @@ def test_fig18_snn_vs_ann(benchmark):
     assert gamma_ann["normalized_dram"] < 1.0
     # A large share of energy goes to data movement for every design.
     assert loas["data_movement_fraction"] > 0.5
-    print("\n" + format_fig18(scale=1.0))
+    print("\n" + format_fig18(data))
 
 
 def test_fig19_dense_snn_baselines(benchmark):
     """Figure 19: LoAS holds a large advantage over dense PTB and Stellar."""
-    data = run_once(benchmark, run_fig19, network="vgg16", scale=0.5, seed=1)
+    data = run_once(benchmark, "fig19-dense-baselines", network="vgg16", scale=0.5, seed=1)
     loas = data["LoAS"]
     ptb = data["PTB"]
     stellar = data["Stellar"]
@@ -42,4 +42,4 @@ def test_fig19_dense_snn_baselines(benchmark):
     assert stellar["normalized_energy"] > 1.5
     assert ptb["normalized_dram"] > 1.0
     assert ptb["normalized_sram"] > 1.0
-    print("\n" + format_fig19(scale=0.5))
+    print("\n" + format_fig19(data))

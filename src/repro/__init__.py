@@ -52,9 +52,9 @@ Low-level access stays available for single workloads::
     print(result.cycles, result.dram_bytes, result.energy_pj)
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
-from .api import PartitionResult, ScenarioResult, Session, default_session
+from .api import PartitionResult, ScenarioResult, Session
 from .core import LoASConfig, LoASSimulator, ftp_layer
 from .engine import LayerEvaluation, WorkloadEvaluationCache, default_cache
 from .snn import (
@@ -78,7 +78,6 @@ __all__ = [
     "WorkloadEvaluationCache",
     "__version__",
     "default_cache",
-    "default_session",
     "ftp_layer",
     "get_layer_workload",
     "get_network_workload",

@@ -14,14 +14,10 @@ Everything a caller needs lives behind three names:
 The same surface is scriptable from a shell via ``python -m repro``
 (:mod:`repro.api.cli`): ``list``, ``describe``, ``run`` and ``cache``
 subcommands.
-
-The legacy ``repro.experiments.run_*`` functions and
-``repro.runner.run_scenario`` still work but are deprecation shims over
-:func:`default_session`.
 """
 
 from .result import SCHEMA_VERSION, PartitionResult, ScenarioResult
-from .session import ScenarioStream, Session, default_session
+from .session import ScenarioStream, Session
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -29,5 +25,4 @@ __all__ = [
     "ScenarioResult",
     "ScenarioStream",
     "Session",
-    "default_session",
 ]

@@ -135,8 +135,8 @@ class ScenarioResult:
         The fully merged parameter dict the scenario actually ran with
         (declared defaults overlaid with the caller's overrides).
     payload:
-        The scenario's shaped result -- exactly what the legacy
-        ``run_scenario`` returned.
+        The scenario's shaped result (what its ``shape`` or ``run``
+        callable returned).
     provenance:
         Execution record: ``package_version``, ``workers``, ``cache_dir``
         and the evaluation-cache counter deltas observed in this process

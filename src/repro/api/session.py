@@ -1,8 +1,7 @@
 """The :class:`Session` façade: one object owning resources and policy.
 
-Historically every entry point (thirteen ``run_*`` functions plus
-``run_scenario``) threaded ``workers`` / ``cache_dir`` / ``scale`` through
-each call.  A :class:`Session` configures those once:
+A :class:`Session` configures ``workers`` / ``cache_dir`` / ``scale`` once
+instead of threading them through every call:
 
 * **cache tiers** -- the size of the process-wide evaluation LRU
   (``lru_maxsize``), the shared on-disk tier (``cache_dir`` +
@@ -37,20 +36,7 @@ from ..runner.executor import SweepResults, SweepRunner
 from ..runner.scenario import Scenario, get_scenario, list_scenarios
 from .result import PartitionResult, ScenarioResult
 
-__all__ = ["ScenarioStream", "Session", "default_session"]
-
-
-def _legacy_shim_warning(old_name: str, scenario_name: str) -> None:
-    """The ``DeprecationWarning`` every legacy ``run_*`` shim emits."""
-    import warnings
-
-    warnings.warn(
-        "%s() is deprecated; use repro.api.Session.run(%r, ...) -- the "
-        "returned payload is unchanged, plus provenance and streaming"
-        % (old_name, scenario_name),
-        DeprecationWarning,
-        stacklevel=3,
-    )
+__all__ = ["ScenarioStream", "Session"]
 
 
 def _ensure_registry() -> None:
@@ -598,20 +584,3 @@ class Session:
         }
         return provenance
 
-
-_DEFAULT_SESSION: Session | None = None
-
-
-def default_session() -> Session:
-    """The module-level :class:`Session` behind the legacy ``run_*`` shims.
-
-    Created lazily with all-default policy (serial, no disk tier, paper-scale
-    workloads) and deliberately not configurable: the shims must keep their
-    historical behaviour.  For any other policy, construct your own
-    :class:`Session` and call it directly -- a session you create does *not*
-    become the default the shims use.
-    """
-    global _DEFAULT_SESSION
-    if _DEFAULT_SESSION is None:
-        _DEFAULT_SESSION = Session()
-    return _DEFAULT_SESSION

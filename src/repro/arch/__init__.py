@@ -11,8 +11,6 @@ the systolic array used by the dense baselines.
 from .area import (
     AreaSpec,
     ComponentCost,
-    SYSTEM_COMPONENTS,
-    TPPE_COMPONENTS,
     loas_system_cost,
     system_power_breakdown,
     tppe_cost,
@@ -58,10 +56,8 @@ __all__ = [
     "MemorySpec",
     "PESpec",
     "SRAMModel",
-    "SYSTEM_COMPONENTS",
     "SystolicArray",
     "SystolicRunEstimate",
-    "TPPE_COMPONENTS",
     "TrafficCounter",
     "arch_label",
     "default_arch",

@@ -13,22 +13,17 @@ component costs as *data* -- an :class:`AreaSpec` held by every
   circuits, control) is timestep-agnostic.
 
 Every function accepts an ``area`` keyword selecting the cost table; the
-default is the published 32 nm table (``AreaSpec()``), so existing callers
-are bit-identical.  The legacy module constants ``TPPE_COMPONENTS`` /
-``SYSTEM_COMPONENTS`` remain as read-only views of that default table.
+default is the published 32 nm table (:data:`DEFAULT_AREA`); read it through
+``DEFAULT_AREA.tppe_table()`` / ``DEFAULT_AREA.system_table()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 __all__ = [
     "AreaSpec",
     "ComponentCost",
-    "TPPE_COMPONENTS",
-    "SYSTEM_COMPONENTS",
     "tppe_cost",
     "loas_system_cost",
     "tppe_scaling",
@@ -103,20 +98,6 @@ class AreaSpec:
 
 #: The published 32 nm cost table used when no explicit ``area`` is passed.
 DEFAULT_AREA = AreaSpec()
-
-#: Per-TPPE component costs at the default configuration (T = 4), Table IV.
-#: A genuinely read-only view of ``DEFAULT_AREA``: the cost functions no
-#: longer read this mapping (they read their ``area`` argument), so mutating
-#: it could not change any result -- the proxy makes such an attempt fail
-#: loudly.  To model a different cost table, pass ``area=AreaSpec(...)``.
-TPPE_COMPONENTS: Mapping[str, ComponentCost] = MappingProxyType(
-    DEFAULT_AREA.tppe_table()
-)
-
-#: System-level component costs at the default configuration, Table IV.
-SYSTEM_COMPONENTS: Mapping[str, ComponentCost] = MappingProxyType(
-    DEFAULT_AREA.system_table()
-)
 
 
 def tppe_cost(timesteps: int = 4, area: AreaSpec | None = None) -> ComponentCost:

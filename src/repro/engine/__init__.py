@@ -42,7 +42,7 @@ from .cache import (
     generator_fingerprint,
     workload_fingerprint,
 )
-from .disk_cache import DiskBackend, DiskEvaluationCache
+from .disk_cache import DiskEvaluationCache
 from .evaluation import AnnLayerEvaluation, LayerEvaluation
 from .statistics import LayerStatistics
 
@@ -51,7 +51,6 @@ __all__ = [
     "CacheBackend",
     "CacheEntry",
     "CacheStats",
-    "DiskBackend",
     "DiskEvaluationCache",
     "LayerEvaluation",
     "LayerStatistics",

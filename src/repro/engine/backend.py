@@ -12,10 +12,8 @@ tier, or any subset -- composed by :class:`TieredCache`:
 * :class:`MemoryBackend` -- the LRU level, extracted from
   ``WorkloadEvaluationCache`` (which now orchestrates fingerprinting,
   generator fast-forwarding and write-back *over* a stack of these).
-* ``DiskBackend`` -- the on-disk entry-file tier rebuilt on the protocol;
-  lives in
-  :mod:`repro.engine.disk_cache` (as ``DiskEvaluationCache``) and is
-  re-exported from :mod:`repro.engine`.
+* :class:`~repro.engine.disk_cache.DiskEvaluationCache` -- the on-disk
+  entry-file tier, re-exported from :mod:`repro.engine`.
 * :class:`RemoteBackend` -- a client of the evaluation-cache daemon
   (:mod:`repro.engine.server`), speaking the length-prefixed frame protocol
   from :mod:`repro.engine.serde`.  An unreachable daemon degrades the stack
@@ -548,9 +546,7 @@ def build_backends(specs) -> tuple[CacheBackend, ...]:
         if kind == "memory":
             backends.append(MemoryBackend(maxsize=spec[1]))
         elif kind == "disk":
-            backends.append(
-                DiskEvaluationCache(spec[1], max_bytes=spec[2], store_derived=spec[3])
-            )
+            backends.append(DiskEvaluationCache(spec[1], max_bytes=spec[2]))
         elif kind == "remote":
             backends.append(RemoteBackend(spec[1], timeout=spec[2]))
         else:

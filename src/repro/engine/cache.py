@@ -177,20 +177,15 @@ class WorkloadEvaluationCache:
     :class:`~repro.engine.DiskEvaluationCache`, a network-addressed
     :class:`~repro.engine.backend.RemoteBackend`, or any
     :class:`~repro.engine.backend.CacheBackend`) attach with
-    :meth:`attach_backends` (or the historical :meth:`attach_disk_tier`):
-    an in-memory miss consults them top-down with promote-on-hit, and a
+    :meth:`attach_backends` (or the ``backends`` constructor argument): an
+    in-memory miss consults them top-down with promote-on-hit, and a
     full miss publishes the freshly generated tensors back to all of them.
     """
 
-    def __init__(self, maxsize: int = 128, disk_tier=None, backends=None):
+    def __init__(self, maxsize: int = 128, backends=()):
         self._memory = MemoryBackend(maxsize)
         self._lock = threading.RLock()
-        if backends is not None and disk_tier is not None:
-            raise ValueError("pass either disk_tier or backends, not both")
-        if backends is not None:
-            self._lower = tuple(backends)
-        else:
-            self._lower = (disk_tier,) if disk_tier is not None else ()
+        self._lower = tuple(backends)
         self._lower_pid = os.getpid()
         self._dirty: list[_Dirty] = []
         self.hits = 0
@@ -253,14 +248,6 @@ class WorkloadEvaluationCache:
             self._lower = tuple(backends)
             self._lower_pid = os.getpid()
 
-    def attach_disk_tier(self, tier) -> None:
-        """Attach (or with ``None`` detach) a single shared lower tier.
-
-        The historical single-tier surface; :meth:`attach_backends` installs
-        a full stack.
-        """
-        self.attach_backends((tier,) if tier is not None else ())
-
     def clear(self) -> None:
         """Drop every cached evaluation and reset the hit/miss counters.
 
@@ -291,10 +278,6 @@ class WorkloadEvaluationCache:
                 maxsize=self._memory.maxsize,
             )
 
-    def cache_info(self) -> dict[str, int]:
-        """:meth:`stats` as a plain dict (hits/misses/evictions/occupancy)."""
-        return self.stats().as_dict()
-
     # ------------------------------------------------------------------ #
     # Evaluation
     # ------------------------------------------------------------------ #
@@ -303,7 +286,6 @@ class WorkloadEvaluationCache:
         workload: LayerWorkload,
         rng: np.random.Generator,
         finetuned: bool = False,
-        disk_tier=ATTACHED_TIER,
         tiers=ATTACHED_TIER,
     ) -> LayerEvaluation:
         """Return the (possibly cached) evaluation of ``workload``.
@@ -317,8 +299,7 @@ class WorkloadEvaluationCache:
         installed, an explicit backend or sequence of backends uses that
         stack without touching the attached one (so concurrent callers with
         different tiers cannot interfere), and ``None`` / ``()`` disables
-        the lower tiers for this call.  ``disk_tier`` is the historical
-        alias of the same parameter.
+        the lower tiers for this call.
         """
         try:
             key = (workload_fingerprint(workload, finetuned), generator_fingerprint(rng))
@@ -328,7 +309,7 @@ class WorkloadEvaluationCache:
             spikes, weights = workload.generate(rng=rng, finetuned=finetuned)
             return LayerEvaluation(spikes, weights)
         with self._lock:
-            lower = self._resolve_lower(tiers, disk_tier)
+            lower = self._resolve_lower(tiers)
             if len(self._dirty) >= _DIRTY_FLUSH_THRESHOLD:
                 self._flush_locked()
             stack = TieredCache((self._memory,) + lower)
@@ -340,9 +321,9 @@ class WorkloadEvaluationCache:
                     self.disk_hits += 1
                     if lower:
                         # A lower-tier hit may carry less than the simulators
-                        # are about to compute (a v1 tensor-only entry, or a
-                        # v2 entry from a run that exercised fewer
-                        # simulators); remember it so the write-back pass can
+                        # are about to compute (a tensor-only entry, or one
+                        # from a run that exercised fewer simulators);
+                        # remember it so the write-back pass can
                         # upgrade the stored entry in place.
                         self._dirty.append(
                             _Dirty(key, entry, lower, entry.evaluation.derived_signature())
@@ -361,15 +342,14 @@ class WorkloadEvaluationCache:
                 )
             return entry.evaluation
 
-    def _resolve_lower(self, tiers, disk_tier) -> tuple[CacheBackend, ...]:
-        selected = tiers if tiers is not ATTACHED_TIER else disk_tier
-        if selected is ATTACHED_TIER:
+    def _resolve_lower(self, tiers) -> tuple[CacheBackend, ...]:
+        if tiers is ATTACHED_TIER:
             return self._lower
-        if selected is None:
+        if tiers is None:
             return ()
-        if isinstance(selected, (list, tuple)):
-            return tuple(selected)
-        return (selected,)
+        if isinstance(tiers, (list, tuple)):
+            return tuple(tiers)
+        return (tiers,)
 
     # ------------------------------------------------------------------ #
     # Write-back

@@ -3,12 +3,10 @@
 Worker processes and repeated CLI runs each start with an empty in-memory
 :class:`~repro.engine.backend.MemoryBackend`, so without a shared tier every
 process regenerates the same random tensors.  The :class:`DiskEvaluationCache`
-(a.k.a. ``DiskBackend`` on the :class:`~repro.engine.backend.CacheBackend`
-protocol) is that shared tier: a directory of fingerprint-addressed entry
-files, one per ``(workload fingerprint, generator fingerprint)`` cache key.
-(The ``.npz`` file suffix is historical and kept for on-disk compatibility:
-v2 entries are the flat :mod:`repro.engine.serde` container, only legacy v1
-files are actual ``np.savez`` archives.)
+(a :class:`~repro.engine.backend.CacheBackend`) is that shared tier: a
+directory of fingerprint-addressed entry files, one per ``(workload
+fingerprint, generator fingerprint)`` cache key.  (The ``.npz`` file suffix
+is historical: entries are the flat :mod:`repro.engine.serde` container.)
 
 Entry schema
 ------------
@@ -22,9 +20,9 @@ Entry schema
   tensor generation.  Entries are first published tensor-only at generation
   time and **refreshed** in place by the cache's write-back pass once the
   simulators have enriched the evaluation.
-* **v1** (legacy, tensors + state only, no ``meta`` member) -- still loads;
-  the evaluation hydrates tensor-only and recomputes its statistics, and the
-  write-back pass upgrades the entry to v2 after its next use.
+* **v1** (legacy ``np.savez`` archives, tensors + state only) -- no longer
+  decodes: it is dropped like any corrupt entry, so it reads as a miss and
+  the regenerated evaluation is re-published as v2.
 
 Design constraints:
 
@@ -44,28 +42,20 @@ Design constraints:
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from .backend import CacheBackend, CacheEntry, CacheStats, pack_entry, unpack_entry
-from .serde import decode_state, encode_state, key_digest
+from .serde import key_digest
 
-__all__ = ["DiskBackend", "DiskEvaluationCache"]
+__all__ = ["DiskEvaluationCache"]
 
 _ENTRY_SUFFIX = ".npz"
 
-# Back-compat aliases: these helpers lived here before they were shared with
-# the remote wire format through repro.engine.serde.
-_encode_state = encode_state
-_decode_state = decode_state
-
 
 class DiskEvaluationCache(CacheBackend):
-    """Keyed on-disk store of evaluated workloads (the ``DiskBackend``).
+    """Keyed on-disk store of evaluated workloads.
 
     Parameters
     ----------
@@ -78,18 +68,9 @@ class DiskEvaluationCache(CacheBackend):
         pushes the directory over the budget, the least-recently-used
         entries are deleted (the most recent entry is always kept, so a
         budget smaller than one entry still caches the current workload).
-    store_derived:
-        When ``False`` the tier strips the derived artifacts and persists
-        tensors + state only (v1-sized entries) -- for space-constrained
-        tiers, and for benchmarking the statistics persistence itself.
     """
 
-    def __init__(
-        self,
-        directory: str | os.PathLike,
-        max_bytes: int | None = None,
-        store_derived: bool = True,
-    ):
+    def __init__(self, directory: str | os.PathLike, max_bytes: int | None = None):
         if max_bytes is not None and max_bytes <= 0:
             raise ValueError("max_bytes must be positive when given")
         # The directory is created lazily on the first store: constructing a
@@ -97,7 +78,6 @@ class DiskEvaluationCache(CacheBackend):
         # `cache stats --cache-dir typo` does not litter the filesystem.
         self.directory = Path(directory)
         self.max_bytes = max_bytes
-        self.store_derived = bool(store_derived)
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -136,10 +116,9 @@ class DiskEvaluationCache(CacheBackend):
     def get(self, key) -> CacheEntry | None:
         """The hydrated entry for ``key``, or ``None`` on a miss.
 
-        A corrupt or partially written entry counts as a miss: the file is
-        deleted so the caller's regeneration can re-publish a clean one.
-        v1 entries hydrate tensor-only (their evaluation recomputes derived
-        statistics on demand).
+        A corrupt, partially written or legacy v1 entry counts as a miss:
+        the file is deleted so the caller's regeneration can re-publish a
+        clean one.
         """
         path = self.entry_path(key)
         try:
@@ -148,8 +127,8 @@ class DiskEvaluationCache(CacheBackend):
             self.misses += 1
             return None
         except Exception:
-            # Torn write / truncated zip / bad JSON / meta naming artifacts
-            # the archive lacks: drop the entry.
+            # Torn write / bad JSON / meta naming artifacts the container
+            # lacks / a legacy v1 archive: drop the entry.
             self.corrupt_dropped += 1
             self.misses += 1
             try:
@@ -169,15 +148,6 @@ class DiskEvaluationCache(CacheBackend):
         path = self.entry_path(key)
         if path.exists() and not replace:
             return
-        if not self.store_derived:
-            if replace and path.exists():
-                return  # nothing to enrich a tensor-only tier with
-            entry = CacheEntry(
-                evaluation=type(entry.evaluation)(
-                    entry.evaluation.spikes, entry.evaluation.weights
-                ),
-                state_after=entry.state_after,
-            )
         refreshed = replace and path.exists()
         self._write_atomically(path, pack_entry(entry))
         if refreshed:
@@ -202,27 +172,7 @@ class DiskEvaluationCache(CacheBackend):
             raise
 
     def spec(self) -> tuple:
-        return ("disk", str(self.directory), self.max_bytes, self.store_derived)
-
-    # ------------------------------------------------------------------ #
-    # Legacy tensor-level interface
-    # ------------------------------------------------------------------ #
-    def load(self, key) -> tuple[np.ndarray, np.ndarray, dict] | None:
-        """Return ``(spikes, weights, state_after)`` or ``None`` on a miss.
-
-        The pre-protocol interface; :meth:`get` returns the full hydrated
-        entry instead.
-        """
-        entry = self.get(key)
-        if entry is None:
-            return None
-        return entry.evaluation.spikes, entry.evaluation.weights, entry.state_after
-
-    def store(self, key, spikes: np.ndarray, weights: np.ndarray, state_after: dict) -> None:
-        """Publish a tensor-only entry for ``key`` (no-op if present)."""
-        from .evaluation import LayerEvaluation
-
-        self.put(key, CacheEntry(LayerEvaluation(spikes, weights), state_after))
+        return ("disk", str(self.directory), self.max_bytes)
 
     # ------------------------------------------------------------------ #
     # Path protocol
@@ -295,10 +245,6 @@ class DiskEvaluationCache(CacheBackend):
         self.corrupt_dropped = 0
         self.evictions = 0
 
-    def cache_info(self) -> dict[str, int]:
-        """:meth:`stats` as a plain dict (counters plus on-disk occupancy)."""
-        return self.stats().as_dict()
-
     def stats(self) -> CacheStats:
         """Snapshot of the counters plus on-disk occupancy.
 
@@ -325,7 +271,3 @@ class DiskEvaluationCache(CacheBackend):
             total_bytes=total,
         )
 
-
-#: The protocol-flavoured name of the tier (``backend.py`` documents the
-#: stack; the class itself predates the protocol and keeps its import path).
-DiskBackend = DiskEvaluationCache

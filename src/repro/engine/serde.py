@@ -9,17 +9,16 @@ network tier (entry *frames*):
 * :func:`encode_state` / :func:`decode_state` -- the JSON round-trip of a
   ``numpy`` bit-generator state (arbitrary-precision integers natively,
   ndarray-valued fields -- e.g. Philox keys -- via a base64 envelope).
-  Historically private to ``disk_cache.py``; shared now so the disk entry
-  format and the remote wire format cannot drift apart.
+  Shared so the disk entry format and the remote wire format cannot drift
+  apart.
 * :func:`pack_payload` / :func:`unpack_payload` -- an ``{name: ndarray}``
   mapping plus a JSON ``meta`` record as one byte string.  v2 entries use a
   flat container (one JSON header, then the raw C-order array blobs): a v2
   entry holds a dozen-plus derived arrays and ``np.savez``'s per-member
   zipfile machinery costs more than the GEMMs the entry exists to skip,
   whereas the flat layout decodes with one read and ``np.frombuffer``
-  slices.  The **v1** entry format (a ``.npz`` holding tensors + state
-  only) decodes through the same reader -- the zip magic routes it to
-  ``np.load`` and a missing ``meta`` member yields ``{"schema": 1}``.
+  slices.  Anything else -- including a legacy v1 ``.npz`` entry -- fails
+  to decode, which every tier treats as a miss.
 * :func:`key_digest` -- the stable cross-process address of a cache key
   (the SHA-256 of the fingerprint tuple's ``repr``), used both as the disk
   entry file name and as the wire key of the remote tier.
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import io
 import json
 import socket
 import struct
@@ -52,9 +50,7 @@ __all__ = [
 
 _NDARRAY_TAG = "__ndarray__"
 
-#: Reserved array name: the v2 header stores the meta record under it, and
-#: legacy ``.npz`` containers may carry it as a member (absent from v1
-#: entries, which decode as ``{"schema": 1}``).
+#: Reserved array name: the v2 header stores the meta record under it.
 META_MEMBER = "meta"
 
 
@@ -105,7 +101,7 @@ def key_digest(key) -> str:
 # --------------------------------------------------------------------- #
 # Entry payload <-> bytes
 # --------------------------------------------------------------------- #
-#: v2 flat-container magic (v1 entries are zip archives starting ``PK``).
+#: v2 flat-container magic.
 _MAGIC = b"RPRC\x02\n"
 _HEADER_LENGTH = struct.Struct(">Q")
 
@@ -258,13 +254,11 @@ def unpack_payload(data: bytes, defer=frozenset()) -> tuple[dict, dict]:
     Decoded arrays are read-only ``np.frombuffer`` views over ``data`` (no
     copy; entries are shared read-only anyway).  Names listed in ``defer``
     come back as :class:`DeferredArray` handles instead of decoded arrays.
-    A zip container is a **v1** entry (``np.savez`` tensors + state, no
-    ``meta`` member) and decodes eagerly with ``meta == {"schema": 1}`` so
-    callers can hydrate tensor-only.  Raises on a torn or corrupt container
-    (callers treat that as a miss).
+    Raises on a torn or corrupt container, or on anything without the v2
+    magic such as a legacy v1 ``.npz`` entry (callers treat that as a miss).
     """
     if not data.startswith(_MAGIC):
-        return _unpack_npz(data)
+        raise ValueError("not a v2 entry container")
     offset = len(_MAGIC)
     (header_length,) = _HEADER_LENGTH.unpack_from(data, offset)
     offset += _HEADER_LENGTH.size
@@ -285,17 +279,6 @@ def unpack_payload(data: bytes, defer=frozenset()) -> tuple[dict, dict]:
     if offset != len(data):
         raise ValueError("entry container has trailing bytes")
     return arrays, record["meta"]
-
-
-def _unpack_npz(data: bytes) -> tuple[dict, dict]:
-    """Decode a legacy ``.npz`` (v1) entry container."""
-    with np.load(io.BytesIO(data)) as npz:
-        arrays = {name: npz[name] for name in npz.files if name != META_MEMBER}
-        if META_MEMBER in npz.files:
-            meta = json.loads(bytes(npz[META_MEMBER]).decode("utf-8"))
-        else:
-            meta = {"schema": 1}
-    return arrays, meta
 
 
 # --------------------------------------------------------------------- #

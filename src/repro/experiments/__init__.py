@@ -1,87 +1,62 @@
 """One experiment module per table / figure of the LoAS evaluation.
 
-============  ==========================================  =======================
-Paper item    What it shows                                 Entry point
-============  ==========================================  =======================
-Table I       accelerator capability matrix                ``run_table1``
-Table II      workload sparsity statistics                 ``run_table2``
-Figure 5      GoSPA psum traffic, T=1 vs T=4               ``run_fig5``
-Figure 11     fine-tuned preprocessing accuracy            ``run_fig11``
-Figure 12     speedup & energy vs SNN baselines            ``run_fig12``
-Figure 13     off-chip / on-chip traffic                   ``run_fig13``
-Figure 14     traffic breakdown + SRAM miss rate           ``run_fig14``
-Table IV      area / power breakdown                       ``run_table4``
-Figure 15     power breakup pies                           ``run_table4``
-Figure 16     temporal scalability                         ``run_fig16``
-Figure 17     sparsity / timestep / size scalability       ``run_fig17``
-Figure 18     dual-sparse SNN vs dual-sparse ANN           ``run_fig18``
-Figure 19     LoAS vs dense SNN accelerators               ``run_fig19``
-(DSE)         ArchSpec design-point sweeps                 ``dse-*`` scenarios
-============  ==========================================  =======================
+============  ==========================================  =========================
+Paper item    What it shows                               Scenario
+============  ==========================================  =========================
+Table I       accelerator capability matrix               ``table1-capabilities``
+Table II      workload sparsity statistics                ``table2-workloads``
+Figure 5      GoSPA psum traffic, T=1 vs T=4              ``fig5-psum-traffic``
+Figure 11     fine-tuned preprocessing accuracy           ``fig11-preprocessing``
+Figure 12     speedup & energy vs SNN baselines           ``fig12-overall``
+Figure 13     off-chip / on-chip traffic                  ``fig13-traffic``
+Figure 14     traffic breakdown + SRAM miss rate          ``fig14-breakdown``
+Table IV      area / power breakdown                      ``table4-area-power``
+Figure 15     power breakup pies                          ``table4-area-power``
+Figure 16     temporal scalability                        ``fig16-temporal``
+Figure 17     sparsity / timestep / size scalability      ``fig17-scalability``
+Figure 18     dual-sparse SNN vs dual-sparse ANN          ``fig18-snn-vs-ann``
+Figure 19     LoAS vs dense SNN accelerators              ``fig19-dense-baselines``
+(sweeps)      every accelerator x networks / layers       ``networks`` / ``layers``
+(DSE)         ArchSpec design-point sweeps                ``dse-*``
+============  ==========================================  =========================
 
 The ``dse-*`` scenarios (:mod:`repro.experiments.dse`) go beyond the paper:
 they sweep :class:`~repro.arch.ArchSpec` hardware design points (TPPE
-counts, SRAM capacities, timestep provisioning) through the same registry
-and have no legacy ``run_*`` twins -- drive them via
-``Session.run("dse-pe-scaling", ...)`` or ``python -m repro run``.
+counts, SRAM capacities, timestep provisioning) through the same registry.
 
-Every ``run_*`` function accepts a ``scale`` parameter (where applicable)
-that proportionally shrinks the workload dimensions while preserving the
-sparsity profiles, so the whole suite can be exercised quickly by the tests
-and benchmarks; ``scale=1.0`` reproduces the paper-sized workloads.
+Most scenarios accept a ``scale`` parameter that proportionally shrinks the
+workload dimensions while preserving the sparsity profiles, so the whole
+suite can be exercised quickly by the tests and benchmarks; ``scale=1.0``
+reproduces the paper-sized workloads.
 
-Each experiment is also a registered *scenario*: importing this package
-populates the :mod:`repro.runner` registry, after which any figure or table
-runs through the public API::
+Importing this package populates the :mod:`repro.runner` registry, after
+which any figure or table runs through the public API::
 
     from repro.api import Session
+    from repro.experiments import format_fig13
     session = Session(workers=2, scale=0.25)
     result = session.run("fig13-traffic")        # ScenarioResult
+    print(format_fig13(result.payload))          # ASCII rendition
     for partition in session.stream("fig13-traffic"):
         ...                                      # PartitionResult as it lands
 
-The ``run_*`` functions in this package (and ``run_scenario``) predate the
-:class:`~repro.api.Session` façade; they remain as deprecation shims that
-forward to the module-level default session and return the unchanged
-payloads.
+Each ``format_*`` function renders the payload of its scenario; none of
+them runs anything.
 """
 
-from .ablations import format_fig5, format_fig16, format_fig17, run_fig5, run_fig16, run_fig17
-from .comparisons import (
-    format_fig11,
-    format_fig18,
-    format_fig19,
-    run_fig11,
-    run_fig18,
-    run_fig19,
-)
-from .performance import (
-    format_fig12,
-    format_fig13,
-    format_fig14,
-    run_fig12,
-    run_fig13,
-    run_fig14,
-)
-from ..runner import get_scenario, list_scenarios, run_scenario
+from .ablations import format_fig5, format_fig16, format_fig17
+from .comparisons import format_fig11, format_fig18, format_fig19
+from .performance import format_fig12, format_fig13, format_fig14
+from ..runner import get_scenario, list_scenarios
 from .dse import dse_pe_plan, dse_sram_plan, dse_timestep_plan
 from .sweeps import (
     DEFAULT_LAYERS,
     DEFAULT_NETWORKS,
     layer_sweep_plan,
     network_sweep_plan,
-    run_layers,
-    run_networks,
     snn_accelerators,
 )
-from .tables import (
-    format_table1,
-    format_table2,
-    format_table4,
-    run_table1,
-    run_table2,
-    run_table4,
-)
+from .tables import format_table1, format_table2, format_table4
 
 __all__ = [
     "DEFAULT_LAYERS",
@@ -105,20 +80,5 @@ __all__ = [
     "layer_sweep_plan",
     "list_scenarios",
     "network_sweep_plan",
-    "run_fig5",
-    "run_fig11",
-    "run_fig12",
-    "run_fig13",
-    "run_fig14",
-    "run_fig16",
-    "run_fig17",
-    "run_fig18",
-    "run_fig19",
-    "run_layers",
-    "run_networks",
-    "run_scenario",
-    "run_table1",
-    "run_table2",
-    "run_table4",
     "snn_accelerators",
 ]

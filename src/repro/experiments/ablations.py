@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..api.session import _legacy_shim_warning, default_session
 from ..arch.area import tppe_scaling
 from ..metrics.report import format_series, format_table
 from ..runner import (
@@ -36,11 +35,8 @@ from ..sparse.matrix import (
 )
 
 __all__ = [
-    "run_fig5",
     "format_fig5",
-    "run_fig16",
     "format_fig16",
-    "run_fig17",
     "format_fig17",
 ]
 
@@ -88,26 +84,10 @@ register_scenario(
 )
 
 
-def run_fig5(
-    layers: tuple[str, ...] = _FIG5_LAYERS,
-    scale: float = 1.0,
-    seed: int = 1,
-    workers: int | None = None,
-) -> dict[str, dict[str, float]]:
-    """Off-chip psum traffic (KB) of GoSPA-SNN at T = 1 and T = 4 (Figure 5).
-
-    .. deprecated:: Shim over ``Session.run("fig5-psum-traffic", ...)``.
-    """
-    _legacy_shim_warning("run_fig5", "fig5-psum-traffic")
-    return default_session().run(
-        "fig5-psum-traffic", workers=workers, layers=layers, scale=scale, seed=seed
-    ).payload
-
-
-def format_fig5(scale: float = 0.5, seed: int = 1) -> str:
-    """ASCII rendition of Figure 5."""
+def format_fig5(payload) -> str:
+    """ASCII rendition of a ``fig5-psum-traffic`` payload."""
     return format_series(
-        default_session().run("fig5-psum-traffic", scale=scale, seed=seed).payload,
+        payload,
         title="Figure 5: off-chip psum traffic (KB) on GoSPA-SNN",
     )
 
@@ -169,25 +149,10 @@ register_scenario(
 )
 
 
-def run_fig16(
-    timesteps: tuple[int, ...] = (4, 8, 16),
-    scale: float = 0.25,
-    seed: int = 0,
-) -> dict[str, dict[str, float]]:
-    """TPPE scaling and silent-neuron ratio versus timesteps (Figure 16).
-
-    .. deprecated:: Shim over ``Session.run("fig16-temporal", ...)``.
-    """
-    _legacy_shim_warning("run_fig16", "fig16-temporal")
-    return default_session().run(
-        "fig16-temporal", timesteps=timesteps, scale=scale, seed=seed
-    ).payload
-
-
-def format_fig16(scale: float = 0.25, seed: int = 0) -> str:
-    """ASCII rendition of Figure 16."""
+def format_fig16(payload) -> str:
+    """ASCII rendition of a ``fig16-temporal`` payload."""
     return format_series(
-        default_session().run("fig16-temporal", scale=scale, seed=seed).payload,
+        payload,
         title="Figure 16: temporal scalability",
     )
 
@@ -288,33 +253,10 @@ register_scenario(
 )
 
 
-def run_fig17(
-    scale: float = 0.25,
-    seed: int = 1,
-    timesteps: tuple[int, ...] = (4, 8),
-    weight_sparsities: tuple[float, ...] = (0.982, 0.684, 0.25),
-    workers: int | None = None,
-) -> dict[str, dict[str, float]]:
-    """LoAS scalability sweeps (Figure 17): weight sparsity, timesteps, layer size.
-
-    .. deprecated:: Shim over ``Session.run("fig17-scalability", ...)``.
-    """
-    _legacy_shim_warning("run_fig17", "fig17-scalability")
-    return default_session().run(
-        "fig17-scalability",
-        workers=workers,
-        scale=scale,
-        seed=seed,
-        timesteps=timesteps,
-        weight_sparsities=weight_sparsities,
-    ).payload
-
-
-def format_fig17(scale: float = 0.25, seed: int = 1) -> str:
-    """ASCII rendition of Figure 17."""
-    data = default_session().run("fig17-scalability", scale=scale, seed=seed).payload
+def format_fig17(payload) -> str:
+    """ASCII rendition of a ``fig17-scalability`` payload."""
     blocks = []
-    for sweep, values in data.items():
+    for sweep, values in payload.items():
         rows = [[label, value] for label, value in values.items()]
         blocks.append(format_table(["Setting", "Relative performance"], rows, title=f"Figure 17: {sweep}"))
     return "\n\n".join(blocks)

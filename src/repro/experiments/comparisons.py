@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..api.session import _legacy_shim_warning, default_session
 from ..baselines import GammaANN, SparTenANN
 from ..metrics.report import format_series, format_table
 from ..runner import (
@@ -39,11 +38,8 @@ from ..snn.training import (
 from .sweeps import LOAS_FINETUNED, scaled_network
 
 __all__ = [
-    "run_fig11",
     "format_fig11",
-    "run_fig18",
     "format_fig18",
-    "run_fig19",
     "format_fig19",
 ]
 
@@ -98,36 +94,9 @@ register_scenario(
 )
 
 
-def run_fig11(
-    num_samples: int = 400,
-    num_features: int = 32,
-    num_classes: int = 4,
-    hidden: int = 64,
-    epochs: int = 12,
-    finetune_epochs: tuple[int, ...] = (1, 5, 10),
-    seed: int = 0,
-) -> dict[str, float]:
-    """Accuracy before masking, after masking and after fine-tuning (Figure 11).
-
-    .. deprecated:: Shim over ``Session.run("fig11-preprocessing", ...)``.
-    """
-    _legacy_shim_warning("run_fig11", "fig11-preprocessing")
-    return default_session().run(
-        "fig11-preprocessing",
-        num_samples=num_samples,
-        num_features=num_features,
-        num_classes=num_classes,
-        hidden=hidden,
-        epochs=epochs,
-        finetune_epochs=finetune_epochs,
-        seed=seed,
-    ).payload
-
-
-def format_fig11(seed: int = 0) -> str:
-    """ASCII rendition of Figure 11."""
-    data = default_session().run("fig11-preprocessing", seed=seed).payload
-    rows = [[key, value] for key, value in data.items()]
+def format_fig11(payload) -> str:
+    """ASCII rendition of a ``fig11-preprocessing`` payload."""
+    rows = [[key, value] for key, value in payload.items()]
     return format_table(["Stage", "Accuracy"], rows, title="Figure 11: fine-tuned preprocessing accuracy")
 
 
@@ -187,32 +156,10 @@ register_scenario(
 )
 
 
-def run_fig18(
-    network: str = "vgg16",
-    scale: float = 1.0,
-    seed: int = 1,
-    workers: int | None = None,
-    cache_dir=None,
-) -> dict[str, dict[str, float]]:
-    """Dual-sparse SNN (LoAS) versus dual-sparse ANN (SparTen / Gamma), Figure 18.
-
-    .. deprecated:: Shim over ``Session.run("fig18-snn-vs-ann", ...)``.
-    """
-    _legacy_shim_warning("run_fig18", "fig18-snn-vs-ann")
-    return default_session().run(
-        "fig18-snn-vs-ann",
-        workers=workers,
-        cache_dir=cache_dir,
-        network=network,
-        scale=scale,
-        seed=seed,
-    ).payload
-
-
-def format_fig18(scale: float = 0.25, seed: int = 1) -> str:
-    """ASCII rendition of Figure 18."""
+def format_fig18(payload) -> str:
+    """ASCII rendition of a ``fig18-snn-vs-ann`` payload."""
     return format_series(
-        default_session().run("fig18-snn-vs-ann", scale=scale, seed=seed).payload,
+        payload,
         title="Figure 18: dual-sparse SNN vs dual-sparse ANN (normalised to LoAS)",
     )
 
@@ -256,25 +203,9 @@ register_scenario(
 )
 
 
-def run_fig19(
-    network: str = "vgg16",
-    scale: float = 1.0,
-    seed: int = 1,
-    workers: int | None = None,
-) -> dict[str, dict[str, float]]:
-    """LoAS versus the dense SNN accelerators PTB and Stellar (Figure 19).
-
-    .. deprecated:: Shim over ``Session.run("fig19-dense-baselines", ...)``.
-    """
-    _legacy_shim_warning("run_fig19", "fig19-dense-baselines")
-    return default_session().run(
-        "fig19-dense-baselines", workers=workers, network=network, scale=scale, seed=seed
-    ).payload
-
-
-def format_fig19(scale: float = 0.25, seed: int = 1) -> str:
-    """ASCII rendition of Figure 19."""
+def format_fig19(payload) -> str:
+    """ASCII rendition of a ``fig19-dense-baselines`` payload."""
     return format_series(
-        default_session().run("fig19-dense-baselines", scale=scale, seed=seed).payload,
+        payload,
         title="Figure 19: LoAS vs dense SNN accelerators (normalised to LoAS)",
     )

@@ -10,12 +10,11 @@ psum / other components and adds the normalised SRAM miss rate.
 All three figures are thin shapers over the declarative network / layer
 sweeps of :mod:`repro.experiments.sweeps`; each is also a registered
 scenario (``fig12-overall``, ``fig13-traffic``, ``fig14-breakdown``) runnable
-through :func:`repro.runner.run_scenario`.
+through :meth:`repro.api.Session.run`.
 """
 
 from __future__ import annotations
 
-from ..api.session import _legacy_shim_warning, default_session
 from ..metrics.report import format_series, format_sweep
 from ..runner import Scenario, register_scenario
 from .sweeps import (
@@ -26,11 +25,8 @@ from .sweeps import (
 )
 
 __all__ = [
-    "run_fig12",
     "format_fig12",
-    "run_fig13",
     "format_fig13",
-    "run_fig14",
     "format_fig14",
 ]
 
@@ -121,32 +117,15 @@ register_scenario(
 )
 
 
-def run_fig12(
-    networks: tuple[str, ...] = DEFAULT_NETWORKS,
-    scale: float = 1.0,
-    seed: int = 1,
-    workers: int | None = None,
-) -> dict[str, dict[str, dict[str, float]]]:
-    """Speedup and energy efficiency normalised to SparTen-SNN (Figure 12).
-
-    .. deprecated:: Shim over ``Session.run("fig12-overall", ...)``.
-    """
-    _legacy_shim_warning("run_fig12", "fig12-overall")
-    return default_session().run(
-        "fig12-overall", workers=workers, networks=networks, scale=scale, seed=seed
-    ).payload
-
-
-def format_fig12(scale: float = 0.25, seed: int = 1) -> str:
-    """ASCII rendition of Figure 12."""
-    data = default_session().run("fig12-overall", scale=scale, seed=seed).payload
+def format_fig12(payload) -> str:
+    """ASCII rendition of a ``fig12-overall`` payload."""
     speed = {
         network: {accel: stats["speedup"] for accel, stats in per.items()}
-        for network, per in data.items()
+        for network, per in payload.items()
     }
     energy = {
         network: {accel: stats["energy_efficiency"] for accel, stats in per.items()}
-        for network, per in data.items()
+        for network, per in payload.items()
     }
     return (
         format_series(speed, title="Figure 12 (top): speedup over SparTen-SNN")
@@ -155,53 +134,19 @@ def format_fig12(scale: float = 0.25, seed: int = 1) -> str:
     )
 
 
-def run_fig13(
-    networks: tuple[str, ...] = DEFAULT_NETWORKS,
-    scale: float = 1.0,
-    seed: int = 1,
-    workers: int | None = None,
-) -> dict[str, dict[str, dict[str, float]]]:
-    """Off-chip (KB) and on-chip (MB) traffic per accelerator (Figure 13).
-
-    .. deprecated:: Shim over ``Session.run("fig13-traffic", ...)``.
-    """
-    _legacy_shim_warning("run_fig13", "fig13-traffic")
-    return default_session().run(
-        "fig13-traffic", workers=workers, networks=networks, scale=scale, seed=seed
-    ).payload
-
-
-def format_fig13(scale: float = 0.25, seed: int = 1) -> str:
-    """ASCII rendition of Figure 13."""
+def format_fig13(payload) -> str:
+    """ASCII rendition of a ``fig13-traffic`` payload."""
     return format_sweep(
-        default_session().run("fig13-traffic", scale=scale, seed=seed).payload,
+        payload,
         columns=[("Off-chip (KB)", "offchip_kb"), ("On-chip (MB)", "onchip_mb")],
         title="Figure 13: memory traffic",
     )
 
 
-def run_fig14(
-    layers: tuple[str, ...] = DEFAULT_LAYERS,
-    scale: float = 1.0,
-    seed: int = 1,
-    workers: int | None = None,
-) -> dict[str, dict[str, dict[str, float]]]:
-    """Off-chip traffic breakdown and SRAM miss rate per layer (Figure 14).
-
-    Everything is normalised to LoAS, as in the paper.
-
-    .. deprecated:: Shim over ``Session.run("fig14-breakdown", ...)``.
-    """
-    _legacy_shim_warning("run_fig14", "fig14-breakdown")
-    return default_session().run(
-        "fig14-breakdown", workers=workers, layers=layers, scale=scale, seed=seed
-    ).payload
-
-
-def format_fig14(scale: float = 0.5, seed: int = 1) -> str:
-    """ASCII rendition of Figure 14."""
+def format_fig14(payload) -> str:
+    """ASCII rendition of a ``fig14-breakdown`` payload."""
     return format_sweep(
-        default_session().run("fig14-breakdown", scale=scale, seed=seed).payload,
+        payload,
         columns=[
             ("Input", "input"),
             ("Weight", "weight"),

@@ -5,15 +5,12 @@ This module declares the network / representative-layer sweeps as
 ``"layers"`` scenarios; execution happens through
 :class:`repro.api.Session` (which batches each network walk layer-major --
 one evaluation per layer drives every simulator -- and can spread
-independent cells over a worker pool).  The ``run_networks`` /
-``run_layers`` functions remain as deprecation shims over the default
-session, returning the unchanged ``{workload: {accelerator: result}}``
-payloads.
+independent cells over a worker pool) and returns the
+``{workload: {accelerator: result}}`` payloads.
 """
 
 from __future__ import annotations
 
-from ..api.session import _legacy_shim_warning, default_session
 from ..arch.spec import resolve_arch
 from ..core import LoASConfig
 from ..runner import (
@@ -29,8 +26,6 @@ __all__ = [
     "snn_accelerators",
     "network_sweep_plan",
     "layer_sweep_plan",
-    "run_networks",
-    "run_layers",
     "DEFAULT_NETWORKS",
     "DEFAULT_LAYERS",
     "SNN_SIMULATORS",
@@ -115,49 +110,6 @@ def layer_sweep_plan(
         seeds=(seed,),
         config=_shared_config(config, arch, arch_overrides),
     )
-
-
-def run_networks(
-    networks: tuple[str, ...] = DEFAULT_NETWORKS,
-    scale: float = 1.0,
-    seed: int = 1,
-    include_finetuned: bool = True,
-    config=None,
-    workers: int | None = None,
-):
-    """Simulate every accelerator on every full-network workload.
-
-    .. deprecated:: Shim over ``Session.run("networks", ...)``; the returned
-        ``{network: {accelerator: result}}`` payload is unchanged.
-    """
-    _legacy_shim_warning("run_networks", "networks")
-    return default_session().run(
-        "networks",
-        workers=workers,
-        networks=networks,
-        scale=scale,
-        seed=seed,
-        include_finetuned=include_finetuned,
-        config=config,
-    ).payload
-
-
-def run_layers(
-    layers: tuple[str, ...] = DEFAULT_LAYERS,
-    scale: float = 1.0,
-    seed: int = 1,
-    config=None,
-    workers: int | None = None,
-):
-    """Simulate every accelerator on every representative layer workload.
-
-    .. deprecated:: Shim over ``Session.run("layers", ...)``; the returned
-        payload is unchanged.
-    """
-    _legacy_shim_warning("run_layers", "layers")
-    return default_session().run(
-        "layers", workers=workers, layers=layers, scale=scale, seed=seed, config=config
-    ).payload
 
 
 def scaled_network(name: str, scale: float) -> NetworkWorkload:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..api.session import _legacy_shim_warning, default_session
 from ..arch.area import loas_system_cost, system_power_breakdown, tppe_power_breakdown
 from ..baselines.capabilities import TABLE1_CAPABILITIES
 from ..metrics.report import format_table
@@ -23,11 +22,8 @@ from ..snn.workloads import (
 )
 
 __all__ = [
-    "run_table1",
     "format_table1",
-    "run_table2",
     "format_table2",
-    "run_table4",
     "format_table4",
 ]
 
@@ -48,11 +44,11 @@ def _table1_capabilities() -> dict[str, dict[str, object]]:
     }
 
 
-def format_table1() -> str:
-    """ASCII rendition of Table I."""
+def format_table1(payload) -> str:
+    """ASCII rendition of a ``table1-capabilities`` payload."""
     rows = [
         [name, "yes" if row["spike_sparsity"] else "no", "yes" if row["weight_sparsity"] else "no", row["parallelism"], row["neuron_model"]]
-        for name, row in _table1_capabilities().items()
+        for name, row in payload.items()
     ]
     return format_table(
         ["Accelerator", "Spike sparsity", "Weight sparsity", "Parallelism", "Neuron"],
@@ -97,11 +93,10 @@ def _table2_workloads(scale: float = 0.25, seed: int = 0) -> dict[str, dict[str,
     return results
 
 
-def format_table2(scale: float = 0.25, seed: int = 0) -> str:
-    """ASCII rendition of Table II (published vs measured)."""
-    data = _table2_workloads(scale=scale, seed=seed)
+def format_table2(payload) -> str:
+    """ASCII rendition of a ``table2-workloads`` payload (published vs measured)."""
     rows = []
-    for name, stats in data.items():
+    for name, stats in payload.items():
         rows.append(
             [
                 name,
@@ -152,19 +147,18 @@ def _table4_area_power(
     }
 
 
-def format_table4() -> str:
-    """ASCII rendition of Table IV and the Figure 15 power breakup."""
-    data = _table4_area_power()
+def format_table4(payload) -> str:
+    """ASCII rendition of a ``table4-area-power`` payload (Table IV + Figure 15)."""
     rows = [
-        [name, data["system_area_mm2"][name], data["system_power_mw"][name]]
-        for name in data["system_area_mm2"]
+        [name, payload["system_area_mm2"][name], payload["system_power_mw"][name]]
+        for name in payload["system_area_mm2"]
     ]
     system = format_table(
         ["Component", "Area (mm^2)", "Power (mW)"], rows, title="Table IV: LoAS breakdown"
     )
     tppe_rows = [
-        [name, data["tppe_area_mm2"][name], data["tppe_power_mw"][name], data["tppe_power_fraction"][name]]
-        for name in data["tppe_area_mm2"]
+        [name, payload["tppe_area_mm2"][name], payload["tppe_power_mw"][name], payload["tppe_power_fraction"][name]]
+        for name in payload["tppe_area_mm2"]
     ]
     tppe = format_table(
         ["TPPE unit", "Area (mm^2)", "Power (mW)", "Power fraction"],
@@ -207,31 +201,3 @@ register_scenario(
         ),
     )
 )
-
-def run_table1() -> dict[str, dict[str, object]]:
-    """Capability matrix of SpinalFlow, PTB, Stellar and LoAS (Table I).
-
-    .. deprecated:: Shim over ``Session.run("table1-capabilities")``.
-    """
-    _legacy_shim_warning("run_table1", "table1-capabilities")
-    return default_session().run("table1-capabilities").payload
-
-
-def run_table2(scale: float = 0.25, seed: int = 0) -> dict[str, dict[str, float]]:
-    """Generated-workload sparsity vs the published Table II numbers.
-
-    .. deprecated:: Shim over ``Session.run("table2-workloads", ...)``.
-    """
-    _legacy_shim_warning("run_table2", "table2-workloads")
-    return default_session().run("table2-workloads", scale=scale, seed=seed).payload
-
-
-def run_table4(num_tppes: int = 16, timesteps: int = 4) -> dict[str, dict[str, float]]:
-    """System and TPPE area / power breakdown plus the Figure 15 fractions.
-
-    .. deprecated:: Shim over ``Session.run("table4-area-power", ...)``.
-    """
-    _legacy_shim_warning("run_table4", "table4-area-power")
-    return default_session().run(
-        "table4-area-power", num_tppes=num_tppes, timesteps=timesteps
-    ).payload

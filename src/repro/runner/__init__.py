@@ -34,7 +34,6 @@ from .scenario import (
     get_scenario,
     list_scenarios,
     register_scenario,
-    run_scenario,
 )
 
 __all__ = [
@@ -50,5 +49,4 @@ __all__ = [
     "list_scenarios",
     "register_scenario",
     "run_ann_network",
-    "run_scenario",
 ]

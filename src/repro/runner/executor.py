@@ -184,14 +184,6 @@ def _ensure_backends(specs) -> None:
     cache.attach_backends(build_backends(specs))
 
 
-def _ensure_disk_tier(cache_dir, max_bytes=None) -> None:
-    """Back-compat shim: attach a single shared disk tier to this process."""
-    if cache_dir is None:
-        return
-    tier = DiskEvaluationCache.coerce(cache_dir, max_bytes=max_bytes)
-    _ensure_backends((tier.spec(),))
-
-
 class SweepRunner:
     """Executes sweep plans serially or across a worker pool.
 

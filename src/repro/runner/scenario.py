@@ -12,7 +12,7 @@ overrides x seeds.  This module turns those sweeps into *data*:
   simulator at one seed -- and :class:`SweepPlan` is an ordered tuple of
   cells plus an optional shared hardware configuration,
 * :class:`Scenario` names a plan builder plus a result shaper, and the
-  registry (:func:`register_scenario` / :func:`run_scenario`) makes every
+  registry (:func:`register_scenario` / :func:`get_scenario`) makes every
   paper figure a named, composable entry point instead of a bespoke
   ``run(...)`` function.
 
@@ -60,7 +60,6 @@ __all__ = [
     "get_scenario",
     "list_scenarios",
     "register_scenario",
-    "run_scenario",
 ]
 
 
@@ -427,7 +426,7 @@ class Scenario:
     plus ``shape`` (``(results, **params) -> dict``); bespoke scenarios
     (training runs, static tables) declare ``run`` (``(**params) -> dict``)
     instead.  ``defaults`` are the parameter defaults merged under the
-    caller's overrides by :func:`run_scenario`.
+    caller's overrides by :meth:`repro.api.Session.run`.
     """
 
     name: str
@@ -506,18 +505,3 @@ def list_scenarios() -> list[str]:
     """Sorted names of every registered scenario."""
     return sorted(_SCENARIOS)
 
-
-def run_scenario(name: str, workers: int | None = None, cache_dir=None, **params):
-    """Execute a registered scenario and return its shaped result dict.
-
-    .. deprecated::
-        ``run_scenario`` is a shim over the public API; use
-        :meth:`repro.api.Session.run` (which additionally returns provenance
-        and supports streaming) instead.  The returned payload is unchanged.
-    """
-    from ..api.session import _legacy_shim_warning, default_session  # late import: api imports runner
-
-    _legacy_shim_warning("run_scenario", name)
-    return default_session().run(
-        name, workers=workers, cache_dir=cache_dir, **params
-    ).payload

@@ -4,12 +4,10 @@ The acceptance contract of the API redesign:
 
 * ``Session.stream()`` yields partitions incrementally and order-
   independently; the merged result is bit-identical to ``Session.run()``
-  and to the legacy ``run_scenario`` path, for sweep scenarios in both
-  serial and 2-worker modes,
+  and to executing the registered plan directly, for sweep scenarios in
+  both serial and 2-worker modes,
 * ``ScenarioResult.to_json()`` -> ``from_json()`` round-trips (including
   payloads of raw ``SimulationResult`` dataclasses),
-* legacy ``run_*`` shims emit ``DeprecationWarning`` but return unchanged
-  values,
 * registry error paths (unknown scenario, duplicate registration, unknown
   simulator key) raise clear ``KeyError`` / ``ValueError`` messages.
 """
@@ -27,11 +25,16 @@ from repro.api import (
     PartitionResult,
     ScenarioResult,
     Session,
-    default_session,
 )
 from repro.api.cli import main as cli_main
-from repro.engine import CacheStats, DiskEvaluationCache, WorkloadEvaluationCache
-from repro.runner import Scenario, SimulatorSpec, register_scenario, run_scenario
+from repro.engine import (
+    CacheEntry,
+    CacheStats,
+    DiskEvaluationCache,
+    LayerEvaluation,
+    WorkloadEvaluationCache,
+)
+from repro.runner import Scenario, SimulatorSpec, SweepRunner, get_scenario, register_scenario
 from repro.runner.scenario import _SCENARIOS
 from repro.snn.workloads import LayerWorkload, SparsityProfile
 from repro.snn.network import LayerShape
@@ -49,7 +52,7 @@ SWEEP_CASES = (
 
 
 # --------------------------------------------------------------------- #
-# Streaming == batch == legacy, serial and pooled
+# Streaming == batch == direct plan execution, serial and pooled
 # --------------------------------------------------------------------- #
 class TestStreamingEquivalence:
     @pytest.mark.parametrize("name,params", SWEEP_CASES)
@@ -77,10 +80,12 @@ class TestStreamingEquivalence:
         assert stream.result.payload == batch.payload
         assert stream.result.params == batch.params
 
-        # ...and to the legacy run_scenario path.
-        with pytest.warns(DeprecationWarning):
-            legacy = run_scenario(name, workers=workers, **params)
-        assert legacy == batch.payload
+        # ...and to executing the registered build + shape directly.
+        scenario = get_scenario(name)
+        merged = dict(scenario.defaults, **params)
+        plan = scenario.build(**merged)
+        direct = scenario.shape(SweepRunner(workers=workers).run(plan), **merged)
+        assert direct == batch.payload
 
     def test_stream_result_requires_exhaustion(self):
         session = Session()
@@ -134,11 +139,8 @@ class TestSessionPolicy:
         assert result.provenance["workers"] == 2
         assert result.params["cache_dir"] == str(tmp_path / "tier")
         assert ScenarioResult.from_json(result.to_json()) == result
-        with pytest.warns(DeprecationWarning):
-            from repro.experiments import run_fig18
-
-            legacy = run_fig18(network="alexnet", scale=SCALE, seed=SEED)
-        assert result.payload == legacy
+        plain = Session().run("fig18-snn-vs-ann", network="alexnet", scale=SCALE, seed=SEED)
+        assert result.payload == plain.payload
 
     def test_abandoned_stream_releases_disk_tier_on_close(self, tmp_path):
         from repro.engine import default_cache
@@ -207,9 +209,6 @@ class TestSessionPolicy:
         # The run went through the session's own DiskEvaluationCache object
         # (not a rebuilt one), so its counters saw the stores.
         assert session.disk_tier.stats().stores >= 1
-
-    def test_default_session_is_a_singleton(self):
-        assert default_session() is default_session()
 
     def test_stream_provenance_ignores_work_before_first_partition(self):
         session = Session()
@@ -329,33 +328,6 @@ class TestScenarioResultSchema:
 
 
 # --------------------------------------------------------------------- #
-# Legacy shims
-# --------------------------------------------------------------------- #
-class TestDeprecationShims:
-    def test_run_networks_warns_but_returns_unchanged_payload(self):
-        from repro.experiments import run_networks
-
-        session_payload = Session().run(
-            "networks", networks=("alexnet",), scale=SCALE, seed=SEED
-        ).payload
-        with pytest.warns(DeprecationWarning, match="run_networks"):
-            legacy = run_networks(networks=("alexnet",), scale=SCALE, seed=SEED)
-        assert legacy == session_payload
-
-    def test_run_table2_warns_but_returns_unchanged_payload(self):
-        from repro.experiments import run_table2
-
-        session_payload = Session().run("table2-workloads", scale=0.05).payload
-        with pytest.warns(DeprecationWarning, match="run_table2"):
-            legacy = run_table2(scale=0.05)
-        assert legacy == session_payload
-
-    def test_run_scenario_warns(self):
-        with pytest.warns(DeprecationWarning, match="run_scenario"):
-            run_scenario("table1-capabilities")
-
-
-# --------------------------------------------------------------------- #
 # Registry error paths
 # --------------------------------------------------------------------- #
 class TestRegistryErrors:
@@ -434,8 +406,8 @@ class TestCacheStats:
         state = {"state": 0}
         spikes = np.ones((4, 8, 2), dtype=np.uint8)
         weights = np.ones((8, 4), dtype=np.int8)
-        tier.store(("a",), spikes, weights, state)
-        tier.store(("b",), spikes, weights, state)  # pushes "a" out
+        tier.put(("a",), CacheEntry(LayerEvaluation(spikes, weights), state))
+        tier.put(("b",), CacheEntry(LayerEvaluation(spikes, weights), state))  # pushes "a" out
         stats = tier.stats()
         assert stats.stores == 2
         assert stats.evictions >= 1

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch.area import (
-    SYSTEM_COMPONENTS,
-    TPPE_COMPONENTS,
+    DEFAULT_AREA,
     loas_system_cost,
     system_power_breakdown,
     tppe_cost,
@@ -101,13 +100,15 @@ class TestAreaModel:
         assert sum(tppe_power_breakdown().values()) == pytest.approx(1.0)
 
     def test_laggy_prefix_much_cheaper_than_fast(self):
-        assert TPPE_COMPONENTS["laggy_prefix"].power_mw < TPPE_COMPONENTS["fast_prefix"].power_mw / 3
-        assert TPPE_COMPONENTS["laggy_prefix"].area_mm2 < TPPE_COMPONENTS["fast_prefix"].area_mm2 / 3
+        tppe = DEFAULT_AREA.tppe_table()
+        assert tppe["laggy_prefix"].power_mw < tppe["fast_prefix"].power_mw / 3
+        assert tppe["laggy_prefix"].area_mm2 < tppe["fast_prefix"].area_mm2 / 3
 
     def test_component_cost_arithmetic(self):
-        total = SYSTEM_COMPONENTS["plifs"] + SYSTEM_COMPONENTS["others"]
+        system = DEFAULT_AREA.system_table()
+        total = system["plifs"] + system["others"]
         assert total.area_mm2 == pytest.approx(0.32)
-        scaled = SYSTEM_COMPONENTS["plifs"].scaled(2)
+        scaled = system["plifs"].scaled(2)
         assert scaled.power_mw == pytest.approx(2.4)
 
 

@@ -208,9 +208,16 @@ class TestLoASConfigView:
 
 class TestAreaSpecDriven:
     def test_default_area_matches_legacy_constants(self):
-        from repro.arch import TPPE_COMPONENTS
+        from repro.arch.area import DEFAULT_AREA, ComponentCost
 
-        assert AreaSpec().tppe_table() == TPPE_COMPONENTS
+        assert AreaSpec() == DEFAULT_AREA
+        # The published Table IV per-TPPE costs (32 nm, T = 4).
+        assert DEFAULT_AREA.tppe_table() == {
+            "accumulators": ComponentCost(2e-3, 0.16),
+            "fast_prefix": ComponentCost(0.04, 1.46),
+            "laggy_prefix": ComponentCost(5e-3, 0.32),
+            "others": ComponentCost(0.013, 0.88),
+        }
 
     def test_custom_table_changes_costs(self):
         doubled = AreaSpec(

@@ -2,7 +2,7 @@
 
 The pluggable backend stack must be invisible to results: scenario sweeps
 are bit-identical whether evaluations come from regeneration, the memory
-LRU, a disk tier (v1 tensor-only or v2 statistics entries), or the
+LRU, a disk tier (tensor-only or enriched v2 entries), or the
 network-addressed remote daemon -- serial and pooled alike.  Degraded tiers
 (torn v2 payloads, legacy v1 entries, a dead daemon) must shrink the stack,
 never fail the sweep.
@@ -119,13 +119,13 @@ class TestDehydration:
 # --------------------------------------------------------------------- #
 class TestDiskV2:
     def test_writeback_enriches_the_stored_entry(self, tier, tiny_workload):
-        cache = WorkloadEvaluationCache(disk_tier=tier)
+        cache = WorkloadEvaluationCache(backends=(tier,))
         _, reference = consumed_evaluation(cache, tiny_workload)
         assert tier.stores == 1 and tier.refreshes == 0
         assert cache.flush_writebacks() == 1
         assert tier.refreshes == 1
 
-        cold = WorkloadEvaluationCache(disk_tier=tier)
+        cold = WorkloadEvaluationCache(backends=(tier,))
         loaded = cold.evaluate(tiny_workload, np.random.default_rng(3))
         assert cold.disk_hits == 1 and cold.misses == 0
         assert "matches" in loaded.__dict__  # statistics served from disk
@@ -133,21 +133,10 @@ class TestDiskV2:
         result = LoASSimulator().simulate_workload(tiny_workload, evaluation=loaded)
         assert_simulations_identical(result, reference)
 
-    def test_store_derived_false_strips_the_derived_state(self, tmp_path, tiny_workload):
-        tier = DiskEvaluationCache(tmp_path / "evals", store_derived=False)
-        cache = WorkloadEvaluationCache(disk_tier=tier)
-        consumed_evaluation(cache, tiny_workload)
-        cache.flush_writebacks()
-        assert tier.refreshes == 0  # nothing to enrich a tensor-only tier with
-        loaded = WorkloadEvaluationCache(disk_tier=tier).evaluate(
-            tiny_workload, np.random.default_rng(3)
-        )
-        assert "matches" not in loaded.__dict__
-
     def test_unflushed_entries_stay_tensor_only_but_loadable(self, tier, tiny_workload):
-        cache = WorkloadEvaluationCache(disk_tier=tier)
+        cache = WorkloadEvaluationCache(backends=(tier,))
         cache.evaluate(tiny_workload, np.random.default_rng(3))
-        loaded = WorkloadEvaluationCache(disk_tier=tier).evaluate(
+        loaded = WorkloadEvaluationCache(backends=(tier,)).evaluate(
             tiny_workload, np.random.default_rng(3)
         )
         assert "matches" not in loaded.__dict__
@@ -182,45 +171,42 @@ def write_v1_entry(tier: DiskEvaluationCache, workload, seed: int):
 
 
 class TestDegradation:
-    def test_v1_entry_hydrates_tensor_only(self, tier, tiny_workload):
-        write_v1_entry(tier, tiny_workload, seed=3)
+    def test_v1_entry_is_a_miss_rewritten_as_v2(self, tier, tiny_workload):
+        key = write_v1_entry(tier, tiny_workload, seed=3)
+        v1_bytes = tier.entry_path(key).read_bytes()
+        assert v1_bytes.startswith(b"PK")  # zip (v1)
+        with np.load(io.BytesIO(v1_bytes)) as v1:
+            v1_spikes, v1_weights = v1["spikes"], v1["weights"]
         reference = LoASSimulator().simulate_workload(
             tiny_workload, rng=np.random.default_rng(3)
         )
-        cache = WorkloadEvaluationCache(disk_tier=tier)
-        rng = np.random.default_rng(3)
-        loaded = cache.evaluate(tiny_workload, rng)
-        assert cache.disk_hits == 1 and tier.corrupt_dropped == 0
-        assert "matches" not in loaded.__dict__  # tensor-only hydration
-        result = LoASSimulator().simulate_workload(tiny_workload, evaluation=loaded)
+        cache = WorkloadEvaluationCache(backends=(tier,))
+        evaluation, result = consumed_evaluation(cache, tiny_workload, preprocess=False)
+        # The v1 entry no longer decodes: it is dropped like a corrupt one.
+        assert tier.corrupt_dropped == 1
+        assert cache.misses == 1 and cache.disk_hits == 0
+        # Regeneration is bit-identical to what the v1 entry held...
+        assert np.array_equal(evaluation.spikes, v1_spikes)
+        assert np.array_equal(evaluation.weights, v1_weights)
         assert_simulations_identical(result, reference)
-        # The generator fast-forwards exactly as with a v2 hit.
-        regen = np.random.default_rng(3)
-        tiny_workload.generate(rng=regen)
-        assert rng.bit_generator.state == regen.bit_generator.state
-
-    def test_v1_entry_is_upgraded_to_v2_by_the_writeback(self, tier, tiny_workload):
-        key = write_v1_entry(tier, tiny_workload, seed=3)
-        assert tier.entry_path(key).read_bytes().startswith(b"PK")  # zip (v1)
-        cache = WorkloadEvaluationCache(disk_tier=tier)
-        consumed_evaluation(cache, tiny_workload, preprocess=False)
+        # ...and the entry is re-published, then enriched, as v2.
+        assert tier.stores == 1
         assert cache.flush_writebacks() == 1
-        assert tier.refreshes == 1
         assert not tier.entry_path(key).read_bytes().startswith(b"PK")  # flat (v2)
-        loaded = WorkloadEvaluationCache(disk_tier=tier).evaluate(
+        loaded = WorkloadEvaluationCache(backends=(tier,)).evaluate(
             tiny_workload, np.random.default_rng(3)
         )
         assert "matches" in loaded.__dict__
 
     def test_torn_v2_statistics_payload_falls_back_to_recompute(self, tier, tiny_workload):
-        cache = WorkloadEvaluationCache(disk_tier=tier)
+        cache = WorkloadEvaluationCache(backends=(tier,))
         _, reference = consumed_evaluation(cache, tiny_workload)
         cache.flush_writebacks()
         (entry_file,) = tier._entry_files()
         payload = entry_file.read_bytes()
         entry_file.write_bytes(payload[: int(len(payload) * 0.6)])  # torn write
 
-        cold = WorkloadEvaluationCache(disk_tier=tier)
+        cold = WorkloadEvaluationCache(backends=(tier,))
         rng = np.random.default_rng(3)
         regenerated = cold.evaluate(tiny_workload, rng)
         assert tier.corrupt_dropped == 1
@@ -231,7 +217,7 @@ class TestDegradation:
         assert len(tier) == 1
 
     def test_v2_meta_naming_missing_arrays_is_corrupt(self, tier, tiny_workload):
-        cache = WorkloadEvaluationCache(disk_tier=tier)
+        cache = WorkloadEvaluationCache(backends=(tier,))
         evaluation, _ = consumed_evaluation(cache, tiny_workload)
         cache.flush_writebacks()
         (entry_file,) = tier._entry_files()
@@ -246,7 +232,7 @@ class TestDegradation:
             dtype=np.uint8,
         )
         entry_file.write_bytes(pack_payload(arrays, meta))
-        cold = WorkloadEvaluationCache(disk_tier=tier)
+        cold = WorkloadEvaluationCache(backends=(tier,))
         cold.evaluate(tiny_workload, np.random.default_rng(3))
         assert tier.corrupt_dropped == 1 and cold.misses == 1
 
@@ -376,6 +362,50 @@ class TestTierStackEquivalence:
         )
         remote = RemoteBackend(cache_server.url)
         assert remote.server_stats().hits > 0
+
+
+class TestSweepRegimeCounters:
+    def test_cold_then_lru_warm_then_disk_warm(self, tmp_path, monkeypatch):
+        """The networks sweep in each cache regime, asserted by counters only."""
+        from repro.engine import default_cache
+        from repro.engine.evaluation import LayerEvaluation
+        from repro.experiments.sweeps import network_sweep_plan
+        from repro.runner import SweepRunner
+
+        computed = []
+        for stage in ("matches", "full_sums"):
+            descriptor = LayerEvaluation.__dict__[stage]
+
+            def counting(evaluation, _compute=descriptor.func, _stage=stage):
+                computed.append(_stage)
+                return _compute(evaluation)
+
+            monkeypatch.setattr(descriptor, "func", counting)
+
+        tier = DiskEvaluationCache(tmp_path / "evals")
+        runner = SweepRunner(cache_dir=tier)
+        plan = network_sweep_plan(networks=NETWORKS, scale=SCALE, seed=SEED)
+        cache = default_cache()
+
+        clear_default_cache()
+        runner.run(plan)
+        cold = cache.stats()
+        assert cold.misses > 0 and cold.hits == 0 and cold.disk_hits == 0
+        assert set(computed) == {"matches", "full_sums"}
+        assert tier.refreshes > 0  # the write-back enriched the stored entries
+
+        runner.run(plan)
+        lru_warm = cache.stats()
+        assert lru_warm.hits > cold.hits
+        assert lru_warm.misses == cold.misses and lru_warm.disk_hits == 0
+
+        clear_default_cache()
+        computed.clear()
+        runner.run(plan)
+        disk_warm = cache.stats()
+        assert disk_warm.misses == 0 and disk_warm.disk_hits == cold.misses
+        assert computed == []  # statistics came from the tier, not the GEMMs
+        clear_default_cache()
 
 
 class TestTieredCacheUnit:

@@ -33,12 +33,12 @@ def tier(tmp_path) -> DiskEvaluationCache:
 class TestRoundTrip:
     def test_disk_hit_is_bit_identical_to_generation(self, tier):
         workload = make_workload()
-        warm_cache = WorkloadEvaluationCache(disk_tier=tier)
+        warm_cache = WorkloadEvaluationCache(backends=(tier,))
         rng_gen = np.random.default_rng(3)
         generated = warm_cache.evaluate(workload, rng_gen)
         assert tier.stores == 1
 
-        cold_cache = WorkloadEvaluationCache(disk_tier=tier)  # fresh process stand-in
+        cold_cache = WorkloadEvaluationCache(backends=(tier,))  # fresh process stand-in
         rng_disk = np.random.default_rng(3)
         loaded = cold_cache.evaluate(workload, rng_disk)
         assert cold_cache.disk_hits == 1 and cold_cache.misses == 0
@@ -50,18 +50,18 @@ class TestRoundTrip:
     def test_disk_hit_fast_forwards_the_generator(self, tier):
         workload = make_workload()
         rng_gen = np.random.default_rng(3)
-        WorkloadEvaluationCache(disk_tier=tier).evaluate(workload, rng_gen)
+        WorkloadEvaluationCache(backends=(tier,)).evaluate(workload, rng_gen)
         rng_disk = np.random.default_rng(3)
-        WorkloadEvaluationCache(disk_tier=tier).evaluate(workload, rng_disk)
+        WorkloadEvaluationCache(backends=(tier,)).evaluate(workload, rng_disk)
         assert rng_gen.bit_generator.state == rng_disk.bit_generator.state
         # Downstream draws stay bit-identical.
         assert np.array_equal(rng_gen.integers(0, 1 << 30, 8), rng_disk.integers(0, 1 << 30, 8))
 
     def test_simulation_through_disk_tier_matches_generation(self, tier):
         workload = make_workload()
-        WorkloadEvaluationCache(disk_tier=tier).evaluate(workload, np.random.default_rng(3))
+        WorkloadEvaluationCache(backends=(tier,)).evaluate(workload, np.random.default_rng(3))
 
-        cold_cache = WorkloadEvaluationCache(disk_tier=tier)
+        cold_cache = WorkloadEvaluationCache(backends=(tier,))
         loaded = cold_cache.evaluate(workload, np.random.default_rng(3))
         via_disk = LoASSimulator().simulate_workload(workload, evaluation=loaded)
         spikes, weights = workload.generate(rng=np.random.default_rng(3))
@@ -73,8 +73,8 @@ class TestRoundTrip:
 
     def test_loaded_tensors_are_read_only(self, tier):
         workload = make_workload()
-        WorkloadEvaluationCache(disk_tier=tier).evaluate(workload, np.random.default_rng(0))
-        loaded = WorkloadEvaluationCache(disk_tier=tier).evaluate(
+        WorkloadEvaluationCache(backends=(tier,)).evaluate(workload, np.random.default_rng(0))
+        loaded = WorkloadEvaluationCache(backends=(tier,)).evaluate(
             workload, np.random.default_rng(0)
         )
         with pytest.raises(ValueError):
@@ -82,7 +82,7 @@ class TestRoundTrip:
 
     def test_finetuned_variant_has_its_own_entry(self, tier):
         workload = make_workload()
-        cache = WorkloadEvaluationCache(disk_tier=tier)
+        cache = WorkloadEvaluationCache(backends=(tier,))
         cache.evaluate(workload, np.random.default_rng(2))
         cache.evaluate(workload, np.random.default_rng(2), finetuned=True)
         assert len(tier) == 2
@@ -91,13 +91,13 @@ class TestRoundTrip:
 class TestAtomicity:
     def test_corrupt_entry_is_dropped_and_regenerated(self, tier):
         workload = make_workload()
-        generated = WorkloadEvaluationCache(disk_tier=tier).evaluate(
+        generated = WorkloadEvaluationCache(backends=(tier,)).evaluate(
             workload, np.random.default_rng(3)
         )
         (entry,) = tier._entry_files()
         entry.write_bytes(b"torn write: not a zip archive")
 
-        cache = WorkloadEvaluationCache(disk_tier=tier)
+        cache = WorkloadEvaluationCache(backends=(tier,))
         rng = np.random.default_rng(3)
         regenerated = cache.evaluate(workload, rng)
         assert tier.corrupt_dropped == 1
@@ -106,25 +106,25 @@ class TestAtomicity:
         assert np.array_equal(generated.weights, regenerated.weights)
         # The regeneration re-published a clean entry.
         assert len(tier) == 1
-        assert WorkloadEvaluationCache(disk_tier=tier).evaluate(
+        assert WorkloadEvaluationCache(backends=(tier,)).evaluate(
             workload, np.random.default_rng(3)
         ) is not None
         assert tier.hits == 1
 
     def test_truncated_entry_counts_as_miss(self, tier):
         workload = make_workload()
-        WorkloadEvaluationCache(disk_tier=tier).evaluate(workload, np.random.default_rng(3))
+        WorkloadEvaluationCache(backends=(tier,)).evaluate(workload, np.random.default_rng(3))
         (entry,) = tier._entry_files()
         payload = entry.read_bytes()
         entry.write_bytes(payload[: len(payload) // 2])
-        assert tier.load(("nonexistent",)) is None  # plain miss path
-        cache = WorkloadEvaluationCache(disk_tier=tier)
+        assert tier.get(("nonexistent",)) is None  # plain miss path
+        cache = WorkloadEvaluationCache(backends=(tier,))
         cache.evaluate(workload, np.random.default_rng(3))
         assert tier.corrupt_dropped == 1
 
     def test_no_temporary_files_left_behind(self, tier):
         workload = make_workload()
-        WorkloadEvaluationCache(disk_tier=tier).evaluate(workload, np.random.default_rng(1))
+        WorkloadEvaluationCache(backends=(tier,)).evaluate(workload, np.random.default_rng(1))
         leftovers = [p for p in tier.directory.iterdir() if not p.name.endswith(".npz")]
         assert leftovers == []
 
@@ -134,7 +134,7 @@ class TestEviction:
         first = make_workload(name="w0", m=6)
         entry_bytes = self._entry_size(tmp_path / "probe", first)
         tier = DiskEvaluationCache(tmp_path / "evals", max_bytes=int(entry_bytes * 2.5))
-        cache = WorkloadEvaluationCache(disk_tier=tier)
+        cache = WorkloadEvaluationCache(backends=(tier,))
         workloads = [make_workload(name=f"w{m}", m=m) for m in (6, 7, 8)]
         paths = []
         for workload in workloads:
@@ -148,7 +148,7 @@ class TestEviction:
 
     def test_budget_smaller_than_one_entry_keeps_newest(self, tmp_path):
         tier = DiskEvaluationCache(tmp_path / "evals", max_bytes=16)
-        cache = WorkloadEvaluationCache(disk_tier=tier)
+        cache = WorkloadEvaluationCache(backends=(tier,))
         cache.evaluate(make_workload(name="a", m=6), np.random.default_rng(0))
         cache.evaluate(make_workload(name="b", m=7), np.random.default_rng(0))
         assert len(tier) == 1  # the just-stored entry survives
@@ -160,7 +160,7 @@ class TestEviction:
     @staticmethod
     def _entry_size(directory, workload) -> int:
         probe = DiskEvaluationCache(directory)
-        WorkloadEvaluationCache(disk_tier=probe).evaluate(workload, np.random.default_rng(0))
+        WorkloadEvaluationCache(backends=(probe,)).evaluate(workload, np.random.default_rng(0))
         return probe.total_bytes()
 
 

@@ -24,19 +24,8 @@ from repro.baselines import (
 )
 from repro.core import DEFAULT_RNG_SEED, LoASConfig, LoASSimulator
 from repro.engine import AnnLayerEvaluation
-from repro.experiments import (
-    list_scenarios,
-    run_fig5,
-    run_fig12,
-    run_fig13,
-    run_fig14,
-    run_fig17,
-    run_fig18,
-    run_fig19,
-    run_layers,
-    run_networks,
-    run_scenario,
-)
+from repro.api import Session
+from repro.experiments import get_scenario, list_scenarios
 from repro.metrics.results import aggregate_results
 from repro.runner import (
     SimulatorSpec,
@@ -56,6 +45,10 @@ SCALE = 0.06
 NETWORKS = ("alexnet",)
 LAYERS = ("V-L8",)
 SEED = 1
+
+
+def scenario_payload(name, **params):
+    return Session().run(name, **params).payload
 
 
 def assert_results_identical(a, b):
@@ -236,18 +229,20 @@ class TestSweepEquivalence:
     @pytest.mark.parametrize("workers", [None, 2])
     def test_run_networks_matches_legacy(self, workers):
         reference = legacy_run_networks()
-        actual = run_networks(NETWORKS, scale=SCALE, seed=SEED, workers=workers)
+        actual = scenario_payload("networks", networks=NETWORKS, scale=SCALE, seed=SEED, workers=workers)
         assert_sweeps_identical(reference, actual)
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_run_layers_matches_legacy(self, workers):
         reference = legacy_run_layers()
-        actual = run_layers(LAYERS, scale=SCALE, seed=SEED, workers=workers)
+        actual = scenario_payload("layers", layers=LAYERS, scale=SCALE, seed=SEED, workers=workers)
         assert_sweeps_identical(reference, actual)
 
     def test_run_networks_without_finetuned(self):
         reference = legacy_run_networks(include_finetuned=False)
-        actual = run_networks(NETWORKS, scale=SCALE, seed=SEED, include_finetuned=False)
+        actual = scenario_payload(
+            "networks", networks=NETWORKS, scale=SCALE, seed=SEED, include_finetuned=False
+        )
         assert_sweeps_identical(reference, actual)
 
     @pytest.mark.parametrize("workers", [None, 2])
@@ -277,8 +272,8 @@ class TestSweepEquivalence:
 
     def test_networks_arch_parameter_default_is_bit_identical(self):
         reference = legacy_run_networks()
-        actual = run_networks(NETWORKS, scale=SCALE, seed=SEED)
-        via_arch = run_scenario(
+        actual = scenario_payload("networks", networks=NETWORKS, scale=SCALE, seed=SEED)
+        via_arch = scenario_payload(
             "networks", networks=NETWORKS, scale=SCALE, seed=SEED, arch="loas-32nm"
         )
         assert_sweeps_identical(reference, actual)
@@ -288,7 +283,9 @@ class TestSweepEquivalence:
 class TestExperimentEquivalence:
     @pytest.mark.parametrize("workers", [None, 2])
     def test_fig5_matches_legacy(self, workers):
-        assert legacy_run_fig5() == run_fig5(("V-L8",), scale=SCALE, seed=SEED, workers=workers)
+        assert legacy_run_fig5() == scenario_payload(
+            "fig5-psum-traffic", layers=("V-L8",), scale=SCALE, seed=SEED, workers=workers
+        )
 
     def test_fig12_matches_legacy_formula(self):
         raw = legacy_run_networks()
@@ -304,7 +301,7 @@ class TestExperimentEquivalence:
                 }
                 for accel, result in per.items()
             }
-        assert reference == run_fig12(NETWORKS, scale=SCALE, seed=SEED)
+        assert reference == scenario_payload("fig12-overall", networks=NETWORKS, scale=SCALE, seed=SEED)
 
     def test_fig13_matches_legacy_formula(self):
         raw = legacy_run_networks()
@@ -318,7 +315,7 @@ class TestExperimentEquivalence:
             }
             for network, per in raw.items()
         }
-        assert reference == run_fig13(NETWORKS, scale=SCALE, seed=SEED)
+        assert reference == scenario_payload("fig13-traffic", networks=NETWORKS, scale=SCALE, seed=SEED)
 
     def test_fig14_matches_legacy_formula(self):
         raw = legacy_run_layers()
@@ -339,18 +336,24 @@ class TestExperimentEquivalence:
                     "total": result.dram_bytes / loas_total,
                     "normalized_miss_rate": result.sram_miss_rate / loas_miss,
                 }
-        assert reference == run_fig14(LAYERS, scale=SCALE, seed=SEED)
+        assert reference == scenario_payload("fig14-breakdown", layers=LAYERS, scale=SCALE, seed=SEED)
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_fig17_matches_legacy(self, workers):
-        assert legacy_run_fig17() == run_fig17(scale=0.1, seed=SEED, workers=workers)
+        assert legacy_run_fig17() == scenario_payload(
+            "fig17-scalability", scale=0.1, seed=SEED, workers=workers
+        )
 
     def test_fig18_matches_legacy(self):
-        assert legacy_run_fig18() == run_fig18("alexnet", scale=SCALE, seed=SEED)
+        assert legacy_run_fig18() == scenario_payload(
+            "fig18-snn-vs-ann", network="alexnet", scale=SCALE, seed=SEED
+        )
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_fig19_matches_legacy(self, workers):
-        assert legacy_run_fig19() == run_fig19("alexnet", scale=SCALE, seed=SEED, workers=workers)
+        assert legacy_run_fig19() == scenario_payload(
+            "fig19-dense-baselines", network="alexnet", scale=SCALE, seed=SEED, workers=workers
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -461,24 +464,29 @@ class TestScenarioRegistry:
             assert expected in names
 
     def test_run_scenario_matches_run_function(self):
-        via_scenario = run_scenario("fig13-traffic", networks=NETWORKS, scale=SCALE, seed=SEED)
-        assert via_scenario == run_fig13(NETWORKS, scale=SCALE, seed=SEED)
+        # Executing the registered build + shape by hand reproduces Session.run.
+        scenario = get_scenario("fig13-traffic")
+        params = dict(scenario.defaults, networks=NETWORKS, scale=SCALE, seed=SEED)
+        via_registry = scenario.shape(SweepRunner().run(scenario.build(**params)), **params)
+        assert via_registry == scenario_payload(
+            "fig13-traffic", networks=NETWORKS, scale=SCALE, seed=SEED
+        )
 
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError):
-            run_scenario("fig99-does-not-exist")
+            scenario_payload("fig99-does-not-exist")
 
     def test_bespoke_scenario_runs(self):
-        data = run_scenario("table1-capabilities")
+        data = scenario_payload("table1-capabilities")
         assert "LoAS" in data
 
     def test_bespoke_scenario_rejects_unsupported_runner_options(self):
         # fig16 has no sweep behind it: a requested pool or disk tier must
         # fail loudly instead of being silently dropped.
         with pytest.raises(TypeError):
-            run_scenario("fig16-temporal", workers=2)
+            scenario_payload("fig16-temporal", workers=2)
         with pytest.raises(TypeError):
-            run_scenario("table1-capabilities", cache_dir="/tmp/nowhere")
+            scenario_payload("table1-capabilities", cache_dir="/tmp/nowhere")
 
 
 class TestDefaultSeed:
@@ -492,7 +500,7 @@ class TestDefaultSeed:
 
 class TestRunnerCacheDir:
     def test_sweep_with_disk_tier_matches_plain_sweep(self, tmp_path):
-        plain = run_layers(LAYERS, scale=SCALE, seed=SEED)
+        plain = scenario_payload("layers", layers=LAYERS, scale=SCALE, seed=SEED)
         plan_runner = SweepRunner(cache_dir=tmp_path / "tier")
         from repro.experiments.sweeps import layer_sweep_plan
 
