@@ -75,7 +75,7 @@ class OutputCompressor:
         # neurons firing at most once) zeroes exactly the words whose
         # popcount is <= 1, so no dense masked tensor is ever materialised.
         words = pack_spike_words(output_spikes)
-        counts = popcount(words.astype(np.uint64))
+        counts = popcount(words)
         before_silent = int((counts == 0).sum())
         if preprocess:
             words = np.where(counts <= 1, 0, words)

@@ -5,17 +5,21 @@ in this repository: it owns the ``(spikes A, weights B)`` tensor pair of one
 layer and computes -- lazily, and exactly once -- every derived quantity a
 simulator may ask for:
 
-* the packed-temporal compression of ``A`` and the non-silent / weight masks,
+* the packed-temporal compression of ``A`` and its non-silent mask,
 * the ``(M, N)`` matched-position matrix of the inner join,
-* the full-sum tensor ``O`` (one ``np.tensordot`` over ``k`` instead of a
-  per-timestep GEMM loop) and the LIF output spikes derived from it,
+* the full-sum tensor ``O`` (one GEMM over ``k`` instead of a per-timestep
+  GEMM loop) and the LIF output spikes derived from it,
 * per-accelerator true-accumulation counts and the per-timestep / per-row /
   per-column activity profiles the baseline dataflows charge traffic for,
 * the compressed output footprint of the next layer.
 
-Everything is integer-valued, so the vectorised contractions are
-bit-identical to the loop-based seed implementations regardless of
-summation order (all intermediates are exactly representable in float64).
+Every operand is integer-valued, and every contraction runs through
+:func:`exact_matmul`: in float32 when a bound taken from the operands
+proves each partial sum stays below ``2**24`` (where float32 holds every
+integer exactly), in float64 otherwise.  Either way each intermediate is an
+exact integer, so the results are bit-identical to the loop-based seed
+implementations regardless of summation order, and they are returned as
+float64 whichever path ran.
 
 Simulators receive a ``LayerEvaluation`` either from the workload cache
 (:mod:`repro.engine.cache`) -- in which case the heavy statistics are shared
@@ -25,6 +29,7 @@ one on the fly when driven with raw tensors through ``simulate_layer``.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -34,7 +39,17 @@ from ..sparse.packed import PackedSpikeMatrix, pack_spike_words, popcount
 from .serde import DeferredArray
 from .statistics import LayerStatistics
 
-__all__ = ["LayerEvaluation", "AnnLayerEvaluation"]
+__all__ = [
+    "LayerEvaluation",
+    "AnnLayerEvaluation",
+    "FLOAT32_EXACT_LIMIT",
+    "integer_bound",
+    "gemm_dtype",
+    "exact_matmul",
+]
+
+#: float32 represents every integer of magnitude up to ``2**24`` exactly.
+FLOAT32_EXACT_LIMIT = 2**24
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -43,10 +58,60 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def integer_bound(array) -> int | None:
+    """Largest ``|x|`` over an integer or boolean array, as a Python int.
+
+    ``None`` for any other dtype: its values carry no integer bound.  The
+    extremes are converted to Python ints before negating, so an
+    ``INT32_MIN`` entry cannot wrap the way ``np.abs`` would.
+    """
+    array = np.asarray(array)
+    if array.dtype != np.bool_ and not np.issubdtype(array.dtype, np.integer):
+        return None
+    if array.size == 0:
+        return 0
+    return max(int(array.max()), -int(array.min()))
+
+
+def gemm_dtype(bound: int | None) -> type:
+    """float32 when ``bound`` keeps every partial sum exact in it, else float64."""
+    if bound is not None and bound < FLOAT32_EXACT_LIMIT:
+        return np.float32
+    return np.float64
+
+
+def exact_matmul(lhs, rhs, bound: int | None) -> np.ndarray:
+    """``lhs @ rhs`` over integer-valued operands, exact, returned as float64.
+
+    ``bound`` must bound the sum of ``|lhs[i, k] * rhs[k, j]|`` over ``k``
+    for every output element (``K * max|lhs| * max|rhs|`` always does):
+    every partial sum a GEMM forms, in any order, is then at most
+    ``bound`` in magnitude.  Below :data:`FLOAT32_EXACT_LIMIT` the product
+    runs in float32, otherwise (or with ``bound=None``) in float64.  Any
+    leading axes of ``lhs`` are flattened into one GEMM.
+    """
+    dtype = gemm_dtype(bound)
+    lhs = np.asarray(lhs, dtype=dtype, order="C")
+    rhs = np.asarray(rhs, dtype=dtype)
+    product = lhs.reshape(math.prod(lhs.shape[:-1]), lhs.shape[-1]) @ rhs
+    return product.reshape(lhs.shape[:-1] + rhs.shape[1:]).astype(np.float64, copy=False)
+
+
+def _product_bound(k: int, *operands) -> int | None:
+    """``k`` times the product of the operands' integer bounds (``None`` if any is)."""
+    bound = k
+    for operand in operands:
+        operand_bound = integer_bound(operand)
+        if operand_bound is None:
+            return None
+        bound *= operand_bound
+    return bound
+
+
 #: Cached-property names persisted by :meth:`LayerEvaluation.dehydrate`.
 #: Everything here is a pure array-valued function of ``(spikes, weights)``,
 #: stored losslessly, so hydration is bit-identical to recomputation.  The
-#: cheap mask/count properties (``nonsilent``, ``weight_mask``, ...) are
+#: cheap mask/count properties (``nonsilent``, ``spike_counts_int``, ...) are
 #: deliberately absent: they rebuild in microseconds from the seeded arrays.
 _DEHYDRATED_PROPERTIES = (
     "packed_words",
@@ -177,11 +242,6 @@ class LayerEvaluation:
         return _readonly(self.packed_words != 0)
 
     @cached_property
-    def weight_mask(self) -> np.ndarray:
-        """Float ``(K, N)`` indicator of non-zero weights."""
-        return _readonly((self.weights != 0).astype(np.float64))
-
-    @cached_property
     def nnz_weights(self) -> int:
         """Number of non-zero weights in ``B``."""
         return int(self.weight_row_nnz.sum())
@@ -210,14 +270,15 @@ class LayerEvaluation:
     def _join_products(self) -> tuple[np.ndarray, np.ndarray]:
         """Matches and true accumulations from one stacked GEMM.
 
-        Both are ``X @ weight_mask`` products with integer-valued operands,
-        so stacking the two left-hand sides halves the GEMM dispatch
-        overhead without changing any value.
+        Both are ``X @ (B != 0)`` products: stacking the non-silent mask on
+        the per-neuron spike counts halves the GEMM dispatch overhead
+        without changing any value.  A count is at most ``T``, so ``K * T``
+        bounds every sum; the weight mask exists only for this product and
+        is never cached.
         """
-        stacked = np.concatenate(
-            [self.nonsilent.astype(np.float64), self.spike_counts], axis=0
-        )
-        product = stacked @ self.weight_mask
+        stacked = np.concatenate([self.nonsilent, self.spike_counts_int], axis=0)
+        bound = self.k * max(self.t, 1)
+        product = exact_matmul(stacked, self.weights != 0, bound)
         return _readonly(product[: self.m]), _readonly(product[self.m :])
 
     @cached_property
@@ -229,15 +290,6 @@ class LayerEvaluation:
     def total_matches(self) -> float:
         """Total matched positions across all output neurons."""
         return float(self.matches.sum())
-
-    @property
-    def spike_counts(self) -> np.ndarray:
-        """Float ``(M, K)`` spike counts per neuron (sum over timesteps).
-
-        Deliberately not cached: it is consumed once (by the stacked join
-        GEMM) and is cheap to rebuild from the integer counts.
-        """
-        return self.spike_counts_int.astype(np.float64)
 
     @cached_property
     def true_acs(self) -> np.ndarray:
@@ -252,8 +304,9 @@ class LayerEvaluation:
     @cached_property
     def true_acs_per_t(self) -> np.ndarray:
         """Total genuine accumulations per timestep, shape ``(T,)``."""
-        per_column = self.spikes_per_column_t.astype(np.float64)  # (K, T)
-        return _readonly(per_column.T @ self.weight_row_nnz.astype(np.float64))
+        per_column = self.spikes_per_column_t  # (K, T)
+        bound = _product_bound(self.k, per_column, self.weight_row_nnz)
+        return _readonly(exact_matmul(per_column.T, self.weight_row_nnz, bound))
 
     # ------------------------------------------------------------------ #
     # Activity profiles (baseline dataflow traffic drivers)
@@ -271,17 +324,37 @@ class LayerEvaluation:
     @cached_property
     def weight_row_nnz(self) -> np.ndarray:
         """Non-zero weights per row of ``B``, shape ``(K,)`` (int64)."""
-        return _readonly(self.weight_mask.sum(axis=1).astype(np.int64))
+        return _readonly(np.count_nonzero(self.weights, axis=1).astype(np.int64, copy=False))
+
+    @cached_property
+    def _spike_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-``(m, t)`` and per-``(k, t)`` spike sums of the dense tensor.
+
+        Both are GEMMs over one ``(M, K*T)`` view of ``A`` -- against a
+        stacked ``(K*T, T)`` identity for the rows, a ones vector for the
+        columns -- because numpy's integer reductions over the short
+        ``T`` axis are several times slower.
+        """
+        m, k, t = self.m, self.k, self.t
+        dense = self.spikes.reshape(m, k * t)
+        selector = np.tile(np.eye(t, dtype=np.uint8), (k, 1))
+        rows = exact_matmul(dense, selector, _product_bound(k, dense))
+        ones = np.ones(m, dtype=np.uint8)
+        columns = exact_matmul(ones, dense, _product_bound(m, dense))
+        return (
+            _readonly(rows.astype(np.int64)),
+            _readonly(columns.reshape(k, t).astype(np.int64)),
+        )
 
     @cached_property
     def spikes_per_row_t(self) -> np.ndarray:
         """Spikes per ``(m, t)`` pair, shape ``(M, T)`` (int64)."""
-        return _readonly(self.spikes.sum(axis=1, dtype=np.int64))
+        return self._spike_sums[0]
 
     @cached_property
     def spikes_per_column_t(self) -> np.ndarray:
         """Spikes per ``(k, t)`` pair, shape ``(K, T)`` (int64)."""
-        return _readonly(self.spikes.sum(axis=0, dtype=np.int64))
+        return self._spike_sums[1]
 
     @cached_property
     def statistics(self) -> LayerStatistics:
@@ -311,16 +384,16 @@ class LayerEvaluation:
     def full_sums(self) -> np.ndarray:
         """Full-sum tensor ``O`` of shape ``(M, N, T)`` (float64, exact).
 
-        One contraction over ``k`` for all timesteps at once; every
-        intermediate is an exactly representable integer, so the result is
-        bit-identical to a per-timestep GEMM loop.  The operand is laid out
-        as one ``(M*T, K)`` matrix up front so the GEMM runs without any
-        internal re-copy.
+        One contraction over ``k`` for all timesteps at once, with the
+        spikes laid out as one ``(M*T, K)`` matrix.  ``K * max|A| * max|B|``
+        bounds every partial sum; with unary spikes and 8-bit weights that
+        is ``K * 128``, below ``2**24`` for every ``K < 131072``, so the GEMM
+        runs in float32 and is still bit-identical to a per-timestep float64
+        GEMM loop.  Larger bounds fall back to float64.
         """
-        m, k, t, n = self.m, self.k, self.t, self.n
-        lhs = self.spikes.transpose(0, 2, 1).astype(np.float64).reshape(m * t, k)
-        sums = lhs @ self.weights.astype(np.float64)  # (M*T, N)
-        return _readonly(sums.reshape(m, t, n).transpose(0, 2, 1))
+        bound = _product_bound(self.k, self.spikes, self.weights)
+        sums = exact_matmul(self.spikes.transpose(0, 2, 1), self.weights, bound)  # (M, T, N)
+        return _readonly(sums.transpose(0, 2, 1))
 
     def output_spikes(self, params: LIFParameters | None = None) -> np.ndarray:
         """LIF output spikes for ``full_sums`` (memoised per parameter set)."""
@@ -388,6 +461,11 @@ class LayerEvaluation:
             pending = self._pending_preprocessed.pop(max_spikes, None)
             if pending is not None:
                 derived._hydrate_derived(pending[0], pending[1], prefix="pre%d_" % max_spikes)
+            # Same weights, same per-row counts: share the parent's array
+            # if it has one.  Computing it here would add an artifact to
+            # the parent's stored entry that no simulator asked for.
+            if "weight_row_nnz" in self.__dict__ and "weight_row_nnz" not in derived.__dict__:
+                derived.weight_row_nnz = self.weight_row_nnz
         return derived
 
     # ------------------------------------------------------------------ #
@@ -632,7 +710,7 @@ class AnnLayerEvaluation:
     @cached_property
     def matches(self) -> np.ndarray:
         """``(M, N)`` matched (non-zero activation x non-zero weight) pairs."""
-        return _readonly(self.act_mask @ self.weight_mask)
+        return _readonly(exact_matmul(self.act_mask, self.weight_mask, self.k))
 
     @cached_property
     def total_matches(self) -> float:
@@ -641,12 +719,14 @@ class AnnLayerEvaluation:
 
     @cached_property
     def outputs(self) -> np.ndarray:
-        """ReLU outputs ``max(A @ B, 0)`` in float64 (exact integers)."""
-        return _readonly(
-            np.maximum(
-                self.activations.astype(np.float64) @ self.weights.astype(np.float64), 0
-            )
-        )
+        """ReLU outputs ``max(A @ B, 0)`` in float64 (exact integers).
+
+        With 8-bit activations the bound ``K * 255 * max|B|`` exceeds
+        ``2**24`` for all but the smallest ``K``, so this product usually
+        takes the float64 path.
+        """
+        bound = _product_bound(self.k, self.activations, self.weights)
+        return _readonly(np.maximum(exact_matmul(self.activations, self.weights, bound), 0))
 
     @cached_property
     def output_nnz(self) -> int:

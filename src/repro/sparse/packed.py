@@ -53,10 +53,11 @@ def pack_spike_words(spikes: np.ndarray) -> np.ndarray:
     """Pack an ``... x T`` unary spike array into integer words.
 
     Bit ``t`` (LSB = timestep 0) of the output word is the spike at timestep
-    ``t``.  The output has the input shape without the trailing ``T`` axis.
-    Packing runs through ``np.packbits`` (one C pass, no ``T``-times-larger
-    temporary); for ``T <= 8`` the packed byte itself is the word (uint8),
-    larger ``T`` assembles an int64 word byte by byte.
+    ``t``; any non-zero entry counts as a spike.  The output has the input
+    shape without the trailing ``T`` axis.  For ``T <= 8`` the word is a
+    uint8 built by shift-or over the ``T`` bit planes (``np.packbits`` pays
+    a per-row overhead on so short an axis); larger ``T`` packs through
+    ``np.packbits`` and assembles an int64 word byte by byte.
     """
     spikes = np.asarray(spikes)
     t = spikes.shape[-1]
@@ -64,11 +65,17 @@ def pack_spike_words(spikes: np.ndarray) -> np.ndarray:
         raise ValueError("packing supports at most 63 timesteps")
     if t == 0:
         return np.zeros(spikes.shape[:-1], dtype=np.int64)
-    if spikes.dtype != np.uint8 and spikes.dtype != np.bool_:
+    if spikes.dtype != np.bool_:
         spikes = spikes != 0
-    packed_bytes = np.packbits(spikes, axis=-1, bitorder="little")
     if t <= 8:
-        return packed_bytes[..., 0]
+        bits = spikes.view(np.uint8)
+        words = bits[..., 0].copy()
+        plane = np.empty_like(words)
+        for i in range(1, t):
+            np.left_shift(bits[..., i], i, out=plane)
+            words |= plane
+        return words
+    packed_bytes = np.packbits(spikes, axis=-1, bitorder="little")
     words = packed_bytes[..., 0].astype(np.int64)
     for i in range(1, packed_bytes.shape[-1]):
         words |= packed_bytes[..., i].astype(np.int64) << (8 * i)

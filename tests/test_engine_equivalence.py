@@ -181,6 +181,45 @@ class TestStatisticsEquivalence:
             LayerEvaluation(np.zeros((2, 3, 4)), np.zeros((2, 2)))
 
 
+def float_kn_arrays(evaluation):
+    """Names of the floating ``(K, N)`` arrays an evaluation holds."""
+    shape = (evaluation.k, evaluation.n)
+    found = []
+
+    def visit(name, value):
+        if isinstance(value, np.ndarray):
+            if value.shape == shape and np.issubdtype(value.dtype, np.floating):
+                found.append(name)
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                visit(name, item)
+        elif isinstance(value, dict):
+            for item in value.values():
+                visit(name, item)
+
+    for name, value in vars(evaluation).items():
+        visit(name, value)
+    return found
+
+
+class TestResidentSet:
+    """What a fully consumed evaluation keeps resident (counters only)."""
+
+    def test_no_float_weight_mask_and_shared_row_counts(self, layer_pair):
+        spikes, weights = layer_pair
+        assert len({spikes.shape[0], *weights.shape}) == 3  # (K, N) is unambiguous
+        evaluation = LayerEvaluation(spikes, weights)
+        LoASSimulator().simulate_layer(spikes, weights, evaluation=evaluation)
+        LoASSimulator().simulate_layer(spikes, weights, preprocess=True, evaluation=evaluation)
+        for simulator_cls in (SparTenSNN, GoSPASNN, GammaSNN):
+            simulator_cls().simulate_layer(spikes, weights, evaluation=evaluation)
+        child = evaluation.preprocessed(max_spikes=1)
+        assert "matches" in vars(evaluation) and "matches" in vars(child)
+        assert float_kn_arrays(evaluation) == []
+        assert float_kn_arrays(child) == []
+        assert child.weight_row_nnz is evaluation.weight_row_nnz
+
+
 class TestSimulatorEquivalence:
     """Cached-engine path == raw-tensor path for every accelerator."""
 

@@ -8,6 +8,15 @@ from hypothesis.extra.numpy import arrays
 from repro.sparse.packed import PackedSpikeMatrix, pack_spike_words, unpack_spike_words
 
 
+def reference_pack(spikes):
+    """Loop reference: bit ``t`` of the int64 word is ``spikes[..., t] != 0``."""
+    spikes = np.asarray(spikes)
+    words = np.zeros(spikes.shape[:-1], dtype=np.int64)
+    for t in range(spikes.shape[-1]):
+        words |= (spikes[..., t] != 0).astype(np.int64) << t
+    return words
+
+
 class TestPackUnpack:
     def test_pack_example_from_paper(self):
         # a00 fires at t0 and t2 -> word 0b0101 = 5 (LSB = t0).
@@ -33,6 +42,48 @@ class TestPackUnpack:
         t = spikes.shape[-1]
         words = pack_spike_words(spikes)
         assert np.array_equal(unpack_spike_words(words, t), spikes)
+
+
+class TestPackMatchesReference:
+    """``pack_spike_words`` equals the loop reference for every ``T``."""
+
+    @pytest.mark.parametrize("t", range(1, 64))
+    def test_every_timestep_count(self, t):
+        spikes = np.random.default_rng(t).integers(0, 4, size=(5, 7, t), dtype=np.uint8)
+        words = pack_spike_words(spikes)
+        assert words.dtype == (np.uint8 if t <= 8 else np.int64)
+        assert words.shape == (5, 7)
+        assert np.array_equal(words, reference_pack(spikes))
+
+    @pytest.mark.parametrize("t", (1, 4, 8, 9, 63))
+    def test_uint8_values_above_one_pack_as_spikes(self, t):
+        spikes = np.full((3, t), 7, dtype=np.uint8)
+        spikes[1] = 0
+        spikes[2, ::2] = 255
+        spikes[2, 1::2] = 0
+        assert np.array_equal(pack_spike_words(spikes), reference_pack(spikes))
+        assert int(pack_spike_words(spikes)[0]) == 2**t - 1
+
+    @pytest.mark.parametrize("t", (3, 12))
+    def test_non_contiguous_input(self, t):
+        spikes = np.random.default_rng(0).integers(0, 2, size=(t, 6, 5), dtype=np.uint8)
+        view = spikes.transpose(2, 1, 0)
+        assert np.array_equal(pack_spike_words(view), reference_pack(view))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        t=st.integers(1, 63),
+        dtype=st.sampled_from([np.bool_, np.uint8, np.int8, np.int64]),
+        lead=st.lists(st.integers(1, 4), max_size=2),
+    )
+    def test_property(self, data, t, dtype, lead):
+        spikes = data.draw(arrays(dtype, tuple(lead) + (t,)))
+        words = pack_spike_words(spikes)
+        assert isinstance(words, np.ndarray)
+        assert words.shape == tuple(lead)  # a 1-D input packs to a 0-d array
+        assert words.dtype == (np.uint8 if t <= 8 else np.int64)
+        assert np.array_equal(words, reference_pack(spikes))
 
 
 class TestPackedSpikeMatrix:
