@@ -14,7 +14,7 @@ def test_fig18_snn_vs_ann(benchmark):
     # Paper: ~2.5x more efficient than SparTen-ANN; our model reproduces the
     # direction with a smaller margin.
     assert sparten_ann["normalized_energy"] > 1.0
-    # Paper: ~1.2x vs Gamma-ANN -- a near tie.  Our FiberCache model
+    # Paper: ~1.2x vs Gamma-ANN -- a near tie.  Our fiber-cache model
     # undercounts Gamma's on-chip traffic in the ANN setting, so the
     # comparison lands at rough parity (see EXPERIMENTS.md).
     assert gamma_ann["normalized_energy"] > 0.6

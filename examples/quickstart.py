@@ -4,9 +4,10 @@ Run with::
 
     python examples/quickstart.py
 
-The script configures one :class:`repro.Session`, checks the functional FTP
-dataflow against the dense LIF reference, runs the representative-layer
-sweep (Figure 14's workloads) through ``session.run``, streams the Figure 13
+The script configures one :class:`repro.Session`, checks the engine's
+functional path (the FTP full sums and LIF outputs every simulator reads)
+against the dense LIF reference, runs the representative-layer sweep
+(Figure 14's workloads) through ``session.run``, streams the Figure 13
 traffic sweep partition by partition, and round-trips a result record
 through the versioned JSON schema.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import LoASSimulator, ScenarioResult, Session, get_layer_workload
+from repro import LayerEvaluation, LoASSimulator, ScenarioResult, Session, get_layer_workload
 from repro.metrics import format_table
 from repro.snn.layers import spmspm_reference
 from repro.snn.lif import lif_fire
@@ -30,9 +31,10 @@ def main() -> None:
     workload = get_layer_workload("V-L8")
     spikes, weights = workload.generate(rng=np.random.default_rng(0))
     loas = LoASSimulator()
-    slice_output = loas.run_functional(spikes[:4, :256], weights[:256, :16])
-    reference = lif_fire(spmspm_reference(spikes[:4, :256], weights[:256, :16]), loas.lif)
-    assert np.array_equal(slice_output.spikes, reference)
+    spike_slice, weight_slice = spikes[:4, :256], weights[:256, :16]
+    slice_output = LayerEvaluation(spike_slice, weight_slice).output_spikes(loas.lif)
+    reference = lif_fire(spmspm_reference(spike_slice, weight_slice), loas.lif)
+    assert np.array_equal(slice_output, reference)
     print("FTP dataflow matches the dense LIF reference on a sample slice.\n")
 
     # Batch mode: one call, a typed result record with provenance.

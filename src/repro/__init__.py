@@ -3,19 +3,19 @@ Spiking Neural Networks* (MICRO 2024).
 
 The package is organised bottom-up:
 
-* :mod:`repro.sparse` -- compression formats (bitmask fibers, the
-  FTP-friendly packed-temporal spike format, CSR/CSC),
+* :mod:`repro.sparse` -- the FTP-friendly packed-temporal spike format, its
+  fibers and the CSR footprint it is compared against,
 * :mod:`repro.snn` -- LIF neurons, the functional spMspM + LIF reference,
   Table II workloads, a toy surrogate-gradient trainer, LTH pruning and the
   fine-tuned silent-neuron preprocessing,
-* :mod:`repro.arch` -- energy/area models, memory hierarchy, prefix-sum
-  circuits, crossbar and systolic-array substrates,
+* :mod:`repro.arch` -- hardware design points, energy/area models, memory
+  hierarchy and the systolic-array substrate,
 * :mod:`repro.dataflow` -- loop-nest analysis of spMspM dataflows with a
   temporal dimension,
 * :mod:`repro.engine` -- the shared workload-evaluation engine: per-layer
   tensors and statistics computed once and cached across simulators,
-* :mod:`repro.core` -- the FTP dataflow, the FTP-friendly inner join, TPPE,
-  P-LIF and the LoAS accelerator simulator,
+* :mod:`repro.core` -- the LoAS accelerator simulator and the per-fiber
+  FTP-friendly inner join,
 * :mod:`repro.baselines` -- SparTen/GoSPA/Gamma "-SNN" baselines, the ANN
   originals, and the dense PTB / Stellar baselines,
 * :mod:`repro.experiments` -- one scenario per paper table / figure,
@@ -52,10 +52,10 @@ Low-level access stays available for single workloads::
     print(result.cycles, result.dram_bytes, result.energy_pj)
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .api import PartitionResult, ScenarioResult, Session
-from .core import LoASConfig, LoASSimulator, ftp_layer
+from .core import LoASConfig, LoASSimulator
 from .engine import LayerEvaluation, WorkloadEvaluationCache, default_cache
 from .snn import (
     LIFParameters,
@@ -78,7 +78,6 @@ __all__ = [
     "WorkloadEvaluationCache",
     "__version__",
     "default_cache",
-    "ftp_layer",
     "get_layer_workload",
     "get_network_workload",
     "lif_fire",

@@ -3,8 +3,7 @@
 Contains the :class:`~repro.arch.spec.ArchSpec` design-point layer (every
 sweepable hardware knob behind one flat ``"group.field"`` addressing scheme,
 with named presets), the energy constants and ledger, the Table IV area /
-power model, the memory hierarchy (traffic counters, HBM, banked SRAM, fiber
-cache), the fast / laggy prefix-sum circuits, the distribution crossbar and
+power model, the memory hierarchy (traffic counters, HBM, banked SRAM) and
 the systolic array used by the dense baselines.
 """
 
@@ -17,11 +16,8 @@ from .area import (
     tppe_power_breakdown,
     tppe_scaling,
 )
-from .cache import FiberCache
-from .crossbar import Crossbar
 from .energy import EnergyAccount, EnergyModel
-from .memory import CacheSimulator, DRAMModel, SRAMModel, TrafficCounter
-from .prefix_sum import FastPrefixSum, LaggyPrefixSum, exclusive_prefix_sum
+from .memory import DRAMModel, SRAMModel, TrafficCounter
 from .spec import (
     ARCH_PRESETS,
     ArchSpec,
@@ -43,16 +39,11 @@ __all__ = [
     "ArchSpec",
     "AreaSpec",
     "BaselineSpec",
-    "CacheSimulator",
     "ComponentCost",
-    "Crossbar",
     "DEFAULT_ARCH",
     "DRAMModel",
     "EnergyAccount",
     "EnergyModel",
-    "FastPrefixSum",
-    "FiberCache",
-    "LaggyPrefixSum",
     "MemorySpec",
     "PESpec",
     "SRAMModel",
@@ -61,7 +52,6 @@ __all__ = [
     "TrafficCounter",
     "arch_label",
     "default_arch",
-    "exclusive_prefix_sum",
     "get_arch_spec",
     "list_arch_presets",
     "loas_system_cost",

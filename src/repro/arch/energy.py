@@ -25,7 +25,7 @@ class EnergyModel:
     dram_per_byte:
         Off-chip (HBM) access energy per byte.
     sram_per_byte:
-        Global on-chip SRAM (256 KB FiberCache) access energy per byte.
+        Global on-chip SRAM (256 KB fiber cache) access energy per byte.
     buffer_per_byte:
         Small per-PE buffer / FIFO access energy per byte.
     accumulate:

@@ -11,17 +11,16 @@ The accelerator simulators account for memory behaviour at two levels:
   bandwidth; the compute model takes the max of compute and memory cycles
   (a roofline-style bound, which is how the original analytical simulator
   treats bandwidth).
-* **Cache behaviour** -- :class:`CacheSimulator` is a set-associative LRU
-  cache operating at fiber granularity; it produces the hit / miss statistics
-  behind the "normalized SRAM miss rate" comparison of Figure 14.
+
+The fiber-cache hit / miss counts behind the "normalized SRAM miss rate" of
+Figure 14 are priced analytically inside each simulator.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
-__all__ = ["TrafficCounter", "DRAMModel", "SRAMModel", "CacheSimulator"]
+__all__ = ["TrafficCounter", "DRAMModel", "SRAMModel"]
 
 
 @dataclass
@@ -120,75 +119,3 @@ class SRAMModel:
         """Whether a working set fits entirely in the SRAM."""
         return working_set_bytes <= self.capacity_bytes
 
-
-class CacheSimulator:
-    """A set-associative LRU cache operating on arbitrary block keys.
-
-    The simulators access the cache at *fiber* granularity: each block key is
-    a ``(matrix, index)`` tuple and carries its compressed size in bytes.
-    Blocks larger than one cache line simply occupy multiple lines' worth of
-    capacity; the model tracks capacity per set rather than individual lines,
-    which is accurate enough to reproduce relative miss-rate orderings.
-    """
-
-    def __init__(self, capacity_bytes: int, num_sets: int = 16):
-        if capacity_bytes <= 0:
-            raise ValueError("capacity must be positive")
-        if num_sets <= 0:
-            raise ValueError("num_sets must be positive")
-        self.capacity_bytes = capacity_bytes
-        self.num_sets = num_sets
-        self.set_capacity = capacity_bytes / num_sets
-        self._sets: list[OrderedDict] = [OrderedDict() for _ in range(num_sets)]
-        self._set_usage = [0.0] * num_sets
-        self.hits = 0
-        self.misses = 0
-        self.bytes_from_dram = 0.0
-
-    def _set_index(self, key) -> int:
-        return hash(key) % self.num_sets
-
-    def access(self, key, size_bytes: float) -> bool:
-        """Access block ``key`` of ``size_bytes``; returns ``True`` on a hit.
-
-        On a miss the block is installed, evicting least-recently-used blocks
-        from the same set until it fits.
-        """
-        if size_bytes < 0:
-            raise ValueError("block size must be non-negative")
-        index = self._set_index(key)
-        cache_set = self._sets[index]
-        if key in cache_set:
-            cache_set.move_to_end(key)
-            self.hits += 1
-            return True
-
-        self.misses += 1
-        self.bytes_from_dram += size_bytes
-        # Evict until the new block fits (blocks larger than a whole set are
-        # streamed and never resident).
-        if size_bytes <= self.set_capacity:
-            while self._set_usage[index] + size_bytes > self.set_capacity and cache_set:
-                _, evicted_size = cache_set.popitem(last=False)
-                self._set_usage[index] -= evicted_size
-            cache_set[key] = size_bytes
-            self._set_usage[index] += size_bytes
-        return False
-
-    @property
-    def accesses(self) -> int:
-        """Total number of accesses observed."""
-        return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        """Miss rate over all accesses (0 when no accesses were made)."""
-        if self.accesses == 0:
-            return 0.0
-        return self.misses / self.accesses
-
-    def reset_statistics(self) -> None:
-        """Clear hit / miss counters but keep the cache contents."""
-        self.hits = 0
-        self.misses = 0
-        self.bytes_from_dram = 0.0

@@ -127,7 +127,7 @@ class MemorySpec:
     Attributes
     ----------
     global_cache_bytes:
-        Global SRAM (FiberCache) capacity (256 KB in the paper).
+        Global SRAM (fiber cache) capacity (256 KB in the paper).
     cache_banks:
         Number of independently accessible SRAM banks (16 in the paper).
     sram_bytes_per_bank_per_cycle:

@@ -2,7 +2,7 @@
 
 Gamma [Zhang et al., ASPLOS'21] uses Gustavson's row-wise product: for every
 non-zero of an input row, the corresponding weight row is fetched from the
-FiberCache and merged into the growing output row by a high-radix merger.
+fiber cache and merged into the growing output row by a high-radix merger.
 Its strength is off-chip traffic -- partial output rows stay on chip -- and
 its weakness when running SNNs sequentially over timesteps is on-chip
 traffic: every timestep re-streams weight rows and re-merges partial output
@@ -43,7 +43,7 @@ class GammaSNN(SimulatorBase):
     def effective_merge_radix(self) -> int:
         """Effective merge radix when running SNNs with sequential timesteps:
         the per-timestep passes fragment the merge schedule, so partial output
-        rows bounce through the FiberCache after merging only a couple of
+        rows bounce through the fiber cache after merging only a couple of
         scaled rows instead of a full radix-64 group (this is the mechanism
         behind the "t-dim enlarges the partial row traffic" observation of
         Section VI-A)."""
@@ -90,7 +90,7 @@ class GammaSNN(SimulatorBase):
         compute_cycles = (total_true_acs + remerged_elements) / self.merge_throughput
         # SRAM-side merge schedule: the sequential timestep passes fragment
         # the merge into much smaller groups, so partial rows make many more
-        # FiberCache round trips than the compute-side radix suggests.
+        # fiber-cache round trips than the compute-side radix suggests.
         merge_rounds = np.ceil(
             np.maximum(spikes_per_row_t, 1.0) / self.effective_merge_radix
         )
@@ -108,7 +108,7 @@ class GammaSNN(SimulatorBase):
         result.dram.add("format", a_format_bytes + b_format_bytes)
         result.dram.add("weight", b_payload_bytes)
         result.dram.add("output", output_bytes)
-        # The FiberCache keeps partial rows on chip; with the extra t-dim the
+        # The fiber cache keeps partial rows on chip; with the extra t-dim the
         # working set of in-flight partial rows grows T-fold, and whatever
         # does not fit must make a round trip to DRAM.
         partial_row_working_set = m * t * n * self.psum_bytes
@@ -121,7 +121,7 @@ class GammaSNN(SimulatorBase):
         result.dram.add("psum", psum_dram)
 
         # On-chip: every non-zero spike pulls a weight row from the
-        # FiberCache; every merge round reads and writes the partial row.
+        # fiber cache; every merge round reads and writes the partial row.
         weight_row_bytes = stats.weight_row_nnz * (cfg.weight_bits + coordinate_bits(n)) / 8.0
         spikes_per_column_t = stats.spikes_per_column_t.astype(np.float64)  # (K, T)
         sram_b = float((spikes_per_column_t.sum(axis=1) * weight_row_bytes).sum())

@@ -2,23 +2,19 @@
 
 Public entry points:
 
-* :func:`repro.core.ftp.ftp_layer` -- functional execution of Algorithm 1,
-* :class:`repro.core.inner_join.InnerJoinUnit` -- the FTP-friendly inner
-  join with pseudo / correction accumulation,
-* :class:`repro.core.tppe.TPPE` -- one temporal-parallel processing element,
 * :class:`repro.core.loas.LoASSimulator` -- the full analytical simulator
-  producing cycles, traffic and energy for any dual-sparse SNN workload.
+  producing cycles, traffic and energy for any dual-sparse SNN workload,
+* :class:`repro.core.inner_join.InnerJoinUnit` -- the per-fiber model of
+  the FTP-friendly inner join (pseudo / correction accumulation); the test
+  suite uses it as the oracle for the vectorised engine's join statistics.
 """
 
 from .base import DEFAULT_RNG_SEED, SimulatorBase
 from .compressor import CompressorResult, OutputCompressor
 from .config import LoASConfig
-from .ftp import ftp_layer, ftp_spmspm
 from .inner_join import InnerJoinResult, InnerJoinUnit
 from .loas import LoASSimulator
-from .plif import ParallelLIF
-from .scheduler import Scheduler, Wave
-from .tppe import TPPE, TPPEResult
+from .scheduler import Scheduler
 
 __all__ = [
     "CompressorResult",
@@ -28,12 +24,6 @@ __all__ = [
     "LoASConfig",
     "LoASSimulator",
     "OutputCompressor",
-    "ParallelLIF",
     "Scheduler",
     "SimulatorBase",
-    "TPPE",
-    "TPPEResult",
-    "Wave",
-    "ftp_layer",
-    "ftp_spmspm",
 ]

@@ -127,7 +127,7 @@ class LoASConfig:
 
     @property
     def global_cache_bytes(self) -> int:
-        """Global SRAM (FiberCache) capacity."""
+        """Global SRAM (fiber cache) capacity."""
         return self.arch.memory.global_cache_bytes
 
     @property

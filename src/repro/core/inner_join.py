@@ -16,8 +16,11 @@ available at full rate.  LoAS exploits the unary nature of spikes:
   the true dot product (silent neurons are never stored, so every matched
   weight is accumulated at least once legitimately).
 
-The model below is functional (the sums are exact) and carries the cycle /
-operation counts used by the TPPE cost model.
+The model below works one fiber pair at a time: the sums are exact and it
+also counts matches, corrections, chunks and cycles.  The simulators read the
+same quantities for a whole layer from the vectorised
+:class:`repro.engine.LayerEvaluation`; the test suite uses this unit as the
+oracle for them (``tests/test_engine_equivalence.py``).
 """
 
 from __future__ import annotations

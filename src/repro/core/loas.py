@@ -28,12 +28,10 @@ import numpy as np
 
 from ..engine import LayerEvaluation
 from ..metrics.results import SimulationResult
-from ..snn.layers import LayerOutput
 from ..snn.lif import LIFParameters
 from .base import SimulatorBase
 from .compressor import OutputCompressor
 from .config import LoASConfig
-from .ftp import ftp_layer
 from .scheduler import Scheduler
 
 __all__ = ["LoASSimulator"]
@@ -49,13 +47,6 @@ class LoASSimulator(SimulatorBase):
         self.lif = lif or LIFParameters()
         self.scheduler = Scheduler(self.config)
         self.compressor = OutputCompressor(self.config)
-
-    # ------------------------------------------------------------------ #
-    # Functional execution (correctness backbone)
-    # ------------------------------------------------------------------ #
-    def run_functional(self, spikes: np.ndarray, weights: np.ndarray) -> LayerOutput:
-        """Run one layer functionally with the FTP dataflow."""
-        return ftp_layer(spikes, weights, self.lif)
 
     # ------------------------------------------------------------------ #
     # Analytical cost model

@@ -14,45 +14,19 @@ from dataclasses import dataclass, field
 
 from .config import LoASConfig
 
-__all__ = ["Wave", "Scheduler"]
-
-
-@dataclass(frozen=True)
-class Wave:
-    """One scheduling wave: a group of rows joined against one weight column.
-
-    Attributes
-    ----------
-    column:
-        Index of the broadcast weight fiber (output column ``n``).
-    rows:
-        Row indices (output neurons ``m``) assigned to the TPPEs.
-    """
-
-    column: int
-    rows: tuple[int, ...]
+__all__ = ["Scheduler"]
 
 
 @dataclass
 class Scheduler:
-    """Generates the wave schedule and its utilisation statistics."""
+    """Counts the waves of the schedule and their utilisation."""
 
     config: LoASConfig = field(default_factory=LoASConfig)
 
-    def waves(self, num_rows: int, num_columns: int) -> list[Wave]:
-        """Full wave schedule for an ``(M, N)`` output grid."""
+    def num_waves(self, num_rows: int, num_columns: int) -> int:
+        """Waves for an ``(M, N)`` output grid: ``ceil(M / num_tppes) * N``."""
         if num_rows < 0 or num_columns < 0:
             raise ValueError("dimensions must be non-negative")
-        group = self.config.num_tppes
-        schedule: list[Wave] = []
-        for column in range(num_columns):
-            for start in range(0, num_rows, group):
-                rows = tuple(range(start, min(start + group, num_rows)))
-                schedule.append(Wave(column=column, rows=rows))
-        return schedule
-
-    def num_waves(self, num_rows: int, num_columns: int) -> int:
-        """Number of waves without materialising the schedule."""
         group = self.config.num_tppes
         return (-(-num_rows // group)) * num_columns if num_rows and num_columns else 0
 

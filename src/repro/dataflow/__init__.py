@@ -1,12 +1,11 @@
-"""spMspM dataflow modelling: loop nests, functional orderings and t-placement.
+"""spMspM dataflow modelling: loop nests and t-placement.
 
 The three classic dual-sparse dataflows (inner product, outer product,
-Gustavson) are provided both as functional executions (all produce the same
-result) and as analytical loop nests whose access counts express the paper's
-Section III observations about where the temporal dimension can be placed.
+Gustavson) are modelled as analytical loop nests whose access counts express
+the paper's Section III observations about where the temporal dimension can
+be placed.
 """
 
-from .functional import gustavson_spmspm, inner_product_spmspm, outer_product_spmspm
 from .loopnest import LoopNest, OPERAND_INDICES, all_orders, dataflow_base_order
 from .temporal import (
     TemporalPlacement,
@@ -24,7 +23,4 @@ __all__ = [
     "dataflow_base_order",
     "enumerate_t_placements",
     "ftp_loopnest",
-    "gustavson_spmspm",
-    "inner_product_spmspm",
-    "outer_product_spmspm",
 ]

@@ -5,8 +5,12 @@ compute.  ``spmspm_reference`` implements Equation (1) with plain NumPy, and
 :class:`SNNLinearLayer` chains it with the LIF dynamics of
 :mod:`repro.snn.lif` to produce the output spike tensor ``C``.
 
-Every hardware model in :mod:`repro.core` and :mod:`repro.baselines` is
-validated against these functions in the test suite.
+The test suite checks two models against these functions: the full sums
+and LIF output spikes of :class:`repro.engine.LayerEvaluation` (the
+functional path every simulator reads), and the per-fiber inner join of
+:class:`repro.core.inner_join.InnerJoinUnit`.  The simulators' cycle,
+traffic and energy figures are analytical and have no functional
+counterpart here.
 """
 
 from __future__ import annotations

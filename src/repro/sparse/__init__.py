@@ -1,18 +1,17 @@
 """Sparse compression substrate used by LoAS and the baseline accelerators.
 
-The subpackage provides the three families of formats that appear in the
-paper:
+The subpackage provides
 
-* :mod:`repro.sparse.bitmask` -- SparTen-style bitmask fibers (weights),
 * :mod:`repro.sparse.packed` -- the FTP-friendly packed-temporal spike format,
-* :mod:`repro.sparse.csr` -- CSR / CSC with explicit coordinate bit costs,
+* :mod:`repro.sparse.csr` -- the closed-form per-timestep CSR footprint the
+  packed format is compared against,
+* :mod:`repro.sparse.fiber` -- the bitmask + payload :class:`Fiber` that the
+  packed rows and the weight columns of the inner-join unit share,
 
-plus the :class:`~repro.sparse.fiber.Fiber` abstraction they share and random
-generators for dual-sparse workload tensors.
+plus random generators for dual-sparse workload tensors.
 """
 
-from .bitmask import BitmaskMatrix, compress_columns, compress_rows
-from .csr import CSCMatrix, CSRMatrix, csr_storage_bits_for_spikes
+from .csr import csr_storage_bits_for_spikes
 from .fiber import Fiber
 from .matrix import (
     density,
@@ -27,13 +26,8 @@ from .matrix import (
 from .packed import PackedSpikeMatrix, pack_spike_words, unpack_spike_words
 
 __all__ = [
-    "BitmaskMatrix",
-    "CSCMatrix",
-    "CSRMatrix",
     "Fiber",
     "PackedSpikeMatrix",
-    "compress_columns",
-    "compress_rows",
     "csr_storage_bits_for_spikes",
     "density",
     "mask_low_activity_neurons",

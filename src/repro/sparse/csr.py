@@ -1,182 +1,32 @@
-"""CSR / CSC formats with explicit coordinate bit accounting.
+"""CSR footprint of a spike tensor, the baseline of the packed format.
 
 GoSPA and other ANN spMspM accelerators store sparse operands in compressed
-sparse row (CSR) or column (CSC) form, paying ``log2(dim)`` coordinate bits
-per non-zero.  Section IV-A of the LoAS paper argues this is wasteful for
-single-bit spikes; this module implements the format so the benchmark harness
-can quantify exactly that overhead and so GoSPA-SNN's traffic can be modelled
-faithfully.
+sparse row (CSR) form, paying ``log2(dim)`` coordinate bits per non-zero.
+Section IV-A of the LoAS paper argues this is wasteful for single-bit
+spikes; :func:`csr_storage_bits_for_spikes` quantifies exactly that overhead.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["CSRMatrix", "CSCMatrix", "csr_storage_bits_for_spikes"]
-
-
-def _coordinate_bits(dimension: int) -> int:
-    """Bits needed to address one coordinate along ``dimension``."""
-    if dimension <= 1:
-        return 1
-    return int(math.ceil(math.log2(dimension)))
-
-
-@dataclass
-class CSRMatrix:
-    """Compressed sparse row representation of a 2-D matrix.
-
-    Attributes
-    ----------
-    data:
-        Non-zero values in row-major order.
-    indices:
-        Column coordinate of each non-zero.
-    indptr:
-        Row pointer array of length ``rows + 1``.
-    shape:
-        Dense shape ``(rows, cols)``.
-    value_bits:
-        Bit width of one stored value (1 for unary spikes, 8 for weights).
-    """
-
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    shape: tuple[int, int]
-    value_bits: int = 8
-
-    @classmethod
-    def from_dense(cls, matrix: np.ndarray, value_bits: int = 8) -> "CSRMatrix":
-        """Build a CSR representation from a dense 2-D matrix."""
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2:
-            raise ValueError("expected a 2-D matrix")
-        rows, _ = matrix.shape
-        data: list = []
-        indices: list[int] = []
-        indptr = [0]
-        for r in range(rows):
-            nz = np.flatnonzero(matrix[r])
-            indices.extend(nz.tolist())
-            data.extend(matrix[r, nz].tolist())
-            indptr.append(len(indices))
-        return cls(
-            data=np.asarray(data, dtype=matrix.dtype),
-            indices=np.asarray(indices, dtype=np.int64),
-            indptr=np.asarray(indptr, dtype=np.int64),
-            shape=matrix.shape,
-            value_bits=value_bits,
-        )
-
-    @property
-    def nnz(self) -> int:
-        """Number of stored non-zero values."""
-        return int(self.data.shape[0])
-
-    def row(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(coordinates, values)`` of row ``r``."""
-        start, stop = self.indptr[r], self.indptr[r + 1]
-        return self.indices[start:stop], self.data[start:stop]
-
-    def coordinate_bits(self) -> int:
-        """Bits per stored coordinate."""
-        return _coordinate_bits(self.shape[1])
-
-    def storage_bits(self, pointer_width: int = 32) -> int:
-        """Total footprint: values + coordinates + row pointers."""
-        return (
-            self.nnz * self.value_bits
-            + self.nnz * self.coordinate_bits()
-            + len(self.indptr) * pointer_width
-        )
-
-    def storage_bytes(self, pointer_width: int = 32) -> float:
-        """Total footprint in bytes."""
-        return self.storage_bits(pointer_width) / 8.0
-
-    def to_dense(self) -> np.ndarray:
-        """Reconstruct the dense matrix."""
-        dense = np.zeros(self.shape, dtype=self.data.dtype if self.nnz else np.int64)
-        for r in range(self.shape[0]):
-            cols, vals = self.row(r)
-            dense[r, cols] = vals
-        return dense
-
-
-@dataclass
-class CSCMatrix:
-    """Compressed sparse column representation of a 2-D matrix."""
-
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    shape: tuple[int, int]
-    value_bits: int = 8
-
-    @classmethod
-    def from_dense(cls, matrix: np.ndarray, value_bits: int = 8) -> "CSCMatrix":
-        """Build a CSC representation from a dense 2-D matrix."""
-        matrix = np.asarray(matrix)
-        csr = CSRMatrix.from_dense(matrix.T, value_bits=value_bits)
-        return cls(
-            data=csr.data,
-            indices=csr.indices,
-            indptr=csr.indptr,
-            shape=matrix.shape,
-            value_bits=value_bits,
-        )
-
-    @property
-    def nnz(self) -> int:
-        """Number of stored non-zero values."""
-        return int(self.data.shape[0])
-
-    def column(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(row coordinates, values)`` of column ``c``."""
-        start, stop = self.indptr[c], self.indptr[c + 1]
-        return self.indices[start:stop], self.data[start:stop]
-
-    def coordinate_bits(self) -> int:
-        """Bits per stored coordinate."""
-        return _coordinate_bits(self.shape[0])
-
-    def storage_bits(self, pointer_width: int = 32) -> int:
-        """Total footprint: values + coordinates + column pointers."""
-        return (
-            self.nnz * self.value_bits
-            + self.nnz * self.coordinate_bits()
-            + len(self.indptr) * pointer_width
-        )
-
-    def storage_bytes(self, pointer_width: int = 32) -> float:
-        """Total footprint in bytes."""
-        return self.storage_bits(pointer_width) / 8.0
-
-    def to_dense(self) -> np.ndarray:
-        """Reconstruct the dense matrix."""
-        dense = np.zeros(self.shape, dtype=self.data.dtype if self.nnz else np.int64)
-        for c in range(self.shape[1]):
-            rows, vals = self.column(c)
-            dense[rows, c] = vals
-        return dense
+__all__ = ["csr_storage_bits_for_spikes"]
 
 
 def csr_storage_bits_for_spikes(spikes: np.ndarray, pointer_width: int = 32) -> int:
     """CSR footprint of an ``M x K x T`` spike tensor, one CSR per timestep.
 
     This is the baseline the packed format is compared against in
-    Section IV-A: each timestep's spike matrix is stored independently with
-    per-spike coordinates (value bits are 1 because the spike itself is
-    unary).
+    Section IV-A: each timestep's ``M x K`` spike matrix is stored
+    independently with per-spike coordinates.  Every spike costs one value
+    bit (spikes are unary) plus ``ceil(log2 K)`` coordinate bits (at least
+    one), and every timestep pays ``M + 1`` row pointers::
+
+        nnz(A) * (1 + max(1, ceil(log2 K))) + T * (M + 1) * pointer_width
     """
     spikes = np.asarray(spikes)
     if spikes.ndim != 3:
         raise ValueError("expected an M x K x T spike tensor")
-    total = 0
-    for t in range(spikes.shape[2]):
-        total += CSRMatrix.from_dense(spikes[:, :, t], value_bits=1).storage_bits(pointer_width)
-    return total
+    m, k, t = spikes.shape
+    coordinate_bits = max(1, (k - 1).bit_length())  # ceil(log2 k), exact
+    return int(np.count_nonzero(spikes)) * (1 + coordinate_bits) + t * (m + 1) * pointer_width

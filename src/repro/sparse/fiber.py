@@ -11,13 +11,14 @@ compressed into
 * a **pointer** locating the payload in the backing store (modelled here as a
   plain integer offset).
 
-The same abstraction backs both the FTP-friendly packed-spike format
-(Section IV-A of the paper) and the SparTen-style bitmask weight format.
+The same abstraction backs both the FTP-friendly packed-spike rows
+(Section IV-A of the paper) and the SparTen-style bitmask weight columns that
+the inner-join unit consumes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,8 +1,6 @@
-"""Unit tests for the hardware substrates (energy, area, memory, circuits)."""
+"""Unit tests for the hardware substrates (energy, area, memory, systolic array)."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.arch.area import (
     DEFAULT_AREA,
@@ -12,11 +10,8 @@ from repro.arch.area import (
     tppe_power_breakdown,
     tppe_scaling,
 )
-from repro.arch.cache import FiberCache
-from repro.arch.crossbar import Crossbar
 from repro.arch.energy import EnergyAccount, EnergyModel
-from repro.arch.memory import CacheSimulator, DRAMModel, SRAMModel, TrafficCounter
-from repro.arch.prefix_sum import FastPrefixSum, LaggyPrefixSum, exclusive_prefix_sum
+from repro.arch.memory import DRAMModel, SRAMModel, TrafficCounter
 from repro.arch.systolic import SystolicArray
 
 
@@ -153,119 +148,6 @@ class TestDRAMAndSRAM:
         sram = SRAMModel(capacity_bytes=1024)
         assert sram.fits(1000)
         assert not sram.fits(2000)
-
-
-class TestCacheSimulator:
-    def test_hit_after_install(self):
-        cache = CacheSimulator(capacity_bytes=1024, num_sets=1)
-        assert cache.access("a", 100) is False
-        assert cache.access("a", 100) is True
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_lru_eviction(self):
-        cache = CacheSimulator(capacity_bytes=200, num_sets=1)
-        cache.access("a", 100)
-        cache.access("b", 100)
-        cache.access("c", 100)  # evicts "a"
-        assert cache.access("b", 100) is True
-        assert cache.access("a", 100) is False
-
-    def test_oversized_blocks_are_streamed(self):
-        cache = CacheSimulator(capacity_bytes=100, num_sets=1)
-        cache.access("big", 1000)
-        assert cache.access("big", 1000) is False  # never resident
-
-    def test_miss_rate(self):
-        cache = CacheSimulator(capacity_bytes=1024, num_sets=2)
-        cache.access("a", 10)
-        cache.access("a", 10)
-        cache.access("b", 10)
-        assert cache.miss_rate == pytest.approx(2 / 3)
-
-    def test_reset_statistics(self):
-        cache = CacheSimulator(capacity_bytes=1024)
-        cache.access("a", 10)
-        cache.reset_statistics()
-        assert cache.hits == 0 and cache.misses == 0
-        assert cache.access("a", 10) is True  # contents preserved
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            CacheSimulator(0)
-
-
-class TestFiberCache:
-    def test_miss_then_hit_traffic(self):
-        cache = FiberCache(capacity_bytes=4096, num_banks=1)
-        cache.access_fiber("A", 0, 100)
-        cache.access_fiber("A", 0, 100)
-        assert cache.sram_traffic.total() == 200
-        assert cache.dram_traffic.total() == 100
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_write_back(self):
-        cache = FiberCache()
-        cache.write_back(64)
-        assert cache.dram_traffic.get("output") == 64
-        assert cache.sram_traffic.get("output") == 64
-
-    def test_category_override(self):
-        cache = FiberCache()
-        cache.access_fiber("A", 0, 10, category="format")
-        assert cache.sram_traffic.get("format") == 10
-
-
-class TestPrefixSumCircuits:
-    def test_exclusive_prefix_sum_example(self):
-        bitmask = np.array([1, 0, 1, 1, 0], dtype=bool)
-        assert exclusive_prefix_sum(bitmask).tolist() == [0, 1, 1, 2, 3]
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.booleans(), min_size=1, max_size=200))
-    def test_offsets_match_cumsum(self, bits):
-        bitmask = np.array(bits, dtype=bool)
-        fast = FastPrefixSum().offsets(bitmask)
-        laggy = LaggyPrefixSum().offsets(bitmask)
-        expected = np.concatenate(([0], np.cumsum(bitmask)[:-1]))
-        assert np.array_equal(fast, expected)
-        assert np.array_equal(laggy, expected)
-
-    def test_fast_cycles(self):
-        fast = FastPrefixSum(width=128, latency_cycles=1)
-        assert fast.invocations(128) == 1
-        assert fast.invocations(129) == 2
-        assert fast.cycles(512) == 4
-
-    def test_laggy_latency_matches_paper(self):
-        laggy = LaggyPrefixSum(width=128, num_adders=16)
-        assert laggy.latency_cycles == 8
-        assert laggy.cycles(128) == 8
-        assert laggy.cycles(256) == 16
-
-    def test_negative_length_rejected(self):
-        with pytest.raises(ValueError):
-            FastPrefixSum().invocations(-1)
-        with pytest.raises(ValueError):
-            LaggyPrefixSum().invocations(-1)
-
-
-class TestCrossbar:
-    def test_unicast_energy(self):
-        xbar = Crossbar(energy_per_byte=0.2)
-        assert xbar.unicast_energy(100) == pytest.approx(20.0)
-
-    def test_broadcast_energy_between_unicast_and_full(self):
-        xbar = Crossbar(num_outputs=16, energy_per_byte=0.2)
-        unicast = xbar.unicast_energy(100)
-        broadcast = xbar.broadcast_energy(100)
-        assert unicast < broadcast < unicast * 16
-
-    def test_invalid_fanout(self):
-        with pytest.raises(ValueError):
-            Crossbar().broadcast_energy(10, fanout=0)
-
-    def test_cycles(self):
-        assert Crossbar(bytes_per_cycle=256).cycles_for_bytes(512) == pytest.approx(2.0)
 
 
 class TestSystolicArray:

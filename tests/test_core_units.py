@@ -1,5 +1,5 @@
-"""Unit tests for the core building blocks: config, FTP, inner join, TPPE,
-P-LIF, compressor and scheduler."""
+"""Unit tests for the core building blocks: config, the engine's FTP
+functional path, inner join, compressor and scheduler."""
 
 import numpy as np
 import pytest
@@ -8,14 +8,12 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.compressor import OutputCompressor
 from repro.core.config import LoASConfig
-from repro.core.ftp import ftp_layer, ftp_spmspm
 from repro.core.inner_join import InnerJoinUnit
-from repro.core.plif import ParallelLIF
 from repro.core.scheduler import Scheduler
-from repro.core.tppe import TPPE
-from repro.snn.layers import spmspm_reference
+from repro.engine import LayerEvaluation
+from repro.snn.layers import SNNLinearLayer, spmspm_reference
 from repro.snn.lif import LIFParameters, lif_fire
-from repro.sparse.bitmask import BitmaskMatrix
+from repro.sparse.fiber import Fiber
 from repro.sparse.matrix import random_spike_tensor, random_weight_matrix
 from repro.sparse.packed import PackedSpikeMatrix
 
@@ -59,35 +57,49 @@ class TestLoASConfig:
 
 
 class TestFTPFunctional:
+    """The engine's all-timesteps-at-once path against ``SNNLinearLayer``."""
+
     def test_matches_reference(self, small_layer):
         spikes, weights = small_layer
-        assert np.array_equal(ftp_spmspm(spikes, weights), spmspm_reference(spikes, weights))
+        full_sums = LayerEvaluation(spikes, weights).full_sums
+        assert np.array_equal(full_sums, spmspm_reference(spikes, weights))
 
     def test_layer_matches_reference_pipeline(self, small_layer):
         spikes, weights = small_layer
-        output = ftp_layer(spikes, weights)
-        assert np.array_equal(output.spikes, lif_fire(spmspm_reference(spikes, weights)))
+        lif = LIFParameters(threshold=2.0, leak=0.75)
+        reference = SNNLinearLayer(weights, lif).forward(spikes)
+        evaluation = LayerEvaluation(spikes, weights)
+        assert np.array_equal(evaluation.output_spikes(lif), reference.spikes)
+        assert np.array_equal(evaluation.output_spikes(), lif_fire(reference.full_sums))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            ftp_spmspm(np.zeros((2, 3, 1)), np.zeros((4, 2)))
+            LayerEvaluation(np.zeros((2, 3, 1)), np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            SNNLinearLayer(np.zeros((4, 2))).forward(np.zeros((2, 3, 1)))
 
     @settings(max_examples=20, deadline=None)
     @given(
-        arrays(np.uint8, st.tuples(st.integers(1, 4), st.integers(1, 10), st.integers(1, 4)), elements=st.integers(0, 1)),
+        arrays(np.uint8, st.tuples(st.integers(1, 4), st.integers(1, 10), st.integers(1, 12)), elements=st.integers(0, 1)),
         st.integers(1, 5),
     )
     def test_ftp_equivalence_property(self, spikes, n):
         rng = np.random.default_rng(7)
         weights = rng.integers(-4, 5, size=(spikes.shape[1], n))
         weights[rng.random(weights.shape) < 0.5] = 0
-        assert np.array_equal(ftp_spmspm(spikes, weights), spmspm_reference(spikes, weights))
+        evaluation = LayerEvaluation(spikes, weights)
+        reference = SNNLinearLayer(weights).forward(spikes)
+        assert np.array_equal(evaluation.full_sums, reference.full_sums)
+        assert np.array_equal(evaluation.output_spikes(), reference.spikes)
+
+
+def _weight_fiber(weights, col):
+    column = np.asarray(weights)[:, col]
+    return Fiber(bitmask=column != 0, values=column[column != 0])
 
 
 def _fibers_for(spikes, weights, row, col):
-    packed = PackedSpikeMatrix.from_dense(spikes)
-    columns = BitmaskMatrix.from_dense(weights, axis="column")
-    return packed.fiber(row), columns.fiber(col)
+    return PackedSpikeMatrix.from_dense(spikes).fiber(row), _weight_fiber(weights, col)
 
 
 class TestInnerJoin:
@@ -145,10 +157,19 @@ class TestInnerJoin:
     def test_length_mismatch_rejected(self):
         spikes = np.ones((1, 4, 4), dtype=np.uint8)
         weights = np.ones((8, 1), dtype=np.int32)
-        packed = PackedSpikeMatrix.from_dense(spikes)
-        columns = BitmaskMatrix.from_dense(weights, axis="column")
         with pytest.raises(ValueError):
-            InnerJoinUnit().join(packed.fiber(0), columns.fiber(0))
+            InnerJoinUnit().join(*_fibers_for(spikes, weights, 0, 0))
+
+    def test_join_then_fire_matches_reference_layer(self, small_layer):
+        # One TPPE's work for one output neuron: join the fibers, then fire
+        # the LIF neuron on the T per-timestep sums.
+        spikes, weights = small_layer
+        reference = lif_fire(spmspm_reference(spikes, weights))
+        unit = InnerJoinUnit()
+        for row, col in [(0, 0), (3, 5), (7, 23)]:
+            result = unit.join(*_fibers_for(spikes, weights, row, col))
+            fired = lif_fire(result.per_timestep_sums[None, None, :])[0, 0]
+            assert np.array_equal(fired, reference[row, col])
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
@@ -159,34 +180,6 @@ class TestInnerJoin:
         spike_fiber, weight_fiber = _fibers_for(spikes, weights, 0, 0)
         result = InnerJoinUnit().join(spike_fiber, weight_fiber)
         assert np.array_equal(result.per_timestep_sums, spmspm_reference(spikes, weights)[0, 0, :])
-
-
-class TestParallelLIFAndTPPE:
-    def test_plif_matches_lif_fire(self, rng):
-        sums = rng.normal(size=(5, 7, 4)) * 3
-        plif = ParallelLIF(LIFParameters())
-        assert np.array_equal(plif.fire(sums), lif_fire(sums))
-
-    def test_plif_fire_neuron(self, rng):
-        sums = rng.normal(size=4) * 3
-        plif = ParallelLIF(LIFParameters())
-        assert np.array_equal(plif.fire_neuron(sums), lif_fire(sums[None, :])[0])
-
-    def test_plif_fire_neuron_rejects_matrix(self):
-        with pytest.raises(ValueError):
-            ParallelLIF().fire_neuron(np.zeros((2, 4)))
-
-    def test_plif_operation_count(self):
-        assert ParallelLIF().lif_operations(10, 4) == 40
-
-    def test_tppe_matches_full_reference(self, small_layer):
-        spikes, weights = small_layer
-        reference = lif_fire(spmspm_reference(spikes, weights))
-        tppe = TPPE()
-        spike_fiber, weight_fiber = _fibers_for(spikes, weights, 3, 5)
-        result = tppe.process(spike_fiber, weight_fiber)
-        assert np.array_equal(result.output_spikes, reference[3, 5, :])
-        assert result.cycles == result.join.cycles + tppe.plif.latency_cycles
 
 
 class TestCompressor:
@@ -229,15 +222,27 @@ class TestScheduler:
         assert scheduler.num_waves(17, 1) == 2
         assert scheduler.num_waves(0, 5) == 0
 
-    def test_waves_cover_all_outputs(self):
-        scheduler = Scheduler(LoASConfig(num_tppes=4))
-        waves = scheduler.waves(6, 3)
-        covered = {(row, wave.column) for wave in waves for row in wave.rows}
-        assert covered == {(m, n) for m in range(6) for n in range(3)}
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 200), st.integers(1, 40))
+    def test_waves_cover_all_outputs(self, num_tppes, rows, columns):
+        # Each wave holds at most num_tppes output neurons of one column, and
+        # the schedule is as short as that allows: one wave fewer per column
+        # could not hold every row.
+        waves = Scheduler(LoASConfig(num_tppes=num_tppes)).num_waves(rows, columns)
+        assert waves * num_tppes >= rows * columns
+        assert waves % columns == 0
+        assert (waves // columns - 1) * num_tppes < rows
 
-    def test_wave_rows_bounded_by_tppes(self):
-        scheduler = Scheduler(LoASConfig(num_tppes=4))
-        assert all(len(w.rows) <= 4 for w in scheduler.waves(10, 2))
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 200), st.integers(1, 40))
+    def test_wave_rows_bounded_by_tppes(self, num_tppes, rows, columns):
+        scheduler = Scheduler(LoASConfig(num_tppes=num_tppes))
+        utilization = scheduler.pe_utilization(rows, columns)
+        assert 0.0 < utilization <= 1.0
+        assert utilization == pytest.approx(
+            rows * columns / (scheduler.num_waves(rows, columns) * num_tppes)
+        )
+        assert (utilization == 1.0) == (rows % num_tppes == 0)
 
     def test_pe_utilization(self):
         scheduler = Scheduler(LoASConfig(num_tppes=16))
@@ -247,4 +252,6 @@ class TestScheduler:
 
     def test_negative_dimensions_rejected(self):
         with pytest.raises(ValueError):
-            Scheduler().waves(-1, 2)
+            Scheduler().num_waves(-1, 2)
+        with pytest.raises(ValueError):
+            Scheduler().num_waves(2, -1)

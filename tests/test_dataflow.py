@@ -1,16 +1,51 @@
-"""Unit tests for the dataflow loop-nest analysis and functional orderings."""
+"""Unit tests for the dataflow loop-nest analysis and t-placement."""
+
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 
-from repro.dataflow.functional import gustavson_spmspm, inner_product_spmspm, outer_product_spmspm
-from repro.dataflow.loopnest import LoopNest, all_orders, dataflow_base_order
+from repro.dataflow.loopnest import OPERAND_INDICES, LoopNest, all_orders, dataflow_base_order
 from repro.dataflow.temporal import best_placement, enumerate_t_placements, ftp_loopnest
 from repro.snn.layers import spmspm_reference
 
 BOUNDS = {"m": 8, "n": 16, "k": 32, "t": 4}
+
+#: Small bounds for executing a nest scalar by scalar; all distinct and at
+#: least 2, so a loop wrapping around always changes the element it indexes.
+EXEC_BOUNDS = {"m": 2, "n": 3, "k": 5, "t": 4}
+
+
+def execute_loop_nest(nest, spikes, weights):
+    """Run ``nest`` scalar by scalar; return ``C`` and the accesses per operand.
+
+    Each operand has a one-element register per spatial lane (lanes that do
+    not index it share one, a broadcast); loading a new element is an access.
+    """
+    temporal = nest.temporal_order()
+    spatial = tuple(d for d in nest.order if d in nest.spatial)
+    output = np.zeros((nest.bounds["m"], nest.bounds["n"], nest.bounds["t"]), dtype=np.int64)
+    registers, accesses = {}, dict.fromkeys(OPERAND_INDICES, 0)
+    for outer in product(*(range(nest.bounds[d]) for d in temporal)):
+        for lane in product(*(range(nest.bounds[d]) for d in spatial)):
+            index = dict(zip(temporal, outer)) | dict(zip(spatial, lane))
+            for operand, dims in OPERAND_INDICES.items():
+                lane_key = tuple(i for d, i in zip(spatial, lane) if d in dims)
+                element = tuple(index[d] for d in sorted(dims))
+                if registers.get((operand, lane_key)) != element:
+                    registers[(operand, lane_key)] = element
+                    accesses[operand] += 1
+            m, n, k, t = (index[d] for d in ("m", "n", "k", "t"))
+            output[m, n, t] += int(spikes[m, k, t]) * int(weights[k, n])
+    return output, accesses
+
+
+def random_layer(bounds, seed):
+    rng = np.random.default_rng(seed)
+    spikes = (rng.random((bounds["m"], bounds["k"], bounds["t"])) < 0.4).astype(np.uint8)
+    weights = rng.integers(-4, 5, size=(bounds["k"], bounds["n"]))
+    return spikes, weights
 
 
 class TestLoopNest:
@@ -113,26 +148,51 @@ class TestTemporalPlacement:
 
 
 class TestFunctionalDataflows:
-    def test_all_dataflows_match_reference(self, small_layer):
-        spikes, weights = small_layer
+    """Executing a nest computes Equation (1) in any loop order, and the
+    register-reuse access count of the execution is the analytical model."""
+
+    def test_all_dataflows_match_reference(self):
+        # Includes the FTP nest: IP with t innermost and spatially unrolled.
+        spikes, weights = random_layer(EXEC_BOUNDS, seed=0)
         reference = spmspm_reference(spikes, weights)
-        assert np.array_equal(inner_product_spmspm(spikes, weights), reference)
-        assert np.array_equal(outer_product_spmspm(spikes, weights), reference)
-        assert np.array_equal(gustavson_spmspm(spikes, weights), reference)
+        for dataflow in ("IP", "OP", "Gust"):
+            for placement in enumerate_t_placements(dataflow, EXEC_BOUNDS):
+                nest = LoopNest(
+                    order=placement.order,
+                    bounds=EXEC_BOUNDS,
+                    spatial=frozenset({"t"}) if placement.t_spatial else frozenset(),
+                )
+                output, accesses = execute_loop_nest(nest, spikes, weights)
+                assert np.array_equal(output, reference)
+                assert accesses["A"] == placement.a_accesses
+                assert accesses["B"] == placement.b_accesses
+                assert accesses["C"] == placement.partial_sums
 
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            inner_product_spmspm(np.zeros((2, 3, 1)), np.zeros((4, 2)))
+    @pytest.mark.parametrize("order", all_orders(), ids="-".join)
+    def test_executed_order_matches_access_model(self, order):
+        nest = LoopNest(order=order, bounds=EXEC_BOUNDS)
+        spikes, weights = random_layer(EXEC_BOUNDS, seed=1)
+        output, accesses = execute_loop_nest(nest, spikes, weights)
+        assert np.array_equal(output, spmspm_reference(spikes, weights))
+        for operand in OPERAND_INDICES:
+            assert accesses[operand] == nest.operand_accesses(operand)
+        assert accesses["C"] == nest.partial_sum_writes()
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(
-        arrays(np.uint8, st.tuples(st.integers(1, 4), st.integers(1, 8), st.integers(1, 4)), elements=st.integers(0, 1)),
-        st.integers(1, 6),
+        order=st.sampled_from(all_orders()),
+        sizes=st.tuples(*(st.integers(2, 4) for _ in range(4))),
+        spatial_t=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
     )
-    def test_equivalence_property(self, spikes, n):
-        rng = np.random.default_rng(0)
-        weights = rng.integers(-3, 4, size=(spikes.shape[1], n))
-        reference = spmspm_reference(spikes, weights)
-        assert np.array_equal(inner_product_spmspm(spikes, weights), reference)
-        assert np.array_equal(outer_product_spmspm(spikes, weights), reference)
-        assert np.array_equal(gustavson_spmspm(spikes, weights), reference)
+    def test_equivalence_property(self, order, sizes, spatial_t, seed):
+        bounds = dict(zip(("m", "n", "k", "t"), sizes))
+        nest = LoopNest(
+            order=order, bounds=bounds, spatial=frozenset({"t"}) if spatial_t else frozenset()
+        )
+        spikes, weights = random_layer(bounds, seed)
+        output, accesses = execute_loop_nest(nest, spikes, weights)
+        assert np.array_equal(output, spmspm_reference(spikes, weights))
+        for operand in OPERAND_INDICES:
+            assert accesses[operand] == nest.operand_accesses(operand)
+        assert nest.latency_iterations() * (bounds["t"] if spatial_t else 1) == nest.iteration_space()

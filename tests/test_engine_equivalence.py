@@ -1,6 +1,6 @@
 """Equivalence suite for the shared workload-evaluation engine.
 
-Two families of guarantees are asserted here:
+Three families of guarantees are asserted here:
 
 1. **Statistics equivalence** -- every vectorised quantity the engine
    computes (full sums, matches, true accumulations, activity profiles,
@@ -12,10 +12,15 @@ Two families of guarantees are asserted here:
    simulating the very same tensors through the raw ``simulate_layer``
    entry point, and repeated cached evaluations replay the generator
    stream exactly.
+3. **Inner-join oracle** -- the per-fiber :class:`InnerJoinUnit` (pseudo
+   accumulation minus per-timestep corrections) reproduces the engine's
+   full sums, matches and true accumulations for every output neuron,
+   and, summed over a layer, LoAS's accumulation counts and compute cycles.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.baselines import (
     GammaANN,
@@ -26,7 +31,7 @@ from repro.baselines import (
     SparTenSNN,
 )
 from repro.baselines.stellar import StellarSimulator
-from repro.core import LoASSimulator
+from repro.core import InnerJoinUnit, LoASConfig, LoASSimulator
 from repro.engine import (
     LayerEvaluation,
     WorkloadEvaluationCache,
@@ -36,6 +41,7 @@ from repro.engine import (
 from repro.snn.lif import lif_fire
 from repro.snn.network import LayerShape
 from repro.snn.workloads import LayerWorkload, SparsityProfile, get_layer_workload
+from repro.sparse.fiber import Fiber
 from repro.sparse.matrix import (
     mask_low_activity_neurons,
     random_spike_tensor,
@@ -179,6 +185,132 @@ class TestStatisticsEquivalence:
             LayerEvaluation(np.zeros((2, 3)), np.zeros((3, 2)))
         with pytest.raises(ValueError):
             LayerEvaluation(np.zeros((2, 3, 4)), np.zeros((2, 2)))
+
+
+def join_all_fibers(evaluation, unit=None):
+    """``(M, N)`` grid of :class:`InnerJoinResult` for every fiber pair."""
+    unit = unit or InnerJoinUnit()
+    weights = evaluation.weights
+    results = [[None] * evaluation.n for _ in range(evaluation.m)]
+    for n in range(evaluation.n):
+        column = weights[:, n]
+        weight_fiber = Fiber(bitmask=column != 0, values=column[column != 0])
+        for m in range(evaluation.m):
+            results[m][n] = unit.join(evaluation.packed.fiber(m), weight_fiber)
+    return results
+
+
+def assert_inner_join_oracle(evaluation):
+    """Join every ``(m, n)`` fiber pair and compare with the engine."""
+    for m, row in enumerate(join_all_fibers(evaluation)):
+        for n, result in enumerate(row):
+            assert np.array_equal(result.per_timestep_sums, evaluation.full_sums[m, n])
+            assert result.matches == evaluation.matches[m, n]
+            corrected = result.matches * evaluation.t - result.correction_accumulations
+            assert corrected == evaluation.true_acs[m, n]
+
+
+class TestInnerJoinOracle:
+    """The per-fiber inner-join unit is the oracle for the vectorised join."""
+
+    # T = 1, 8 / 9 and 63 are the packing boundaries: single-bit words, the
+    # last uint8 shift-or word, the first packbits int64 word, the widest.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        k=st.integers(1, 40),
+        n=st.integers(1, 5),
+        t=st.sampled_from((1, 2, 4, 8, 9, 16, 63)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=3, k=24, n=2, t=1, seed=0)
+    @example(m=3, k=24, n=2, t=8, seed=1)
+    @example(m=3, k=24, n=2, t=9, seed=2)
+    @example(m=3, k=24, n=2, t=63, seed=3)
+    def test_join_matches_engine(self, m, k, n, t, seed):
+        rng = np.random.default_rng(seed)
+        spikes = random_spike_tensor(m, k, t, rng.uniform(0.3, 0.95), silent_fraction=0.4, rng=rng)
+        weights = random_weight_matrix(k, n, rng.uniform(0.2, 0.9), rng=rng)
+        evaluation = LayerEvaluation(spikes, weights)
+        assert_inner_join_oracle(evaluation)
+        assert_inner_join_oracle(evaluation.preprocessed())
+
+    # Every byte boundary of the packed word: shift-or packing up to T = 8,
+    # little-endian packbits bytes from T = 9 on, the widest word at 63.
+    @pytest.mark.parametrize("t", (1, 2, 7, 8, 9, 15, 16, 17, 32, 33, 56, 57, 63))
+    def test_join_matches_engine_at_packing_boundary(self, t):
+        rng = np.random.default_rng(t)
+        spikes = random_spike_tensor(6, 70, t, 0.6, silent_fraction=0.3, rng=rng)
+        spikes[0, :5] = 1  # all-ones words: perfect predictions
+        weights = random_weight_matrix(70, 4, 0.5, rng=rng)
+        evaluation = LayerEvaluation(spikes, weights)
+        assert_inner_join_oracle(evaluation)
+        assert_inner_join_oracle(evaluation.preprocessed())
+
+    def test_silent_spikes_or_zero_weights_join_to_nothing(self):
+        rng = np.random.default_rng(0)
+        spikes = random_spike_tensor(3, 20, 4, 0.5, rng=rng)
+        weights = random_weight_matrix(20, 3, 0.5, rng=rng)
+        for evaluation in (
+            LayerEvaluation(np.zeros_like(spikes), weights),
+            LayerEvaluation(spikes, np.zeros_like(weights)),
+        ):
+            assert_inner_join_oracle(evaluation)
+            assert not evaluation.matches.any() and not evaluation.full_sums.any()
+
+    def test_always_firing_neurons_need_no_corrections(self):
+        rng = np.random.default_rng(2)
+        spikes = np.ones((3, 30, 5), dtype=np.uint8)
+        weights = random_weight_matrix(30, 4, 0.6, rng=rng)
+        evaluation = LayerEvaluation(spikes, weights)
+        assert_inner_join_oracle(evaluation)
+        for row in join_all_fibers(evaluation):
+            for result in row:
+                assert result.correction_accumulations == 0
+                assert result.perfect_predictions == result.matches
+        assert np.array_equal(evaluation.true_acs, evaluation.matches * 5)
+
+    def test_single_coordinate_fibers(self):
+        spikes = np.array([[[1, 0, 1]], [[0, 0, 0]], [[0, 1, 0]]], dtype=np.uint8)
+        weights = np.array([[3, 0, -2]], dtype=np.int8)
+        evaluation = LayerEvaluation(spikes, weights)
+        assert_inner_join_oracle(evaluation)
+        assert evaluation.matches.tolist() == [[1, 0, 1], [0, 0, 0], [1, 0, 1]]
+        assert evaluation.full_sums[0, 2].tolist() == [-2, 0, -2]
+
+
+class TestInnerJoinOracleOnLoAS:
+    """LoAS's analytical layer counts equal the sums of its per-fiber joins."""
+
+    @pytest.mark.parametrize("preprocess", (False, True), ids=("plain", "preprocessed"))
+    @pytest.mark.parametrize(
+        "layer_name, scale",
+        (("A-L4", 0.2), ("R-L19", 0.2), ("T-HFF", 0.05), ("V-L8", 0.2)),
+    )
+    def test_operation_counts_and_cycles_match_joined_fibers(self, layer_name, scale, preprocess):
+        workload = get_layer_workload(layer_name).scaled(scale)
+        spikes, weights = workload.generate(rng=np.random.default_rng(11), finetuned=preprocess)
+        simulator = LoASSimulator(LoASConfig(num_tppes=4))
+        result = simulator.simulate_layer(spikes, weights, preprocess=preprocess)
+
+        evaluation = LayerEvaluation(spikes, weights)
+        if preprocess:
+            evaluation = evaluation.preprocessed(max_spikes=1)
+        joins = join_all_fibers(evaluation, InnerJoinUnit(simulator.config))
+        flat = [join for row in joins for join in row]
+        matches = sum(join.matches for join in flat)
+        corrections = sum(join.correction_accumulations for join in flat)
+        assert result.ops["pseudo_accumulations"] == sum(join.pseudo_accumulations for join in flat)
+        assert result.ops["pseudo_accumulations"] == matches
+        assert result.ops["correction_accumulations"] == corrections
+        assert result.ops["true_accumulations"] == matches * evaluation.t - corrections
+
+        task_cycles = np.array([[join.cycles for join in row] for row in joins])
+        compression = evaluation.compress_output(
+            simulator.compressor, simulator.lif, preprocess=preprocess
+        )
+        expected = simulator.grouped_wave_cycles(task_cycles, simulator.config.num_tppes)
+        assert result.compute_cycles == expected + compression.cycles
 
 
 def float_kn_arrays(evaluation):

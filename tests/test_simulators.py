@@ -215,12 +215,14 @@ class TestLoASSimulator:
         assert preprocessed.extra["silent_fraction"] >= plain.extra["silent_fraction"]
 
     def test_functional_run_matches_reference(self, small_layer):
+        from repro.engine import LayerEvaluation
         from repro.snn.layers import spmspm_reference
         from repro.snn.lif import lif_fire
 
         spikes, weights = small_layer
-        output = LoASSimulator().run_functional(spikes, weights)
-        assert np.array_equal(output.spikes, lif_fire(spmspm_reference(spikes, weights)))
+        lif = LoASSimulator().lif
+        output = LayerEvaluation(spikes, weights).output_spikes(lif)
+        assert np.array_equal(output, lif_fire(spmspm_reference(spikes, weights), lif))
 
     def test_network_aggregation(self, tiny_workload):
         from repro.snn.workloads import NetworkWorkload

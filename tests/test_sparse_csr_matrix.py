@@ -1,11 +1,11 @@
-"""Unit tests for CSR/CSC formats and the random tensor generators."""
+"""Unit tests for the CSR spike footprint and the random tensor generators."""
+
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 
-from repro.sparse.csr import CSCMatrix, CSRMatrix, csr_storage_bits_for_spikes
+from repro.sparse.csr import csr_storage_bits_for_spikes
 from repro.sparse.matrix import (
     density,
     mask_low_activity_neurons,
@@ -18,61 +18,46 @@ from repro.sparse.matrix import (
 )
 
 
-@pytest.fixture
-def matrix():
-    return np.array([[0, 5, 0], [7, 0, 0], [0, 0, 0], [1, 2, 3]], dtype=np.int32)
-
-
-class TestCSR:
-    def test_roundtrip(self, matrix):
-        assert np.array_equal(CSRMatrix.from_dense(matrix).to_dense(), matrix)
-
-    def test_nnz(self, matrix):
-        assert CSRMatrix.from_dense(matrix).nnz == 5
-
-    def test_row_access(self, matrix):
-        csr = CSRMatrix.from_dense(matrix)
-        cols, vals = csr.row(3)
-        assert cols.tolist() == [0, 1, 2]
-        assert vals.tolist() == [1, 2, 3]
-
-    def test_empty_row(self, matrix):
-        cols, vals = CSRMatrix.from_dense(matrix).row(2)
-        assert cols.size == 0 and vals.size == 0
-
-    def test_coordinate_bits(self, matrix):
-        assert CSRMatrix.from_dense(matrix).coordinate_bits() == 2
-
-    def test_storage_bits(self, matrix):
-        csr = CSRMatrix.from_dense(matrix, value_bits=8)
-        assert csr.storage_bits(32) == 5 * 8 + 5 * 2 + 5 * 32
-
-    def test_rejects_3d(self):
-        with pytest.raises(ValueError):
-            CSRMatrix.from_dense(np.zeros((2, 2, 2)))
-
-
-class TestCSC:
-    def test_roundtrip(self, matrix):
-        assert np.array_equal(CSCMatrix.from_dense(matrix).to_dense(), matrix)
-
-    def test_column_access(self, matrix):
-        csc = CSCMatrix.from_dense(matrix)
-        rows, vals = csc.column(0)
-        assert rows.tolist() == [1, 3]
-        assert vals.tolist() == [7, 1]
-
-    def test_coordinate_bits_uses_rows(self, matrix):
-        assert CSCMatrix.from_dense(matrix).coordinate_bits() == 2
-
-    @settings(max_examples=25, deadline=None)
-    @given(arrays(np.int16, st.tuples(st.integers(1, 7), st.integers(1, 9)), elements=st.integers(-9, 9)))
-    def test_roundtrip_property(self, dense):
-        assert np.array_equal(CSRMatrix.from_dense(dense).to_dense(), dense)
-        assert np.array_equal(CSCMatrix.from_dense(dense).to_dense(), dense)
-
-
 class TestCSRForSpikes:
+    def test_hand_computed_footprint(self):
+        spikes = np.zeros((2, 3, 2), dtype=np.uint8)
+        spikes[:, :, 0] = [[1, 0, 1], [0, 0, 0]]  # 2 spikes
+        spikes[:, :, 1] = [[0, 1, 1], [1, 0, 0]]  # 3 spikes
+        # Each of the 5 spikes stores 1 value bit + ceil(log2 3) = 2
+        # coordinate bits; each of the 2 timesteps stores M + 1 = 3 row
+        # pointers of 32 bits: 5 * 3 + 2 * 3 * 32 = 207.
+        assert csr_storage_bits_for_spikes(spikes) == 207
+        # 16-bit pointers: 5 * 3 + 2 * 3 * 16 = 111.
+        assert csr_storage_bits_for_spikes(spikes, pointer_width=16) == 111
+
+    @pytest.mark.parametrize("t", (1, 2, 4, 7, 8, 9, 16, 63))
+    def test_matches_one_csr_per_timestep(self, t, rng):
+        spikes = random_spike_tensor(5, 37, t, spike_sparsity=0.7, silent_fraction=0.3, rng=rng)
+        coordinate_bits = max(1, math.ceil(math.log2(37)))
+        expected = 0
+        for step in range(t):
+            matrix = spikes[:, :, step]
+            indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(matrix, axis=1))])
+            indices = np.nonzero(matrix)[1]
+            data = matrix[matrix != 0]
+            expected += data.size * 1 + indices.size * coordinate_bits + indptr.size * 32
+        assert csr_storage_bits_for_spikes(spikes) == expected
+
+    # (K, ceil(log2 K) with a one-bit floor)
+    @pytest.mark.parametrize(
+        "k, coordinate_bits",
+        ((1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (256, 8), (257, 9)),
+    )
+    def test_coordinate_bits_per_spike(self, k, coordinate_bits):
+        spikes = np.zeros((1, k, 1), dtype=np.uint8)
+        spikes[0, k - 1, 0] = 1
+        pointers = 2 * 32  # M + 1 row pointers for the single timestep
+        assert csr_storage_bits_for_spikes(spikes) == 1 + coordinate_bits + pointers
+
+    def test_silent_tensor_pays_only_row_pointers(self):
+        spikes = np.zeros((3, 8, 4), dtype=np.uint8)
+        assert csr_storage_bits_for_spikes(spikes, pointer_width=16) == 4 * (3 + 1) * 16
+
     def test_more_expensive_than_packed_for_multi_timestep_spikes(self, rng):
         spikes = random_spike_tensor(8, 64, 4, spike_sparsity=0.8, silent_fraction=0.6, rng=rng)
         from repro.sparse.packed import PackedSpikeMatrix
