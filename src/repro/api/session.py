@@ -1,7 +1,10 @@
 """The :class:`Session` façade: one object owning resources and policy.
 
 A :class:`Session` configures ``workers`` / ``cache_dir`` / ``scale`` once
-instead of threading them through every call:
+instead of threading them through every call.  It is the only source of
+execution resources: every sweep-shaped scenario runs on the
+:class:`~repro.runner.SweepRunner` the session builds, and a plan carries
+nothing but the work itself.
 
 * **cache tiers** -- the size of the process-wide evaluation LRU
   (``lru_maxsize``), the shared on-disk tier (``cache_dir`` +
@@ -15,12 +18,13 @@ instead of threading them through every call:
 * **workload defaults** -- a default ``scale`` applied to every scenario
   that declares one, so quick-look sessions shrink every sweep uniformly.
 
-Per-call keyword arguments always win over session defaults.  Session
-defaults are *soft*: a bespoke scenario that cannot honour ``workers`` or
-``cache_dir`` simply ignores the session-level value, whereas passing either
-explicitly to :meth:`Session.run` for such a scenario raises ``TypeError``
-(silently dropping an explicitly requested pool or disk tier would misreport
-what ran).
+Per-call keyword arguments always win over session defaults.  Bespoke
+scenarios (training runs, static tables: no plan behind them) take no
+runner options.  Session defaults are *soft*: a bespoke scenario simply
+runs in-process without the session's pool or tiers, whereas passing
+``workers`` / ``cache_dir`` / ``cache_url`` explicitly to :meth:`Session.run`
+for one raises ``TypeError`` (silently dropping an explicitly requested pool
+or tier would misreport what ran).
 
 Note the evaluation LRU itself is process-wide (simulators resolve it via
 :func:`repro.engine.default_cache`), so sessions in one process share
@@ -209,7 +213,7 @@ class Session:
         Byte budget of the on-disk tier (LRU eviction above it).  Applies
         only when ``cache_dir`` is a path: an already-constructed
         :class:`~repro.engine.DiskEvaluationCache` instance keeps its own
-        budget (the same rule as :class:`~repro.runner.SweepRunner`).
+        budget.
     mp_context:
         Multiprocessing start method (``"fork"`` / ``"spawn"``).
 
@@ -285,10 +289,10 @@ class Session:
         """Raise if the explicit options/params cannot be honoured by ``scenario``.
 
         The single source of the option/scenario compatibility rules: a
-        bespoke scenario cannot stream (``ValueError``) and only honours an
-        explicitly requested ``workers`` / ``cache_dir`` when its declared
-        defaults carry the option (``TypeError`` otherwise -- silently
-        dropping a requested pool or disk tier would misreport what ran).
+        bespoke scenario cannot stream (``ValueError``) and takes no
+        explicitly requested ``workers`` / ``cache_dir`` / ``cache_url``
+        (``TypeError`` -- silently dropping a requested pool or tier would
+        misreport what ran).
         When ``params`` is given, each key must be accepted by the
         scenario's ``build``/``run`` callable (declared defaults or a named
         parameter).  Used by :meth:`run` / :meth:`stream` and pre-flighted
@@ -310,13 +314,12 @@ class Session:
                 "scenario %r is bespoke (no sweep plan behind it); streaming "
                 "requires a sweep-shaped scenario" % (scenario.name,)
             )
-        supported = dict(scenario.defaults)
         for option, value in (
             ("workers", workers),
             ("cache_dir", cache_dir),
             ("cache_url", cache_url),
         ):
-            if value is not None and option not in supported:
+            if value is not None:
                 raise TypeError(
                     "scenario %r does not support %r" % (scenario.name, option)
                 )
@@ -375,7 +378,10 @@ class Session:
         _ensure_registry()
         scenario = get_scenario(name)
         if scenario.run is not None:
-            return self._run_bespoke(scenario, workers, cache_dir, cache_url, params)
+            self.validate_run_options(
+                scenario, workers=workers, cache_dir=cache_dir, cache_url=cache_url, params=params
+            )
+            return self._run_bespoke(scenario, params)
         return self.stream(
             name, workers=workers, cache_dir=cache_dir, cache_url=cache_url, **params
         ).collect()
@@ -443,53 +449,11 @@ class Session:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _run_bespoke(
-        self, scenario: Scenario, workers, cache_dir, cache_url, params
-    ) -> ScenarioResult:
+    def _run_bespoke(self, scenario: Scenario, params) -> ScenarioResult:
         merged = self._merge_params(scenario, params)
-        self.validate_run_options(
-            scenario, workers=workers, cache_dir=cache_dir, cache_url=cache_url, params=params
-        )
-        supported = dict(scenario.defaults)
-        effective_workers = workers if workers is not None else self.workers
-        if effective_workers is not None and "workers" in supported:
-            merged["workers"] = effective_workers
-        if (
-            self.mp_context is not None
-            and "mp_context" in supported
-            and "mp_context" not in params
-        ):
-            merged["mp_context"] = self.mp_context
-        # The scenario receives the session-owned tier *objects* (keeping
-        # their budgets, connections and counters); the recorded params keep
-        # the string path/URL so the ScenarioResult stays JSON-serialisable.
-        tier = self._tier_for(cache_dir)
-        remote = self._remote_for(cache_url)
-        call_kwargs = dict(merged)
-        if tier is not None and "cache_dir" in supported:
-            call_kwargs["cache_dir"] = tier
-            merged["cache_dir"] = str(tier.directory)
-        elif "cache_dir" not in supported:
-            tier = None  # the scenario cannot use it; don't report it ran
-        if remote is not None and "cache_url" in supported:
-            call_kwargs["cache_url"] = remote
-            merged["cache_url"] = remote.url
-        elif "cache_url" not in supported:
-            remote = None  # same rule as the disk tier: don't report it ran
         lru_before = default_cache().stats()
-        disk_before = tier.stats() if tier is not None else None
-        payload = scenario.run(**call_kwargs)
-        # A bespoke scenario's internal sweeps may or may not pool (the
-        # executor falls back to serial for single-partition plans); a
-        # requested pool is the honest upper bound we can report.
-        provenance = self._provenance(
-            tier,
-            merged.get("workers"),
-            lru_before,
-            disk_before,
-            pooled=bool(merged.get("workers")) and merged["workers"] >= 2,
-            cache_url=remote.url if remote is not None else None,
-        )
+        payload = scenario.run(**merged)
+        provenance = self._provenance(None, None, lru_before, None)
         if "seed" in merged:
             provenance["seeds"] = (merged["seed"],)
         return ScenarioResult(

@@ -1,17 +1,13 @@
 """LoAS hardware configuration: a view over an :class:`~repro.arch.ArchSpec`.
 
-Historically this dataclass *owned* the Table III knobs; since the ArchSpec
-refactor it is a thin, frozen view over one
-:class:`~repro.arch.spec.ArchSpec` design point -- the single source of
-every hardware parameter -- while keeping the historical field surface
-(``config.num_tppes``, ``config.energy``, ...) so the simulators and tests
-read the same names they always did.
-
-Construction accepts the historical keyword overrides (mapped onto the spec
-through its flat addressing) as well as a design point directly::
+A thin, frozen view over one :class:`~repro.arch.spec.ArchSpec` design
+point -- the single source of every hardware parameter -- exposing the
+Table III field surface (``config.num_tppes``, ``config.energy``, ...) the
+simulators and tests read.  Construction takes a design point plus flat
+overrides (see :meth:`ArchSpec.with_overrides`)::
 
     LoASConfig()                          # the paper's Table III machine
-    LoASConfig(timesteps=8)               # historical field override
+    LoASConfig(timesteps=8)               # a field override
     LoASConfig("loas-32nm-large")         # a registered preset by name
     LoASConfig(spec)                      # an explicit ArchSpec
 """
@@ -40,42 +36,15 @@ class LoASConfig:
     point (``config.arch``); every historical field is a read-only view of
     it.  Two configurations are equal exactly when their specs are.
 
-    One deliberate unification: the spec has a **single clock**.  The
-    pre-ArchSpec dataclass carried an independent ``dram.clock_ghz`` next to
-    ``config.clock_ghz`` (equal by default, divergible by hand); now
-    ``config.dram`` is derived from the spec's bandwidth *and* clock, so a
-    ``clock_ghz`` override moves the DRAM bytes-per-cycle with it.  A legacy
-    ``dram=DRAMModel(...)`` keyword whose clock disagrees with the spec's is
-    rejected loudly rather than silently re-clocked.
+    The spec has a **single clock**: ``config.dram`` is derived from the
+    spec's bandwidth *and* clock, so a ``clock_ghz`` override moves the DRAM
+    bytes-per-cycle with it.
     """
 
     arch: ArchSpec
 
     def __init__(self, arch=None, **overrides):
-        energy = overrides.pop("energy", None)
-        dram = overrides.pop("dram", None)
-        sram = overrides.pop("sram", None)
-        spec = resolve_arch(arch)
-        if energy is not None:
-            overrides["energy"] = energy
-        if dram is not None:
-            overrides.setdefault("dram_bandwidth_gbps", dram.bandwidth_gbps)
-        if sram is not None:
-            overrides.setdefault("global_cache_bytes", sram.capacity_bytes)
-            overrides.setdefault("cache_banks", sram.num_banks)
-            overrides.setdefault(
-                "sram_bytes_per_bank_per_cycle", sram.bytes_per_bank_per_cycle
-            )
-        if overrides:
-            spec = spec.with_overrides(**overrides)
-        if dram is not None and dram.clock_ghz != spec.clock_ghz:
-            raise ValueError(
-                "the ArchSpec has one clock (%.3g GHz) but the passed "
-                "DRAMModel assumes %.3g GHz; override clock_ghz explicitly "
-                "instead of passing a differently-clocked dram model"
-                % (spec.clock_ghz, dram.clock_ghz)
-            )
-        object.__setattr__(self, "arch", spec)
+        object.__setattr__(self, "arch", resolve_arch(arch, overrides))
 
     # ------------------------------------------------------------------ #
     # Historical field surface (views over the spec)
@@ -163,17 +132,8 @@ class LoASConfig:
         """Cycles the laggy prefix-sum needs per bitmask chunk."""
         return -(-self.bitmask_chunk_bits // self.laggy_adders)
 
-    @property
-    def accumulators_per_tppe(self) -> int:
-        """One pseudo-accumulator plus one correction accumulator per timestep."""
-        return 1 + self.timesteps
-
     def bitmask_chunks(self, fiber_length: int) -> int:
         """Number of bitmask chunks needed to cover a fiber of ``fiber_length``."""
         if fiber_length < 0:
             raise ValueError("fiber length must be non-negative")
         return -(-fiber_length // self.bitmask_chunk_bits)
-
-    def with_timesteps(self, timesteps: int) -> "LoASConfig":
-        """Copy of the configuration provisioned for a different ``T``."""
-        return LoASConfig(self.arch.with_overrides(**{"pe.timesteps": timesteps}))

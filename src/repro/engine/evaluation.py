@@ -528,29 +528,6 @@ class LayerEvaluation:
             )
         meta["compressions"] = compressions
 
-    @property
-    def enrichment(self) -> int:
-        """How many derived artifacts this evaluation currently holds.
-
-        An observability counter (0 means tensors only); the write-back
-        machinery itself compares :meth:`derived_signature`, which also
-        sees artifacts being *replaced* rather than added.  Children still
-        pending rebuild count exactly as their stored form would, so
-        hydrating-then-ignoring an entry never reads as new enrichment.
-        """
-        count = sum(1 for name in _DEHYDRATED_PROPERTIES if name in self.__dict__)
-        count += len(self._output_spikes) + len(self._compressions)
-        for child in self._preprocessed.values():
-            count += 1 + child.enrichment
-        for _, child_meta in self._pending_preprocessed.values():
-            count += (
-                1
-                + len(child_meta.get("derived", ()))
-                + len(child_meta.get("lif", ()))
-                + len(child_meta.get("compressions", ()))
-            )
-        return count
-
     def derived_signature(self) -> tuple:
         """Hashable fingerprint of which derived artifacts are present.
 

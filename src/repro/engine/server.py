@@ -7,8 +7,8 @@ a shared filesystem.  Start it with::
 
     python -m repro cache serve --port 8737
 
-and point any surface at it: ``Session(cache_url="host:8737")``,
-``SweepRunner(cache_url=...)`` or ``python -m repro run ... --cache-url``.
+and point any surface at it: ``Session(cache_url="host:8737")`` or
+``python -m repro run ... --cache-url``.
 
 Protocol
 --------

@@ -54,7 +54,6 @@ from .sweeps import (
     DEFAULT_NETWORKS,
     layer_sweep_plan,
     network_sweep_plan,
-    snn_accelerators,
 )
 from .tables import format_table1, format_table2, format_table4
 
@@ -80,5 +79,4 @@ __all__ = [
     "layer_sweep_plan",
     "list_scenarios",
     "network_sweep_plan",
-    "snn_accelerators",
 ]

@@ -7,9 +7,9 @@
 * Figure 19 -- LoAS on the dual-sparse workload versus the dense SNN
   accelerators PTB and Stellar.
 
-Figure 19 is a declarative sweep scenario; Figure 18 batches its ANN
-baselines through :func:`repro.runner.run_ann_network` (one shared
-evaluation per layer) and drives the LoAS side through the orchestrator;
+Figures 18 and 19 are declarative sweep scenarios: their plans carry the
+LoAS side, and Figure 18's shaper adds the ANN baselines through
+:func:`repro.runner.run_ann_network` (one shared evaluation per layer).
 Figure 11 is a bespoke (training) scenario.
 """
 
@@ -23,7 +23,6 @@ from ..runner import (
     Scenario,
     SimulatorSpec,
     SweepPlan,
-    SweepRunner,
     WorkloadSpec,
     register_scenario,
     run_ann_network,
@@ -35,7 +34,7 @@ from ..snn.training import (
     make_synthetic_classification,
     train,
 )
-from .sweeps import LOAS_FINETUNED, scaled_network
+from .sweeps import LOAS_FINETUNED
 
 __all__ = [
     "format_fig11",
@@ -100,29 +99,28 @@ def format_fig11(payload) -> str:
     return format_table(["Stage", "Accuracy"], rows, title="Figure 11: fine-tuned preprocessing accuracy")
 
 
-def _fig18_snn_vs_ann(
+def fig18_plan(
     network: str = "vgg16",
     scale: float = 1.0,
     seed: int = 1,
-    workers: int | None = None,
-    cache_dir=None,
-    mp_context: str | None = None,
-) -> dict[str, dict[str, float]]:
-    """Dual-sparse SNN (LoAS) versus dual-sparse ANN (SparTen / Gamma), Figure 18."""
-    snn_network = scaled_network(network, scale)
-    plan = SweepPlan.product(
-        "fig18-loas",
+) -> SweepPlan:
+    """The SNN side of Figure 18 -- LoAS with fine-tuning over one network."""
+    return SweepPlan.product(
+        "fig18",
         (WorkloadSpec("network", network, scale=scale),),
         (LOAS_FINETUNED,),
         seeds=(seed,),
     )
-    runner = SweepRunner(workers=workers, cache_dir=cache_dir, mp_context=mp_context)
-    loas = next(iter(runner.run(plan)))[1]
 
-    # One shared ANN evaluation per layer: both baselines consume the same
-    # masks / matches / ReLU outputs (each simulator previously regenerated
-    # identical tensors from an equal seed).
-    ann_results = run_ann_network((SparTenANN(), GammaANN()), snn_network, seed)
+
+def _shape_fig18(results, **_) -> dict[str, dict[str, float]]:
+    """Dual-sparse SNN (LoAS) versus dual-sparse ANN (SparTen / Gamma), Figure 18."""
+    ((cell, loas),) = results
+    # The ANN twin of the same network and seed; one shared ANN evaluation
+    # per layer drives both baselines.
+    ann_results = run_ann_network(
+        (SparTenANN(), GammaANN()), cell.workload.build(), cell.seed
+    )
 
     everything = {"LoAS (SNN)": loas, **{f"{k} (ANN)": v for k, v in ann_results.items()}}
     reference_energy = loas.energy_pj or 1.0
@@ -143,15 +141,9 @@ register_scenario(
     Scenario(
         name="fig18-snn-vs-ann",
         description="Figure 18: dual-sparse SNN (LoAS) vs dual-sparse ANN baselines",
-        run=_fig18_snn_vs_ann,
-        defaults=(
-            ("network", "vgg16"),
-            ("scale", 1.0),
-            ("seed", 1),
-            ("workers", None),
-            ("cache_dir", None),
-            ("mp_context", None),
-        ),
+        build=fig18_plan,
+        shape=_shape_fig18,
+        defaults=(("network", "vgg16"), ("scale", 1.0), ("seed", 1)),
     )
 )
 

@@ -11,8 +11,9 @@ independent cells over a worker pool) and returns the
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..arch.spec import resolve_arch
-from ..core import LoASConfig
 from ..runner import (
     Scenario,
     SimulatorSpec,
@@ -20,10 +21,8 @@ from ..runner import (
     WorkloadSpec,
     register_scenario,
 )
-from ..snn.workloads import NetworkWorkload, get_network_workload
 
 __all__ = [
-    "snn_accelerators",
     "network_sweep_plan",
     "layer_sweep_plan",
     "DEFAULT_NETWORKS",
@@ -52,24 +51,17 @@ LOAS_FINETUNED = SimulatorSpec(
 )
 
 
-def snn_accelerators(config=None) -> dict[str, object]:
-    """The dual-sparse SNN accelerators compared throughout the evaluation."""
-    return {spec.label: spec.build(config) for spec in SNN_SIMULATORS}
-
-
-def _shared_config(config, arch, arch_overrides):
-    """Resolve the plan-level hardware configuration.
+def _pinned(simulators, arch, arch_overrides) -> tuple[SimulatorSpec, ...]:
+    """The simulators pinned to one shared design point, labels unchanged.
 
     ``arch`` / ``arch_overrides`` name an :class:`~repro.arch.ArchSpec`
-    design point shared by every cell of the plan (result labels stay the
-    historical accelerator names); passing both an explicit ``config`` and
-    an ``arch`` is ambiguous and rejected.
+    design point resolved once and carried by every cell; without either,
+    the simulators keep the Table III machine.
     """
     if arch is None and not arch_overrides:
-        return config
-    if config is not None:
-        raise ValueError("pass either config or arch/arch_overrides, not both")
-    return LoASConfig(resolve_arch(arch, arch_overrides))
+        return simulators
+    spec = resolve_arch(arch, arch_overrides)
+    return tuple(replace(simulator, arch=spec) for simulator in simulators)
 
 
 def network_sweep_plan(
@@ -77,7 +69,6 @@ def network_sweep_plan(
     scale: float = 1.0,
     seed: int = 1,
     include_finetuned: bool = True,
-    config=None,
     arch=None,
     arch_overrides=(),
 ) -> SweepPlan:
@@ -87,9 +78,8 @@ def network_sweep_plan(
     return SweepPlan.product(
         "networks",
         workloads,
-        simulators,
+        _pinned(simulators, arch, arch_overrides),
         seeds=(seed,),
-        config=_shared_config(config, arch, arch_overrides),
     )
 
 
@@ -97,7 +87,6 @@ def layer_sweep_plan(
     layers: tuple[str, ...] = DEFAULT_LAYERS,
     scale: float = 1.0,
     seed: int = 1,
-    config=None,
     arch=None,
     arch_overrides=(),
 ) -> SweepPlan:
@@ -106,16 +95,9 @@ def layer_sweep_plan(
     return SweepPlan.product(
         "layers",
         workloads,
-        SNN_SIMULATORS,
+        _pinned(SNN_SIMULATORS, arch, arch_overrides),
         seeds=(seed,),
-        config=_shared_config(config, arch, arch_overrides),
     )
-
-
-def scaled_network(name: str, scale: float) -> NetworkWorkload:
-    """Convenience wrapper: a (possibly scaled) full-network workload."""
-    network = get_network_workload(name)
-    return network.scaled(scale) if scale != 1.0 else network
 
 
 register_scenario(
@@ -129,7 +111,6 @@ register_scenario(
             ("scale", 1.0),
             ("seed", 1),
             ("include_finetuned", True),
-            ("config", None),
             ("arch", None),
             ("arch_overrides", ()),
         ),
@@ -146,7 +127,6 @@ register_scenario(
             ("layers", DEFAULT_LAYERS),
             ("scale", 1.0),
             ("seed", 1),
-            ("config", None),
             ("arch", None),
             ("arch_overrides", ()),
         ),

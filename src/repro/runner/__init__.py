@@ -13,11 +13,11 @@ The runner subsystem splits every paper sweep into three layers:
   serially or across a ``multiprocessing`` pool, and batches network walks
   layer-major so one evaluation per layer drives every simulator, and
 * a **cache-tier stack** below both: the in-process LRU
-  (:func:`repro.engine.default_cache`) over any
-  :class:`repro.engine.CacheBackend` stack -- the shared on-disk
+  (:func:`repro.engine.default_cache`) over the lower tiers -- the shared on-disk
   :class:`repro.engine.DiskEvaluationCache` and/or the network-addressed
   :class:`repro.engine.RemoteBackend`
-  (``SweepRunner(cache_dir=..., cache_url=..., backends=...)``).
+  (``SweepRunner(cache_dir=..., cache_url=...)``, built by
+  :class:`repro.api.Session` from its own tiers).
 
 See the "Sweep orchestration" section of ``ROADMAP.md`` for the
 architecture and the how-to-add-a-scenario recipe.

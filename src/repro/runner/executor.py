@@ -15,8 +15,8 @@ in three steps:
    residency on very large networks.
 3. **Execute** -- serially in-process, or across a ``multiprocessing`` pool
    (``workers >= 2``).  The runner owns a **stack of lower cache tiers**
-   (the on-disk tier from ``cache_dir``, the network-addressed remote tier
-   from ``cache_url``, or any explicit ``backends``): the serial path passes
+   (the on-disk tier from ``cache_dir`` above the network-addressed remote
+   tier from ``cache_url``): the serial path passes
    the stack per evaluation, worker processes reattach equivalent backends
    from picklable specs after ``fork``/``spawn`` (live backends hold locks
    and sockets and must not cross process boundaries), and after every layer
@@ -109,7 +109,7 @@ class SweepResults:
 
 
 def _execute_partition(
-    cells: Sequence[SweepCell], config, tiers=ATTACHED_TIER
+    cells: Sequence[SweepCell], tiers=ATTACHED_TIER
 ) -> list[SimulationResult]:
     """Run one partition: all simulators of one ``(workload, seed)`` group.
 
@@ -130,7 +130,7 @@ def _execute_partition(
     workload_spec = cells[0].workload
     seed = cells[0].seed
     workload = workload_spec.build()
-    simulators = [cell.simulator.build(config) for cell in cells]
+    simulators = [cell.simulator.build() for cell in cells]
     cache = default_cache()
     variants = sorted({cell.simulator.finetuned for cell in cells})
     rngs = {variant: np.random.default_rng(seed) for variant in variants}
@@ -160,9 +160,9 @@ def _execute_partition(
 
 def _pool_task(payload) -> tuple[int, list[SimulationResult]]:
     """Worker-process entry point: reattach the tier stack, run one partition."""
-    ordinal, cells, config, backend_specs = payload
+    ordinal, cells, backend_specs = payload
     _ensure_backends(backend_specs)
-    return ordinal, _execute_partition(cells, config)
+    return ordinal, _execute_partition(cells)
 
 
 def _ensure_backends(specs) -> None:
@@ -203,21 +203,13 @@ class SweepRunner:
         already-constructed :class:`~repro.engine.RemoteBackend`.  Stacked
         *below* the disk tier (memory, then disk, then remote); an
         unreachable daemon degrades the stack with a single warning.
-    backends:
-        Explicit lower-tier stack (any
-        :class:`~repro.engine.CacheBackend` sequence, top-down), overriding
-        the ``cache_dir`` / ``cache_url`` convenience parameters.  Whatever
-        the stack, serial runs pass it per evaluation instead of mutating
-        the process-wide cache (so concurrent in-process runs with
+        Whatever the stack, serial runs pass it per evaluation instead of
+        mutating the process-wide cache (so concurrent in-process runs with
         different tiers cannot interfere) and worker processes reattach
         equivalent backends from picklable specs after ``fork``/``spawn``.
     mp_context:
         Optional multiprocessing start-method name (``"fork"`` / ``"spawn"``);
         defaults to ``fork`` where available (POSIX) and ``spawn`` elsewhere.
-    disk_max_bytes:
-        Optional byte budget handed to the disk tier when ``cache_dir`` is a
-        path (ignored when an instance is passed -- the instance keeps its
-        own budget).
     """
 
     def __init__(
@@ -225,39 +217,19 @@ class SweepRunner:
         workers: int | None = None,
         cache_dir=None,
         mp_context: str | None = None,
-        disk_max_bytes: int | None = None,
         cache_url=None,
-        backends=None,
     ):
         if workers is not None and workers < 0:
             raise ValueError("workers must be non-negative")
         self.workers = workers or 0
         self.mp_context = mp_context
-        if backends is not None:
-            if cache_dir is not None or cache_url is not None:
-                raise ValueError("pass either backends or cache_dir/cache_url, not both")
-            self.backends = tuple(backends)
-        else:
-            stack = []
-            disk = DiskEvaluationCache.coerce(cache_dir, max_bytes=disk_max_bytes)
-            if disk is not None:
-                stack.append(disk)
-            remote = RemoteBackend.coerce(cache_url)
-            if remote is not None:
-                stack.append(remote)
-            self.backends = tuple(stack)
-        #: The first on-disk tier of the stack (``None`` without one); kept
-        #: as an attribute because provenance and ``cache stats`` report it.
-        self.disk_tier = next(
-            (b for b in self.backends if isinstance(b, DiskEvaluationCache)), None
-        )
-        #: The first remote tier of the stack (``None`` without one).
-        self.remote_tier = next(
-            (b for b in self.backends if isinstance(b, RemoteBackend)), None
-        )
-        #: The tier's directory as a plain string (whatever form was passed).
-        self.cache_dir = (
-            str(self.disk_tier.directory) if self.disk_tier is not None else None
+        #: The on-disk tier (``None`` without one); kept as an attribute
+        #: because provenance and ``cache stats`` report it.
+        self.disk_tier = DiskEvaluationCache.coerce(cache_dir)
+        #: The remote tier (``None`` without one).
+        self.remote_tier = RemoteBackend.coerce(cache_url)
+        self.backends = tuple(
+            tier for tier in (self.disk_tier, self.remote_tier) if tier is not None
         )
         #: The remote tier's URL as a plain string.
         self.cache_url = self.remote_tier.url if self.remote_tier is not None else None
@@ -304,7 +276,7 @@ class SweepRunner:
         tiers = self.backends if self.backends else ATTACHED_TIER
         for ordinal, indices in enumerate(partitions):
             yield ordinal, indices, _execute_partition(
-                [plan.cells[i] for i in indices], plan.config, tiers=tiers
+                [plan.cells[i] for i in indices], tiers=tiers
             )
 
     def _iter_pool(self, plan: SweepPlan, partitions):
@@ -314,7 +286,7 @@ class SweepRunner:
         context = multiprocessing.get_context(method)
         specs = tuple(backend.spec() for backend in self.backends)
         payloads = [
-            (ordinal, tuple(plan.cells[i] for i in indices), plan.config, specs)
+            (ordinal, tuple(plan.cells[i] for i in indices), specs)
             for ordinal, indices in enumerate(partitions)
         ]
         processes = min(self.workers, len(payloads))

@@ -6,11 +6,11 @@ overrides x seeds.  This module turns those sweeps into *data*:
 * :class:`WorkloadSpec` / :class:`SimulatorSpec` declare one workload (a
   named network or representative layer, possibly rescaled, re-timestepped
   or with sparsity-profile overrides) and one simulator job (an accelerator
-  from the registry, possibly with the fine-tuned preprocessing or a
-  re-provisioned configuration),
+  from the registry, possibly with the fine-tuned preprocessing, over the
+  hardware design point its ``arch`` names),
 * :class:`SweepCell` is the atom of work -- one workload simulated by one
   simulator at one seed -- and :class:`SweepPlan` is an ordered tuple of
-  cells plus an optional shared hardware configuration,
+  cells, the whole description of the work,
 * :class:`Scenario` names a plan builder plus a result shaper, and the
   registry (:func:`register_scenario` / :func:`get_scenario`) makes every
   paper figure a named, composable entry point instead of a bespoke
@@ -41,7 +41,7 @@ from ..baselines import (
     SparTenSNN,
     StellarSimulator,
 )
-from ..core import LoASConfig, LoASSimulator
+from ..core import LoASSimulator
 from ..engine import TENSOR_COUPLED_ARCH_FIELDS
 from ..snn.workloads import (
     LayerWorkload,
@@ -158,15 +158,11 @@ class SimulatorSpec:
     kwargs:
         Extra ``(("name", value), ...)`` keyword arguments forwarded to
         ``simulate_layer`` (e.g. ``(("preprocess", True),)``).
-    config_timesteps:
-        Re-provision the hardware configuration for a different ``T`` via
-        ``LoASConfig.with_timesteps`` (Figure 17's timestep sweep).
     arch:
-        Hardware design point the simulator is built over: a registered
-        :class:`~repro.arch.spec.ArchSpec` preset name (``"loas-32nm"``) or
-        an explicit spec.  ``None`` (the default) keeps the historical
-        behaviour -- the plan-level ``config`` or the Table III defaults.
-        Preset names are resolved to their spec **at declaration**: the cell
+        Hardware design point the simulator is built over -- the one channel
+        a cell has for it: a registered :class:`~repro.arch.spec.ArchSpec`
+        preset name (``"loas-32nm"``) or an explicit spec.  ``None`` (the
+        default) means the Table III machine.  Preset names are resolved to their spec **at declaration**: the cell
         then carries the full design point, so worker processes (including
         ``spawn``-context ones, whose fresh interpreters only know the
         shipped presets) never consult the preset registry.
@@ -180,7 +176,6 @@ class SimulatorSpec:
     label: str = ""
     finetuned: bool = False
     kwargs: tuple[tuple[str, object], ...] = ()
-    config_timesteps: int | None = None
     arch: object = None
     arch_overrides: tuple[tuple[str, object], ...] = ()
 
@@ -209,19 +204,9 @@ class SimulatorSpec:
             return None
         return resolve_arch(self.arch, self.arch_overrides)
 
-    def build(self, config=None):
-        """Instantiate the simulator (optionally over a shared config).
-
-        A cell-level ``arch`` wins over the plan-level ``config``; the
-        historical ``config_timesteps`` re-provisioning applies on top of
-        either.
-        """
-        spec = self.resolve_arch()
-        if spec is not None:
-            config = LoASConfig(spec)
-        if self.config_timesteps is not None:
-            config = (config or LoASConfig()).with_timesteps(self.config_timesteps)
-        return SIMULATOR_FACTORIES[self.key](config)
+    def build(self):
+        """Instantiate the simulator over its design point."""
+        return SIMULATOR_FACTORIES[self.key](self.resolve_arch())
 
 
 @dataclass(frozen=True)
@@ -348,7 +333,6 @@ class SweepPlan:
 
     name: str
     cells: tuple[SweepCell, ...]
-    config: object | None = None
 
     @classmethod
     def product(
@@ -357,7 +341,6 @@ class SweepPlan:
         workloads: Iterable[WorkloadSpec],
         simulators: Iterable[SimulatorSpec],
         seeds: Iterable[int] = (0,),
-        config=None,
         tag: str = "",
         archs: Iterable | None = None,
     ) -> "SweepPlan":
@@ -387,7 +370,7 @@ class SweepPlan:
                 for seed in seeds
                 for simulator in simulators
             )
-            return cls(name=name, cells=cells, config=config)
+            return cls(name=name, cells=cells)
         points = _normalize_arch_points(archs)
         cells = tuple(
             SweepCell(
@@ -401,11 +384,11 @@ class SweepPlan:
             for point in points
             for simulator in simulators
         )
-        return cls(name=name, cells=cells, config=config)
+        return cls(name=name, cells=cells)
 
     def __add__(self, other: "SweepPlan") -> "SweepPlan":
-        """Concatenate two plans (first plan's name and config win)."""
-        return SweepPlan(self.name, self.cells + other.cells, self.config)
+        """Concatenate two plans (the first plan's name wins)."""
+        return SweepPlan(self.name, self.cells + other.cells)
 
     def partitions(self) -> list[list[int]]:
         """Cell-index groups sharing ``(workload, seed)``, in plan order."""
@@ -423,10 +406,12 @@ class Scenario:
     """A named, parameterised experiment.
 
     Sweep-shaped scenarios declare ``build`` (``(**params) -> SweepPlan``)
-    plus ``shape`` (``(results, **params) -> dict``); bespoke scenarios
-    (training runs, static tables) declare ``run`` (``(**params) -> dict``)
-    instead.  ``defaults`` are the parameter defaults merged under the
-    caller's overrides by :meth:`repro.api.Session.run`.
+    plus ``shape`` (``(results, **params) -> dict``); the plan describes the
+    whole work and :class:`repro.api.Session` supplies the execution
+    resources (pool, cache tiers).  Bespoke scenarios (training runs, static
+    tables) declare ``run`` (``(**params) -> dict``) instead and take no
+    runner options.  ``defaults`` are the parameter defaults merged under
+    the caller's overrides by :meth:`repro.api.Session.run`.
     """
 
     name: str

@@ -130,17 +130,25 @@ class TestSessionPolicy:
         payload = Session(workers=2).run("table1-capabilities").payload
         assert "LoAS" in payload
 
-    def test_bespoke_scenario_supporting_options_receives_session_default(self, tmp_path):
+    def test_fig18_runs_on_the_session_resources(self, tmp_path):
         session = Session(workers=2, cache_dir=tmp_path / "tier")
         result = session.run("fig18-snn-vs-ann", network="alexnet", scale=SCALE, seed=SEED)
-        assert result.params["workers"] == 2
         # Provenance reports what actually ran, and the record stays
         # serialisable even though the session was given a pathlib.Path.
         assert result.provenance["workers"] == 2
-        assert result.params["cache_dir"] == str(tmp_path / "tier")
+        assert result.provenance["cache_dir"] == str(tmp_path / "tier")
         assert ScenarioResult.from_json(result.to_json()) == result
         plain = Session().run("fig18-snn-vs-ann", network="alexnet", scale=SCALE, seed=SEED)
         assert result.payload == plain.payload
+
+    def test_fig18_single_partition_records_in_process_counters(self):
+        # One (workload, seed) partition never pools, so the LRU counters
+        # the record carries are complete.
+        result = Session(workers=2).run("fig18-snn-vs-ann", network="alexnet", scale=0.05)
+        assert result.provenance["cache"]["scope"] == "in-process"
+        assert result.provenance["partitions"] == 1
+        streamed = Session().stream("fig18-snn-vs-ann", network="alexnet", scale=0.05)
+        assert result.payload == streamed.collect().payload
 
     def test_abandoned_stream_releases_disk_tier_on_close(self, tmp_path):
         from repro.engine import default_cache
@@ -180,16 +188,32 @@ class TestSessionPolicy:
         # process-wide cache.
         assert default_cache().disk_tier is not session.disk_tier
 
-    def test_session_mp_context_reaches_bespoke_sweeps(self):
-        session = Session(workers=2, mp_context="spawn")
-        result = session.run("fig18-snn-vs-ann", network="alexnet", scale=SCALE, seed=SEED)
-        assert result.params["mp_context"] == "spawn"
-        # A per-call value always beats the session default.
-        explicit = session.run(
-            "fig18-snn-vs-ann", network="alexnet", scale=SCALE, seed=SEED, mp_context="fork"
+    def test_session_mp_context_reaches_the_pool(self, monkeypatch):
+        import multiprocessing
+        from types import SimpleNamespace
+
+        from repro.runner import executor
+
+        methods = []
+
+        def get_context(method=None):
+            methods.append(method)
+            return multiprocessing.get_context(method)
+
+        monkeypatch.setattr(
+            executor,
+            "multiprocessing",
+            SimpleNamespace(
+                get_all_start_methods=multiprocessing.get_all_start_methods,
+                get_context=get_context,
+            ),
         )
-        assert explicit.params["mp_context"] == "fork"
-        reference = Session().run("fig18-snn-vs-ann", network="alexnet", scale=SCALE, seed=SEED)
+        # Two networks -> two partitions, so the pool genuinely starts.
+        params = {"networks": ("alexnet", "vgg16"), "scale": 0.05, "seed": SEED}
+        result = Session(workers=2, mp_context="spawn").run("fig13-traffic", **params)
+        assert methods == ["spawn"]
+        assert result.provenance["partitions"] == 2
+        reference = Session().run("fig13-traffic", **params)
         assert result.payload == reference.payload  # policy changes nothing numeric
 
     def test_experiment_module_reload_is_harmless(self):
@@ -200,7 +224,7 @@ class TestSessionPolicy:
         importlib.reload(tables)  # re-registers table1/2/4: must not raise
         assert "table2-workloads" in Session().scenarios()
 
-    def test_bespoke_scenario_uses_the_session_owned_tier(self, tmp_path):
+    def test_fig18_uses_the_session_owned_tier(self, tmp_path):
         from repro.engine import clear_default_cache
 
         session = Session(cache_dir=tmp_path / "tier", disk_max_bytes=50_000_000)

@@ -165,25 +165,22 @@ class TestLoASConfigView:
         assert LoASConfig(get_arch_spec("loas-32nm-small")).num_tppes == 8
 
     def test_legacy_keyword_overrides(self):
-        assert LoASConfig(timesteps=8).accumulators_per_tppe == 9
+        assert LoASConfig(timesteps=8).timesteps == 8
         assert LoASConfig(num_tppes=4).num_tppes == 4
         with pytest.raises(ValueError):
             LoASConfig(num_tppes=0)
 
-    def test_legacy_model_kwargs(self):
-        from repro.arch import DRAMModel, EnergyModel, SRAMModel
+    def test_model_overrides(self):
+        from repro.arch import EnergyModel
 
+        # A whole EnergyModel replaces the energy group.
         assert LoASConfig(energy=EnergyModel(dram_per_byte=7.0)).energy.dram_per_byte == 7.0
-        assert LoASConfig(dram=DRAMModel(64.0)).dram.bandwidth_gbps == 64.0
-        config = LoASConfig(sram=SRAMModel(capacity_bytes=1024, num_banks=2))
-        assert config.global_cache_bytes == 1024 and config.cache_banks == 2
-        # The spec has one clock: a differently-clocked DRAMModel is rejected
-        # loudly instead of being silently re-clocked.
-        with pytest.raises(ValueError):
-            LoASConfig(dram=DRAMModel(128.0, clock_ghz=1.6))
-        # ... while matching the clock override explicitly is fine, and the
-        # unified clock moves the DRAM service rate with it.
-        config = LoASConfig(dram=DRAMModel(128.0, clock_ghz=1.6), clock_ghz=1.6)
+        assert LoASConfig(dram_bandwidth_gbps=64.0).dram.bandwidth_gbps == 64.0
+        config = LoASConfig(global_cache_bytes=1024, cache_banks=2)
+        assert config.sram.capacity_bytes == 1024 and config.sram.num_banks == 2
+        # The spec has one clock: a clock override moves the DRAM service
+        # rate with it.
+        config = LoASConfig(clock_ghz=1.6)
         assert config.dram.bytes_per_cycle == pytest.approx(80.0)
 
     def test_equality_and_hash_follow_the_spec(self):
@@ -191,8 +188,8 @@ class TestLoASConfigView:
         assert hash(LoASConfig()) == hash(LoASConfig(DEFAULT_ARCH))
         assert LoASConfig() != LoASConfig(num_tppes=4)
 
-    def test_with_timesteps_only_touches_timesteps(self):
-        config = LoASConfig(num_tppes=4).with_timesteps(8)
+    def test_timesteps_override_only_touches_timesteps(self):
+        config = LoASConfig(LoASConfig(num_tppes=4).arch, timesteps=8)
         assert config.timesteps == 8
         assert config.num_tppes == 4
 
@@ -468,7 +465,6 @@ class TestDefaultArchBitIdentity:
                         label=cell.simulator.label,
                         finetuned=cell.simulator.finetuned,
                         kwargs=cell.simulator.kwargs,
-                        config_timesteps=cell.simulator.config_timesteps,
                         arch=DEFAULT_ARCH,
                     ),
                     cell.seed,
@@ -497,17 +493,6 @@ class TestDefaultArchBitIdentity:
             assert (
                 default.payload["alexnet"][accel].cycles
                 == pinned.payload["alexnet"][accel].cycles
-            )
-
-    def test_networks_rejects_config_and_arch_together(self):
-        session = Session()
-        with pytest.raises(ValueError):
-            session.run(
-                "networks",
-                networks=("alexnet",),
-                scale=0.05,
-                config=LoASConfig(),
-                arch=DEFAULT_ARCH,
             )
 
     def test_table4_defaults_unchanged_and_arch_aware(self):

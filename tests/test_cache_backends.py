@@ -106,12 +106,12 @@ class TestDehydration:
         result = LoASSimulator().simulate_workload(tiny_workload, evaluation=hydrated)
         assert_simulations_identical(result, reference)
 
-    def test_enrichment_grows_with_derived_state(self, tiny_workload):
+    def test_derived_signature_changes_with_derived_state(self, tiny_workload):
         cache = WorkloadEvaluationCache()
         evaluation = cache.evaluate(tiny_workload, np.random.default_rng(3))
-        fresh = evaluation.enrichment
+        fresh = evaluation.derived_signature()
         evaluation.statistics
-        assert evaluation.enrichment > fresh
+        assert evaluation.derived_signature() != fresh
 
 
 # --------------------------------------------------------------------- #

@@ -32,10 +32,6 @@ class TestLoASConfig:
     def test_laggy_latency_is_8_cycles(self):
         assert LoASConfig().laggy_latency_cycles == 8
 
-    def test_accumulators_per_tppe(self):
-        assert LoASConfig().accumulators_per_tppe == 5
-        assert LoASConfig(timesteps=8).accumulators_per_tppe == 9
-
     def test_bitmask_chunks(self):
         config = LoASConfig()
         assert config.bitmask_chunks(128) == 1
@@ -49,11 +45,6 @@ class TestLoASConfig:
             LoASConfig(timesteps=0)
         with pytest.raises(ValueError):
             LoASConfig().bitmask_chunks(-1)
-
-    def test_with_timesteps(self):
-        config = LoASConfig().with_timesteps(8)
-        assert config.timesteps == 8
-        assert config.num_tppes == 16
 
 
 class TestFTPFunctional:

@@ -77,7 +77,7 @@ def assert_sweeps_identical(reference, actual):
 # --------------------------------------------------------------------- #
 # Pre-refactor serial references (mirroring the seed implementation)
 # --------------------------------------------------------------------- #
-def legacy_run_networks(networks=NETWORKS, scale=SCALE, seed=SEED, include_finetuned=True, config=None):
+def legacy_run_networks(networks=NETWORKS, scale=SCALE, seed=SEED, include_finetuned=True):
     results = {}
     for name in networks:
         network = get_network_workload(name)
@@ -90,16 +90,16 @@ def legacy_run_networks(networks=NETWORKS, scale=SCALE, seed=SEED, include_finet
             ("Gamma-SNN", GammaSNN),
             ("LoAS", LoASSimulator),
         ):
-            per[accel] = cls(config).simulate_network(network, rng=np.random.default_rng(seed))
+            per[accel] = cls().simulate_network(network, rng=np.random.default_rng(seed))
         if include_finetuned:
-            per["LoAS-FT"] = LoASSimulator(config).simulate_network(
+            per["LoAS-FT"] = LoASSimulator().simulate_network(
                 network, rng=np.random.default_rng(seed), finetuned=True, preprocess=True
             )
         results[name] = per
     return results
 
 
-def legacy_run_layers(layers=LAYERS, scale=SCALE, seed=SEED, config=None):
+def legacy_run_layers(layers=LAYERS, scale=SCALE, seed=SEED):
     results = {}
     for name in layers:
         workload = get_layer_workload(name)
@@ -112,7 +112,7 @@ def legacy_run_layers(layers=LAYERS, scale=SCALE, seed=SEED, config=None):
             ("Gamma-SNN", GammaSNN),
             ("LoAS", LoASSimulator),
         ):
-            per[accel] = cls(config).simulate_workload(workload, rng=np.random.default_rng(seed))
+            per[accel] = cls().simulate_workload(workload, rng=np.random.default_rng(seed))
         results[name] = per
     return results
 
@@ -153,7 +153,7 @@ def legacy_run_fig17(scale=0.1, seed=SEED, timesteps=(4, 8), weight_sparsities=(
     for t in timesteps:
         shape = LayerShape(base.shape.name, base.shape.m, base.shape.k, base.shape.n, t)
         workload = LayerWorkload(shape, base.profile)
-        config = LoASConfig().with_timesteps(t)
+        config = LoASConfig(timesteps=t)
         result = LoASSimulator(config).simulate_workload(workload, rng=np.random.default_rng(seed))
         if reference_cycles is None:
             reference_cycles = result.cycles
@@ -265,7 +265,6 @@ class TestSweepEquivalence:
                     )
                     for cell in plan.cells
                 ),
-                plan.config,
             )
             actual = SweepRunner(workers=workers).run(pinned).nested()
             assert_sweeps_identical(reference, actual)
@@ -338,10 +337,13 @@ class TestExperimentEquivalence:
                 }
         assert reference == scenario_payload("fig14-breakdown", layers=LAYERS, scale=SCALE, seed=SEED)
 
+    @pytest.mark.parametrize("timesteps", [(4, 8), (4,), (8, 16)])
     @pytest.mark.parametrize("workers", [None, 2])
-    def test_fig17_matches_legacy(self, workers):
-        assert legacy_run_fig17() == scenario_payload(
-            "fig17-scalability", scale=0.1, seed=SEED, workers=workers
+    def test_fig17_matches_legacy(self, workers, timesteps):
+        # (4,) is one point at the preset's own T: the workload is not
+        # re-timestepped, and the row is still keyed "T=4".
+        assert legacy_run_fig17(timesteps=timesteps) == scenario_payload(
+            "fig17-scalability", scale=0.1, seed=SEED, timesteps=timesteps, workers=workers
         )
 
     def test_fig18_matches_legacy(self):

@@ -305,7 +305,7 @@ class TestPaperShapeClaims:
 
 
 class TestGoSPAPsumScaling:
-    def test_psum_traffic_scales_with_timesteps(self, rng):
+    def test_psum_traffic_scales_by_timesteps(self, rng):
         from repro.sparse.matrix import random_spike_tensor, random_weight_matrix
 
         weights = random_weight_matrix(512, 256, 0.97, rng=rng)
