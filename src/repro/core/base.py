@@ -91,9 +91,10 @@ class SimulatorBase:
         if evaluation is None:
             rng = np.random.default_rng(DEFAULT_RNG_SEED) if rng is None else rng
             evaluation = default_cache().evaluate(workload, rng, finetuned=finetuned)
-        # The tensors travel as possibly-still-deferred handles: every
-        # simulator reads the shared evaluation when one is passed, so a
-        # statistics-warm cache hit never decodes the dense tensors.
+        # The tensors travel as the packed matrix and a possibly still
+        # deferred weight handle: every simulator reads the shared
+        # evaluation when one is passed, so no layer is unpacked to a dense
+        # tensor or decoded just to be forwarded.
         spikes, weights = evaluation.tensors
         return self.simulate_layer(
             spikes,

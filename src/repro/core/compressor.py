@@ -79,9 +79,8 @@ class OutputCompressor:
         before_silent = int((counts == 0).sum())
         if preprocess:
             words = np.where(counts <= 1, 0, words)
-        nonsilent = words != 0
-        after_silent = int(words.size - nonsilent.sum())
-        packed = PackedSpikeMatrix(words=words, nonsilent=nonsilent, shape=(m, n, t))
+        packed = PackedSpikeMatrix(words=words, shape=(m, n, t))
+        after_silent = words.size - packed.nnz
 
         # One inverted laggy prefix-sum pass per output-row bitmask chunk.
         chunks_per_row = self.config.bitmask_chunks(n)

@@ -40,8 +40,9 @@ GEMMs, LIF outputs, compressions), :meth:`flush_writebacks` re-publishes the
 entry so lower-tier hits skip that work too (the executor flushes after
 every layer).
 
-Generated tensors are marked non-writeable before they are shared, so a
-misbehaving simulator cannot corrupt other simulators' results.
+Generated weights are marked non-writeable before they are shared (the
+spikes are held only as read-only packed words), so a misbehaving simulator
+cannot corrupt other simulators' results.
 """
 
 from __future__ import annotations
@@ -332,7 +333,6 @@ class WorkloadEvaluationCache:
                 return entry.evaluation
             self.misses += 1
             spikes, weights = workload.generate(rng=rng, finetuned=finetuned)
-            spikes.setflags(write=False)
             weights.setflags(write=False)
             entry = CacheEntry(LayerEvaluation(spikes, weights), rng.bit_generator.state)
             stack.put(key, entry)

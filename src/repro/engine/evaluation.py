@@ -5,7 +5,9 @@ in this repository: it owns the ``(spikes A, weights B)`` tensor pair of one
 layer and computes -- lazily, and exactly once -- every derived quantity a
 simulator may ask for:
 
-* the packed-temporal compression of ``A`` and its non-silent mask,
+* the packed-temporal compression of ``A`` and its non-silent mask (the
+  packed words are the only form of ``A`` an evaluation keeps: the dense
+  tensor is packed on construction and released),
 * the ``(M, N)`` matched-position matrix of the inner join,
 * the full-sum tensor ``O`` (one GEMM over ``k`` instead of a per-timestep
   GEMM loop) and the LIF output spikes derived from it,
@@ -35,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from ..snn.lif import LIFParameters, lif_fire
-from ..sparse.packed import PackedSpikeMatrix, pack_spike_words, popcount
+from ..sparse.packed import PackedSpikeMatrix, pack_spike_words, popcount, unpack_spike_words
 from .serde import DeferredArray
 from .statistics import LayerStatistics
 
@@ -133,14 +135,18 @@ class LayerEvaluation:
     Parameters
     ----------
     spikes:
-        Input spike tensor ``A`` of shape ``(M, K, T)``.
+        Unary input spike tensor ``A`` of shape ``(M, K, T)`` (any non-zero
+        entry is a spike), or ``A`` already packed as a
+        :class:`~repro.sparse.packed.PackedSpikeMatrix`.
     weights:
         Weight matrix ``B`` of shape ``(K, N)``.
 
-    The instance is read-only: one evaluation may be shared by many
-    simulators, so every derived array is marked non-writeable as it is
-    computed, and the workload cache additionally marks the generated
-    ``spikes`` / ``weights`` tensors non-writeable.
+    ``A`` is held only as its packed words: a dense tensor is packed on
+    construction and not referenced afterwards, and :attr:`spikes` unpacks
+    a read-only copy on demand.  The instance is read-only: one evaluation
+    may be shared by many simulators, so every derived array is marked
+    non-writeable as it is computed, and the workload cache additionally
+    marks the generated ``weights`` non-writeable.
     """
 
     def __init__(self, spikes, weights):
@@ -148,30 +154,41 @@ class LayerEvaluation:
         # DeferredArray handles (shape/dtype known, bytes not yet decoded):
         # on the statistics-warm path every consumer reads the pre-seeded
         # derived arrays, so the dense tensors often never materialise.
-        if not isinstance(spikes, DeferredArray):
+        if not isinstance(spikes, (DeferredArray, PackedSpikeMatrix)):
             spikes = np.asarray(spikes)
         if not isinstance(weights, DeferredArray):
             weights = np.asarray(weights)
-        if spikes.ndim != 3 or weights.ndim != 2:
+        shape = tuple(int(dim) for dim in spikes.shape)
+        if len(shape) != 3 or weights.ndim != 2:
             raise ValueError("expected spikes (M, K, T) and weights (K, N)")
-        if spikes.shape[1] != weights.shape[0]:
+        if shape[1] != weights.shape[0]:
             raise ValueError("contraction dimension mismatch")
-        self._spikes = spikes
+        self._shape = shape
         self._weights = weights
         self._output_spikes: dict[tuple, np.ndarray] = {}
         self._compressions: dict[tuple, object] = {}
         self._preprocessed: dict[int, "LayerEvaluation"] = {}
-        #: Hydration payloads of preprocessed children not yet rebuilt --
-        #: rebuilding masks a copy of the dense spikes, so a hydrated entry
-        #: defers it until :meth:`preprocessed` is actually called.
+        #: Hydration payloads of preprocessed children not yet rebuilt: a
+        #: hydrated entry defers each until :meth:`preprocessed` is called.
         self._pending_preprocessed: dict[int, tuple] = {}
+        if isinstance(spikes, PackedSpikeMatrix):
+            self._dense = None
+            self.__dict__["packed"] = spikes
+            self.__dict__["packed_words"] = _readonly(spikes.words)
+        else:
+            #: The dense ``A`` until :attr:`packed_words` packs and drops it.
+            self._dense = spikes
+            if not isinstance(spikes, DeferredArray):
+                self.packed_words  # pack now; the dense tensor is released
 
     @property
     def spikes(self) -> np.ndarray:
-        """Input spike tensor ``A`` (materialised on first access)."""
-        if isinstance(self._spikes, DeferredArray):
-            self._spikes = self._spikes.materialise()
-        return self._spikes
+        """Input spike tensor ``A``, unpacked from :attr:`packed_words`.
+
+        A read-only 0/1 uint8 copy, rebuilt on every access and never
+        cached: the words stay the only resident form of ``A``.
+        """
+        return _readonly(unpack_spike_words(self.packed_words, self.t))
 
     @property
     def weights(self) -> np.ndarray:
@@ -182,16 +199,16 @@ class LayerEvaluation:
 
     @property
     def tensors(self) -> tuple:
-        """The ``(spikes, weights)`` pair *without* forcing materialisation.
+        """The ``(packed A, weights)`` pair *without* unpacking or decoding.
 
         For callers that forward the tensors positionally alongside the
         evaluation itself (``SimulatorBase.simulate_workload``): every
         simulator reads the evaluation when one is passed, so handing over
-        still-deferred handles keeps the statistics-warm path free of the
-        dense-tensor decode.  The handles are accepted back by
-        ``LayerEvaluation(...)`` should a consumer rebuild one.
+        the packed matrix and a possibly still-deferred weight handle keeps
+        every simulator free of a dense unpack per layer.  Both are accepted
+        back by ``LayerEvaluation(...)`` should a consumer rebuild one.
         """
-        return self._spikes, self._weights
+        return self.packed, self._weights
 
     # ------------------------------------------------------------------ #
     # Dimensions
@@ -199,17 +216,17 @@ class LayerEvaluation:
     @property
     def m(self) -> int:
         """Number of rows of ``A`` (output spatial positions)."""
-        return self._spikes.shape[0]
+        return self._shape[0]
 
     @property
     def k(self) -> int:
         """Contraction dimension."""
-        return self._spikes.shape[1]
+        return self._shape[1]
 
     @property
     def t(self) -> int:
         """Number of timesteps."""
-        return self._spikes.shape[2]
+        return self._shape[2]
 
     @property
     def n(self) -> int:
@@ -221,25 +238,30 @@ class LayerEvaluation:
     # ------------------------------------------------------------------ #
     @cached_property
     def packed_words(self) -> np.ndarray:
-        """``(M, K)`` int64 matrix of packed ``T``-bit spike words."""
-        return _readonly(pack_spike_words(self.spikes))
+        """``(M, K)`` matrix of packed ``T``-bit spike words, the resident ``A``.
+
+        uint8 for ``T <= 8``, int64 otherwise.  Packing releases the dense
+        tensor (or its deferred handle), so it is never held beside the words.
+        """
+        dense = self._dense
+        if isinstance(dense, DeferredArray):
+            dense = dense.materialise()
+        self._dense = None
+        return _readonly(pack_spike_words(dense))
 
     @cached_property
     def packed(self) -> PackedSpikeMatrix:
         """``A`` compressed into the FTP-friendly packed-temporal format."""
-        return PackedSpikeMatrix(
-            words=self.packed_words, nonsilent=self.nonsilent, shape=(self.m, self.k, self.t)
-        )
+        return PackedSpikeMatrix(words=self.packed_words, shape=self._shape)
 
-    @cached_property
+    @property
     def nonsilent(self) -> np.ndarray:
         """Boolean ``(M, K)`` mask of neurons firing at least once.
 
-        Derived from the packed words (a neuron is silent exactly when its
-        packed word is zero), so the dense tensor is scanned only once for
-        both the compression and the mask.
+        The packed matrix's mask (derived once from the words: a neuron is
+        silent exactly when its packed word is zero).
         """
-        return _readonly(self.packed_words != 0)
+        return self.packed.nonsilent
 
     @cached_property
     def nnz_weights(self) -> int:
@@ -259,9 +281,10 @@ class LayerEvaluation:
     @cached_property
     def spike_density(self) -> float:
         """Fraction of non-zero entries in ``A``."""
-        if self.spikes.size == 0:
+        size = self.m * self.k * self.t
+        if size == 0:
             return 0.0
-        return float(np.count_nonzero(self.spikes) / self.spikes.size)
+        return float(self.nnz_spikes / size)
 
     # ------------------------------------------------------------------ #
     # Inner-join statistics
@@ -326,24 +349,32 @@ class LayerEvaluation:
         """Non-zero weights per row of ``B``, shape ``(K,)`` (int64)."""
         return _readonly(np.count_nonzero(self.weights, axis=1).astype(np.int64, copy=False))
 
+    def _bit_planes(self, bound: int | None) -> np.ndarray:
+        """``A`` as ``(M, T, K)`` 0/1 planes in the GEMM dtype ``bound`` selects.
+
+        Unpacked straight from the packed words into the GEMM operand's
+        layout and dtype: no dense ``(M, K, T)`` tensor, no transpose copy.
+        The planes are a per-call temporary, never cached.
+        """
+        return unpack_spike_words(self.packed_words, self.t, dtype=gemm_dtype(bound), axis=1)
+
     @cached_property
     def _spike_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-``(m, t)`` and per-``(k, t)`` spike sums of the dense tensor.
+        """Per-``(m, t)`` and per-``(k, t)`` spike sums of ``A``.
 
-        Both are GEMMs over one ``(M, K*T)`` view of ``A`` -- against a
-        stacked ``(K*T, T)`` identity for the rows, a ones vector for the
-        columns -- because numpy's integer reductions over the short
-        ``T`` axis are several times slower.
+        Both are matrix-vector products over the ``(M, T, K)`` bit planes --
+        with a ones vector over ``k`` for the rows, over ``m`` for the
+        columns -- because numpy's integer reductions are several times
+        slower.  A spike is 0 or 1, so ``K`` (rows) and ``M`` (columns)
+        bound every sum; one dtype covering both serves the two products.
         """
         m, k, t = self.m, self.k, self.t
-        dense = self.spikes.reshape(m, k * t)
-        selector = np.tile(np.eye(t, dtype=np.uint8), (k, 1))
-        rows = exact_matmul(dense, selector, _product_bound(k, dense))
-        ones = np.ones(m, dtype=np.uint8)
-        columns = exact_matmul(ones, dense, _product_bound(m, dense))
+        planes = self._bit_planes(max(k, m))
+        rows = exact_matmul(planes, np.ones(k, dtype=np.uint8), k)
+        columns = exact_matmul(np.ones(m, dtype=np.uint8), planes.reshape(m, t * k), m)
         return (
             _readonly(rows.astype(np.int64)),
-            _readonly(columns.reshape(k, t).astype(np.int64)),
+            _readonly(columns.reshape(t, k).T.astype(np.int64, order="C")),
         )
 
     @cached_property
@@ -385,14 +416,16 @@ class LayerEvaluation:
         """Full-sum tensor ``O`` of shape ``(M, N, T)`` (float64, exact).
 
         One contraction over ``k`` for all timesteps at once, with the
-        spikes laid out as one ``(M*T, K)`` matrix.  ``K * max|A| * max|B|``
-        bounds every partial sum; with unary spikes and 8-bit weights that
-        is ``K * 128``, below ``2**24`` for every ``K < 131072``, so the GEMM
-        runs in float32 and is still bit-identical to a per-timestep float64
-        GEMM loop.  Larger bounds fall back to float64.
+        spikes' bit planes laid out as one ``(M*T, K)`` matrix.
+        ``K * max|A| * max|B|`` bounds every partial sum; with unary spikes
+        and 8-bit weights that is ``K * 128``, below ``2**24`` for every
+        ``K < 131072``, so the GEMM runs in float32 and is still
+        bit-identical to a per-timestep float64 GEMM loop.  Larger bounds
+        fall back to float64.
         """
-        bound = _product_bound(self.k, self.spikes, self.weights)
-        sums = exact_matmul(self.spikes.transpose(0, 2, 1), self.weights, bound)  # (M, T, N)
+        spike_bound = 1 if self.nnz_spikes else 0
+        bound = _product_bound(self.k * spike_bound, self.weights)
+        sums = exact_matmul(self._bit_planes(bound), self.weights, bound)  # (M, T, N)
         return _readonly(sums.transpose(0, 2, 1))
 
     def output_spikes(self, params: LIFParameters | None = None) -> np.ndarray:
@@ -445,22 +478,24 @@ class LayerEvaluation:
         """
         derived = self._preprocessed.get(max_spikes)
         if derived is None:
-            # Same semantics as sparse.matrix.mask_low_activity_neurons, but
-            # reusing the already-computed per-neuron spike counts.
-            counts = self.spike_counts_int
-            dropped = (counts > 0) & (counts <= max_spikes)
-            masked = self.spikes.copy()
-            masked[dropped] = 0
+            prefix = "pre%d_" % max_spikes
+            pending = self._pending_preprocessed.pop(max_spikes, None)
+            if pending is not None and "packed_words" in pending[1].get("derived", ()):
+                words = pending[0][prefix + "d_packed_words"]
+            else:
+                # Same semantics as sparse.matrix.mask_low_activity_neurons:
+                # masking a neuron zeroes exactly its packed word, so the
+                # child is built from the parent's words and spike counts.
+                counts = self.spike_counts_int
+                dropped = (counts > 0) & (counts <= max_spikes)
+                words = np.where(dropped, 0, self.packed_words)
             # The weights hand over as-is (possibly still deferred): the
             # child's cost models read its derived statistics, not ``B``.
-            derived = LayerEvaluation(masked, self._weights)
-            # Masking a neuron zeroes exactly its packed word, so the
-            # derived packed words need no second scan of the dense tensor.
-            derived.packed_words = np.where(dropped, 0, self.packed_words)
+            packed = PackedSpikeMatrix(words=words, shape=self._shape)
+            derived = LayerEvaluation(packed, self._weights)
             self._preprocessed[max_spikes] = derived
-            pending = self._pending_preprocessed.pop(max_spikes, None)
             if pending is not None:
-                derived._hydrate_derived(pending[0], pending[1], prefix="pre%d_" % max_spikes)
+                derived._hydrate_derived(pending[0], pending[1], prefix=prefix)
             # Same weights, same per-row counts: share the parent's array
             # if it has one.  Computing it here would add an artifact to
             # the parent's stored entry that no simulator asked for.
@@ -491,6 +526,8 @@ class LayerEvaluation:
         # re-publishing a hydrated entry cannot drop its stored children.
         for max_spikes in sorted(self._pending_preprocessed):
             self.preprocessed(max_spikes)
+        # The stored form keeps the dense 0/1 ``spikes`` (the serde
+        # bit-packs it), unpacked here from the resident words.
         arrays: dict[str, np.ndarray] = {"spikes": self.spikes, "weights": self.weights}
         meta: dict = {"schema": 2}
         self._dehydrate_derived(arrays, meta, prefix="")
@@ -571,16 +608,19 @@ class LayerEvaluation:
         """
         spikes = arrays["spikes"]
         weights = arrays["weights"]
-        if isinstance(spikes, np.ndarray):
-            spikes.setflags(write=False)
         if isinstance(weights, np.ndarray):
             weights.setflags(write=False)
+        if "packed_words" in meta.get("derived", ()):
+            # The stored words are the resident form: the dense tensor
+            # (usually still a deferred handle) is never decoded.
+            words = arrays["d_packed_words"]
+            spikes = PackedSpikeMatrix(words=words, shape=spikes.shape)
         evaluation = cls(spikes, weights)
         evaluation._hydrate_derived(arrays, meta, prefix="")
         for key, child_meta in (meta.get("preprocessed") or {}).items():
-            # Rebuilding a child masks a copy of the dense spikes -- defer
-            # it until preprocessed() is actually called, so an enriched
-            # hit consumed without preprocessing never decodes the tensors.
+            # Rebuild a child only when preprocessed() is actually called,
+            # so an enriched hit consumed without preprocessing never
+            # builds it.
             # Torn containers must still surface *here* as corruption (the
             # tiers turn that into a clean miss), so the member presence is
             # validated up front even though the rebuild is deferred.
@@ -613,9 +653,7 @@ class LayerEvaluation:
             self._output_spikes[(threshold, leak)] = _readonly(arrays[prefix + "lif%d" % index])
         for index, record in enumerate(meta.get("compressions", ())):
             words = _readonly(arrays[prefix + "comp%d" % index])
-            packed = PackedSpikeMatrix(
-                words=words, nonsilent=words != 0, shape=tuple(record["shape"])
-            )
+            packed = PackedSpikeMatrix(words=words, shape=tuple(record["shape"]))
             self._compressions[tuple(record["key"])] = CompressorResult(
                 packed=packed,
                 cycles=record["cycles"],

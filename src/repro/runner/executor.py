@@ -13,15 +13,17 @@ in three steps:
    depends on the LRU holding more than the current layer (a ``maxsize=1``
    cache still gets full cross-simulator sharing), which bounds peak cache
    residency on very large networks.
-3. **Execute** -- serially in-process, or across a ``multiprocessing`` pool
-   (``workers >= 2``).  The runner owns a **stack of lower cache tiers**
-   (the on-disk tier from ``cache_dir`` above the network-addressed remote
-   tier from ``cache_url``): the serial path passes
-   the stack per evaluation, worker processes reattach equivalent backends
-   from picklable specs after ``fork``/``spawn`` (live backends hold locks
-   and sockets and must not cross process boundaries), and after every layer
-   the executor flushes the cache's write-backs so the stored entries carry
-   the derived statistics the simulators just computed.
+3. **Execute** -- serially in-process in plan order, or across a
+   ``multiprocessing`` pool (``workers >= 2``) that is handed the partitions
+   longest first (by :func:`_partition_cost`), so the largest network does
+   not start last and set the critical path alone.  The runner owns a
+   **stack of lower cache tiers** (the on-disk tier from ``cache_dir``
+   above the network-addressed remote tier from ``cache_url``): the serial
+   path passes the stack per evaluation, worker processes reattach
+   equivalent backends from picklable specs after ``fork``/``spawn`` (live
+   backends hold locks and sockets and must not cross process boundaries),
+   and after every layer the executor flushes the cache's write-backs so the
+   stored entries carry the derived statistics the simulators just computed.
 
 Execution is **incremental**: :meth:`SweepRunner.iter_partitions` yields each
 partition's results the moment they are available (in plan order serially,
@@ -158,6 +160,13 @@ def _execute_partition(
     return [results[0] for results in per_cell]
 
 
+def _partition_cost(cells: Sequence[SweepCell]) -> int:
+    """Work estimate of one partition: ``m * k * n * t`` summed over its layers."""
+    workload = cells[0].workload.build()
+    layers = workload.layers if isinstance(workload, NetworkWorkload) else [workload]
+    return sum(layer.shape.m * layer.shape.k * layer.shape.n * layer.shape.t for layer in layers)
+
+
 def _pool_task(payload) -> tuple[int, list[SimulationResult]]:
     """Worker-process entry point: reattach the tier stack, run one partition."""
     ordinal, cells, backend_specs = payload
@@ -289,6 +298,9 @@ class SweepRunner:
             (ordinal, tuple(plan.cells[i] for i in indices), specs)
             for ordinal, indices in enumerate(partitions)
         ]
+        # Longest first: the pool hands tasks out in submission order.  The
+        # sort is stable, so equal estimates keep plan order.
+        payloads.sort(key=lambda payload: -_partition_cost(payload[1]))
         processes = min(self.workers, len(payloads))
         with context.Pool(processes=processes) as pool:
             for ordinal, results in pool.imap_unordered(_pool_task, payloads):

@@ -47,14 +47,17 @@ def random_weight_matrix(
 
     Non-zero weights are drawn uniformly from the signed range implied by
     ``weight_bits`` (excluding zero so the realised sparsity matches the
-    request exactly in expectation).
+    request exactly in expectation).  The draw is always int32, which fixes
+    the random stream; the matrix is then held in the narrowest signed
+    dtype covering the range (int8 for 8-bit weights).
     """
     if not 0.0 <= weight_sparsity <= 1.0:
         raise ValueError("weight_sparsity must lie in [0, 1]")
     rng = np.random.default_rng() if rng is None else rng
     lo = -(2 ** (weight_bits - 1))
     hi = 2 ** (weight_bits - 1) - 1
-    weights = rng.integers(lo, hi + 1, size=(k, n), dtype=np.int32)
+    dtype = np.int8 if weight_bits <= 8 else np.int16 if weight_bits <= 16 else np.int32
+    weights = rng.integers(lo, hi + 1, size=(k, n), dtype=np.int32).astype(dtype)
     weights[weights == 0] = 1
     mask = rng.random((k, n)) < weight_sparsity
     weights[mask] = 0

@@ -13,11 +13,11 @@ rather than with the per-timestep spike sparsity, and memory accesses along
 the temporal dimension are contiguous -- exactly what the fully
 temporal-parallel dataflow needs.
 
-The matrix is stored array-backed (one ``(M, K)`` word matrix plus the
-non-silent mask): construction, spike accounting and the aggregate storage
-footprint are fully vectorised / O(1), and the per-row :class:`Fiber`
-objects -- needed only by the fiber-level units such as the inner join --
-are materialised lazily on first access.
+The matrix is stored array-backed (one ``(M, K)`` word matrix; the
+non-silent mask is derived from it on first use): construction, spike
+accounting and the aggregate storage footprint are fully vectorised / O(1),
+and the per-row :class:`Fiber` objects -- needed only by the fiber-level
+units such as the inner join -- are materialised lazily on first access.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fiber import Fiber
-from .matrix import silent_neuron_mask
 
 __all__ = [
     "pack_spike_words",
@@ -82,11 +81,30 @@ def pack_spike_words(spikes: np.ndarray) -> np.ndarray:
     return words
 
 
-def unpack_spike_words(words: np.ndarray, timesteps: int) -> np.ndarray:
-    """Inverse of :func:`pack_spike_words`; returns an ``... x T`` uint8 array."""
-    words = np.asarray(words, dtype=np.int64)
-    shifts = np.arange(timesteps, dtype=np.int64)
-    return ((words[..., None] >> shifts) & 1).astype(np.uint8)
+def unpack_spike_words(
+    words: np.ndarray, timesteps: int, dtype=np.uint8, axis: int = -1
+) -> np.ndarray:
+    """Inverse of :func:`pack_spike_words`: the 0/1 bit planes of ``words``.
+
+    Bit ``t`` of every word lands at index ``t`` of a new ``axis`` of the
+    result (the trailing one by default, giving the ``... x T`` spike
+    array).  Each plane is shifted out in the words' own dtype -- uint8
+    words are never widened -- and written straight into the ``dtype``
+    output, so the engine can build its float GEMM operands from the words
+    without an intermediate dense tensor.
+    """
+    words = np.asarray(words)
+    if words.dtype.kind not in "iu":
+        words = words.astype(np.int64)
+    shape = list(words.shape)
+    shape.insert(axis % (words.ndim + 1), timesteps)
+    out = np.empty(shape, dtype=dtype)
+    planes = np.moveaxis(out, axis, 0)
+    shifted = np.empty_like(words)
+    for t in range(timesteps):
+        np.right_shift(words, t, out=shifted)
+        np.bitwise_and(shifted, 1, out=planes[t, ...], casting="unsafe")
+    return out
 
 
 @dataclass
@@ -99,15 +117,13 @@ class PackedSpikeMatrix:
         ``(M, K)`` integer matrix of packed ``T``-bit spike words (zero for
         silent neurons, which are not stored; uint8 for ``T <= 8``, int64
         otherwise).
-    nonsilent:
-        Boolean ``(M, K)`` mask of non-silent neurons (the fiber bitmasks).
     shape:
         Original dense shape ``(M, K, T)``.
     """
 
     words: np.ndarray
-    nonsilent: np.ndarray
     shape: tuple[int, int, int]
+    _nonsilent: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _fibers: list[Fiber] | None = field(default=None, init=False, repr=False, compare=False)
     _nnz: int | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -117,14 +133,23 @@ class PackedSpikeMatrix:
         spikes = np.asarray(spikes)
         if spikes.ndim != 3:
             raise ValueError("expected an M x K x T spike tensor")
-        m, k, t = spikes.shape
-        words = pack_spike_words(spikes)
-        nonsilent = ~silent_neuron_mask(spikes)
-        return cls(words=words, nonsilent=nonsilent, shape=(m, k, t))
+        return cls(words=pack_spike_words(spikes), shape=spikes.shape)
 
     # ------------------------------------------------------------------ #
     # Properties
     # ------------------------------------------------------------------ #
+    @property
+    def nonsilent(self) -> np.ndarray:
+        """Boolean ``(M, K)`` mask of non-silent neurons (the fiber bitmasks).
+
+        A neuron is silent exactly when its packed word is zero; the
+        read-only mask is derived on first access.
+        """
+        if self._nonsilent is None:
+            self._nonsilent = self.words != 0
+            self._nonsilent.setflags(write=False)
+        return self._nonsilent
+
     @property
     def timesteps(self) -> int:
         """Number of timesteps packed into each stored word."""

@@ -21,6 +21,7 @@ import pytest
 from repro.core import LoASSimulator
 from repro.engine import (
     DiskEvaluationCache,
+    LayerEvaluation,
     MemoryBackend,
     RemoteBackend,
     TieredCache,
@@ -29,7 +30,7 @@ from repro.engine import (
 )
 from repro.engine.backend import CacheEntry, pack_entry, unpack_entry
 from repro.engine.cache import generator_fingerprint, workload_fingerprint
-from repro.engine.serde import encode_state, pack_payload
+from repro.engine.serde import encode_state, pack_payload, unpack_payload
 from repro.engine.server import EvaluationCacheServer
 from repro.snn.network import LayerShape
 from repro.snn.workloads import LayerWorkload, SparsityProfile
@@ -112,6 +113,58 @@ class TestDehydration:
         fresh = evaluation.derived_signature()
         evaluation.statistics
         assert evaluation.derived_signature() != fresh
+
+
+def stored_record(data: bytes, name: str) -> dict:
+    """The container header's record for array ``name``."""
+    from repro.engine.serde import _HEADER_LENGTH, _MAGIC
+
+    (length,) = _HEADER_LENGTH.unpack_from(data, len(_MAGIC))
+    start = len(_MAGIC) + _HEADER_LENGTH.size
+    header = json.loads(data[start : start + length].decode("utf-8"))
+    return next(record for record in header["arrays"] if record["name"] == name)
+
+
+class TestWeightStorage:
+    """int8 weights round-trip verbatim; entries from int32 weights still load."""
+
+    def test_int8_weights_are_stored_verbatim(self, tiny_workload):
+        cache = WorkloadEvaluationCache()
+        evaluation, _ = consumed_evaluation(cache, tiny_workload)
+        assert evaluation.weights.dtype == np.int8
+        data = pack_entry(CacheEntry(evaluation, np.random.default_rng(0).bit_generator.state))
+        record = stored_record(data, "weights")
+        assert record["dtype"] == "|i1" and "stored" not in record
+        assert record["nbytes"] == evaluation.weights.size
+        hydrated = unpack_entry(data).evaluation
+        assert hydrated.weights.dtype == np.int8
+        assert np.array_equal(hydrated.weights, evaluation.weights)
+
+    def test_extreme_int8_values_survive_the_serde(self):
+        weights = np.array([[-128, 127, 0], [1, -1, -128]], dtype=np.int8)
+        arrays, _ = unpack_payload(pack_payload({"weights": weights}, {}))
+        assert arrays["weights"].dtype == np.int8
+        assert np.array_equal(arrays["weights"], weights)
+
+    @pytest.mark.parametrize("consumed", (False, True), ids=("tensor-only", "enriched"))
+    def test_int32_weight_entries_hydrate_with_equal_values(self, tiny_workload, consumed):
+        cache = WorkloadEvaluationCache()
+        evaluation, reference = consumed_evaluation(cache, tiny_workload)
+        # An entry written before weights were narrowed: same values as int32.
+        legacy = LayerEvaluation(evaluation.spikes, evaluation.weights.astype(np.int32))
+        if consumed:
+            LoASSimulator().simulate_workload(tiny_workload, evaluation=legacy)
+            LoASSimulator().simulate_workload(tiny_workload, evaluation=legacy, preprocess=True)
+        data = pack_entry(CacheEntry(legacy, np.random.default_rng(0).bit_generator.state))
+        record = stored_record(data, "weights")
+        assert record["dtype"] == "<i4" and record["stored"] == "|i1"
+        hydrated = unpack_entry(data).evaluation
+        assert hydrated.weights.dtype == np.int32
+        assert np.array_equal(hydrated.weights, evaluation.weights)
+        result = LoASSimulator().simulate_workload(tiny_workload, evaluation=hydrated)
+        assert_simulations_identical(result, reference)
+        child = hydrated.preprocessed(1)
+        assert np.array_equal(child.full_sums, evaluation.preprocessed(1).full_sums)
 
 
 # --------------------------------------------------------------------- #

@@ -16,6 +16,9 @@ Three families of guarantees are asserted here:
    accumulation minus per-timestep corrections) reproduces the engine's
    full sums, matches and true accumulations for every output neuron,
    and, summed over a layer, LoAS's accumulation counts and compute cycles.
+4. **Packed residency** -- an evaluation keeps ``A`` only as packed words
+   and 8-bit weights as int8, and every quantity still equals the dense
+   references, including at the int8 extreme ``-128``.
 """
 
 import numpy as np
@@ -32,12 +35,16 @@ from repro.baselines import (
 )
 from repro.baselines.stellar import StellarSimulator
 from repro.core import InnerJoinUnit, LoASConfig, LoASSimulator
+from repro.api import Session
 from repro.engine import (
     LayerEvaluation,
     WorkloadEvaluationCache,
+    clear_default_cache,
     default_cache,
     workload_fingerprint,
 )
+from repro.engine.serde import pack_payload, unpack_payload
+from repro.snn.layers import spmspm_reference
 from repro.snn.lif import lif_fire
 from repro.snn.network import LayerShape
 from repro.snn.workloads import LayerWorkload, SparsityProfile, get_layer_workload
@@ -107,6 +114,24 @@ def reference_statistics(spikes, weights):
     }
 
 
+def assert_statistics_match(evaluation, spikes, weights):
+    """Every ``statistics`` field equals the loop reference over dense ``A``."""
+    ref = reference_statistics(spikes, weights)
+    stats = evaluation.statistics
+    assert stats.nnz_weights == ref["nnz_weights"]
+    assert stats.nnz_spikes == ref["nnz_spikes"]
+    assert stats.nonsilent_neurons == ref["nonsilent_neurons"]
+    assert np.array_equal(stats.matches, ref["matches"])
+    assert np.array_equal(stats.true_acs, ref["true_acs"])
+    assert np.array_equal(stats.true_acs_per_t, ref["true_acs_per_t"])
+    assert np.array_equal(stats.active_columns_per_t, ref["active_columns_per_t"])
+    assert np.array_equal(stats.weight_row_nnz, ref["weight_row_nnz"])
+    assert np.array_equal(stats.spikes_per_row_t, ref["spikes_per_row_t"])
+    assert np.array_equal(stats.spikes_per_column_t, ref["spikes_per_column_t"])
+    assert np.array_equal(stats.active_column_mask, ref["active_column_mask"])
+    assert evaluation.true_accumulations == ref["true_accumulations"]
+
+
 def assert_results_identical(a, b):
     """Field-by-field bit-exact comparison of two SimulationResults."""
     assert a.accelerator == b.accelerator
@@ -143,21 +168,7 @@ class TestStatisticsEquivalence:
 
     def test_statistics_bit_identical_to_loop_reference(self, layer_pair):
         spikes, weights = layer_pair
-        evaluation = LayerEvaluation(spikes, weights)
-        ref = reference_statistics(spikes, weights)
-        stats = evaluation.statistics
-        assert stats.nnz_weights == ref["nnz_weights"]
-        assert stats.nnz_spikes == ref["nnz_spikes"]
-        assert stats.nonsilent_neurons == ref["nonsilent_neurons"]
-        assert np.array_equal(stats.matches, ref["matches"])
-        assert np.array_equal(stats.true_acs, ref["true_acs"])
-        assert np.array_equal(stats.true_acs_per_t, ref["true_acs_per_t"])
-        assert np.array_equal(stats.active_columns_per_t, ref["active_columns_per_t"])
-        assert np.array_equal(stats.weight_row_nnz, ref["weight_row_nnz"])
-        assert np.array_equal(stats.spikes_per_row_t, ref["spikes_per_row_t"])
-        assert np.array_equal(stats.spikes_per_column_t, ref["spikes_per_column_t"])
-        assert np.array_equal(stats.active_column_mask, ref["active_column_mask"])
-        assert evaluation.true_accumulations == ref["true_accumulations"]
+        assert_statistics_match(LayerEvaluation(spikes, weights), spikes, weights)
 
     def test_preprocessed_matches_masking_helper(self, layer_pair):
         spikes, weights = layer_pair
@@ -350,6 +361,140 @@ class TestResidentSet:
         assert float_kn_arrays(evaluation) == []
         assert float_kn_arrays(child) == []
         assert child.weight_row_nnz is evaluation.weight_row_nnz
+
+    def test_networks_run_keeps_packed_spikes_and_int8_weights_only(self):
+        clear_default_cache()
+        Session().run("networks", scale=0.05, seed=1)
+        entries = list(default_cache().memory_backend._entries.values())
+        assert entries
+        children = 0
+        for entry in entries:
+            evaluation = entry.evaluation
+            for resident in (evaluation, *evaluation._preprocessed.values()):
+                assert "packed_words" in vars(resident)
+                assert dense_shaped_arrays(resident) == []
+                assert resident.weights.dtype == np.int8
+            children += len(evaluation._preprocessed)
+        assert children  # the LoAS-FT cells built preprocessed children
+        clear_default_cache()
+
+
+def dense_shaped_arrays(evaluation):
+    """Reachable arrays of the evaluation's dense ``(M, K, T)`` shape (A's form).
+
+    The ``(M, N, T)`` full sums and LIF outputs are skipped: with ``K == N``
+    they share that shape without being ``A``.
+    """
+    shape = (evaluation.m, evaluation.k, evaluation.t)
+    outputs = ("full_sums", "_output_spikes")
+    pending = [value for name, value in vars(evaluation).items() if name not in outputs]
+    found, seen = [], set()
+    while pending:
+        value = pending.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            if value.shape == shape:
+                found.append(value)
+        elif isinstance(value, dict):
+            pending.extend(value.values())
+        elif isinstance(value, (list, tuple)):
+            pending.extend(value)
+        elif hasattr(value, "__dict__") and not isinstance(value, (type, LayerEvaluation)):
+            pending.extend(vars(value).values())
+    return found
+
+
+def assert_matches_dense_reference(evaluation, spikes, weights):
+    """Packed-resident ``evaluation`` equals the dense references over ``spikes``."""
+    assert np.array_equal(evaluation.spikes, spikes)
+    assert evaluation.spikes.dtype == np.uint8
+    assert not evaluation.spikes.flags.writeable
+    assert evaluation.spikes is not evaluation.spikes  # unpacked per access
+    assert_statistics_match(evaluation, spikes, weights)
+    full_sums = reference_full_sums(spikes, weights)
+    assert np.array_equal(evaluation.full_sums, full_sums)
+    assert np.array_equal(evaluation.output_spikes(), lif_fire(full_sums))
+    assert evaluation.spike_density == np.count_nonzero(spikes) / spikes.size
+    assert dense_shaped_arrays(evaluation) == []
+
+
+class TestPackedResidentEquivalence:
+    """Packed words are the only resident ``A``; nothing observable moves."""
+
+    # T = 8 is the last uint8 word, T = 9 the first int64 one.  K > N keeps
+    # the (M, N, T) outputs a hydrated entry carries apart from A's shape.
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.integers(1, 6),
+        k=st.integers(6, 30),
+        n=st.integers(1, 5),
+        t=st.integers(1, 12),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=4, k=20, n=3, t=8, density=0.3, seed=0)
+    @example(m=4, k=20, n=3, t=9, density=0.3, seed=1)
+    def test_dense_references_child_and_round_trip(self, m, k, n, t, density, seed):
+        rng = np.random.default_rng(seed)
+        spikes = (rng.random((m, k, t)) < density).astype(np.uint8)
+        weights = random_weight_matrix(k, n, 0.5, rng=rng)
+        evaluation = LayerEvaluation(spikes, weights)
+        assert evaluation.packed_words.dtype == (np.uint8 if t <= 8 else np.int64)
+        assert_matches_dense_reference(evaluation, spikes, weights)
+        masked = mask_low_activity_neurons(spikes, max_spikes=1)
+        assert_matches_dense_reference(evaluation.preprocessed(1), masked, weights)
+
+        arrays, meta = evaluation.dehydrate()
+        assert np.array_equal(arrays["spikes"], spikes)  # the stored form is unchanged
+        hydrated = LayerEvaluation.hydrate(
+            *unpack_payload(pack_payload(arrays, meta), defer={"spikes", "weights"})
+        )
+        assert np.array_equal(hydrated.packed_words, evaluation.packed_words)
+        assert_matches_dense_reference(hydrated, spikes, weights)
+        assert_matches_dense_reference(hydrated.preprocessed(1), masked, weights)
+
+
+class TestInt8Weights:
+    """8-bit weights are held as int8; ``-128`` must not wrap anywhere."""
+
+    def test_generated_weights_are_int8_with_the_int32_stream(self):
+        weights = random_weight_matrix(64, 32, 0.5, rng=np.random.default_rng(5))
+        assert weights.dtype == np.int8
+        rng = np.random.default_rng(5)
+        wide = rng.integers(-128, 128, size=(64, 32), dtype=np.int32)
+        wide[wide == 0] = 1
+        wide[rng.random((64, 32)) < 0.5] = 0
+        assert np.array_equal(weights, wide)
+        assert random_weight_matrix(4, 4, 0.5, weight_bits=12).dtype == np.int16
+        assert random_weight_matrix(4, 4, 0.5, weight_bits=20).dtype == np.int32
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        k=st.integers(1, 300),
+        n=st.integers(1, 4),
+        t=st.sampled_from((1, 4, 8, 9)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=2, k=300, n=2, t=4, seed=0)
+    def test_minimum_weights_match_every_oracle(self, m, k, n, t, seed):
+        rng = np.random.default_rng(seed)
+        spikes = random_spike_tensor(m, k, t, 0.5, silent_fraction=0.3, rng=rng)
+        spikes[0] = 1  # one row fires everywhere: its sums reach -128 * k
+        weights = random_weight_matrix(k, n, 0.3, rng=rng)
+        weights[rng.random((k, n)) < 0.5] = -128
+        weights[:, 0] = -128
+        evaluation = LayerEvaluation(spikes, weights)
+        full_sums = spmspm_reference(spikes, weights)
+        assert full_sums[0, 0, 0] == -128 * k
+        assert np.array_equal(evaluation.full_sums, full_sums)
+        assert np.array_equal(evaluation.full_sums, reference_full_sums(spikes, weights))
+        assert_statistics_match(evaluation, spikes, weights)
+        if m * n * k <= 600:
+            assert_inner_join_oracle(evaluation)
+            assert_inner_join_oracle(evaluation.preprocessed())
 
 
 class TestSimulatorEquivalence:

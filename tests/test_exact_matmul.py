@@ -15,6 +15,7 @@ from repro.baselines.ann import generate_ann_activations
 from repro.engine import AnnLayerEvaluation, LayerEvaluation
 from repro.engine.evaluation import (
     FLOAT32_EXACT_LIMIT,
+    _product_bound,
     exact_matmul,
     gemm_dtype,
     integer_bound,
@@ -91,6 +92,20 @@ class TestIntegerBound:
         full_sums = LayerEvaluation(spikes, weights).full_sums
         # INT32_MIN + 1 is odd and far above 2**24: float32 would round it.
         assert full_sums[0, 0, 0] == INT32_MIN + 1
+
+    def test_int8_min_does_not_wrap(self):
+        weights = np.array([[-128, 127], [3, -1]], dtype=np.int8)
+        assert np.abs(weights).min() == -128  # np.abs wraps in int8 too
+        assert integer_bound(weights) == 128
+        assert _product_bound(300, np.ones(2, dtype=np.uint8), weights) == 300 * 128
+        assert gemm_dtype(300 * 128) is np.float32
+
+    def test_int8_min_weights_keep_full_sums_exact(self):
+        spikes = np.ones((2, 300, 3), dtype=np.uint8)
+        weights = np.full((300, 2), -128, dtype=np.int8)
+        full_sums = LayerEvaluation(spikes, weights).full_sums
+        # An int8 (or int16) accumulator would wrap long before -38400.
+        assert np.all(full_sums == -128 * 300)
 
     def test_bool_and_empty(self):
         assert integer_bound(np.array([True, False])) == 1

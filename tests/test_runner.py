@@ -516,3 +516,78 @@ class TestRunnerCacheDir:
         assert_sweeps_identical(plain, via_tier_cold)
         assert_sweeps_identical(plain, via_tier_warm)
         assert (tmp_path / "tier").exists()
+
+
+class TestPoolDispatchOrder:
+    """The pool is handed partitions longest first; results do not move."""
+
+    NETWORKS = ("alexnet", "vgg16", "resnet19")
+
+    def _plan(self):
+        from repro.experiments.sweeps import network_sweep_plan
+
+        # Two seeds per network: equal-cost partitions test the tie order.
+        return network_sweep_plan(self.NETWORKS, scale=0.05, seed=1) + network_sweep_plan(
+            self.NETWORKS, scale=0.05, seed=2
+        )
+
+    @staticmethod
+    def _cost(network):
+        layers = get_network_workload(network).scaled(0.05).layers
+        return sum(
+            layer.shape.m * layer.shape.k * layer.shape.n * layer.shape.t for layer in layers
+        )
+
+    def _inline_pool(self, monkeypatch):
+        """Replace the pool with one running tasks in-process in submission order."""
+        import multiprocessing
+        from types import SimpleNamespace
+
+        from repro.runner import executor
+
+        submitted = []
+
+        class InlinePool:
+            def __init__(self, processes):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, task, payloads):
+                for payload in payloads:
+                    submitted.append(payload[0])
+                    yield task(payload)
+
+        monkeypatch.setattr(
+            executor,
+            "multiprocessing",
+            SimpleNamespace(
+                get_all_start_methods=multiprocessing.get_all_start_methods,
+                get_context=lambda method=None: SimpleNamespace(Pool=InlinePool),
+            ),
+        )
+        return submitted
+
+    def test_pool_submits_longest_partition_first(self, monkeypatch):
+        costs = [self._cost(network) for network in self.NETWORKS]
+        assert costs[2] > costs[1] > costs[0]  # resnet19 > vgg16 > alexnet
+        submitted = self._inline_pool(monkeypatch)
+        plan = self._plan()
+        pooled = list(SweepRunner(workers=2).run(plan))
+        # Ordinals 0-2 are seed 1 and 3-5 seed 2, each in plan network order;
+        # equal costs keep plan order.
+        assert submitted == [2, 5, 1, 4, 0, 3]
+
+        serial = list(SweepRunner().run(plan))
+        assert [cell for cell, _ in pooled] == [cell for cell, _ in serial]
+        for (_, a), (_, b) in zip(pooled, serial):
+            assert_results_identical(a, b)
+
+    def test_serial_path_stays_in_plan_order(self):
+        plan = self._plan()
+        ordinals = [ordinal for ordinal, _, _ in SweepRunner().iter_partitions(plan)]
+        assert ordinals == list(range(len(plan.partitions())))

@@ -44,6 +44,40 @@ class TestPackUnpack:
         assert np.array_equal(unpack_spike_words(words, t), spikes)
 
 
+class TestUnpackWordDtypes:
+    """``unpack_spike_words`` over both word dtypes, without widening them."""
+
+    @pytest.mark.parametrize("t", (1, 5, 8, 9, 12, 33, 63))
+    def test_both_word_dtypes_round_trip(self, t):
+        spikes = np.random.default_rng(t).integers(0, 2, size=(4, 6, t), dtype=np.uint8)
+        words = pack_spike_words(spikes)
+        assert words.dtype == (np.uint8 if t <= 8 else np.int64)
+        unpacked = unpack_spike_words(words, t)
+        assert unpacked.dtype == np.uint8
+        assert np.array_equal(unpacked, spikes)
+        planes = unpack_spike_words(words, t, dtype=np.float32, axis=1)
+        assert planes.dtype == np.float32
+        assert np.array_equal(planes, spikes.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("t", (8, 12))
+    def test_peak_memory_stays_near_the_output(self, t):
+        # Widening (M, K) uint8 words to int64 and shifting a broadcast
+        # (M, K, T) int64 temporary costs ~16x the uint8 output; shifting
+        # plane by plane in the words' own dtype needs one (M, K) scratch.
+        import tracemalloc
+
+        spikes = np.random.default_rng(0).integers(0, 2, size=(200, 500, t), dtype=np.uint8)
+        words = pack_spike_words(spikes)
+        tracemalloc.start()
+        try:
+            unpacked = unpack_spike_words(words, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(unpacked, spikes)
+        assert peak < unpacked.nbytes + 2 * words.nbytes
+
+
 class TestPackMatchesReference:
     """``pack_spike_words`` equals the loop reference for every ``T``."""
 
