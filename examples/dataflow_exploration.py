@@ -67,12 +67,11 @@ def compression_argument() -> None:
     import numpy as np
 
     from repro.snn.workloads import get_layer_workload
-    from repro.sparse import PackedSpikeMatrix, csr_storage_bits_for_spikes
+    from repro.sparse import csr_storage_bits_for_spikes
 
     workload = get_layer_workload("A-L4").scaled(0.5)
-    spikes, _ = workload.generate(rng=np.random.default_rng(0))
-    packed = PackedSpikeMatrix.from_dense(spikes)
-    csr_bits = csr_storage_bits_for_spikes(spikes)
+    packed, _ = workload.generate(rng=np.random.default_rng(0))
+    csr_bits = csr_storage_bits_for_spikes(packed.to_dense())
     print("Spike compression on a half-scale A-L4 spike tensor:")
     print(f"  dense unary storage : {packed.dense_bits() / 8e3:.1f} KB")
     print(f"  per-timestep CSR    : {csr_bits / 8e3:.1f} KB")

@@ -31,7 +31,7 @@ def main() -> None:
     workload = get_layer_workload("V-L8")
     spikes, weights = workload.generate(rng=np.random.default_rng(0))
     loas = LoASSimulator()
-    spike_slice, weight_slice = spikes[:4, :256], weights[:256, :16]
+    spike_slice, weight_slice = spikes.to_dense()[:4, :256], weights[:256, :16]
     slice_output = LayerEvaluation(spike_slice, weight_slice).output_spikes(loas.lif)
     reference = lif_fire(spmspm_reference(spike_slice, weight_slice), loas.lif)
     assert np.array_equal(slice_output, reference)

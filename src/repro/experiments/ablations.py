@@ -29,11 +29,8 @@ from ..runner import (
     register_scenario,
 )
 from ..snn.workloads import TABLE2_LAYER_PROFILES, get_layer_workload
-from ..sparse.matrix import (
-    mask_low_activity_neurons,
-    random_spike_tensor,
-    silent_neuron_fraction,
-)
+from ..sparse.matrix import random_spike_words
+from ..sparse.packed import PackedSpikeMatrix, popcount
 
 __all__ = [
     "format_fig5",
@@ -118,7 +115,7 @@ def _fig16_temporal(
     for t in timesteps:
         per_timestep_fire = (1.0 - profile.silent_fraction) / 4.0
         silent_target = max(0.05, 1.0 - per_timestep_fire * t)
-        spikes = random_spike_tensor(
+        words = random_spike_words(
             base_shape.m,
             base_shape.k,
             t,
@@ -126,8 +123,9 @@ def _fig16_temporal(
             silent_fraction=silent_target,
             rng=rng,
         )
-        origin = silent_neuron_fraction(spikes)
-        finetuned = silent_neuron_fraction(mask_low_activity_neurons(spikes, max_spikes=1))
+        origin = PackedSpikeMatrix(words, (base_shape.m, base_shape.k, t)).silent_fraction
+        # The preprocessing masks every neuron firing at most once.
+        finetuned = np.count_nonzero(popcount(words) <= 1) / words.size
         if reference is None:
             reference = origin
         silent_origin[f"T={t}"] = origin / reference

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..sparse.matrix import random_spike_tensor, random_weight_matrix
+from ..sparse.matrix import random_spike_words, random_weight_matrix
+from ..sparse.packed import PackedSpikeMatrix
 from .network import (
     LayerShape,
     REPRESENTATIVE_LAYERS,
@@ -116,8 +117,12 @@ class LayerWorkload:
         self,
         rng: np.random.Generator | None = None,
         finetuned: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Generate ``(spikes A, weights B)`` tensors matching the profile.
+    ) -> tuple[PackedSpikeMatrix, np.ndarray]:
+        """Generate ``(spikes A, weights B)`` matching the profile.
+
+        ``A`` is born packed: a :class:`~repro.sparse.packed.PackedSpikeMatrix`
+        over the ``(M, K)`` words (``.to_dense()`` gives the ``M x K x T``
+        tensor); ``B`` is the ``K x N`` weight matrix.
 
         Parameters
         ----------
@@ -128,7 +133,7 @@ class LayerWorkload:
         """
         rng = np.random.default_rng() if rng is None else rng
         s = self.shape
-        spikes = random_spike_tensor(
+        words = random_spike_words(
             s.m,
             s.k,
             s.t,
@@ -139,7 +144,7 @@ class LayerWorkload:
         weights = random_weight_matrix(
             s.k, s.n, self.profile.weight_sparsity, rng=rng, weight_bits=self.weight_bits
         )
-        return spikes, weights
+        return PackedSpikeMatrix(words, (s.m, s.k, s.t)), weights
 
 
 @dataclass

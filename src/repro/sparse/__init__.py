@@ -17,6 +17,7 @@ from .matrix import (
     density,
     mask_low_activity_neurons,
     random_spike_tensor,
+    random_spike_words,
     random_weight_matrix,
     silent_neuron_fraction,
     silent_neuron_mask,
@@ -33,6 +34,7 @@ __all__ = [
     "mask_low_activity_neurons",
     "pack_spike_words",
     "random_spike_tensor",
+    "random_spike_words",
     "random_weight_matrix",
     "silent_neuron_fraction",
     "silent_neuron_mask",

@@ -174,11 +174,16 @@ class PackedSpikeMatrix:
 
     @property
     def silent_fraction(self) -> float:
-        """Fraction of neurons that are silent and therefore not stored."""
+        """Fraction of neurons that are silent and therefore not stored.
+
+        One rounded division of the silent count, so it equals
+        :func:`~repro.sparse.matrix.silent_neuron_fraction` of the dense
+        tensor bit for bit.
+        """
         total = self.num_rows * self.num_neurons
         if total == 0:
             return 0.0
-        return 1.0 - self.nnz / total
+        return (total - self.nnz) / total
 
     @property
     def fibers(self) -> list[Fiber]:

@@ -208,12 +208,12 @@ def write_v1_entry(tier: DiskEvaluationCache, workload, seed: int):
     """Publish a legacy (pre-refactor ``np.savez``) tensor-only entry."""
     rng = np.random.default_rng(seed)
     key = (workload_fingerprint(workload, False), generator_fingerprint(rng))
-    spikes, weights = workload.generate(rng=rng)
+    packed, weights = workload.generate(rng=rng)
     payload = json.dumps(encode_state(rng.bit_generator.state)).encode("utf-8")
     buffer = io.BytesIO()
     np.savez(
         buffer,
-        spikes=spikes,
+        spikes=packed.to_dense(),
         weights=weights,
         state=np.frombuffer(payload, dtype=np.uint8),
     )

@@ -43,11 +43,13 @@ from repro.engine import (
     default_cache,
     workload_fingerprint,
 )
+from repro.engine import evaluation as evaluation_module
 from repro.engine.serde import pack_payload, unpack_payload
 from repro.snn.layers import spmspm_reference
 from repro.snn.lif import lif_fire
 from repro.snn.network import LayerShape
 from repro.snn.workloads import LayerWorkload, SparsityProfile, get_layer_workload
+from repro.sparse import matrix as matrix_module
 from repro.sparse.fiber import Fiber
 from repro.sparse.matrix import (
     mask_low_activity_neurons,
@@ -377,6 +379,21 @@ class TestResidentSet:
             children += len(evaluation._preprocessed)
         assert children  # the LoAS-FT cells built preprocessed children
         clear_default_cache()
+
+    def test_cache_miss_neither_packs_nor_unpacks(self, tiny_workload, monkeypatch):
+        """The generated words become the resident ``A`` as they are."""
+
+        def dense_spikes_built(*args, **kwargs):
+            raise AssertionError("a dense spike tensor was built on the miss path")
+
+        monkeypatch.setattr(evaluation_module, "pack_spike_words", dense_spikes_built)
+        monkeypatch.setattr(matrix_module, "unpack_spike_words", dense_spikes_built)
+        cache = WorkloadEvaluationCache()
+        evaluation = cache.evaluate(tiny_workload, np.random.default_rng(3))
+        assert cache.misses == 1
+        packed, _ = tiny_workload.generate(rng=np.random.default_rng(3))
+        assert np.array_equal(evaluation.packed_words, packed.words)
+        assert evaluation.packed_words.dtype == np.uint8
 
 
 def dense_shaped_arrays(evaluation):

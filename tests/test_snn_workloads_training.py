@@ -95,15 +95,16 @@ class TestWorkloads:
 
     def test_generated_tensors_match_profile(self, rng):
         workload = get_layer_workload("V-L8").scaled(0.25)
-        spikes, weights = workload.generate(rng=rng)
+        packed, weights = workload.generate(rng=rng)
+        spikes = packed.to_dense()
         assert sparsity(weights) == pytest.approx(0.968, abs=0.01)
         assert silent_neuron_fraction(spikes) == pytest.approx(0.765, abs=0.02)
         assert sparsity(spikes) == pytest.approx(0.881, abs=0.02)
 
     def test_finetuned_generation_has_more_silent_neurons(self, rng):
         workload = get_layer_workload("V-L8").scaled(0.25)
-        spikes, _ = workload.generate(rng=np.random.default_rng(0))
-        spikes_ft, _ = workload.generate(rng=np.random.default_rng(0), finetuned=True)
+        spikes = workload.generate(rng=np.random.default_rng(0))[0].to_dense()
+        spikes_ft = workload.generate(rng=np.random.default_rng(0), finetuned=True)[0].to_dense()
         assert silent_neuron_fraction(spikes_ft) > silent_neuron_fraction(spikes)
 
     def test_scaled_network(self):
