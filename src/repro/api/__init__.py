@@ -2,7 +2,7 @@
 
 Everything a caller needs lives behind three names:
 
-* :class:`Session` -- configure resources once (cache tiers, worker pool,
+* :class:`Session` -- configure resources once (disk cache tier, worker pool,
   default workload scale), then :meth:`~Session.run` any registered scenario
   or :meth:`~Session.stream` its partitions as they complete,
 * :class:`ScenarioResult` -- the typed record a run returns: shaped payload

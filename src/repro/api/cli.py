@@ -6,11 +6,9 @@ Subcommands::
     python -m repro describe fig13-traffic       # description + defaults
     python -m repro run fig13-traffic --scale 0.25 --workers 2 --json
     python -m repro run networks --set "networks=('alexnet',)" --stream
-    python -m repro run networks --cache-url cachehost:8737
     python -m repro run dse-pe-scaling --arch loas-32nm --scale 0.25
     python -m repro run dse-sram-sweep --set arch.pe.num_tppes=32
-    python -m repro cache serve --port 8737      # evaluation-cache daemon
-    python -m repro cache stats --cache-dir .eval-cache --cache-url host:8737
+    python -m repro cache stats --cache-dir .eval-cache
     python -m repro cache stats --cache-dir .eval-cache --json
     python -m repro cache clear --cache-dir .eval-cache
 
@@ -77,11 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario")
     run.add_argument("--workers", type=int, default=None, help="worker-pool size (default: serial)")
     run.add_argument("--cache-dir", default=None, help="shared on-disk evaluation-cache directory")
-    run.add_argument(
-        "--cache-url",
-        default=None,
-        help="host:port of a running evaluation-cache daemon (cache serve)",
-    )
     run.add_argument("--scale", type=float, default=None, help="workload scale override")
     run.add_argument("--seed", type=int, default=None, help="sweep seed override")
     run.add_argument(
@@ -113,46 +106,21 @@ def _build_parser() -> argparse.ArgumentParser:
         help="stream partition completions to stderr while running",
     )
 
-    cache = commands.add_parser(
-        "cache", help="serve, inspect or clear the evaluation-cache tiers"
-    )
+    cache = commands.add_parser("cache", help="inspect or clear the evaluation cache")
     cache_commands = cache.add_subparsers(dest="cache_command", required=True)
     for name, help_text in (
-        ("stats", "print cache counters (disk tier with --cache-dir, daemon with --cache-url)"),
-        ("clear", "reset the in-process LRU (and the persistent tiers when named)"),
+        ("stats", "print cache counters (the disk tier with --cache-dir)"),
+        ("clear", "reset the in-process LRU (and the disk tier when named)"),
     ):
         sub = cache_commands.add_parser(name, help=help_text)
         sub.add_argument("--cache-dir", default=None)
-        sub.add_argument("--cache-url", default=None)
         if name == "stats":
             sub.add_argument(
                 "--json",
                 action="store_true",
                 help="machine-readable per-tier CacheStats record",
             )
-    serve = cache_commands.add_parser(
-        "serve", help="run the network-addressed evaluation-cache daemon"
-    )
-    serve.add_argument("--host", default="127.0.0.1", help="bind address (default: loopback)")
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="port to listen on (default: %d)" % _default_cache_port(),
-    )
-    serve.add_argument(
-        "--max-bytes",
-        type=int,
-        default=None,
-        help="LRU byte budget for the held entries (default: unbounded)",
-    )
     return parser
-
-
-def _default_cache_port() -> int:
-    from ..engine import RemoteBackend
-
-    return RemoteBackend.DEFAULT_PORT
 
 
 def _command_list(session: Session) -> int:
@@ -208,11 +176,7 @@ def _command_run(session: Session, args: argparse.Namespace) -> int:
                 "--set arch_overrides=...; pick one"
             )
         params["arch_overrides"] = arch_overrides
-    for reserved, flag in (
-        ("workers", "--workers"),
-        ("cache_dir", "--cache-dir"),
-        ("cache_url", "--cache-url"),
-    ):
+    for reserved, flag in (("workers", "--workers"), ("cache_dir", "--cache-dir")):
         if reserved in params:
             # These travel as Session.run keyword arguments; accepting them
             # via --set too would collide ("multiple values for ...").
@@ -241,7 +205,6 @@ def _command_run(session: Session, args: argparse.Namespace) -> int:
             scenario,
             workers=args.workers,
             cache_dir=args.cache_dir,
-            cache_url=args.cache_url,
             stream=args.stream,
             params=params,
         )
@@ -252,7 +215,6 @@ def _command_run(session: Session, args: argparse.Namespace) -> int:
             args.scenario,
             workers=args.workers,
             cache_dir=args.cache_dir,
-            cache_url=args.cache_url,
             **params,
         )
         done = 0
@@ -276,7 +238,6 @@ def _command_run(session: Session, args: argparse.Namespace) -> int:
             args.scenario,
             workers=args.workers,
             cache_dir=args.cache_dir,
-            cache_url=args.cache_url,
             **params,
         )
     if args.json:
@@ -293,10 +254,6 @@ def _format_stats(label: str, stats) -> None:
 
 
 def _command_cache(session: Session, args: argparse.Namespace) -> int:
-    if args.cache_command == "serve":
-        from ..engine.server import serve
-
-        return serve(host=args.host, port=args.port, max_bytes=args.max_bytes)
     if args.cache_command == "stats":
         snapshot = session.cache_stats()
         if args.json:
@@ -309,55 +266,25 @@ def _command_cache(session: Session, args: argparse.Namespace) -> int:
         _format_stats("lru (this process)", snapshot["lru"])
         if snapshot["disk"] is not None:
             _format_stats("disk (%s)" % session.cache_dir, snapshot["disk"])
-        if session.remote_tier is not None:
-            if snapshot["remote"] is not None:
-                _format_stats("remote (%s)" % session.cache_url, snapshot["remote"])
-            else:
-                print(
-                    "remote (%s): unreachable" % session.cache_url, file=sys.stderr
-                )
-        if snapshot["disk"] is None and session.remote_tier is None:
+        else:
             print(
                 "note: each CLI invocation starts a fresh process, so the "
                 "LRU counters above are from this command only; pass "
-                "--cache-dir or --cache-url to inspect the persistent tiers",
+                "--cache-dir to inspect the disk tier",
                 file=sys.stderr,
             )
         return 0
     # clear
-    if session.disk_tier is None and session.remote_tier is None:
+    if session.disk_tier is None:
         # Each CLI invocation is a fresh process whose LRU is already
-        # empty; reporting "cleared" without a persistent tier would be a
-        # lie.
+        # empty; reporting "cleared" without a disk tier would be a lie.
         raise _CliError(
             "nothing to clear: the in-process LRU dies with each CLI "
-            "invocation anyway; pass --cache-dir and/or --cache-url to "
-            "clear the persistent tiers"
+            "invocation anyway; pass --cache-dir to clear the disk tier"
         )
-    # Probe the daemon *before* touching the disk tier: clearing is
-    # irreversible, so an unreachable daemon must abort the whole command
-    # rather than error out after the disk entries are already gone.
-    remote_before = None
-    if session.remote_tier is not None:
-        remote_before = session.remote_tier.server_stats()
-        if remote_before is None:
-            raise _CliError(
-                "cache daemon %s is unreachable; nothing was cleared" % session.cache_url
-            )
-    if session.disk_tier is not None:
-        removed = len(session.disk_tier)
-        session.clear_cache(disk=True)
-        print("removed %d disk entries from %s" % (removed, session.cache_dir))
-    if session.remote_tier is not None:
-        # clear() reports whether the daemon acknowledged; an irreversible
-        # clear must never be claimed when the request was swallowed by a
-        # degraded tier.
-        if not session.remote_tier.clear():
-            raise _CliError(
-                "cache daemon %s stopped responding; its entries were NOT "
-                "cleared" % session.cache_url
-            )
-        print("cleared %d daemon entries at %s" % (remote_before.entries, session.cache_url))
+    removed = len(session.disk_tier)
+    session.clear_cache(disk=True)
+    print("removed %d disk entries from %s" % (removed, session.cache_dir))
     return 0
 
 
@@ -373,11 +300,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "run":
             return _command_run(Session(), args)
         if args.command == "cache":
-            if args.cache_command == "serve":
-                return _command_cache(Session(), args)
-            return _command_cache(
-                Session(cache_dir=args.cache_dir, cache_url=args.cache_url), args
-            )
+            return _command_cache(Session(cache_dir=args.cache_dir), args)
     except BrokenPipeError:
         # Downstream consumer (e.g. `| head`) closed the pipe: exit quietly.
         try:

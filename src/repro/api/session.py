@@ -6,12 +6,10 @@ execution resources: every sweep-shaped scenario runs on the
 :class:`~repro.runner.SweepRunner` the session builds, and a plan carries
 nothing but the work itself.
 
-* **cache tiers** -- the size of the process-wide evaluation LRU
-  (``lru_maxsize``), the shared on-disk tier (``cache_dir`` +
-  ``disk_max_bytes``) and the network-addressed remote tier
-  (``cache_url``, a ``python -m repro cache serve`` daemon).  The session
-  owns its :class:`~repro.engine.DiskEvaluationCache` /
-  :class:`~repro.engine.RemoteBackend` instances, so their counters
+* **cache levels** -- the size of the process-wide evaluation LRU
+  (``lru_maxsize``) and the shared on-disk tier below it (``cache_dir`` +
+  ``disk_max_bytes``).  The session owns its
+  :class:`~repro.engine.DiskEvaluationCache` instance, so its counters
   accumulate across runs and :meth:`cache_stats` reports real numbers.
 * **execution policy** -- the worker-pool size (``workers``; ``None``/0/1 =
   serial) and the multiprocessing start method (``mp_context``).
@@ -21,10 +19,10 @@ nothing but the work itself.
 Per-call keyword arguments always win over session defaults.  Bespoke
 scenarios (training runs, static tables: no plan behind them) take no
 runner options.  Session defaults are *soft*: a bespoke scenario simply
-runs in-process without the session's pool or tiers, whereas passing
-``workers`` / ``cache_dir`` / ``cache_url`` explicitly to :meth:`Session.run`
-for one raises ``TypeError`` (silently dropping an explicitly requested pool
-or tier would misreport what ran).
+runs in-process without the session's pool or disk tier, whereas passing
+``workers`` / ``cache_dir`` explicitly to :meth:`Session.run` for one raises
+``TypeError`` (silently dropping an explicitly requested pool or tier would
+misreport what ran).
 
 Note the evaluation LRU itself is process-wide (simulators resolve it via
 :func:`repro.engine.default_cache`), so sessions in one process share
@@ -35,7 +33,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Mapping
 
-from ..engine import CacheStats, DiskEvaluationCache, RemoteBackend, default_cache
+from ..engine import CacheStats, DiskEvaluationCache, default_cache
 from ..runner.executor import SweepResults, SweepRunner
 from ..runner.scenario import Scenario, get_scenario, list_scenarios
 from .result import PartitionResult, ScenarioResult
@@ -196,11 +194,6 @@ class Session:
     cache_dir:
         Directory of the session's on-disk evaluation-cache tier; created on
         first use and shared with worker processes.
-    cache_url:
-        ``host:port`` of a running evaluation-cache daemon (``python -m
-        repro cache serve``), stacked below the disk tier.  The connection
-        opens lazily; an unreachable daemon degrades the stack to the
-        remaining tiers with a single warning instead of failing the run.
     scale:
         Default workload ``scale`` for every scenario declaring one.
     lru_maxsize:
@@ -234,7 +227,6 @@ class Session:
         lru_maxsize: int | None = None,
         disk_max_bytes: int | None = None,
         mp_context: str | None = None,
-        cache_url=None,
     ):
         if workers is not None and workers < 0:
             raise ValueError("workers must be non-negative")
@@ -246,12 +238,6 @@ class Session:
         if lru_maxsize is not None:
             default_cache().resize(lru_maxsize)
         self._disk_tier = DiskEvaluationCache.coerce(cache_dir, max_bytes=disk_max_bytes)
-        self._remote_tier = RemoteBackend.coerce(cache_url)
-        self.cache_url = self._remote_tier.url if self._remote_tier is not None else None
-        #: Per-call cache_url overrides resolve here, so a repeated override
-        #: reuses one backend (one connection, one warn-once state) instead
-        #: of dialling -- and possibly re-warning -- on every run.
-        self._extra_remotes: dict[str, RemoteBackend] = {}
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -260,11 +246,6 @@ class Session:
     def disk_tier(self) -> DiskEvaluationCache | None:
         """The session-owned on-disk tier (``None`` without ``cache_dir``)."""
         return self._disk_tier
-
-    @property
-    def remote_tier(self) -> RemoteBackend | None:
-        """The session-owned remote tier (``None`` without ``cache_url``)."""
-        return self._remote_tier
 
     def scenarios(self) -> list[str]:
         """Sorted names of every registered scenario."""
@@ -282,7 +263,6 @@ class Session:
         *,
         workers=None,
         cache_dir=None,
-        cache_url=None,
         stream: bool = False,
         params: Mapping[str, Any] | None = None,
     ) -> None:
@@ -290,9 +270,9 @@ class Session:
 
         The single source of the option/scenario compatibility rules: a
         bespoke scenario cannot stream (``ValueError``) and takes no
-        explicitly requested ``workers`` / ``cache_dir`` / ``cache_url``
-        (``TypeError`` -- silently dropping a requested pool or tier would
-        misreport what ran).
+        explicitly requested ``workers`` / ``cache_dir`` (``TypeError`` --
+        silently dropping a requested pool or tier would misreport what
+        ran).
         When ``params`` is given, each key must be accepted by the
         scenario's ``build``/``run`` callable (declared defaults or a named
         parameter).  Used by :meth:`run` / :meth:`stream` and pre-flighted
@@ -314,46 +294,31 @@ class Session:
                 "scenario %r is bespoke (no sweep plan behind it); streaming "
                 "requires a sweep-shaped scenario" % (scenario.name,)
             )
-        for option, value in (
-            ("workers", workers),
-            ("cache_dir", cache_dir),
-            ("cache_url", cache_url),
-        ):
+        for option, value in (("workers", workers), ("cache_dir", cache_dir)):
             if value is not None:
                 raise TypeError(
                     "scenario %r does not support %r" % (scenario.name, option)
                 )
 
     def cache_stats(self) -> dict[str, CacheStats | None]:
-        """``{"lru": ..., "disk": ..., "remote": ...}`` tier snapshots.
+        """``{"lru": ..., "disk": ...}`` snapshots of the two cache levels.
 
         LRU counters are process-wide; disk counters belong to the session's
-        own tier object; remote counters are the daemon's own (``None`` when
-        no ``cache_url`` was configured or the daemon is unreachable).  Pool
-        runs accumulate their counters in the worker processes, so only
-        serial activity is visible here (the disk tier's ``entries`` /
-        ``total_bytes`` and the daemon's counters are shared facts either
-        way).
+        own tier object (``None`` without ``cache_dir``).  Pool runs
+        accumulate their counters in the worker processes, so only serial
+        activity is visible here (the disk tier's ``entries`` /
+        ``total_bytes`` are shared facts either way).
         """
         return {
             "lru": default_cache().stats(),
             "disk": self._disk_tier.stats() if self._disk_tier is not None else None,
-            "remote": (
-                self._remote_tier.server_stats() if self._remote_tier is not None else None
-            ),
         }
 
-    def clear_cache(self, disk: bool = False, remote: bool = False) -> None:
-        """Reset the process-wide LRU; optionally also the persistent tiers.
-
-        ``disk=True`` clears the session's on-disk tier, ``remote=True``
-        asks the session's evaluation-cache daemon to drop its entries.
-        """
+    def clear_cache(self, disk: bool = False) -> None:
+        """Reset the process-wide LRU; with ``disk=True`` also the session's disk tier."""
         default_cache().clear()
         if disk and self._disk_tier is not None:
             self._disk_tier.clear()
-        if remote and self._remote_tier is not None:
-            self._remote_tier.clear()
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -364,14 +329,13 @@ class Session:
         *,
         workers: int | None = None,
         cache_dir=None,
-        cache_url=None,
         **params,
     ) -> ScenarioResult:
         """Execute scenario ``name`` and return its :class:`ScenarioResult`.
 
         ``params`` override the scenario's declared defaults; ``workers`` /
-        ``cache_dir`` / ``cache_url`` override the session's execution
-        policy for this call.  Sweep-shaped scenarios run through
+        ``cache_dir`` override the session's execution policy for this
+        call.  Sweep-shaped scenarios run through
         :meth:`stream` internally, so batch and streaming results are one
         code path.
         """
@@ -379,12 +343,10 @@ class Session:
         scenario = get_scenario(name)
         if scenario.run is not None:
             self.validate_run_options(
-                scenario, workers=workers, cache_dir=cache_dir, cache_url=cache_url, params=params
+                scenario, workers=workers, cache_dir=cache_dir, params=params
             )
             return self._run_bespoke(scenario, params)
-        return self.stream(
-            name, workers=workers, cache_dir=cache_dir, cache_url=cache_url, **params
-        ).collect()
+        return self.stream(name, workers=workers, cache_dir=cache_dir, **params).collect()
 
     def stream(
         self,
@@ -392,7 +354,6 @@ class Session:
         *,
         workers: int | None = None,
         cache_dir=None,
-        cache_url=None,
         **params,
     ) -> ScenarioStream:
         """Incremental execution: a :class:`ScenarioStream` over partitions.
@@ -407,7 +368,7 @@ class Session:
         self.validate_run_options(scenario, stream=True, params=params)
         merged = self._merge_params(scenario, params)
         plan = scenario.build(**merged)
-        runner = self._make_runner(workers, cache_dir, cache_url)
+        runner = self._make_runner(workers, cache_dir)
         baselines: dict[str, Any] = {"lru": None, "disk": None}
 
         def capture() -> None:
@@ -432,7 +393,6 @@ class Session:
                 baselines["lru"],
                 baselines["disk"],
                 pooled=pooled,
-                cache_url=runner.cache_url,
             )
             provenance["seeds"] = tuple(sorted({cell.seed for cell in plan.cells}))
             provenance["cells"] = len(plan.cells)
@@ -470,28 +430,12 @@ class Session:
         merged.update(params)
         return merged
 
-    def _make_runner(self, workers, cache_dir, cache_url=None) -> SweepRunner:
-        tier = self._tier_for(cache_dir)
+    def _make_runner(self, workers, cache_dir) -> SweepRunner:
         return SweepRunner(
             workers=workers if workers is not None else self.workers,
-            cache_dir=tier,
-            cache_url=self._remote_for(cache_url),
+            cache_dir=self._tier_for(cache_dir),
             mp_context=self.mp_context,
         )
-
-    def _remote_for(self, cache_url) -> RemoteBackend | None:
-        """Per-call remote-tier triage, mirroring :meth:`_tier_for`."""
-        if cache_url is None:
-            return self._remote_tier
-        if isinstance(cache_url, RemoteBackend):
-            return cache_url
-        if self._remote_tier is not None and str(cache_url) == self._remote_tier.url:
-            return self._remote_tier
-        backend = self._extra_remotes.get(str(cache_url))
-        if backend is None:
-            backend = RemoteBackend(cache_url)
-            self._extra_remotes[backend.url] = backend
-        return backend
 
     def _tier_for(self, cache_dir) -> DiskEvaluationCache | None:
         if cache_dir is None:
@@ -514,7 +458,6 @@ class Session:
         lru_before,
         disk_before,
         pooled: bool = False,
-        cache_url: str | None = None,
     ) -> dict[str, Any]:
         lru_after = default_cache().stats()
         cache: dict[str, Any] = {
@@ -543,7 +486,6 @@ class Session:
             "package_version": _package_version(),
             "workers": workers or None,
             "cache_dir": str(tier.directory) if tier is not None else None,
-            "cache_url": cache_url,
             "cache": cache,
         }
         return provenance

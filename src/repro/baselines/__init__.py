@@ -13,7 +13,6 @@
 from .ann import (
     ANN_ACTIVATION_SPARSITY,
     ann_layer_tensors,
-    ann_network_tensors,
     generate_ann_activations,
 )
 from .capabilities import AcceleratorCapabilities, TABLE1_CAPABILITIES
@@ -35,6 +34,5 @@ __all__ = [
     "StellarSimulator",
     "TABLE1_CAPABILITIES",
     "ann_layer_tensors",
-    "ann_network_tensors",
     "generate_ann_activations",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..snn.workloads import LayerWorkload, NetworkWorkload
+from ..snn.workloads import LayerWorkload
 
 __all__ = ["ANN_ACTIVATION_SPARSITY", "generate_ann_activations", "ann_layer_tensors"]
 
@@ -52,16 +52,3 @@ def ann_layer_tensors(
         layer.shape.m, layer.shape.k, activation_sparsity, rng=rng
     )
     return activations, weights
-
-
-def ann_network_tensors(
-    network: NetworkWorkload,
-    rng: np.random.Generator | None = None,
-    activation_sparsity: float = ANN_ACTIVATION_SPARSITY,
-) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    """ANN tensors for every layer of a network workload."""
-    rng = np.random.default_rng() if rng is None else rng
-    return [
-        (layer.name, *ann_layer_tensors(layer, rng=rng, activation_sparsity=activation_sparsity))
-        for layer in network.layers
-    ]

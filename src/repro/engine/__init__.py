@@ -6,33 +6,23 @@ The engine turns workload evaluation into a first-class, cacheable value:
   simulator needs from one ``(spikes, weights)`` pair -- packed formats,
   masks, matched positions, full sums, LIF outputs, activity profiles --
   lazily and exactly once (and can ``dehydrate()``/``hydrate()`` that state
-  for the persistent cache tiers),
+  for the disk tier),
 * :class:`~repro.engine.statistics.LayerStatistics` is the statistics bundle
   the baseline cost models consume, and
 * :class:`~repro.engine.cache.WorkloadEvaluationCache` shares evaluations
   across simulators (and across repeated sweeps) behind an LRU keyed by the
-  workload + generator fingerprint, stacked over pluggable
-  :class:`~repro.engine.backend.CacheBackend` tiers -- the on-disk
-  :class:`~repro.engine.disk_cache.DiskEvaluationCache` and the
-  network-addressed :class:`~repro.engine.backend.RemoteBackend` speaking to
-  the :mod:`repro.engine.server` daemon.
+  workload + generator fingerprint, over an optional on-disk
+  :class:`~repro.engine.disk_cache.DiskEvaluationCache` that the caller
+  passes per evaluation.
 
 ``SimulatorBase.simulate_workload`` pulls from the process-wide default
 cache, so running five simulators over one figure sweep generates and
 analyses each workload once instead of five times.  See ``ROADMAP.md``
-("Shared workload-evaluation engine" and "cache tiers") for how to build a
-new simulator -- or a new cache backend -- on top of the engine.
+("Shared workload-evaluation engine" and "LRU over an optional disk tier")
+for how to build a new simulator on top of the engine.
 """
 
-from .backend import (
-    CacheBackend,
-    CacheEntry,
-    CacheStats,
-    MemoryBackend,
-    RemoteBackend,
-    TieredCache,
-    build_backends,
-)
+from .backend import CacheEntry, CacheStats, MemoryBackend
 from .cache import (
     TENSOR_COUPLED_ARCH_FIELDS,
     WorkloadEvaluationCache,
@@ -48,19 +38,15 @@ from .statistics import LayerStatistics
 
 __all__ = [
     "AnnLayerEvaluation",
-    "CacheBackend",
     "CacheEntry",
     "CacheStats",
     "DiskEvaluationCache",
     "LayerEvaluation",
     "LayerStatistics",
     "MemoryBackend",
-    "RemoteBackend",
-    "TieredCache",
     "WorkloadEvaluationCache",
     "TENSOR_COUPLED_ARCH_FIELDS",
     "arch_tensor_fingerprint",
-    "build_backends",
     "clear_default_cache",
     "default_cache",
     "generator_fingerprint",

@@ -25,20 +25,20 @@ the generator is fast-forwarded to the recorded post-generation state, so
 the caller's stream of randomness is bit-identical to having regenerated --
 downstream draws cannot diverge.
 
-Tier stack
+Two levels
 ----------
 :class:`WorkloadEvaluationCache` orchestrates fingerprinting, generator
-fast-forwarding and write-back over a stack of
-:class:`~repro.engine.backend.CacheBackend` tiers: its own
-:class:`~repro.engine.backend.MemoryBackend` LRU on top, then any **lower
-tiers** -- the on-disk :class:`~repro.engine.DiskEvaluationCache` and/or a
-network-addressed :class:`~repro.engine.backend.RemoteBackend` -- composed
-with promote-on-hit by a :class:`~repro.engine.backend.TieredCache`.  A full
-miss publishes the freshly generated tensors to every lower tier
-immediately; once the simulators have *enriched* the evaluation (statistics
-GEMMs, LIF outputs, compressions), :meth:`flush_writebacks` re-publishes the
-entry so lower-tier hits skip that work too (the executor flushes after
-every layer).
+fast-forwarding and write-back over its own in-process
+:class:`~repro.engine.backend.MemoryBackend` LRU and, when the caller
+passes one, an on-disk :class:`~repro.engine.DiskEvaluationCache`.  The disk
+tier is an explicit argument of :meth:`~WorkloadEvaluationCache.evaluate`,
+never state of the cache, so the process-wide cache can be shared by runs
+with different tiers (or none).  A disk hit is promoted into the LRU; a full
+miss publishes the freshly generated tensors to the disk tier immediately,
+and once the simulators have *enriched* the evaluation (statistics GEMMs,
+LIF outputs, compressions), :meth:`flush_writebacks` re-publishes the entry
+so later disk hits skip that work too (the executor flushes after every
+layer).
 
 Generated weights are marked non-writeable before they are shared (the
 spikes are held only as read-only packed words), so a misbehaving simulator
@@ -47,7 +47,6 @@ cannot corrupt other simulators' results.
 
 from __future__ import annotations
 
-import os
 import threading
 
 import numpy as np
@@ -55,11 +54,11 @@ import numpy.random  # noqa: F401 -- eager: numpy loads this lazily, and the
 # first simulated workload should not pay the submodule-import cost.
 
 from ..snn.workloads import LayerWorkload
-from .backend import CacheBackend, CacheEntry, CacheStats, MemoryBackend, TieredCache
+from .backend import CacheEntry, CacheStats, MemoryBackend
+from .disk_cache import DiskEvaluationCache
 from .evaluation import LayerEvaluation
 
 __all__ = [
-    "ATTACHED_TIER",
     "CacheStats",
     "TENSOR_COUPLED_ARCH_FIELDS",
     "WorkloadEvaluationCache",
@@ -69,13 +68,6 @@ __all__ = [
     "generator_fingerprint",
     "workload_fingerprint",
 ]
-
-#: Sentinel for :meth:`WorkloadEvaluationCache.evaluate`'s ``tiers``
-#: parameter: consult whatever lower tiers are attached to the cache (the
-#: default).  Callers that own tiers pass them explicitly instead of
-#: attaching them to the process-wide cache -- an explicit stack is
-#: thread-safe and cannot leak into unrelated runs.
-ATTACHED_TIER = object()
 
 #: Auto-flush bound: evaluate() flushes the pending write-backs itself once
 #: this many accumulate, so callers that never call flush_writebacks()
@@ -148,20 +140,21 @@ class _Dirty:
     compressions) and deliberately drop them (``compress_output`` frees the
     full sums and LIF outputs it supersedes), and a count cannot see an
     add-and-drop that nets to zero.  The stored entry thereby mirrors the
-    warm in-memory state, superseded artifacts included-out.
+    warm in-memory state, superseded artifacts included-out.  ``disk`` is
+    the tier the entry is written back to.
     """
 
-    __slots__ = ("key", "entry", "lower", "baseline")
+    __slots__ = ("key", "entry", "disk", "baseline")
 
-    def __init__(self, key, entry: CacheEntry, lower, baseline: tuple):
+    def __init__(self, key, entry: CacheEntry, disk: DiskEvaluationCache):
         self.key = key
         self.entry = entry
-        self.lower = lower
-        self.baseline = baseline
+        self.disk = disk
+        self.baseline = entry.evaluation.derived_signature()
 
 
 class WorkloadEvaluationCache:
-    """LRU-topped tier stack of evaluations keyed by fingerprint.
+    """An LRU of evaluations keyed by fingerprint, over an optional disk tier.
 
     ``maxsize`` bounds the number of evaluations the in-process
     :class:`~repro.engine.backend.MemoryBackend` holds (the paper's three
@@ -172,22 +165,13 @@ class WorkloadEvaluationCache:
     consistent entries and counters.  The coarse lock deliberately trades
     cross-thread concurrency for simplicity (generation work serialises);
     parallel sweeps scale across *processes* (:class:`repro.runner.SweepRunner`),
-    each with its own cache, sharing evaluations through the lower tiers.
-
-    **Lower tiers** (an on-disk
-    :class:`~repro.engine.DiskEvaluationCache`, a network-addressed
-    :class:`~repro.engine.backend.RemoteBackend`, or any
-    :class:`~repro.engine.backend.CacheBackend`) attach with
-    :meth:`attach_backends` (or the ``backends`` constructor argument): an
-    in-memory miss consults them top-down with promote-on-hit, and a
-    full miss publishes the freshly generated tensors back to all of them.
+    each with its own cache, sharing evaluations through the disk tier each
+    call of :meth:`evaluate` names.
     """
 
-    def __init__(self, maxsize: int = 128, backends=()):
+    def __init__(self, maxsize: int = 128):
         self._memory = MemoryBackend(maxsize)
         self._lock = threading.RLock()
-        self._lower = tuple(backends)
-        self._lower_pid = os.getpid()
         self._dirty: list[_Dirty] = []
         self.hits = 0
         self.misses = 0
@@ -211,50 +195,14 @@ class WorkloadEvaluationCache:
 
     @property
     def memory_backend(self) -> MemoryBackend:
-        """The top (in-process LRU) tier."""
+        """The in-process LRU level."""
         return self._memory
-
-    @property
-    def lower_backends(self) -> tuple[CacheBackend, ...]:
-        """The attached lower tiers, top-down (empty when none attached)."""
-        with self._lock:
-            return self._lower
-
-    @property
-    def disk_tier(self):
-        """The first attached on-disk tier (``None`` when there is none)."""
-        from .disk_cache import DiskEvaluationCache
-
-        with self._lock:
-            for backend in self._lower:
-                if isinstance(backend, DiskEvaluationCache):
-                    return backend
-        return None
-
-    @property
-    def lower_attached_in_process(self) -> bool:
-        """Whether the lower tiers were attached by *this* process.
-
-        ``False`` means they arrived through a ``fork`` -- live backends
-        hold locks and sockets that must not be shared across processes, so
-        worker bootstrap (:func:`repro.runner.executor._ensure_backends`)
-        rebuilds equivalent backends from specs instead of reusing them.
-        """
-        with self._lock:
-            return self._lower_pid == os.getpid()
-
-    def attach_backends(self, backends) -> None:
-        """Replace the lower-tier stack (pass ``()`` to detach everything)."""
-        with self._lock:
-            self._lower = tuple(backends)
-            self._lower_pid = os.getpid()
 
     def clear(self) -> None:
         """Drop every cached evaluation and reset the hit/miss counters.
 
-        The lower tiers, if attached, keep their entries (they are the
-        cross-process tiers; clear them explicitly via their own
-        ``clear()``).
+        Disk tiers keep their entries (they are the cross-process level;
+        clear one explicitly via its own ``clear()``).
         """
         with self._lock:
             self._memory.clear()
@@ -287,20 +235,16 @@ class WorkloadEvaluationCache:
         workload: LayerWorkload,
         rng: np.random.Generator,
         finetuned: bool = False,
-        tiers=ATTACHED_TIER,
+        disk: DiskEvaluationCache | None = None,
     ) -> LayerEvaluation:
         """Return the (possibly cached) evaluation of ``workload``.
 
-        On a cache hit the generator is advanced to the state it would have
-        reached by regenerating, so callers sharing one generator across a
-        sequence of layers observe bit-identical randomness either way.
-
-        ``tiers`` selects the lower tiers for this call: the default
-        :data:`ATTACHED_TIER` uses whatever :meth:`attach_backends`
-        installed, an explicit backend or sequence of backends uses that
-        stack without touching the attached one (so concurrent callers with
-        different tiers cannot interfere), and ``None`` / ``()`` disables
-        the lower tiers for this call.
+        Looks in the LRU, then in ``disk`` (promoting a hit into the LRU),
+        and generates on a full miss, publishing the result to the LRU and
+        to ``disk``.  On a hit the generator is advanced to the state it
+        would have reached by regenerating, so callers sharing one generator
+        across a sequence of layers observe bit-identical randomness either
+        way.
         """
         try:
             key = (workload_fingerprint(workload, finetuned), generator_fingerprint(rng))
@@ -310,60 +254,47 @@ class WorkloadEvaluationCache:
             spikes, weights = workload.generate(rng=rng, finetuned=finetuned)
             return LayerEvaluation(spikes, weights)
         with self._lock:
-            lower = self._resolve_lower(tiers)
             if len(self._dirty) >= _DIRTY_FLUSH_THRESHOLD:
                 self._flush_locked()
-            stack = TieredCache((self._memory,) + lower)
-            entry, level = stack.get(key)
+            entry = self._memory.get(key)
             if entry is not None:
-                if level == 0:
-                    self.hits += 1
-                else:
+                self.hits += 1
+            elif disk is not None:
+                entry = disk.get(key)
+                if entry is not None:
                     self.disk_hits += 1
-                    if lower:
-                        # A lower-tier hit may carry less than the simulators
-                        # are about to compute (a tensor-only entry, or one
-                        # from a run that exercised fewer simulators);
-                        # remember it so the write-back pass can
-                        # upgrade the stored entry in place.
-                        self._dirty.append(
-                            _Dirty(key, entry, lower, entry.evaluation.derived_signature())
-                        )
+                    self._memory.put(key, entry)
+                    # A disk hit may carry less than the simulators are
+                    # about to compute (a tensor-only entry, or one from a
+                    # run that exercised fewer simulators); remember it so
+                    # the write-back pass can upgrade the stored entry.
+                    self._dirty.append(_Dirty(key, entry, disk))
+            if entry is not None:
                 rng.bit_generator.state = entry.state_after
                 return entry.evaluation
             self.misses += 1
             spikes, weights = workload.generate(rng=rng, finetuned=finetuned)
             weights.setflags(write=False)
             entry = CacheEntry(LayerEvaluation(spikes, weights), rng.bit_generator.state)
-            stack.put(key, entry)
-            if lower:
-                self._dirty.append(
-                    _Dirty(key, entry, lower, entry.evaluation.derived_signature())
-                )
+            self._memory.put(key, entry)
+            if disk is not None:
+                disk.put(key, entry)
+                self._dirty.append(_Dirty(key, entry, disk))
             return entry.evaluation
-
-    def _resolve_lower(self, tiers) -> tuple[CacheBackend, ...]:
-        if tiers is ATTACHED_TIER:
-            return self._lower
-        if tiers is None:
-            return ()
-        if isinstance(tiers, (list, tuple)):
-            return tuple(tiers)
-        return (tiers,)
 
     # ------------------------------------------------------------------ #
     # Write-back
     # ------------------------------------------------------------------ #
     def flush_writebacks(self) -> int:
-        """Re-publish enriched evaluations to their lower tiers.
+        """Re-publish enriched evaluations to their disk tiers.
 
         A full miss publishes tensors immediately, but the derived
         artifacts -- statistics GEMMs, LIF outputs, compressions,
         preprocessed children -- only exist after the simulators consumed
         the evaluation.  Calling this once they have (the sweep executor
         does so after every layer) refreshes the stored entries with the
-        dehydrated derived state, which is what makes lower-tier-warm runs
-        skip recomputation.  Entries whose evaluation gained nothing are
+        dehydrated derived state, which is what makes disk-warm runs skip
+        recomputation.  Entries whose evaluation gained nothing are
         dropped silently.  Returns the number of entries re-published.
         """
         with self._lock:
@@ -373,9 +304,7 @@ class WorkloadEvaluationCache:
         flushed = 0
         for dirty in self._dirty:
             if dirty.entry.evaluation.derived_signature() != dirty.baseline:
-                for backend in dirty.lower:
-                    backend.put(dirty.key, dirty.entry, replace=True)
-                dirty.entry.packed_cache = None  # bytes shared across tiers only
+                dirty.disk.put(dirty.key, dirty.entry, replace=True)
                 flushed += 1
         self._dirty.clear()
         return flushed

@@ -1,12 +1,12 @@
-"""On-disk evaluation-cache backend below the in-process LRU.
+"""On-disk evaluation-cache tier below the in-process LRU.
 
 Worker processes and repeated CLI runs each start with an empty in-memory
 :class:`~repro.engine.backend.MemoryBackend`, so without a shared tier every
 process regenerates the same random tensors.  The :class:`DiskEvaluationCache`
-(a :class:`~repro.engine.backend.CacheBackend`) is that shared tier: a
-directory of fingerprint-addressed entry files, one per ``(workload
-fingerprint, generator fingerprint)`` cache key.  (The ``.npz`` file suffix
-is historical: entries are the flat :mod:`repro.engine.serde` container.)
+is that shared tier: a directory of fingerprint-addressed entry files, one
+per ``(workload fingerprint, generator fingerprint)`` cache key.  (The
+``.npz`` file suffix is historical: entries are the flat
+:mod:`repro.engine.serde` container.)
 
 Entry schema
 ------------
@@ -46,7 +46,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .backend import CacheBackend, CacheEntry, CacheStats, pack_entry, unpack_entry
+from .backend import CacheEntry, CacheStats, pack_entry, unpack_entry
 from .serde import key_digest
 
 __all__ = ["DiskEvaluationCache"]
@@ -54,7 +54,7 @@ __all__ = ["DiskEvaluationCache"]
 _ENTRY_SUFFIX = ".npz"
 
 
-class DiskEvaluationCache(CacheBackend):
+class DiskEvaluationCache:
     """Keyed on-disk store of evaluated workloads.
 
     Parameters
@@ -105,13 +105,12 @@ class DiskEvaluationCache(CacheBackend):
     def entry_path(self, key) -> Path:
         """File holding the entry for ``key`` (exists only after a store).
 
-        The address is :func:`repro.engine.serde.key_digest` -- the same
-        digest the remote tier keys its frames by.
+        The address is :func:`repro.engine.serde.key_digest`.
         """
         return self.directory / (key_digest(key) + _ENTRY_SUFFIX)
 
     # ------------------------------------------------------------------ #
-    # Backend protocol
+    # Lookup / publication
     # ------------------------------------------------------------------ #
     def get(self, key) -> CacheEntry | None:
         """The hydrated entry for ``key``, or ``None`` on a miss.
@@ -170,9 +169,6 @@ class DiskEvaluationCache(CacheBackend):
             except OSError:
                 pass
             raise
-
-    def spec(self) -> tuple:
-        return ("disk", str(self.directory), self.max_bytes)
 
     # ------------------------------------------------------------------ #
     # Path protocol

@@ -504,10 +504,10 @@ class LayerEvaluation:
         return derived
 
     # ------------------------------------------------------------------ #
-    # Dehydration (cache-tier persistence)
+    # Dehydration (disk-tier persistence)
     # ------------------------------------------------------------------ #
     def dehydrate(self) -> tuple[dict[str, np.ndarray], dict]:
-        """The evaluation as ``(arrays, meta)`` for the lower cache tiers.
+        """The evaluation as ``(arrays, meta)`` for the disk cache tier.
 
         Captures the base tensors plus every derived artifact **already
         computed** -- the persisted cached properties
@@ -569,13 +569,12 @@ class LayerEvaluation:
         """Hashable fingerprint of which derived artifacts are present.
 
         Two equal signatures mean :meth:`dehydrate` would emit the same
-        member set; ``pack_entry`` keys its serialised-bytes memo on it so
-        one write-through serialises once while a later, further-enriched
-        write-back repacks.  A child still pending rebuild signs exactly as
-        its built form would, so hydrating an entry -- or rebuilding its
-        children -- does not change the signature until something is
-        genuinely added (this is what lets a promoted remote hit reuse the
-        wire bytes verbatim).
+        member set; the cache's write-back pass re-publishes an entry only
+        when its signature moved.  A child still pending rebuild signs
+        exactly as its built form would, so hydrating an entry -- or
+        rebuilding its children -- does not change the signature until
+        something is genuinely added (a disk hit that gained nothing is not
+        rewritten).
         """
         children: dict[int, tuple] = {
             max_spikes: child.derived_signature()
@@ -603,8 +602,8 @@ class LayerEvaluation:
         (marked read-only), so a hydrated evaluation never recomputes what
         the entry carries -- in particular the matches / full-sums GEMMs.
         Raises ``KeyError`` on an entry whose meta names artifacts the
-        container lacks (a torn write); cache tiers treat that as corruption
-        and fall back to recomputation.
+        container lacks (a torn write); the disk tier treats that as
+        corruption and falls back to recomputation.
         """
         spikes = arrays["spikes"]
         weights = arrays["weights"]
@@ -622,7 +621,7 @@ class LayerEvaluation:
             # so an enriched hit consumed without preprocessing never
             # builds it.
             # Torn containers must still surface *here* as corruption (the
-            # tiers turn that into a clean miss), so the member presence is
+            # disk tier turns that into a clean miss), so the member presence is
             # validated up front even though the rebuild is deferred.
             cls._validate_child_members(arrays, child_meta, prefix="pre%s_" % key)
             evaluation._pending_preprocessed[int(key)] = (arrays, child_meta)

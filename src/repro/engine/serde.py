@@ -1,16 +1,12 @@
-"""Shared serialisation for the evaluation-cache tiers.
+"""Byte format of the disk tier's evaluation-cache entries.
 
-Every tier below the in-process LRU moves the same value around -- a cache
-entry holding the generated tensors, the post-generation bit-generator state
-and the dehydrated derived artifacts -- so the byte format lives here, in one
-place, and is reused verbatim by the on-disk tier (entry *files*) and the
-network tier (entry *frames*):
+A cache entry holds the generated tensors, the post-generation bit-generator
+state and the dehydrated derived artifacts; this module owns how those
+become bytes:
 
 * :func:`encode_state` / :func:`decode_state` -- the JSON round-trip of a
   ``numpy`` bit-generator state (arbitrary-precision integers natively,
   ndarray-valued fields -- e.g. Philox keys -- via a base64 envelope).
-  Shared so the disk entry format and the remote wire format cannot drift
-  apart.
 * :func:`pack_payload` / :func:`unpack_payload` -- an ``{name: ndarray}``
   mapping plus a JSON ``meta`` record as one byte string.  v2 entries use a
   flat container (one JSON header, then the raw C-order array blobs): a v2
@@ -18,13 +14,10 @@ network tier (entry *frames*):
   zipfile machinery costs more than the GEMMs the entry exists to skip,
   whereas the flat layout decodes with one read and ``np.frombuffer``
   slices.  Anything else -- including a legacy v1 ``.npz`` entry -- fails
-  to decode, which every tier treats as a miss.
+  to decode, which the disk tier treats as a miss.
 * :func:`key_digest` -- the stable cross-process address of a cache key
-  (the SHA-256 of the fingerprint tuple's ``repr``), used both as the disk
-  entry file name and as the wire key of the remote tier.
-* :func:`write_frame` / :func:`read_frame` -- the length-prefixed framing
-  of the remote tier's socket protocol (one opcode byte, an 8-byte
-  big-endian payload length, the payload).
+  (the SHA-256 of the fingerprint tuple's ``repr``), used as the disk
+  entry file name.
 """
 
 from __future__ import annotations
@@ -32,7 +25,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import socket
 import struct
 
 import numpy as np
@@ -43,9 +35,7 @@ __all__ = [
     "encode_state",
     "key_digest",
     "pack_payload",
-    "read_frame",
     "unpack_payload",
-    "write_frame",
 ]
 
 _NDARRAY_TAG = "__ndarray__"
@@ -279,46 +269,3 @@ def unpack_payload(data: bytes, defer=frozenset()) -> tuple[dict, dict]:
     if offset != len(data):
         raise ValueError("entry container has trailing bytes")
     return arrays, record["meta"]
-
-
-# --------------------------------------------------------------------- #
-# Wire framing (remote tier)
-# --------------------------------------------------------------------- #
-_FRAME_HEADER = struct.Struct(">cQ")
-
-#: Upper bound on a single frame's payload; a frame claiming more is treated
-#: as protocol corruption (protects both sides from allocating on garbage).
-MAX_FRAME_BYTES = 1 << 32
-
-
-def write_frame(sock: socket.socket, op: bytes, payload: bytes = b"") -> None:
-    """Send one ``op`` frame (a single opcode byte plus its payload)."""
-    if len(op) != 1:
-        raise ValueError("frame opcode must be a single byte")
-    sock.sendall(_FRAME_HEADER.pack(op, len(payload)) + payload)
-
-
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            raise ConnectionError("peer closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def read_frame(sock: socket.socket) -> tuple[bytes, bytes]:
-    """Receive one frame: ``(op, payload)``.
-
-    Raises :class:`ConnectionError` when the peer closes mid-frame and
-    :class:`ValueError` on a corrupt header -- both make the remote tier
-    degrade to the tiers below it rather than fail the sweep.
-    """
-    header = _recv_exact(sock, _FRAME_HEADER.size)
-    op, length = _FRAME_HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ValueError("frame length %d exceeds protocol bound" % (length,))
-    return op, _recv_exact(sock, length)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-__all__ = ["format_table", "format_series", "format_sweep", "normalise", "format_ratio"]
+__all__ = ["format_table", "format_series", "format_sweep"]
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]], title: str | None = None) -> str:
@@ -78,21 +78,6 @@ def format_sweep(
             )
         )
     return "\n\n".join(blocks)
-
-
-def normalise(values: Mapping[str, float], reference: str) -> dict[str, float]:
-    """Normalise a mapping of values to the entry named ``reference``."""
-    if reference not in values:
-        raise KeyError("reference %r not present in values" % reference)
-    base = values[reference]
-    if base == 0:
-        raise ZeroDivisionError("reference value is zero")
-    return {name: value / base for name, value in values.items()}
-
-
-def format_ratio(value: float, precision: int = 2) -> str:
-    """Format a ratio as e.g. ``"3.25x"``."""
-    return f"{value:.{precision}f}x"
 
 
 def _stringify(cell: object) -> str:

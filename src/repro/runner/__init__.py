@@ -12,12 +12,10 @@ The runner subsystem splits every paper sweep into three layers:
   :class:`SweepRunner` partitions a plan into independent cells, runs them
   serially or across a ``multiprocessing`` pool, and batches network walks
   layer-major so one evaluation per layer drives every simulator, and
-* a **cache-tier stack** below both: the in-process LRU
-  (:func:`repro.engine.default_cache`) over the lower tiers -- the shared on-disk
-  :class:`repro.engine.DiskEvaluationCache` and/or the network-addressed
-  :class:`repro.engine.RemoteBackend`
-  (``SweepRunner(cache_dir=..., cache_url=...)``, built by
-  :class:`repro.api.Session` from its own tiers).
+* a **two-level cache** below both: the in-process LRU
+  (:func:`repro.engine.default_cache`) over an optional shared on-disk
+  :class:`repro.engine.DiskEvaluationCache` (``SweepRunner(cache_dir=...)``,
+  built by :class:`repro.api.Session` from its own tier).
 
 See the "Sweep orchestration" section of ``ROADMAP.md`` for the
 architecture and the how-to-add-a-scenario recipe.

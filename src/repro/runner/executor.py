@@ -16,14 +16,13 @@ in three steps:
 3. **Execute** -- serially in-process in plan order, or across a
    ``multiprocessing`` pool (``workers >= 2``) that is handed the partitions
    longest first (by :func:`_partition_cost`), so the largest network does
-   not start last and set the critical path alone.  The runner owns a
-   **stack of lower cache tiers** (the on-disk tier from ``cache_dir``
-   above the network-addressed remote tier from ``cache_url``): the serial
-   path passes the stack per evaluation, worker processes reattach
-   equivalent backends from picklable specs after ``fork``/``spawn`` (live
-   backends hold locks and sockets and must not cross process boundaries),
-   and after every layer the executor flushes the cache's write-backs so the
-   stored entries carry the derived statistics the simulators just computed.
+   not start last and set the critical path alone.  The runner owns the
+   optional **disk tier** (from ``cache_dir``) below the process-wide LRU:
+   the serial path passes it per evaluation, each worker process builds
+   one equivalent tier from the picklable ``(directory, max_bytes)`` pair
+   in its task payload, and after every layer the executor flushes the
+   cache's write-backs so the stored entries carry the derived statistics
+   the simulators just computed.
 
 Execution is **incremental**: :meth:`SweepRunner.iter_partitions` yields each
 partition's results the moment they are available (in plan order serially,
@@ -42,20 +41,14 @@ bit-identical -- asserted by ``tests/test_runner.py``.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from ..baselines import ann_layer_tensors
-from ..engine import (
-    AnnLayerEvaluation,
-    DiskEvaluationCache,
-    RemoteBackend,
-    build_backends,
-    default_cache,
-)
-from ..engine.cache import ATTACHED_TIER
+from ..engine import AnnLayerEvaluation, DiskEvaluationCache, default_cache
 from ..metrics.results import SimulationResult, aggregate_results
 from ..snn.workloads import NetworkWorkload
 from .scenario import SweepCell, SweepPlan
@@ -111,7 +104,7 @@ class SweepResults:
 
 
 def _execute_partition(
-    cells: Sequence[SweepCell], tiers=ATTACHED_TIER
+    cells: Sequence[SweepCell], disk: DiskEvaluationCache | None = None
 ) -> list[SimulationResult]:
     """Run one partition: all simulators of one ``(workload, seed)`` group.
 
@@ -120,14 +113,12 @@ def _execute_partition(
     like the historical per-simulator serial walks) and every simulator of
     the partition consumes the shared evaluation before the next layer.
 
-    ``tiers`` is forwarded to :meth:`WorkloadEvaluationCache.evaluate`:
-    worker processes leave the default (their process-wide attached stack),
-    the serial path passes the runner's own tier stack explicitly so
-    concurrent in-process runs with different tiers never interfere.  After
-    each layer's simulators have run, the cache's write-backs are flushed:
-    the evaluation is maximally enriched exactly then (statistics,
-    compressions, preprocessed variants), so the lower tiers store derived
-    state instead of bare tensors.
+    ``disk`` (the runner's disk tier, or ``None``) is forwarded to
+    :meth:`WorkloadEvaluationCache.evaluate`.  After each layer's simulators
+    have run, the cache's write-backs are flushed: the evaluation is
+    maximally enriched exactly then (statistics, compressions, preprocessed
+    variants), so the disk tier stores derived state instead of bare
+    tensors.
     """
     workload_spec = cells[0].workload
     seed = cells[0].seed
@@ -140,7 +131,7 @@ def _execute_partition(
     per_cell: list[list[SimulationResult]] = [[] for _ in cells]
     for layer in layers:
         evaluations = {
-            variant: cache.evaluate(layer, rngs[variant], finetuned=variant, tiers=tiers)
+            variant: cache.evaluate(layer, rngs[variant], finetuned=variant, disk=disk)
             for variant in variants
         }
         for index, cell in enumerate(cells):
@@ -168,29 +159,16 @@ def _partition_cost(cells: Sequence[SweepCell]) -> int:
 
 
 def _pool_task(payload) -> tuple[int, list[SimulationResult]]:
-    """Worker-process entry point: reattach the tier stack, run one partition."""
-    ordinal, cells, backend_specs = payload
-    _ensure_backends(backend_specs)
-    return ordinal, _execute_partition(cells)
+    """Worker-process entry point: run one partition over the worker's disk tier."""
+    ordinal, cells, disk_spec = payload
+    disk = _worker_disk(*disk_spec) if disk_spec is not None else None
+    return ordinal, _execute_partition(cells, disk=disk)
 
 
-def _ensure_backends(specs) -> None:
-    """Idempotently attach the shared lower-tier stack to this process's cache.
-
-    Worker processes receive picklable backend *specs* rather than live
-    backends (which hold locks and sockets): under ``fork`` an inherited
-    remote connection would be shared -- and corrupted -- across processes,
-    under ``spawn`` nothing survives at all.  Rebuilding from specs gives
-    every worker fresh, equivalent tiers; the comparison keeps reattachment
-    idempotent across the many partitions one worker may execute.
-    """
-    if not specs:
-        return
-    cache = default_cache()
-    current = tuple(backend.spec() for backend in cache.lower_backends)
-    if current == tuple(specs) and cache.lower_attached_in_process:
-        return
-    cache.attach_backends(build_backends(specs))
+@functools.lru_cache(maxsize=1)
+def _worker_disk(directory: str, max_bytes: int | None) -> DiskEvaluationCache:
+    """The one disk tier a worker process reuses across its partitions."""
+    return DiskEvaluationCache(directory, max_bytes=max_bytes)
 
 
 class SweepRunner:
@@ -205,17 +183,9 @@ class SweepRunner:
         The shared on-disk evaluation-cache tier: a directory path, or an
         already-constructed :class:`~repro.engine.DiskEvaluationCache` whose
         counters the caller wants to keep (``repro.api.Session`` passes its
-        own tier so ``cache stats`` report across runs).
-    cache_url:
-        The network-addressed evaluation-cache tier: a ``host:port`` of a
-        running ``python -m repro cache serve`` daemon, or an
-        already-constructed :class:`~repro.engine.RemoteBackend`.  Stacked
-        *below* the disk tier (memory, then disk, then remote); an
-        unreachable daemon degrades the stack with a single warning.
-        Whatever the stack, serial runs pass it per evaluation instead of
-        mutating the process-wide cache (so concurrent in-process runs with
-        different tiers cannot interfere) and worker processes reattach
-        equivalent backends from picklable specs after ``fork``/``spawn``.
+        own tier so ``cache stats`` report across runs).  Serial runs pass
+        it per evaluation instead of attaching it to the process-wide cache,
+        so concurrent in-process runs with different tiers cannot interfere.
     mp_context:
         Optional multiprocessing start-method name (``"fork"`` / ``"spawn"``);
         defaults to ``fork`` where available (POSIX) and ``spawn`` elsewhere.
@@ -226,7 +196,6 @@ class SweepRunner:
         workers: int | None = None,
         cache_dir=None,
         mp_context: str | None = None,
-        cache_url=None,
     ):
         if workers is not None and workers < 0:
             raise ValueError("workers must be non-negative")
@@ -235,13 +204,6 @@ class SweepRunner:
         #: The on-disk tier (``None`` without one); kept as an attribute
         #: because provenance and ``cache stats`` report it.
         self.disk_tier = DiskEvaluationCache.coerce(cache_dir)
-        #: The remote tier (``None`` without one).
-        self.remote_tier = RemoteBackend.coerce(cache_url)
-        self.backends = tuple(
-            tier for tier in (self.disk_tier, self.remote_tier) if tier is not None
-        )
-        #: The remote tier's URL as a plain string.
-        self.cache_url = self.remote_tier.url if self.remote_tier is not None else None
 
     def run(self, plan: SweepPlan) -> SweepResults:
         """Execute every cell of ``plan`` and return the results.
@@ -276,16 +238,9 @@ class SweepRunner:
     # Execution backends
     # ------------------------------------------------------------------ #
     def _iter_serial(self, plan: SweepPlan, partitions):
-        # The runner's tier stack travels as an explicit evaluate() argument,
-        # not by mutating the process-wide cache's attached tiers:
-        # interleaved or concurrent in-process runs (streams, threads)
-        # therefore cannot detach each other's tiers or leak these into
-        # unrelated runs.  Without an own stack, whatever the caller
-        # attached globally stays in effect (ATTACHED_TIER).
-        tiers = self.backends if self.backends else ATTACHED_TIER
         for ordinal, indices in enumerate(partitions):
             yield ordinal, indices, _execute_partition(
-                [plan.cells[i] for i in indices], tiers=tiers
+                [plan.cells[i] for i in indices], disk=self.disk_tier
             )
 
     def _iter_pool(self, plan: SweepPlan, partitions):
@@ -293,9 +248,10 @@ class SweepRunner:
         if method is None:
             method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         context = multiprocessing.get_context(method)
-        specs = tuple(backend.spec() for backend in self.backends)
+        disk = self.disk_tier
+        disk_spec = (str(disk.directory), disk.max_bytes) if disk is not None else None
         payloads = [
-            (ordinal, tuple(plan.cells[i] for i in indices), specs)
+            (ordinal, tuple(plan.cells[i] for i in indices), disk_spec)
             for ordinal, indices in enumerate(partitions)
         ]
         # Longest first: the pool hands tasks out in submission order.  The

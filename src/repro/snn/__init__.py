@@ -6,21 +6,18 @@ algorithm side of the paper:
 * LIF neuron dynamics and the functional spMspM + LIF reference
   (:mod:`repro.snn.lif`, :mod:`repro.snn.layers`),
 * the evaluated network shapes and Table II workload statistics
-  (:mod:`repro.snn.network`, :mod:`repro.snn.workloads`),
-* spike encoding front ends (:mod:`repro.snn.encoding`), and
+  (:mod:`repro.snn.network`, :mod:`repro.snn.workloads`), and
 * a toy surrogate-gradient trainer, LTH pruner and the fine-tuned
   silent-neuron preprocessing (:mod:`repro.snn.training`,
   :mod:`repro.snn.pruning`, :mod:`repro.snn.preprocessing`).
 """
 
-from .encoding import direct_encode, poisson_encode, rate_decode
 from .layers import LayerOutput, SNNLinearLayer, spmspm_reference
-from .lif import LIFNeuron, LIFParameters, lif_fire, lif_step
+from .lif import LIFParameters, lif_fire, lif_step
 from .network import (
     LayerShape,
     REPRESENTATIVE_LAYERS,
     alexnet_layers,
-    representative_layer,
     resnet19_layers,
     vgg16_layers,
 )
@@ -56,7 +53,6 @@ from .workloads import (
 )
 
 __all__ = [
-    "LIFNeuron",
     "LIFParameters",
     "LayerOutput",
     "LayerShape",
@@ -74,7 +70,6 @@ __all__ = [
     "TrainingConfig",
     "alexnet_layers",
     "apply_low_activity_mask",
-    "direct_encode",
     "evaluate_accuracy",
     "finetuned_preprocessing_experiment",
     "get_layer_workload",
@@ -86,9 +81,6 @@ __all__ = [
     "lottery_ticket_prune",
     "magnitude_prune_masks",
     "make_synthetic_classification",
-    "poisson_encode",
-    "rate_decode",
-    "representative_layer",
     "resnet19_layers",
     "spmspm_reference",
     "train",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LIFParameters", "lif_fire", "lif_step", "LIFNeuron"]
+__all__ = ["LIFParameters", "lif_fire", "lif_step"]
 
 
 @dataclass(frozen=True)
@@ -89,38 +89,3 @@ def lif_fire(currents: np.ndarray, params: LIFParameters | None = None) -> np.nd
     for t in range(timesteps):
         spikes[..., t], membrane = lif_step(currents[..., t], membrane, params)
     return spikes
-
-
-class LIFNeuron:
-    """Stateful single-population LIF neuron used by the trainer and examples.
-
-    The class keeps the membrane potential across successive :meth:`forward`
-    calls (one call per timestep) so it can be embedded in an explicitly
-    time-stepped simulation, e.g. the surrogate-gradient trainer.
-    """
-
-    def __init__(self, shape: tuple[int, ...], params: LIFParameters | None = None):
-        self.params = params or LIFParameters()
-        self.shape = tuple(shape)
-        self.membrane = np.zeros(self.shape, dtype=np.float64)
-
-    def reset(self) -> None:
-        """Reset the membrane potential to zero (start of a new inference)."""
-        self.membrane = np.zeros(self.shape, dtype=np.float64)
-
-    def forward(self, current: np.ndarray) -> np.ndarray:
-        """Integrate one timestep of input current and return the spikes."""
-        current = np.asarray(current, dtype=np.float64)
-        if current.shape != self.shape:
-            raise ValueError(
-                "current shape %s does not match neuron shape %s" % (current.shape, self.shape)
-            )
-        spikes, self.membrane = lif_step(current, self.membrane, self.params)
-        return spikes
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "LIFNeuron(shape=%s, threshold=%.3f, leak=%.3f)" % (
-            self.shape,
-            self.params.threshold,
-            self.params.leak,
-        )

@@ -22,7 +22,6 @@ __all__ = [
     "alexnet_layers",
     "vgg16_layers",
     "resnet19_layers",
-    "representative_layer",
     "REPRESENTATIVE_LAYERS",
 ]
 
@@ -159,14 +158,3 @@ REPRESENTATIVE_LAYERS: dict[str, LayerShape] = {
     "T-HFF": LayerShape("T-HFF", m=784, k=3072, n=3072, t=4),
 }
 """The four representative single-layer workloads of Table II."""
-
-
-def representative_layer(name: str) -> LayerShape:
-    """Look up one of the representative layers (``A-L4``, ``V-L8``, ...)."""
-    try:
-        return REPRESENTATIVE_LAYERS[name]
-    except KeyError as exc:
-        raise KeyError(
-            "unknown representative layer %r (expected one of %s)"
-            % (name, sorted(REPRESENTATIVE_LAYERS))
-        ) from exc

@@ -22,7 +22,6 @@ from .matrix import (
     silent_neuron_fraction,
     silent_neuron_mask,
     sparsity,
-    spike_sparsity_per_timestep,
 )
 from .packed import PackedSpikeMatrix, pack_spike_words, unpack_spike_words
 
@@ -39,6 +38,5 @@ __all__ = [
     "silent_neuron_fraction",
     "silent_neuron_mask",
     "sparsity",
-    "spike_sparsity_per_timestep",
     "unpack_spike_words",
 ]

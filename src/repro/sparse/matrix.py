@@ -22,7 +22,6 @@ __all__ = [
     "random_spike_words",
     "silent_neuron_mask",
     "silent_neuron_fraction",
-    "spike_sparsity_per_timestep",
     "mask_low_activity_neurons",
 ]
 
@@ -189,14 +188,6 @@ def silent_neuron_fraction(spikes: np.ndarray) -> float:
     """Fraction of pre-synaptic neurons that are silent (never fire)."""
     mask = silent_neuron_mask(spikes)
     return float(mask.mean()) if mask.size else 0.0
-
-
-def spike_sparsity_per_timestep(spikes: np.ndarray) -> np.ndarray:
-    """Per-timestep spike sparsity, shape ``(T,)``."""
-    if spikes.ndim != 3:
-        raise ValueError("expected an M x K x T spike tensor")
-    t = spikes.shape[2]
-    return np.array([sparsity(spikes[:, :, ti]) for ti in range(t)])
 
 
 def mask_low_activity_neurons(spikes: np.ndarray, max_spikes: int = 1) -> np.ndarray:

@@ -7,11 +7,10 @@ import pytest
 
 
 def pytest_configure(config: pytest.Config) -> None:
-    # The socket-backed cache tests carry `timeout` marks enforced by
-    # pytest-timeout (a [test] extra, installed in CI) so a wedged socket
-    # cannot hang the suite.  Registering the marker keeps the suite clean
-    # on environments without the plugin, where the marks are inert -- the
-    # tests then rely on their own socket timeouts instead.
+    # The pool-backed cache tests carry `timeout` marks enforced by
+    # pytest-timeout (a [test] extra, installed in CI) so a wedged worker
+    # pool cannot hang the suite.  Registering the marker keeps the suite
+    # clean on environments without the plugin, where the marks are inert.
     config.addinivalue_line(
         "markers",
         "timeout(seconds): per-test time limit, enforced when pytest-timeout "

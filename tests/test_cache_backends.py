@@ -1,37 +1,33 @@
-"""Tiered cache architecture: v2 entries, degradation, remote tier, identity.
+"""Two-level evaluation cache: v2 entries, degradation, promotion, identity.
 
-The pluggable backend stack must be invisible to results: scenario sweeps
-are bit-identical whether evaluations come from regeneration, the memory
-LRU, a disk tier (tensor-only or enriched v2 entries), or the
-network-addressed remote daemon -- serial and pooled alike.  Degraded tiers
-(torn v2 payloads, legacy v1 entries, a dead daemon) must shrink the stack,
-never fail the sweep.
+The LRU over an optional disk tier must be invisible to results: scenario
+sweeps are bit-identical whether evaluations come from regeneration, the
+memory LRU or a disk tier (tensor-only or enriched v2 entries) -- serial
+and pooled alike.  A damaged disk entry (torn or padded v2 payloads, legacy
+v1 entries) must read as a miss and be rewritten, never fail the sweep.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import socket
-import warnings
+import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import LoASSimulator
 from repro.engine import (
     DiskEvaluationCache,
     LayerEvaluation,
-    MemoryBackend,
-    RemoteBackend,
-    TieredCache,
     WorkloadEvaluationCache,
     clear_default_cache,
 )
 from repro.engine.backend import CacheEntry, pack_entry, unpack_entry
 from repro.engine.cache import generator_fingerprint, workload_fingerprint
 from repro.engine.serde import encode_state, pack_payload, unpack_payload
-from repro.engine.server import EvaluationCacheServer
 from repro.snn.network import LayerShape
 from repro.snn.workloads import LayerWorkload, SparsityProfile
 
@@ -55,20 +51,11 @@ def tier(tmp_path) -> DiskEvaluationCache:
     return DiskEvaluationCache(tmp_path / "evals")
 
 
-@pytest.fixture
-def cache_server():
-    server = EvaluationCacheServer(("127.0.0.1", 0))
-    server.start_background()
-    try:
-        yield server
-    finally:
-        server.shutdown()
-        server.server_close()
-
-
-def consumed_evaluation(cache: WorkloadEvaluationCache, workload, seed=3, preprocess=True):
-    """Evaluate and run a simulator over the result (enriching it)."""
-    evaluation = cache.evaluate(workload, np.random.default_rng(seed))
+def consumed_evaluation(
+    cache: WorkloadEvaluationCache, workload, seed=3, preprocess=True, disk=None
+):
+    """Evaluate (over ``disk``) and run a simulator over the result (enriching it)."""
+    evaluation = cache.evaluate(workload, np.random.default_rng(seed), disk=disk)
     result = LoASSimulator().simulate_workload(workload, evaluation=evaluation)
     if preprocess:
         LoASSimulator().simulate_workload(
@@ -172,14 +159,14 @@ class TestWeightStorage:
 # --------------------------------------------------------------------- #
 class TestDiskV2:
     def test_writeback_enriches_the_stored_entry(self, tier, tiny_workload):
-        cache = WorkloadEvaluationCache(backends=(tier,))
-        _, reference = consumed_evaluation(cache, tiny_workload)
+        cache = WorkloadEvaluationCache()
+        _, reference = consumed_evaluation(cache, tiny_workload, disk=tier)
         assert tier.stores == 1 and tier.refreshes == 0
         assert cache.flush_writebacks() == 1
         assert tier.refreshes == 1
 
-        cold = WorkloadEvaluationCache(backends=(tier,))
-        loaded = cold.evaluate(tiny_workload, np.random.default_rng(3))
+        cold = WorkloadEvaluationCache()
+        loaded = cold.evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
         assert cold.disk_hits == 1 and cold.misses == 0
         assert "matches" in loaded.__dict__  # statistics served from disk
         assert loaded._compressions  # compression served from disk
@@ -187,10 +174,10 @@ class TestDiskV2:
         assert_simulations_identical(result, reference)
 
     def test_unflushed_entries_stay_tensor_only_but_loadable(self, tier, tiny_workload):
-        cache = WorkloadEvaluationCache(backends=(tier,))
-        cache.evaluate(tiny_workload, np.random.default_rng(3))
-        loaded = WorkloadEvaluationCache(backends=(tier,)).evaluate(
-            tiny_workload, np.random.default_rng(3)
+        cache = WorkloadEvaluationCache()
+        cache.evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
+        loaded = WorkloadEvaluationCache().evaluate(
+            tiny_workload, np.random.default_rng(3), disk=tier
         )
         assert "matches" not in loaded.__dict__
         assert np.array_equal(
@@ -202,7 +189,7 @@ class TestDiskV2:
 
 
 # --------------------------------------------------------------------- #
-# Degradation: v1 entries, torn payloads, dead remote
+# Degradation: v1 entries, torn and padded payloads
 # --------------------------------------------------------------------- #
 def write_v1_entry(tier: DiskEvaluationCache, workload, seed: int):
     """Publish a legacy (pre-refactor ``np.savez``) tensor-only entry."""
@@ -223,6 +210,27 @@ def write_v1_entry(tier: DiskEvaluationCache, workload, seed: int):
     return key
 
 
+@pytest.fixture(scope="module")
+def enriched_entry(tmp_path_factory):
+    """The bytes of one flushed (enriched) entry, its key and the clean run."""
+    workload = make_workload()
+    tier = DiskEvaluationCache(tmp_path_factory.mktemp("enriched"))
+    cache = WorkloadEvaluationCache()
+    consumed_evaluation(cache, workload, disk=tier)
+    assert cache.flush_writebacks() == 1
+    rng = np.random.default_rng(3)
+    key = (workload_fingerprint(workload, False), generator_fingerprint(rng))
+    clean = WorkloadEvaluationCache().evaluate(workload, rng)
+    return SimpleNamespace(
+        workload=workload,
+        key=key,
+        data=tier.entry_path(key).read_bytes(),
+        full_sums=clean.full_sums,
+        matches=clean.matches,
+        state=rng.bit_generator.state,
+    )
+
+
 class TestDegradation:
     def test_v1_entry_is_a_miss_rewritten_as_v2(self, tier, tiny_workload):
         key = write_v1_entry(tier, tiny_workload, seed=3)
@@ -233,8 +241,10 @@ class TestDegradation:
         reference = LoASSimulator().simulate_workload(
             tiny_workload, rng=np.random.default_rng(3)
         )
-        cache = WorkloadEvaluationCache(backends=(tier,))
-        evaluation, result = consumed_evaluation(cache, tiny_workload, preprocess=False)
+        cache = WorkloadEvaluationCache()
+        evaluation, result = consumed_evaluation(
+            cache, tiny_workload, preprocess=False, disk=tier
+        )
         # The v1 entry no longer decodes: it is dropped like a corrupt one.
         assert tier.corrupt_dropped == 1
         assert cache.misses == 1 and cache.disk_hits == 0
@@ -246,22 +256,22 @@ class TestDegradation:
         assert tier.stores == 1
         assert cache.flush_writebacks() == 1
         assert not tier.entry_path(key).read_bytes().startswith(b"PK")  # flat (v2)
-        loaded = WorkloadEvaluationCache(backends=(tier,)).evaluate(
-            tiny_workload, np.random.default_rng(3)
+        loaded = WorkloadEvaluationCache().evaluate(
+            tiny_workload, np.random.default_rng(3), disk=tier
         )
         assert "matches" in loaded.__dict__
 
     def test_torn_v2_statistics_payload_falls_back_to_recompute(self, tier, tiny_workload):
-        cache = WorkloadEvaluationCache(backends=(tier,))
-        _, reference = consumed_evaluation(cache, tiny_workload)
+        cache = WorkloadEvaluationCache()
+        _, reference = consumed_evaluation(cache, tiny_workload, disk=tier)
         cache.flush_writebacks()
         (entry_file,) = tier._entry_files()
         payload = entry_file.read_bytes()
         entry_file.write_bytes(payload[: int(len(payload) * 0.6)])  # torn write
 
-        cold = WorkloadEvaluationCache(backends=(tier,))
+        cold = WorkloadEvaluationCache()
         rng = np.random.default_rng(3)
-        regenerated = cold.evaluate(tiny_workload, rng)
+        regenerated = cold.evaluate(tiny_workload, rng, disk=tier)
         assert tier.corrupt_dropped == 1
         assert cold.misses == 1 and cold.disk_hits == 0
         result = LoASSimulator().simulate_workload(tiny_workload, evaluation=regenerated)
@@ -270,8 +280,8 @@ class TestDegradation:
         assert len(tier) == 1
 
     def test_v2_meta_naming_missing_arrays_is_corrupt(self, tier, tiny_workload):
-        cache = WorkloadEvaluationCache(backends=(tier,))
-        evaluation, _ = consumed_evaluation(cache, tiny_workload)
+        cache = WorkloadEvaluationCache()
+        evaluation, _ = consumed_evaluation(cache, tiny_workload, disk=tier)
         cache.flush_writebacks()
         (entry_file,) = tier._entry_files()
         # Rebuild the entry with meta claiming derived arrays the container
@@ -285,81 +295,38 @@ class TestDegradation:
             dtype=np.uint8,
         )
         entry_file.write_bytes(pack_payload(arrays, meta))
-        cold = WorkloadEvaluationCache(backends=(tier,))
-        cold.evaluate(tiny_workload, np.random.default_rng(3))
+        cold = WorkloadEvaluationCache()
+        cold.evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
         assert tier.corrupt_dropped == 1 and cold.misses == 1
 
-    def test_dead_remote_degrades_with_a_single_warning(self, tmp_path, tiny_workload):
-        # Grab a port that nothing listens on.
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        dead_port = probe.getsockname()[1]
-        probe.close()
-        disk = DiskEvaluationCache(tmp_path / "evals")
-        remote = RemoteBackend("127.0.0.1:%d" % dead_port, timeout=1.0)
-        cache = WorkloadEvaluationCache(backends=(disk, remote))
-        reference = WorkloadEvaluationCache().evaluate(
-            tiny_workload, np.random.default_rng(3)
-        )
-        with pytest.warns(RuntimeWarning, match="unreachable"):
-            first = cache.evaluate(tiny_workload, np.random.default_rng(3))
-        assert not remote.alive
-        assert np.array_equal(first.spikes, reference.spikes)
-        assert disk.stores == 1  # the healthy lower tier still works
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a second warning would fail here
-            cache.flush_writebacks()
-            other = make_workload(name="other", m=6)
-            cache.evaluate(other, np.random.default_rng(4))
-        assert cache.misses == 2
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_truncated_or_padded_entry_is_a_miss_rewritten_clean(self, enriched_entry, data):
+        clean = enriched_entry
+        if data.draw(st.booleans(), label="truncate"):
+            offset = data.draw(st.integers(0, len(clean.data) - 1), label="offset")
+            damaged = clean.data[:offset]
+        else:
+            damaged = clean.data + data.draw(st.binary(min_size=1, max_size=64), label="pad")
+        with tempfile.TemporaryDirectory() as directory:
+            tier = DiskEvaluationCache(directory)
+            path = tier.entry_path(clean.key)
+            path.write_bytes(damaged)
+            cache = WorkloadEvaluationCache()
+            rng = np.random.default_rng(3)
+            evaluation = cache.evaluate(clean.workload, rng, disk=tier)
+            assert cache.misses == 1 and cache.disk_hits == 0
+            assert tier.corrupt_dropped == 1
+            # The damaged file was replaced by a freshly published entry.
+            assert tier.stores == 1 and path.read_bytes() != damaged
+            assert DiskEvaluationCache(directory).get(clean.key) is not None
+            assert np.array_equal(evaluation.full_sums, clean.full_sums)
+            assert np.array_equal(evaluation.matches, clean.matches)
+            assert rng.bit_generator.state == clean.state
 
 
 # --------------------------------------------------------------------- #
-# Remote tier (live daemon)
-# --------------------------------------------------------------------- #
-@pytest.mark.timeout(60)
-class TestRemoteTier:
-    def test_round_trip_through_the_daemon(self, cache_server, tiny_workload):
-        remote = RemoteBackend(cache_server.url)
-        cache = WorkloadEvaluationCache(backends=(remote,))
-        _, reference = consumed_evaluation(cache, tiny_workload)
-        cache.flush_writebacks()
-        stats = remote.server_stats()
-        assert stats.stores == 1 and stats.refreshes == 1 and stats.entries == 1
-
-        cold = WorkloadEvaluationCache(backends=(RemoteBackend(cache_server.url),))
-        rng = np.random.default_rng(3)
-        loaded = cold.evaluate(tiny_workload, rng)
-        assert cold.disk_hits == 1 and cold.misses == 0
-        assert "matches" in loaded.__dict__  # enriched entry over the wire
-        result = LoASSimulator().simulate_workload(tiny_workload, evaluation=loaded)
-        assert_simulations_identical(result, reference)
-        assert remote.server_stats().hits == 1
-
-    def test_promote_on_hit_fills_the_tiers_above(self, cache_server, tmp_path, tiny_workload):
-        warm = WorkloadEvaluationCache(backends=(RemoteBackend(cache_server.url),))
-        consumed_evaluation(warm, tiny_workload)
-        warm.flush_writebacks()
-        disk = DiskEvaluationCache(tmp_path / "evals")
-        stacked = WorkloadEvaluationCache(
-            backends=(disk, RemoteBackend(cache_server.url))
-        )
-        stacked.evaluate(tiny_workload, np.random.default_rng(3))
-        assert stacked.disk_hits == 1
-        assert len(disk) == 1  # remote hit promoted into the disk tier
-        assert len(stacked.memory_backend) == 1  # ... and into the LRU
-
-    def test_clear_and_stats_over_the_wire(self, cache_server, tiny_workload):
-        remote = RemoteBackend(cache_server.url)
-        cache = WorkloadEvaluationCache(backends=(remote,))
-        cache.evaluate(tiny_workload, np.random.default_rng(0))
-        assert remote.server_stats().entries == 1
-        remote.clear()
-        assert remote.server_stats().entries == 0
-
-
-# --------------------------------------------------------------------- #
-# Bit-identity across every stack configuration (acceptance)
+# Bit-identity across both cache shapes (acceptance)
 # --------------------------------------------------------------------- #
 SCALE = 0.06
 NETWORKS = ("alexnet", "vgg16")  # two (workload, seed) partitions: real pool
@@ -373,7 +340,7 @@ class TestTierStackEquivalence:
         return legacy_run_networks(networks=NETWORKS, scale=SCALE, seed=SEED)
 
     @staticmethod
-    def run_stack(workers, tmp_path=None, cache_url=None, repeat=1):
+    def run_stack(workers, tmp_path=None, repeat=1):
         from repro.experiments.sweeps import network_sweep_plan
         from repro.runner import SweepRunner
 
@@ -381,7 +348,6 @@ class TestTierStackEquivalence:
         runner = SweepRunner(
             workers=workers,
             cache_dir=None if tmp_path is None else tmp_path / "evals",
-            cache_url=cache_url,
         )
         nested = None
         for _ in range(repeat):
@@ -398,23 +364,6 @@ class TestTierStackEquivalence:
     def test_memory_disk_matches_legacy(self, reference, workers, tmp_path):
         # repeat=2: the second run is served from v2 disk entries.
         assert_sweeps_identical(reference, self.run_stack(workers, tmp_path, repeat=2))
-
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_memory_disk_remote_matches_legacy(
-        self, reference, workers, tmp_path, cache_server
-    ):
-        assert_sweeps_identical(
-            reference,
-            self.run_stack(workers, tmp_path, cache_url=cache_server.url, repeat=2),
-        )
-
-    def test_remote_only_warm_run_matches_legacy(self, reference, cache_server):
-        # Populate the daemon, then serve a fresh process-shaped run from it.
-        assert_sweeps_identical(
-            reference, self.run_stack(0, cache_url=cache_server.url, repeat=2)
-        )
-        remote = RemoteBackend(cache_server.url)
-        assert remote.server_stats().hits > 0
 
 
 class TestSweepRegimeCounters:
@@ -461,24 +410,14 @@ class TestSweepRegimeCounters:
         clear_default_cache()
 
 
-class TestTieredCacheUnit:
-    def test_promote_on_hit_and_write_through(self):
-        upper, lower = MemoryBackend(4), MemoryBackend(4)
-        stack = TieredCache((upper, lower))
-        evaluation = WorkloadEvaluationCache().evaluate(
-            make_workload(), np.random.default_rng(0)
-        )
-        entry = CacheEntry(evaluation, np.random.default_rng(0).bit_generator.state)
-        stack.put("key", entry)
-        assert len(upper) == 1 and len(lower) == 1
-        upper.clear()
-        found, level = stack.get("key")
-        assert found is entry and level == 1
-        assert len(upper) == 1  # promoted back into the top tier
-        found, level = stack.get("key")
-        assert level == 0
-
-    def test_miss_returns_sentinel_level(self):
-        stack = TieredCache((MemoryBackend(2),))
-        entry, level = stack.get("absent")
-        assert entry is None and level == -1
+class TestPromoteOnHit:
+    def test_disk_hit_is_promoted_into_the_lru(self, tier, tiny_workload):
+        WorkloadEvaluationCache().evaluate(tiny_workload, np.random.default_rng(0), disk=tier)
+        cache = WorkloadEvaluationCache()
+        first = cache.evaluate(tiny_workload, np.random.default_rng(0), disk=tier)
+        assert cache.disk_hits == 1 and tier.hits == 1
+        assert len(cache.memory_backend) == 1  # promoted into the LRU
+        again = cache.evaluate(tiny_workload, np.random.default_rng(0), disk=tier)
+        assert again is first
+        assert cache.hits == 1 and cache.disk_hits == 1
+        assert tier.hits == 1  # the LRU served it; the disk was not read

@@ -33,14 +33,14 @@ def tier(tmp_path) -> DiskEvaluationCache:
 class TestRoundTrip:
     def test_disk_hit_is_bit_identical_to_generation(self, tier):
         workload = make_workload()
-        warm_cache = WorkloadEvaluationCache(backends=(tier,))
+        warm_cache = WorkloadEvaluationCache()
         rng_gen = np.random.default_rng(3)
-        generated = warm_cache.evaluate(workload, rng_gen)
+        generated = warm_cache.evaluate(workload, rng_gen, disk=tier)
         assert tier.stores == 1
 
-        cold_cache = WorkloadEvaluationCache(backends=(tier,))  # fresh process stand-in
+        cold_cache = WorkloadEvaluationCache()  # fresh process stand-in
         rng_disk = np.random.default_rng(3)
-        loaded = cold_cache.evaluate(workload, rng_disk)
+        loaded = cold_cache.evaluate(workload, rng_disk, disk=tier)
         assert cold_cache.disk_hits == 1 and cold_cache.misses == 0
         assert np.array_equal(generated.spikes, loaded.spikes)
         assert np.array_equal(generated.weights, loaded.weights)
@@ -50,19 +50,19 @@ class TestRoundTrip:
     def test_disk_hit_fast_forwards_the_generator(self, tier):
         workload = make_workload()
         rng_gen = np.random.default_rng(3)
-        WorkloadEvaluationCache(backends=(tier,)).evaluate(workload, rng_gen)
+        WorkloadEvaluationCache().evaluate(workload, rng_gen, disk=tier)
         rng_disk = np.random.default_rng(3)
-        WorkloadEvaluationCache(backends=(tier,)).evaluate(workload, rng_disk)
+        WorkloadEvaluationCache().evaluate(workload, rng_disk, disk=tier)
         assert rng_gen.bit_generator.state == rng_disk.bit_generator.state
         # Downstream draws stay bit-identical.
         assert np.array_equal(rng_gen.integers(0, 1 << 30, 8), rng_disk.integers(0, 1 << 30, 8))
 
     def test_simulation_through_disk_tier_matches_generation(self, tier):
         workload = make_workload()
-        WorkloadEvaluationCache(backends=(tier,)).evaluate(workload, np.random.default_rng(3))
+        WorkloadEvaluationCache().evaluate(workload, np.random.default_rng(3), disk=tier)
 
-        cold_cache = WorkloadEvaluationCache(backends=(tier,))
-        loaded = cold_cache.evaluate(workload, np.random.default_rng(3))
+        cold_cache = WorkloadEvaluationCache()
+        loaded = cold_cache.evaluate(workload, np.random.default_rng(3), disk=tier)
         via_disk = LoASSimulator().simulate_workload(workload, evaluation=loaded)
         spikes, weights = workload.generate(rng=np.random.default_rng(3))
         via_tensors = LoASSimulator().simulate_layer(spikes, weights, name=workload.name)
@@ -73,58 +73,58 @@ class TestRoundTrip:
 
     def test_loaded_tensors_are_read_only(self, tier):
         workload = make_workload()
-        WorkloadEvaluationCache(backends=(tier,)).evaluate(workload, np.random.default_rng(0))
-        loaded = WorkloadEvaluationCache(backends=(tier,)).evaluate(
-            workload, np.random.default_rng(0)
+        WorkloadEvaluationCache().evaluate(workload, np.random.default_rng(0), disk=tier)
+        loaded = WorkloadEvaluationCache().evaluate(
+            workload, np.random.default_rng(0), disk=tier
         )
         with pytest.raises(ValueError):
             loaded.spikes[0, 0, 0] = 1
 
     def test_finetuned_variant_has_its_own_entry(self, tier):
         workload = make_workload()
-        cache = WorkloadEvaluationCache(backends=(tier,))
-        cache.evaluate(workload, np.random.default_rng(2))
-        cache.evaluate(workload, np.random.default_rng(2), finetuned=True)
+        cache = WorkloadEvaluationCache()
+        cache.evaluate(workload, np.random.default_rng(2), disk=tier)
+        cache.evaluate(workload, np.random.default_rng(2), finetuned=True, disk=tier)
         assert len(tier) == 2
 
 
 class TestAtomicity:
     def test_corrupt_entry_is_dropped_and_regenerated(self, tier):
         workload = make_workload()
-        generated = WorkloadEvaluationCache(backends=(tier,)).evaluate(
-            workload, np.random.default_rng(3)
+        generated = WorkloadEvaluationCache().evaluate(
+            workload, np.random.default_rng(3), disk=tier
         )
         (entry,) = tier._entry_files()
         entry.write_bytes(b"torn write: not a zip archive")
 
-        cache = WorkloadEvaluationCache(backends=(tier,))
+        cache = WorkloadEvaluationCache()
         rng = np.random.default_rng(3)
-        regenerated = cache.evaluate(workload, rng)
+        regenerated = cache.evaluate(workload, rng, disk=tier)
         assert tier.corrupt_dropped == 1
         assert cache.misses == 1 and cache.disk_hits == 0
         assert np.array_equal(generated.spikes, regenerated.spikes)
         assert np.array_equal(generated.weights, regenerated.weights)
         # The regeneration re-published a clean entry.
         assert len(tier) == 1
-        assert WorkloadEvaluationCache(backends=(tier,)).evaluate(
-            workload, np.random.default_rng(3)
+        assert WorkloadEvaluationCache().evaluate(
+            workload, np.random.default_rng(3), disk=tier
         ) is not None
         assert tier.hits == 1
 
     def test_truncated_entry_counts_as_miss(self, tier):
         workload = make_workload()
-        WorkloadEvaluationCache(backends=(tier,)).evaluate(workload, np.random.default_rng(3))
+        WorkloadEvaluationCache().evaluate(workload, np.random.default_rng(3), disk=tier)
         (entry,) = tier._entry_files()
         payload = entry.read_bytes()
         entry.write_bytes(payload[: len(payload) // 2])
         assert tier.get(("nonexistent",)) is None  # plain miss path
-        cache = WorkloadEvaluationCache(backends=(tier,))
-        cache.evaluate(workload, np.random.default_rng(3))
+        cache = WorkloadEvaluationCache()
+        cache.evaluate(workload, np.random.default_rng(3), disk=tier)
         assert tier.corrupt_dropped == 1
 
     def test_no_temporary_files_left_behind(self, tier):
         workload = make_workload()
-        WorkloadEvaluationCache(backends=(tier,)).evaluate(workload, np.random.default_rng(1))
+        WorkloadEvaluationCache().evaluate(workload, np.random.default_rng(1), disk=tier)
         leftovers = [p for p in tier.directory.iterdir() if not p.name.endswith(".npz")]
         assert leftovers == []
 
@@ -134,11 +134,11 @@ class TestEviction:
         first = make_workload(name="w0", m=6)
         entry_bytes = self._entry_size(tmp_path / "probe", first)
         tier = DiskEvaluationCache(tmp_path / "evals", max_bytes=int(entry_bytes * 2.5))
-        cache = WorkloadEvaluationCache(backends=(tier,))
+        cache = WorkloadEvaluationCache()
         workloads = [make_workload(name=f"w{m}", m=m) for m in (6, 7, 8)]
         paths = []
         for workload in workloads:
-            cache.evaluate(workload, np.random.default_rng(0))
+            cache.evaluate(workload, np.random.default_rng(0), disk=tier)
             newest = max(tier._entry_files(), key=lambda p: p.stat().st_mtime_ns)
             paths.append(newest)
         assert len(tier) == 2
@@ -148,9 +148,9 @@ class TestEviction:
 
     def test_budget_smaller_than_one_entry_keeps_newest(self, tmp_path):
         tier = DiskEvaluationCache(tmp_path / "evals", max_bytes=16)
-        cache = WorkloadEvaluationCache(backends=(tier,))
-        cache.evaluate(make_workload(name="a", m=6), np.random.default_rng(0))
-        cache.evaluate(make_workload(name="b", m=7), np.random.default_rng(0))
+        cache = WorkloadEvaluationCache()
+        cache.evaluate(make_workload(name="a", m=6), np.random.default_rng(0), disk=tier)
+        cache.evaluate(make_workload(name="b", m=7), np.random.default_rng(0), disk=tier)
         assert len(tier) == 1  # the just-stored entry survives
 
     def test_rejects_non_positive_budget(self, tmp_path):
@@ -160,7 +160,7 @@ class TestEviction:
     @staticmethod
     def _entry_size(directory, workload) -> int:
         probe = DiskEvaluationCache(directory)
-        WorkloadEvaluationCache(backends=(probe,)).evaluate(workload, np.random.default_rng(0))
+        WorkloadEvaluationCache().evaluate(workload, np.random.default_rng(0), disk=probe)
         return probe.total_bytes()
 
 

@@ -1,8 +1,6 @@
 """Unit tests for the reporting helpers."""
 
-import pytest
-
-from repro.metrics.report import format_ratio, format_series, format_table, normalise
+from repro.metrics.report import format_series, format_table
 
 
 class TestFormatTable:
@@ -34,23 +32,3 @@ class TestFormatSeries:
     def test_missing_values_are_nan(self):
         text = format_series({"a": {"x": 1.0}, "b": {"y": 2.0}})
         assert "nan" in text
-
-
-class TestNormalise:
-    def test_normalise_to_reference(self):
-        values = {"a": 10.0, "b": 5.0}
-        assert normalise(values, "a") == {"a": 1.0, "b": 0.5}
-
-    def test_missing_reference_rejected(self):
-        with pytest.raises(KeyError):
-            normalise({"a": 1.0}, "b")
-
-    def test_zero_reference_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            normalise({"a": 0.0}, "a")
-
-
-class TestFormatRatio:
-    def test_basic(self):
-        assert format_ratio(3.2545) == "3.25x"
-        assert format_ratio(3.2545, precision=1) == "3.3x"

@@ -1,13 +1,10 @@
-"""Unit tests for LIF dynamics, the functional layer and spike encodings."""
+"""Unit tests for LIF dynamics and the functional layer."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 
-from repro.snn.encoding import direct_encode, poisson_encode, rate_decode
 from repro.snn.layers import SNNLinearLayer, spmspm_reference
-from repro.snn.lif import LIFNeuron, LIFParameters, lif_fire, lif_step
+from repro.snn.lif import LIFParameters, lif_fire, lif_step
 
 
 class TestLIFParameters:
@@ -65,25 +62,6 @@ class TestLIFFire:
         assert lif_fire(np.zeros((2, 2, 3))).sum() == 0
 
 
-class TestLIFNeuron:
-    def test_stateful_forward_matches_lif_fire(self):
-        rng = np.random.default_rng(0)
-        currents = rng.normal(size=(4, 6, 5))
-        neuron = LIFNeuron((4, 6))
-        stepped = np.stack([neuron.forward(currents[:, :, t]) for t in range(5)], axis=-1)
-        assert np.array_equal(stepped, lif_fire(currents))
-
-    def test_reset_clears_membrane(self):
-        neuron = LIFNeuron((2,), LIFParameters(threshold=1.0, leak=1.0))
-        neuron.forward(np.array([0.6, 0.6]))
-        neuron.reset()
-        assert np.all(neuron.membrane == 0)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            LIFNeuron((2,)).forward(np.zeros(3))
-
-
 class TestSpMspMReference:
     def test_matches_manual_matmul(self, rng):
         spikes = (rng.random((3, 7, 2)) > 0.5).astype(np.uint8)
@@ -130,36 +108,3 @@ class TestSNNLinearLayer:
         layer = SNNLinearLayer(weights)
         output = layer(spikes)
         assert np.array_equal(output.spikes, lif_fire(spmspm_reference(spikes, weights), layer.lif))
-
-
-class TestEncoding:
-    def test_direct_encode_shape(self, rng):
-        inputs = rng.random((5, 8))
-        weights = rng.normal(size=(8, 12))
-        spikes = direct_encode(inputs, weights, timesteps=4)
-        assert spikes.shape == (5, 12, 4)
-        assert set(np.unique(spikes)).issubset({0, 1})
-
-    def test_direct_encode_dimension_check(self, rng):
-        with pytest.raises(ValueError):
-            direct_encode(rng.random((5, 8)), rng.random((9, 12)), 4)
-
-    def test_poisson_encode_rates(self, rng):
-        inputs = np.array([0.0, 1.0])
-        spikes = poisson_encode(inputs, timesteps=200, rng=rng)
-        assert spikes[0].sum() == 0
-        assert spikes[1].sum() == 200
-
-    def test_poisson_encode_intermediate_rate(self, rng):
-        spikes = poisson_encode(np.full(50, 0.5), timesteps=100, rng=rng)
-        assert spikes.mean() == pytest.approx(0.5, abs=0.05)
-
-    def test_rate_decode_inverts_rates(self, rng):
-        spikes = poisson_encode(np.full(20, 0.3), timesteps=400, rng=rng)
-        assert rate_decode(spikes).mean() == pytest.approx(0.3, abs=0.05)
-
-    @settings(max_examples=20, deadline=None)
-    @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 6)), elements=st.floats(0, 1)))
-    def test_poisson_encode_is_unary(self, inputs):
-        spikes = poisson_encode(inputs, timesteps=3, rng=np.random.default_rng(0))
-        assert set(np.unique(spikes)).issubset({0, 1})

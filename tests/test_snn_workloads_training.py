@@ -8,7 +8,6 @@ from repro.snn.network import (
     LayerShape,
     REPRESENTATIVE_LAYERS,
     alexnet_layers,
-    representative_layer,
     resnet19_layers,
     vgg16_layers,
 )
@@ -51,7 +50,7 @@ class TestNetworkShapes:
 
     def test_representative_layer_lookup_error(self):
         with pytest.raises(KeyError):
-            representative_layer("bogus")
+            get_layer_workload("bogus")
 
     def test_macs_properties(self):
         shape = LayerShape("x", 2, 3, 4, 5)

@@ -14,7 +14,6 @@ from repro.sparse.matrix import (
     silent_neuron_fraction,
     silent_neuron_mask,
     sparsity,
-    spike_sparsity_per_timestep,
 )
 
 
@@ -145,10 +144,6 @@ class TestMaskingHelpers:
     def test_silent_neuron_mask_requires_3d(self):
         with pytest.raises(ValueError):
             silent_neuron_mask(np.zeros((2, 2)))
-
-    def test_spike_sparsity_per_timestep_shape(self, rng):
-        spikes = random_spike_tensor(4, 10, 3, 0.5, rng=rng)
-        assert spike_sparsity_per_timestep(spikes).shape == (3,)
 
     def test_mask_low_activity_removes_single_spike_neurons(self):
         spikes = np.zeros((1, 3, 4), dtype=np.uint8)
