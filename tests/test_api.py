@@ -280,6 +280,21 @@ class TestSessionPolicy:
         assert Path(tier) == tmp_path / "tier"
         assert str(tier) == str(tmp_path / "tier")
 
+    def test_session_has_no_remote_option(self):
+        with pytest.raises(TypeError):
+            Session(cache_url="tcp://localhost:1")
+        with pytest.raises(TypeError):
+            Session().run("layers", layers=("V-L8",), scale=SCALE, cache_url="tcp://localhost:1")
+
+    def test_provenance_cache_record_names_two_levels(self, tmp_path):
+        result = Session(cache_dir=tmp_path / "tier").run(
+            "layers", layers=("V-L8",), scale=SCALE, seed=SEED
+        )
+        assert "cache_url" not in result.provenance
+        cache = result.provenance["cache"]
+        assert not any("remote" in key for key in cache)
+        assert "disk_hits" in cache and "lru_hits" in cache
+
     def test_provenance_records_version_seeds_and_cache(self):
         result = Session().run("layers", layers=("V-L8",), scale=SCALE, seed=SEED)
         assert result.provenance["package_version"] == repro.__version__
@@ -518,6 +533,27 @@ class TestCli:
         # flattened exit-2 one-liner.
         with pytest.raises(TypeError):
             cli_main(["run", "fig5-psum-traffic", "--set", "layers=3"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["cache", "serve"],
+            ["run", "table2-workloads", "--cache-url", "tcp://localhost:1"],
+            ["cache", "stats", "--cache-url", "tcp://localhost:1"],
+        ),
+        ids=("cache-serve", "run-cache-url", "stats-cache-url"),
+    )
+    def test_remote_cache_commands_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv)
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_cache_stats_json_has_two_levels(self, tmp_path, capsys):
+        assert cli_main(["cache", "stats", "--cache-dir", str(tmp_path / "tier"), "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert set(record) == {"lru", "disk"}
+        assert record["disk"]["entries"] == 0
 
     def test_cache_stats_and_clear(self, tmp_path, capsys):
         tier = str(tmp_path / "tier")

@@ -421,3 +421,153 @@ class TestPromoteOnHit:
         assert again is first
         assert cache.hits == 1 and cache.disk_hits == 1
         assert tier.hits == 1  # the LRU served it; the disk was not read
+
+
+class TestTwoLevelEvaluate:
+    """evaluate(): the LRU, then the tier named by the call, then generation."""
+
+    def test_without_a_tier_nothing_is_stored_or_written_back(self, tier, tiny_workload):
+        cache = WorkloadEvaluationCache()
+        consumed_evaluation(cache, tiny_workload)
+        assert cache.misses == 1 and cache.disk_hits == 0
+        assert cache.flush_writebacks() == 0  # no tier, so nothing is pending
+        assert len(tier) == 0 and tier.stores == 0 and tier.misses == 0
+
+    def test_full_miss_publishes_to_the_lru_and_the_tier(self, tier, tiny_workload):
+        cache = WorkloadEvaluationCache()
+        cache.evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
+        assert cache.misses == 1 and len(cache) == 1
+        assert tier.misses == 1 and tier.stores == 1 and len(tier) == 1
+
+    def test_lru_hit_does_not_read_the_tier(self, tier, tiny_workload):
+        cache = WorkloadEvaluationCache()
+        first = cache.evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
+        again = cache.evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
+        assert again is first and cache.hits == 1
+        assert tier.hits == 0 and tier.misses == 1  # only the first lookup
+
+    def test_each_call_names_its_own_tier(self, tmp_path, tiny_workload):
+        first, second = (DiskEvaluationCache(tmp_path / name) for name in ("a", "b"))
+        cache = WorkloadEvaluationCache()
+        cache.evaluate(tiny_workload, np.random.default_rng(3), disk=first)
+        cache.clear()
+        cache.evaluate(tiny_workload, np.random.default_rng(3), disk=second)
+        # The second tier was never told about the first one's entry.
+        assert cache.misses == 1 and cache.disk_hits == 0
+        assert first.stores == 1 and second.stores == 1
+        assert first.hits == 0 and second.misses == 1
+
+    def test_lru_eviction_falls_back_to_the_tier(self, tier):
+        small, other = make_workload("small"), make_workload("other", m=4)
+        cache = WorkloadEvaluationCache(maxsize=1)
+        first = cache.evaluate(small, np.random.default_rng(3), disk=tier)
+        cache.evaluate(other, np.random.default_rng(3), disk=tier)
+        assert cache.evictions == 1
+        reloaded = cache.evaluate(small, np.random.default_rng(3), disk=tier)
+        assert cache.misses == 2 and cache.disk_hits == 1
+        assert np.array_equal(reloaded.packed_words, first.packed_words)
+        assert np.array_equal(reloaded.weights, first.weights)
+
+    def test_writeback_refreshes_the_tier_the_entry_came_from(self, tmp_path, tiny_workload):
+        first, second = (DiskEvaluationCache(tmp_path / name) for name in ("a", "b"))
+        cache = WorkloadEvaluationCache()
+        consumed_evaluation(cache, tiny_workload, disk=first)
+        cache.evaluate(make_workload("other", m=4), np.random.default_rng(3), disk=second)
+        assert cache.flush_writebacks() == 1
+        assert first.refreshes == 1 and second.refreshes == 0
+
+    def test_disk_hit_registers_a_writeback(self, tier, tiny_workload):
+        WorkloadEvaluationCache().evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
+        cache = WorkloadEvaluationCache()
+        consumed_evaluation(cache, tiny_workload, disk=tier)
+        assert cache.disk_hits == 1 and tier.refreshes == 0
+        assert cache.flush_writebacks() == 1
+        assert tier.refreshes == 1 and tier.stores == 1
+
+    def test_flush_without_enrichment_republishes_nothing(self, tier, tiny_workload):
+        cache = WorkloadEvaluationCache()
+        cache.evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
+        assert cache.flush_writebacks() == 0
+        assert tier.refreshes == 0
+
+    def test_flush_drains_the_pending_writebacks(self, tier, tiny_workload):
+        cache = WorkloadEvaluationCache()
+        consumed_evaluation(cache, tiny_workload, disk=tier)
+        assert cache.flush_writebacks() == 1
+        assert cache.flush_writebacks() == 0
+        assert tier.refreshes == 1
+
+    def test_pending_writebacks_flush_themselves_at_the_threshold(self, tier, monkeypatch):
+        from repro.engine import cache as cache_module
+
+        monkeypatch.setattr(cache_module, "_DIRTY_FLUSH_THRESHOLD", 2)
+        cache = WorkloadEvaluationCache()
+        for seed in (1, 2):
+            evaluation = cache.evaluate(make_workload(), np.random.default_rng(seed), disk=tier)
+            evaluation.matches  # enrich, so the flush re-publishes it
+        assert tier.refreshes == 0
+        # The third call finds two pending write-backs and flushes them first.
+        cache.evaluate(make_workload(), np.random.default_rng(3), disk=tier)
+        assert tier.refreshes == 2
+        assert cache.flush_writebacks() == 0  # the third entry gained nothing
+
+    def test_clear_keeps_the_tier_and_drops_pending_writebacks(self, tier, tiny_workload):
+        cache = WorkloadEvaluationCache()
+        consumed_evaluation(cache, tiny_workload, disk=tier)
+        cache.clear()
+        assert len(cache) == 0 and cache.misses == 0
+        assert cache.flush_writebacks() == 0 and tier.refreshes == 0
+        assert len(tier) == 1
+        cache.evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
+        assert cache.disk_hits == 1 and cache.misses == 0
+
+    def test_workload_without_a_fingerprint_bypasses_both_levels(self, tier, tiny_workload):
+        class Unfingerprinted:
+            def generate(self, rng, finetuned=False):
+                return tiny_workload.generate(rng=rng, finetuned=finetuned)
+
+        cache = WorkloadEvaluationCache()
+        evaluation = cache.evaluate(Unfingerprinted(), np.random.default_rng(3), disk=tier)
+        reference = WorkloadEvaluationCache().evaluate(tiny_workload, np.random.default_rng(3))
+        assert np.array_equal(evaluation.packed_words, reference.packed_words)
+        assert len(cache) == 0 and cache.misses == 0 and cache.hits == 0
+        assert len(tier) == 0 and tier.misses == 0
+
+    def test_stats_report_each_level(self, tier, tiny_workload):
+        WorkloadEvaluationCache().evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
+        cache = WorkloadEvaluationCache(maxsize=7)
+        cache.evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
+        cache.evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.disk_hits) == (1, 0, 1)
+        assert stats.entries == 1 and stats.maxsize == 7
+
+
+class TestDiskPut:
+    def test_put_of_a_present_key_is_a_noop(self, tier, tiny_workload):
+        cache = WorkloadEvaluationCache()
+        evaluation = cache.evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
+        key = (
+            workload_fingerprint(tiny_workload, False),
+            generator_fingerprint(np.random.default_rng(3)),
+        )
+        before = tier.entry_path(key).read_bytes()
+        evaluation.matches
+        tier.put(key, CacheEntry(evaluation, np.random.default_rng(0).bit_generator.state))
+        assert tier.stores == 1 and tier.refreshes == 0
+        assert tier.entry_path(key).read_bytes() == before
+
+    def test_put_with_replace_refreshes_in_place(self, tier, tiny_workload):
+        cache = WorkloadEvaluationCache()
+        evaluation = cache.evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
+        key = (
+            workload_fingerprint(tiny_workload, False),
+            generator_fingerprint(np.random.default_rng(3)),
+        )
+        before = tier.entry_path(key).read_bytes()
+        evaluation.matches
+        entry = CacheEntry(evaluation, np.random.default_rng(3).bit_generator.state)
+        tier.put(key, entry, replace=True)
+        assert tier.stores == 1 and tier.refreshes == 1 and len(tier) == 1
+        assert tier.entry_path(key).read_bytes() != before
+        assert "matches" in tier.get(key).evaluation.__dict__

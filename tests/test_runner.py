@@ -591,3 +591,104 @@ class TestPoolDispatchOrder:
         plan = self._plan()
         ordinals = [ordinal for ordinal, _, _ in SweepRunner().iter_partitions(plan)]
         assert ordinals == list(range(len(plan.partitions())))
+
+
+class TestWorkerDiskTier:
+    """Pool workers get ``(directory, max_bytes)`` and build one tier from it."""
+
+    @staticmethod
+    def _layer_cells():
+        from repro.experiments.sweeps import layer_sweep_plan
+
+        plan = layer_sweep_plan(("V-L8",), scale=SCALE, seed=SEED)
+        (indices,) = plan.partitions()
+        return tuple(plan.cells[i] for i in indices)
+
+    @pytest.fixture
+    def fresh_worker_state(self):
+        from repro.engine import clear_default_cache
+        from repro.runner import executor
+
+        executor._worker_disk.cache_clear()
+        clear_default_cache()
+        yield executor
+        executor._worker_disk.cache_clear()
+        clear_default_cache()
+
+    def test_worker_disk_is_reused_for_one_spec(self, tmp_path, fresh_worker_state):
+        executor = fresh_worker_state
+        tier = executor._worker_disk(str(tmp_path / "tier"), 1 << 20)
+        assert executor._worker_disk(str(tmp_path / "tier"), 1 << 20) is tier
+        assert tier.directory == tmp_path / "tier" and tier.max_bytes == 1 << 20
+
+    def test_worker_disk_is_rebuilt_for_a_new_spec(self, tmp_path, fresh_worker_state):
+        executor = fresh_worker_state
+        first = executor._worker_disk(str(tmp_path / "a"), None)
+        second = executor._worker_disk(str(tmp_path / "b"), None)
+        assert second is not first and second.directory == tmp_path / "b"
+
+    def test_pool_task_without_a_disk_spec_stays_in_memory(self, tmp_path, fresh_worker_state):
+        executor = fresh_worker_state
+        cells = self._layer_cells()
+        ordinal, results = executor._pool_task((7, cells, None))
+        assert ordinal == 7
+        assert executor._worker_disk.cache_info().currsize == 0
+        from repro.engine import clear_default_cache
+
+        clear_default_cache()
+        for a, b in zip(results, executor._execute_partition(cells)):
+            assert_results_identical(a, b)
+
+    def test_pool_task_publishes_to_the_named_directory(self, tmp_path, fresh_worker_state):
+        executor = fresh_worker_state
+        cells = self._layer_cells()
+        _, results = executor._pool_task((0, cells, (str(tmp_path / "tier"), None)))
+        tier = executor._worker_disk(str(tmp_path / "tier"), None)
+        assert tier.stores >= 1 and tier.refreshes >= 1 and len(tier) == tier.stores
+        from repro.engine import clear_default_cache
+
+        clear_default_cache()
+        for a, b in zip(results, executor._execute_partition(cells)):
+            assert_results_identical(a, b)
+
+    @pytest.mark.parametrize("with_tier", (False, True), ids=("no-tier", "tier"))
+    def test_pool_payload_carries_directory_and_budget(self, tmp_path, monkeypatch, with_tier):
+        from repro.runner import executor
+
+        TestPoolDispatchOrder()._inline_pool(monkeypatch)
+        payloads = []
+        run_task = executor._pool_task
+
+        def recording_task(payload):
+            payloads.append(payload)
+            return run_task(payload)
+
+        monkeypatch.setattr(executor, "_pool_task", recording_task)
+        from repro.api import Session
+
+        cache_dir = tmp_path / "tier" if with_tier else None
+        session = Session(workers=2, cache_dir=cache_dir, disk_max_bytes=1 << 30)
+        session.run("layers", layers=("V-L8", "A-L4"), scale=SCALE, seed=SEED)
+        expected = (str(tmp_path / "tier"), 1 << 30) if with_tier else None
+        assert len(payloads) == 2
+        assert all(disk_spec == expected for _, _, disk_spec in payloads)
+        executor._worker_disk.cache_clear()
+
+    def test_serial_run_passes_the_runner_tier(self, tmp_path):
+        from repro.engine import clear_default_cache, default_cache
+        from repro.experiments.sweeps import layer_sweep_plan
+
+        plan = layer_sweep_plan(("V-L8",), scale=SCALE, seed=SEED)
+        runner = SweepRunner(cache_dir=tmp_path / "tier")
+        clear_default_cache()
+        runner.run(plan)
+        assert runner.disk_tier.stores == default_cache().misses >= 1
+        # A runner without a tier leaves the first one alone.
+        clear_default_cache()
+        SweepRunner().run(plan)
+        assert runner.disk_tier.hits == 0 and runner.disk_tier.misses == runner.disk_tier.stores
+        clear_default_cache()
+
+    def test_runner_has_no_remote_option(self):
+        with pytest.raises(TypeError):
+            SweepRunner(cache_url="tcp://localhost:1")

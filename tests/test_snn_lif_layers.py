@@ -108,3 +108,25 @@ class TestSNNLinearLayer:
         layer = SNNLinearLayer(weights)
         output = layer(spikes)
         assert np.array_equal(output.spikes, lif_fire(spmspm_reference(spikes, weights), layer.lif))
+
+
+class TestLIFNeuron:
+    """A population of neurons stepped one timestep at a time."""
+
+    def test_stateful_forward_matches_lif_fire(self):
+        rng = np.random.default_rng(0)
+        currents = rng.normal(size=(4, 6, 5))
+        params = LIFParameters()
+        membrane = np.zeros((4, 6))
+        stepped = []
+        for t in range(5):
+            spikes, membrane = lif_step(currents[:, :, t], membrane, params)
+            stepped.append(spikes)
+        assert np.array_equal(np.stack(stepped, axis=-1), lif_fire(currents, params))
+
+    def test_neurons_step_independently(self):
+        spikes, membrane = lif_step(
+            np.array([0.7, 0.2]), np.array([0.6, 0.6]), LIFParameters(threshold=1.0, leak=1.0)
+        )
+        assert spikes.tolist() == [1, 0]
+        assert membrane.tolist() == [0.0, 0.8]
