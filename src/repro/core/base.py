@@ -91,10 +91,9 @@ class SimulatorBase:
         if evaluation is None:
             rng = np.random.default_rng(DEFAULT_RNG_SEED) if rng is None else rng
             evaluation = default_cache().evaluate(workload, rng, finetuned=finetuned)
-        # The tensors travel as the packed matrix and a possibly still
-        # deferred weight handle: every simulator reads the shared
-        # evaluation when one is passed, so no layer is unpacked to a dense
-        # tensor or decoded just to be forwarded.
+        # The tensors travel as the packed matrix and the weights: every
+        # simulator reads the shared evaluation when one is passed, so no
+        # layer is unpacked to a dense tensor just to be forwarded.
         spikes, weights = evaluation.tensors
         return self.simulate_layer(
             spikes,

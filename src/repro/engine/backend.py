@@ -101,8 +101,9 @@ class CacheStats:
 class CacheEntry:
     """The value one cache key addresses, in the LRU or on disk.
 
-    ``evaluation`` carries the generated tensors plus whatever derived
-    artifacts have been computed (see :meth:`LayerEvaluation.dehydrate`);
+    ``evaluation`` carries the packed spike words and the weights plus
+    whatever derived artifacts have been computed (see
+    :meth:`LayerEvaluation.dehydrate`);
     ``state_after`` is the post-generation bit-generator state used to
     fast-forward the caller's generator on a hit.
     """
@@ -122,13 +123,12 @@ def pack_entry(entry: CacheEntry) -> bytes:
 
 
 def unpack_entry(data: bytes) -> CacheEntry:
-    """Inverse of :func:`pack_entry`; raises on a torn/corrupt container.
+    """Inverse of :func:`pack_entry`.
 
-    The dense tensors are deferred (:class:`~repro.engine.serde.DeferredArray`):
-    an enriched entry's consumers read the pre-seeded derived arrays, so the
-    tensor bytes decode only if something actually touches them.
+    Raises on a torn/corrupt container or on an entry of another schema
+    (see :meth:`LayerEvaluation.hydrate`).
     """
-    arrays, meta = unpack_payload(data, defer={"spikes", "weights"})
+    arrays, meta = unpack_payload(data)
     state = decode_state(json.loads(bytes(arrays.pop("state")).decode("utf-8")))
     return CacheEntry(LayerEvaluation.hydrate(arrays, meta), state)
 

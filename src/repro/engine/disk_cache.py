@@ -10,19 +10,20 @@ per ``(workload fingerprint, generator fingerprint)`` cache key.  (The
 
 Entry schema
 ------------
-* **v2** (written today) -- the generated ``(spikes, weights)`` tensor pair,
-  the post-generation bit-generator state, *and* the dehydrated derived
-  artifacts of the evaluation (packed words, matches, full sums, the
+* **3** (written today) -- ``A`` once, as its packed spike words, the
+  weights, the post-generation bit-generator state *and* the other
+  dehydrated derived artifacts of the evaluation (matches, full sums, the
   statistics-profile arrays, LIF output spikes, output compressions, one
-  level of preprocessed children) via
+  level of preprocessed children, each with its own packed words) via
   :meth:`~repro.engine.evaluation.LayerEvaluation.dehydrate`.  A disk-warm
   run therefore skips the matches/full-sums GEMM recomputation, not just
-  tensor generation.  Entries are first published tensor-only at generation
-  time and **refreshed** in place by the cache's write-back pass once the
-  simulators have enriched the evaluation.
-* **v1** (legacy ``np.savez`` archives, tensors + state only) -- no longer
-  decodes: it is dropped like any corrupt entry, so it reads as a miss and
-  the regenerated evaluation is re-published as v2.
+  tensor generation.  Entries are first published with the words and
+  weights only at generation time and **refreshed** in place by the
+  cache's write-back pass once the simulators have enriched the evaluation.
+* **Older entries** -- schema 2 (which also stored a dense ``spikes``
+  tensor) and legacy v1 ``np.savez`` archives -- no longer hydrate: each is
+  dropped like any corrupt entry, so it reads as a miss once and the
+  regenerated evaluation is re-published as schema 3.
 
 Design constraints:
 
@@ -32,8 +33,8 @@ Design constraints:
 * **Atomicity** -- entries are written to a temporary file in the cache
   directory and published with :func:`os.replace`, so a concurrent reader
   never observes a partial entry.  A corrupt entry (e.g. a torn write from
-  a crashed process, or a v2 container whose meta names artifacts the
-  archive lacks) is deleted and treated as a miss; the workload is simply
+  a crashed process, or a container whose meta names artifacts it
+  lacks) is deleted and treated as a miss; the workload is simply
   regenerated.
 * **Bounded size** -- an optional ``max_bytes`` budget evicts the
   least-recently-used entries (entry files carry their last-hit time as
@@ -115,7 +116,7 @@ class DiskEvaluationCache:
     def get(self, key) -> CacheEntry | None:
         """The hydrated entry for ``key``, or ``None`` on a miss.
 
-        A corrupt, partially written or legacy v1 entry counts as a miss:
+        A corrupt, partially written or older-schema entry counts as a miss:
         the file is deleted so the caller's regeneration can re-publish a
         clean one.
         """
@@ -127,7 +128,7 @@ class DiskEvaluationCache:
             return None
         except Exception:
             # Torn write / bad JSON / meta naming artifacts the container
-            # lacks / a legacy v1 archive: drop the entry.
+            # lacks / an older schema: drop the entry.
             self.corrupt_dropped += 1
             self.misses += 1
             try:
@@ -169,19 +170,6 @@ class DiskEvaluationCache:
             except OSError:
                 pass
             raise
-
-    # ------------------------------------------------------------------ #
-    # Path protocol
-    # ------------------------------------------------------------------ #
-    def __fspath__(self) -> str:
-        """The tier *is* its directory to path-consuming code.
-
-        Callers historically received ``cache_dir`` as a plain path; code
-        that does ``Path(cache_dir)`` / ``os.path.join(cache_dir, ...)``
-        keeps working when handed the tier object itself (as
-        :class:`repro.api.Session` does to preserve its counters).
-        """
-        return str(self.directory)
 
     def __str__(self) -> str:
         return str(self.directory)

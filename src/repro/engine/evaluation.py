@@ -38,7 +38,6 @@ import numpy as np
 
 from ..snn.lif import LIFParameters, lif_fire
 from ..sparse.packed import PackedSpikeMatrix, pack_spike_words, popcount, unpack_spike_words
-from .serde import DeferredArray
 from .statistics import LayerStatistics
 
 __all__ = [
@@ -110,9 +109,14 @@ def _product_bound(k: int, *operands) -> int | None:
     return bound
 
 
+#: Schema of the ``meta`` record :meth:`LayerEvaluation.dehydrate` writes;
+#: :meth:`LayerEvaluation.hydrate` rejects any other.
+_SCHEMA = 3
+
 #: Cached-property names persisted by :meth:`LayerEvaluation.dehydrate`.
 #: Everything here is a pure array-valued function of ``(spikes, weights)``,
 #: stored losslessly, so hydration is bit-identical to recomputation.  The
+#: packed words are always present: they are the stored form of ``A``.  The
 #: cheap mask/count properties (``nonsilent``, ``spike_counts_int``, ...) are
 #: deliberately absent: they rebuild in microseconds from the seeded arrays.
 _DEHYDRATED_PROPERTIES = (
@@ -150,36 +154,27 @@ class LayerEvaluation:
     """
 
     def __init__(self, spikes, weights):
-        # A hydrated evaluation may receive its dense tensors as
-        # DeferredArray handles (shape/dtype known, bytes not yet decoded):
-        # on the statistics-warm path every consumer reads the pre-seeded
-        # derived arrays, so the dense tensors often never materialise.
-        if not isinstance(spikes, (DeferredArray, PackedSpikeMatrix)):
+        if not isinstance(spikes, PackedSpikeMatrix):
             spikes = np.asarray(spikes)
-        if not isinstance(weights, DeferredArray):
-            weights = np.asarray(weights)
+        weights = np.asarray(weights)
         shape = tuple(int(dim) for dim in spikes.shape)
         if len(shape) != 3 or weights.ndim != 2:
             raise ValueError("expected spikes (M, K, T) and weights (K, N)")
         if shape[1] != weights.shape[0]:
             raise ValueError("contraction dimension mismatch")
         self._shape = shape
-        self._weights = weights
+        #: Weight matrix ``B``.
+        self.weights = weights
         self._output_spikes: dict[tuple, np.ndarray] = {}
         self._compressions: dict[tuple, object] = {}
         self._preprocessed: dict[int, "LayerEvaluation"] = {}
-        #: Hydration payloads of preprocessed children not yet rebuilt: a
-        #: hydrated entry defers each until :meth:`preprocessed` is called.
-        self._pending_preprocessed: dict[int, tuple] = {}
         if isinstance(spikes, PackedSpikeMatrix):
-            self._dense = None
             self.__dict__["packed"] = spikes
             self.__dict__["packed_words"] = _readonly(spikes.words)
         else:
             #: The dense ``A`` until :attr:`packed_words` packs and drops it.
             self._dense = spikes
-            if not isinstance(spikes, DeferredArray):
-                self.packed_words  # pack now; the dense tensor is released
+            self.packed_words  # pack now; the dense tensor is released
 
     @property
     def spikes(self) -> np.ndarray:
@@ -191,24 +186,17 @@ class LayerEvaluation:
         return _readonly(unpack_spike_words(self.packed_words, self.t))
 
     @property
-    def weights(self) -> np.ndarray:
-        """Weight matrix ``B`` (materialised on first access)."""
-        if isinstance(self._weights, DeferredArray):
-            self._weights = self._weights.materialise()
-        return self._weights
-
-    @property
     def tensors(self) -> tuple:
-        """The ``(packed A, weights)`` pair *without* unpacking or decoding.
+        """The ``(packed A, weights)`` pair *without* unpacking ``A``.
 
         For callers that forward the tensors positionally alongside the
         evaluation itself (``SimulatorBase.simulate_workload``): every
         simulator reads the evaluation when one is passed, so handing over
-        the packed matrix and a possibly still-deferred weight handle keeps
-        every simulator free of a dense unpack per layer.  Both are accepted
-        back by ``LayerEvaluation(...)`` should a consumer rebuild one.
+        the packed matrix keeps every simulator free of a dense unpack per
+        layer.  Both are accepted back by ``LayerEvaluation(...)`` should a
+        consumer rebuild one.
         """
-        return self.packed, self._weights
+        return self.packed, self.weights
 
     # ------------------------------------------------------------------ #
     # Dimensions
@@ -231,7 +219,7 @@ class LayerEvaluation:
     @property
     def n(self) -> int:
         """Number of output neurons (columns of ``B``)."""
-        return self._weights.shape[1]
+        return self.weights.shape[1]
 
     # ------------------------------------------------------------------ #
     # Compression and masks
@@ -241,12 +229,9 @@ class LayerEvaluation:
         """``(M, K)`` matrix of packed ``T``-bit spike words, the resident ``A``.
 
         uint8 for ``T <= 8``, int64 otherwise.  Packing releases the dense
-        tensor (or its deferred handle), so it is never held beside the words.
+        tensor, so it is never held beside the words.
         """
-        dense = self._dense
-        if isinstance(dense, DeferredArray):
-            dense = dense.materialise()
-        self._dense = None
+        dense, self._dense = self._dense, None
         return _readonly(pack_spike_words(dense))
 
     @cached_property
@@ -478,30 +463,24 @@ class LayerEvaluation:
         """
         derived = self._preprocessed.get(max_spikes)
         if derived is None:
-            prefix = "pre%d_" % max_spikes
-            pending = self._pending_preprocessed.pop(max_spikes, None)
-            if pending is not None and "packed_words" in pending[1].get("derived", ()):
-                words = pending[0][prefix + "d_packed_words"]
-            else:
-                # Same semantics as sparse.matrix.mask_low_activity_neurons:
-                # masking a neuron zeroes exactly its packed word, so the
-                # child is built from the parent's words and spike counts.
-                counts = self.spike_counts_int
-                dropped = (counts > 0) & (counts <= max_spikes)
-                words = np.where(dropped, 0, self.packed_words)
-            # The weights hand over as-is (possibly still deferred): the
-            # child's cost models read its derived statistics, not ``B``.
-            packed = PackedSpikeMatrix(words=words, shape=self._shape)
-            derived = LayerEvaluation(packed, self._weights)
-            self._preprocessed[max_spikes] = derived
-            if pending is not None:
-                derived._hydrate_derived(pending[0], pending[1], prefix=prefix)
+            # Same semantics as sparse.matrix.mask_low_activity_neurons:
+            # masking a neuron zeroes exactly its packed word, so the child
+            # is built from the parent's words and spike counts.
+            counts = self.spike_counts_int
+            dropped = (counts > 0) & (counts <= max_spikes)
+            derived = self._add_child(max_spikes, np.where(dropped, 0, self.packed_words))
             # Same weights, same per-row counts: share the parent's array
             # if it has one.  Computing it here would add an artifact to
             # the parent's stored entry that no simulator asked for.
-            if "weight_row_nnz" in self.__dict__ and "weight_row_nnz" not in derived.__dict__:
+            if "weight_row_nnz" in self.__dict__:
                 derived.weight_row_nnz = self.weight_row_nnz
         return derived
+
+    def _add_child(self, max_spikes: int, words: np.ndarray) -> "LayerEvaluation":
+        """Memoise the preprocessed child of ``max_spikes`` with packed ``words``."""
+        child = LayerEvaluation(PackedSpikeMatrix(words=words, shape=self._shape), self.weights)
+        self._preprocessed[max_spikes] = child
+        return child
 
     # ------------------------------------------------------------------ #
     # Dehydration (disk-tier persistence)
@@ -509,27 +488,22 @@ class LayerEvaluation:
     def dehydrate(self) -> tuple[dict[str, np.ndarray], dict]:
         """The evaluation as ``(arrays, meta)`` for the disk cache tier.
 
-        Captures the base tensors plus every derived artifact **already
-        computed** -- the persisted cached properties
+        Captures the weights plus every derived artifact **already
+        computed** -- the packed words (the one stored form of ``A``), the
+        other persisted cached properties
         (:data:`_DEHYDRATED_PROPERTIES`), the memoised LIF output spikes and
         output compressions, and one level of memoised preprocessed child
         evaluations (each with its own derived artifacts).  Nothing is
-        force-computed: dehydrating a fresh evaluation yields tensors only,
-        dehydrating one that simulators have consumed yields exactly the
-        warm in-memory state, so a hydrated entry skips the same work a warm
-        LRU hit skips.
+        force-computed: dehydrating a fresh evaluation yields the weights
+        and packed words only, dehydrating one that simulators have consumed
+        yields exactly the warm in-memory state, so a hydrated entry skips
+        the same work a warm LRU hit skips.
 
         The mapping is consumed by :func:`repro.engine.serde.pack_payload`;
         :meth:`hydrate` is the inverse.
         """
-        # Children still pending (hydrated but never used) rebuild first, so
-        # re-publishing a hydrated entry cannot drop its stored children.
-        for max_spikes in sorted(self._pending_preprocessed):
-            self.preprocessed(max_spikes)
-        # The stored form keeps the dense 0/1 ``spikes`` (the serde
-        # bit-packs it), unpacked here from the resident words.
-        arrays: dict[str, np.ndarray] = {"spikes": self.spikes, "weights": self.weights}
-        meta: dict = {"schema": 2}
+        arrays: dict[str, np.ndarray] = {"weights": self.weights}
+        meta: dict = {"schema": _SCHEMA, "shape": list(self._shape)}
         self._dehydrate_derived(arrays, meta, prefix="")
         preprocessed: dict[str, dict] = {}
         for max_spikes, child in self._preprocessed.items():
@@ -570,76 +544,44 @@ class LayerEvaluation:
 
         Two equal signatures mean :meth:`dehydrate` would emit the same
         member set; the cache's write-back pass re-publishes an entry only
-        when its signature moved.  A child still pending rebuild signs
-        exactly as its built form would, so hydrating an entry -- or
-        rebuilding its children -- does not change the signature until
-        something is genuinely added (a disk hit that gained nothing is not
+        when its signature moved (a disk hit that gained nothing is not
         rewritten).
         """
-        children: dict[int, tuple] = {
-            max_spikes: child.derived_signature()
+        children = sorted(
+            (max_spikes, child.derived_signature())
             for max_spikes, child in self._preprocessed.items()
-        }
-        for max_spikes, (_, child_meta) in self._pending_preprocessed.items():
-            children[max_spikes] = (
-                tuple(child_meta.get("derived", ())),
-                tuple(tuple(pair) for pair in child_meta.get("lif", ())),
-                tuple(tuple(record["key"]) for record in child_meta.get("compressions", ())),
-                (),
-            )
+        )
         return (
             tuple(name for name in _DEHYDRATED_PROPERTIES if name in self.__dict__),
             tuple(self._output_spikes),
             tuple(self._compressions),
-            tuple(sorted(children.items())),
+            tuple(children),
         )
 
     @classmethod
     def hydrate(cls, arrays: dict[str, np.ndarray], meta: dict) -> "LayerEvaluation":
         """Rebuild an evaluation from :meth:`dehydrate` output.
 
-        Derived artifacts are seeded directly into the lazy-property slots
-        (marked read-only), so a hydrated evaluation never recomputes what
-        the entry carries -- in particular the matches / full-sums GEMMs.
-        Raises ``KeyError`` on an entry whose meta names artifacts the
-        container lacks (a torn write); the disk tier treats that as
-        corruption and falls back to recomputation.
+        ``A`` and every preprocessed child are rebuilt from their stored
+        packed words (zero-copy views of the entry), and the derived
+        artifacts are seeded directly into the lazy-property slots (marked
+        read-only), so a hydrated evaluation never recomputes what the entry
+        carries -- in particular the matches / full-sums GEMMs.  Raises
+        ``ValueError`` on a meta record of another schema and ``KeyError``
+        on an entry whose meta names artifacts the container lacks (a torn
+        write); the disk tier treats either as corruption and falls back to
+        recomputation.
         """
-        spikes = arrays["spikes"]
-        weights = arrays["weights"]
-        if isinstance(weights, np.ndarray):
-            weights.setflags(write=False)
-        if "packed_words" in meta.get("derived", ()):
-            # The stored words are the resident form: the dense tensor
-            # (usually still a deferred handle) is never decoded.
-            words = arrays["d_packed_words"]
-            spikes = PackedSpikeMatrix(words=words, shape=spikes.shape)
-        evaluation = cls(spikes, weights)
+        if meta.get("schema") != _SCHEMA:
+            raise ValueError("unsupported entry schema %r" % (meta.get("schema"),))
+        packed = PackedSpikeMatrix(words=arrays["d_packed_words"], shape=tuple(meta["shape"]))
+        evaluation = cls(packed, arrays["weights"])
         evaluation._hydrate_derived(arrays, meta, prefix="")
-        for key, child_meta in (meta.get("preprocessed") or {}).items():
-            # Rebuild a child only when preprocessed() is actually called,
-            # so an enriched hit consumed without preprocessing never
-            # builds it.
-            # Torn containers must still surface *here* as corruption (the
-            # disk tier turns that into a clean miss), so the member presence is
-            # validated up front even though the rebuild is deferred.
-            cls._validate_child_members(arrays, child_meta, prefix="pre%s_" % key)
-            evaluation._pending_preprocessed[int(key)] = (arrays, child_meta)
+        for key, child_meta in meta.get("preprocessed", {}).items():
+            prefix = "pre%s_" % key
+            child = evaluation._add_child(int(key), arrays[prefix + "d_packed_words"])
+            child._hydrate_derived(arrays, child_meta, prefix=prefix)
         return evaluation
-
-    @staticmethod
-    def _validate_child_members(arrays: dict, child_meta: dict, prefix: str) -> None:
-        for name in child_meta.get("derived", ()):
-            if name not in _DEHYDRATED_PROPERTIES:
-                raise KeyError("unknown derived artifact %r" % (name,))
-            if prefix + "d_" + name not in arrays:
-                raise KeyError("missing child artifact %r" % (prefix + "d_" + name,))
-        for index in range(len(child_meta.get("lif", ()))):
-            if prefix + "lif%d" % index not in arrays:
-                raise KeyError("missing child artifact %r" % (prefix + "lif%d" % index,))
-        for index in range(len(child_meta.get("compressions", ()))):
-            if prefix + "comp%d" % index not in arrays:
-                raise KeyError("missing child artifact %r" % (prefix + "comp%d" % index,))
 
     def _hydrate_derived(self, arrays: dict, meta: dict, prefix: str) -> None:
         from ..core.compressor import CompressorResult  # local: core imports engine

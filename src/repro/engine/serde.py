@@ -1,16 +1,16 @@
 """Byte format of the disk tier's evaluation-cache entries.
 
-A cache entry holds the generated tensors, the post-generation bit-generator
-state and the dehydrated derived artifacts; this module owns how those
-become bytes:
+A cache entry holds the weights, the packed spike words, the
+post-generation bit-generator state and the other dehydrated derived
+artifacts; this module owns how those become bytes:
 
 * :func:`encode_state` / :func:`decode_state` -- the JSON round-trip of a
   ``numpy`` bit-generator state (arbitrary-precision integers natively,
   ndarray-valued fields -- e.g. Philox keys -- via a base64 envelope).
 * :func:`pack_payload` / :func:`unpack_payload` -- an ``{name: ndarray}``
-  mapping plus a JSON ``meta`` record as one byte string.  v2 entries use a
-  flat container (one JSON header, then the raw C-order array blobs): a v2
-  entry holds a dozen-plus derived arrays and ``np.savez``'s per-member
+  mapping plus a JSON ``meta`` record as one byte string.  The v2 container
+  is flat (one JSON header, then the raw C-order array blobs): an entry
+  holds a dozen-plus derived arrays and ``np.savez``'s per-member
   zipfile machinery costs more than the GEMMs the entry exists to skip,
   whereas the flat layout decodes with one read and ``np.frombuffer``
   slices.  Anything else -- including a legacy v1 ``.npz`` entry -- fails
@@ -30,7 +30,6 @@ import struct
 import numpy as np
 
 __all__ = [
-    "DeferredArray",
     "decode_state",
     "encode_state",
     "key_digest",
@@ -108,9 +107,9 @@ _BITS_CODEC = "bits"
 def _storage_form(array: np.ndarray) -> tuple[np.ndarray, str]:
     """``(storage array, stored dtype str or codec)`` -- value-exact compaction.
 
-    The generated tensors and derived counts are small-valued integers
-    living in wide dtypes (int64 weights, float64 GEMM outputs, 0/1 byte
-    spike tensors): storing them verbatim makes entry IO, not the skipped
+    The derived counts are small-valued integers living in wide dtypes
+    (int64 activity profiles, float64 GEMM outputs, boolean masks, 0/1 LIF
+    output spikes): storing them verbatim makes entry IO, not the skipped
     GEMMs, the disk-warm bottleneck.  Three value-exact forms apply:
 
     * a **binary** integer/bool array (values 0/1 only) is bit-packed
@@ -185,38 +184,6 @@ def pack_payload(arrays: dict, meta: dict) -> bytes:
     return b"".join([_MAGIC, _HEADER_LENGTH.pack(len(header)), header] + blobs)
 
 
-class DeferredArray:
-    """A not-yet-decoded array slice of an entry container.
-
-    :func:`unpack_payload` hands these out for the names in its ``defer``
-    set: the caller gets the ``shape`` / ``dtype`` / ``ndim`` immediately
-    (enough to build evaluation shells and validate dimensions) and pays
-    the decode -- bit-unpacking, dtype widening, the memory traffic -- only
-    if the array is actually read.  On the statistics-warm path the dense
-    tensors usually never are: every consumer reads the pre-seeded derived
-    arrays instead.
-    """
-
-    __slots__ = ("_data", "_record", "_offset", "shape", "dtype")
-
-    def __init__(self, data: bytes, record: dict, offset: int):
-        self._data = data
-        self._record = record
-        self._offset = offset
-        self.shape = tuple(record["shape"])
-        self.dtype = np.dtype(record["dtype"])
-
-    @property
-    def ndim(self) -> int:
-        return len(self.shape)
-
-    def materialise(self) -> np.ndarray:
-        """Decode the slice (read-only, exactly as the eager path would)."""
-        array = _decode_array(self._data, self._record, self._offset)
-        array.setflags(write=False)
-        return array
-
-
 def _decode_array(data: bytes, record: dict, offset: int) -> np.ndarray:
     dtype = np.dtype(record["dtype"])
     stored = record.get("stored", record["dtype"])
@@ -235,15 +202,16 @@ def _decode_array(data: bytes, record: dict, offset: int) -> np.ndarray:
         ).reshape(shape)
         if stored_dtype != dtype:
             array = array.astype(dtype)
+    array.setflags(write=False)
     return array
 
 
-def unpack_payload(data: bytes, defer=frozenset()) -> tuple[dict, dict]:
+def unpack_payload(data: bytes) -> tuple[dict, dict]:
     """Inverse of :func:`pack_payload`: ``(arrays, meta)``.
 
-    Decoded arrays are read-only ``np.frombuffer`` views over ``data`` (no
-    copy; entries are shared read-only anyway).  Names listed in ``defer``
-    come back as :class:`DeferredArray` handles instead of decoded arrays.
+    Every decoded array is read-only (entries are shared read-only): a
+    verbatim member is an ``np.frombuffer`` view over ``data`` (no copy),
+    a bit-packed or downcast one a fresh array in its original dtype.
     Raises on a torn or corrupt container, or on anything without the v2
     magic such as a legacy v1 ``.npz`` entry (callers treat that as a miss).
     """
@@ -261,10 +229,7 @@ def unpack_payload(data: bytes, defer=frozenset()) -> tuple[dict, dict]:
         nbytes = int(entry["nbytes"])
         if offset + nbytes > len(data):
             raise ValueError("entry array %r overruns the container" % (entry["name"],))
-        if entry["name"] in defer:
-            arrays[entry["name"]] = DeferredArray(data, entry, offset)
-        else:
-            arrays[entry["name"]] = _decode_array(data, entry, offset)
+        arrays[entry["name"]] = _decode_array(data, entry, offset)
         offset += nbytes
     if offset != len(data):
         raise ValueError("entry container has trailing bytes")

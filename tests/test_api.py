@@ -276,9 +276,11 @@ class TestSessionPolicy:
         from pathlib import Path
 
         tier = DiskEvaluationCache(tmp_path / "tier")
-        # Legacy scenario code receives cache_dir and treats it as a path.
-        assert Path(tier) == tmp_path / "tier"
+        # The tier prints as its directory but is not a path: code that
+        # needs the directory reads ``tier.directory``.
         assert str(tier) == str(tmp_path / "tier")
+        with pytest.raises(TypeError):
+            Path(tier)
 
     def test_session_has_no_remote_option(self):
         with pytest.raises(TypeError):

@@ -82,14 +82,16 @@ class TestDehydration:
         assert "matches" in hydrated.__dict__
         assert np.array_equal(hydrated.matches, evaluation.matches)
         assert hydrated.matches.dtype == evaluation.matches.dtype
-        # Memoised compressions (and the preprocessed child's) survive; the
-        # child itself rebuilds lazily (masking the dense spikes) on first
-        # preprocessed() call, with its derived arrays served from the entry.
+        # Memoised compressions survive, and the preprocessed child is built
+        # at hydration from its stored words, its derived arrays seeded.
         assert set(hydrated._compressions) == set(evaluation._compressions)
-        assert 1 in hydrated._pending_preprocessed and not hydrated._preprocessed
-        child, reference_child = hydrated.preprocessed(1), evaluation._preprocessed[1]
+        assert set(hydrated._preprocessed) == {1}
+        child, reference_child = hydrated._preprocessed[1], evaluation._preprocessed[1]
+        assert hydrated.preprocessed(1) is child
+        assert np.array_equal(child.packed_words, reference_child.packed_words)
         assert "matches" in child.__dict__  # seeded, not recomputed
         assert np.array_equal(child.matches, reference_child.matches)
+        assert child._compressions
         assert set(child._compressions) == set(reference_child._compressions)
         result = LoASSimulator().simulate_workload(tiny_workload, evaluation=hydrated)
         assert_simulations_identical(result, reference)
@@ -100,6 +102,15 @@ class TestDehydration:
         fresh = evaluation.derived_signature()
         evaluation.statistics
         assert evaluation.derived_signature() != fresh
+
+    @pytest.mark.parametrize("schema", (2, 4, None))
+    def test_hydrate_rejects_other_schemas(self, tiny_workload, schema):
+        cache = WorkloadEvaluationCache()
+        evaluation, _ = consumed_evaluation(cache, tiny_workload)
+        arrays, meta = unpack_payload(pack_payload(*evaluation.dehydrate()))
+        LayerEvaluation.hydrate(arrays, meta)  # the schema it writes loads
+        with pytest.raises(ValueError, match="schema"):
+            LayerEvaluation.hydrate(arrays, {**meta, "schema": schema})
 
 
 def stored_record(data: bytes, name: str) -> dict:
@@ -261,6 +272,40 @@ class TestDegradation:
         )
         assert "matches" in loaded.__dict__
 
+    def test_schema2_entry_is_a_miss_rewritten_as_schema3(self, tier, tiny_workload):
+        # A schema-2 entry: a dense ``spikes`` member beside the words, and
+        # no ``shape`` in its meta.
+        rng = np.random.default_rng(3)
+        key = (workload_fingerprint(tiny_workload, False), generator_fingerprint(rng))
+        evaluation = WorkloadEvaluationCache().evaluate(tiny_workload, rng)
+        arrays, meta = evaluation.dehydrate()
+        arrays = {"spikes": evaluation.spikes, **arrays}
+        meta = {name: value for name, value in meta.items() if name != "shape"}
+        meta["schema"] = 2
+        arrays["state"] = np.frombuffer(
+            json.dumps(encode_state(rng.bit_generator.state)).encode(), dtype=np.uint8
+        )
+        path = tier.entry_path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(pack_payload(arrays, meta))
+        reference = LoASSimulator().simulate_workload(
+            tiny_workload, rng=np.random.default_rng(3)
+        )
+
+        cache = WorkloadEvaluationCache()
+        _, result = consumed_evaluation(cache, tiny_workload, preprocess=False, disk=tier)
+        assert tier.corrupt_dropped == 1
+        assert cache.misses == 1 and cache.disk_hits == 0
+        assert_simulations_identical(result, reference)
+        assert tier.stores == 1
+        assert cache.flush_writebacks() == 1
+        stored, stored_meta = unpack_payload(path.read_bytes())
+        assert stored_meta["schema"] == 3 and "spikes" not in stored
+        loaded = WorkloadEvaluationCache().evaluate(
+            tiny_workload, np.random.default_rng(3), disk=tier
+        )
+        assert tier.corrupt_dropped == 1 and "matches" in loaded.__dict__
+
     def test_torn_v2_statistics_payload_falls_back_to_recompute(self, tier, tiny_workload):
         cache = WorkloadEvaluationCache()
         _, reference = consumed_evaluation(cache, tiny_workload, disk=tier)
@@ -323,6 +368,50 @@ class TestDegradation:
             assert np.array_equal(evaluation.full_sums, clean.full_sums)
             assert np.array_equal(evaluation.matches, clean.matches)
             assert rng.bit_generator.state == clean.state
+
+
+# --------------------------------------------------------------------- #
+# The stored form of a flushed tier
+# --------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def flushed_networks_tier(tmp_path_factory) -> DiskEvaluationCache:
+    """A tier populated (and written back) by the ``networks`` scenario."""
+    from repro.api import Session
+
+    tier = DiskEvaluationCache(tmp_path_factory.mktemp("networks"))
+    clear_default_cache()
+    Session(cache_dir=tier).run("networks", scale=0.05)
+    clear_default_cache()
+    assert len(tier) > 0 and tier.refreshes > 0
+    return tier
+
+
+class TestStoredForm:
+    def test_every_entry_round_trips_byte_identically(self, flushed_networks_tier):
+        for path in flushed_networks_tier._entry_files():
+            data = path.read_bytes()
+            assert pack_entry(unpack_entry(data)) == data, path.name
+
+    def test_each_evaluation_stores_one_form_of_a(self, flushed_networks_tier):
+        children = 0
+        for path in flushed_networks_tier._entry_files():
+            arrays, meta = unpack_payload(path.read_bytes())
+            m, k, t = meta["shape"]
+            prefixes = [""] + ["pre%s_" % key for key in meta.get("preprocessed", {})]
+            children += len(prefixes) - 1
+            forms = [name for name in arrays if name.endswith(("spikes", "packed_words"))]
+            assert sorted(forms) == sorted(prefix + "d_packed_words" for prefix in prefixes)
+            for name in forms:
+                assert arrays[name].shape == (m, k)
+            # No dense (M, K, T) member either; with K == N the full sums
+            # and LIF outputs share that shape without being A.
+            dense = [
+                name
+                for name, array in arrays.items()
+                if array.shape == (m, k, t) and "full_sums" not in name and "lif" not in name
+            ]
+            assert dense == []
+        assert children > 0  # the preprocessed children were checked too
 
 
 # --------------------------------------------------------------------- #

@@ -464,10 +464,11 @@ class TestPackedResidentEquivalence:
         assert_matches_dense_reference(evaluation.preprocessed(1), masked, weights)
 
         arrays, meta = evaluation.dehydrate()
-        assert np.array_equal(arrays["spikes"], spikes)  # the stored form is unchanged
-        hydrated = LayerEvaluation.hydrate(
-            *unpack_payload(pack_payload(arrays, meta), defer={"spikes", "weights"})
-        )
+        # The packed words are the one stored form of A.
+        assert "spikes" not in arrays
+        assert np.array_equal(arrays["d_packed_words"], evaluation.packed_words)
+        assert meta["shape"] == [m, k, t]
+        hydrated = LayerEvaluation.hydrate(*unpack_payload(pack_payload(arrays, meta)))
         assert np.array_equal(hydrated.packed_words, evaluation.packed_words)
         assert_matches_dense_reference(hydrated, spikes, weights)
         assert_matches_dense_reference(hydrated.preprocessed(1), masked, weights)
