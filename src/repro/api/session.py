@@ -475,12 +475,14 @@ class Session:
             "lru_misses": lru_after.misses - lru_before.misses,
             "lru_disk_hits": lru_after.disk_hits - lru_before.disk_hits,
             "lru_evictions": lru_after.evictions - lru_before.evictions,
+            "lru_lookahead_served": lru_after.lookahead_served - lru_before.lookahead_served,
         }
         if tier is not None and disk_before is not None:
             disk_after = tier.stats()
             cache["disk_hits"] = disk_after.hits - disk_before.hits
             cache["disk_misses"] = disk_after.misses - disk_before.misses
             cache["disk_stores"] = disk_after.stores - disk_before.stores
+            cache["disk_refreshes"] = disk_after.refreshes - disk_before.refreshes
             cache["disk_entries"] = disk_after.entries
         provenance: dict[str, Any] = {
             "package_version": _package_version(),

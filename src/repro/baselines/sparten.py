@@ -59,8 +59,9 @@ class SparTenSNN(SimulatorBase):
 
         # ---------------- compute cycles ---------------- #
         chunks = cfg.bitmask_chunks(k)
+        # Widened: the join is stored in a narrow unsigned dtype.
         task_cycles = (
-            t * chunks + stats.true_acs + t * self.per_timestep_overhead_cycles
+            t * chunks + stats.true_acs.astype(np.float64) + t * self.per_timestep_overhead_cycles
         )
         compute_cycles = self.grouped_wave_cycles(task_cycles, cfg.num_tppes)
 
@@ -88,7 +89,7 @@ class SparTenSNN(SimulatorBase):
         # One bitmask scan of A and B per output neuron per timestep; matched
         # weights fetched per genuine accumulation; weight fibers broadcast
         # per row group per timestep.
-        total_true_acs = float(stats.true_acs.sum())
+        total_true_acs = evaluation.true_accumulations
         sram_a = m * n * t * k / 8.0
         sram_b_bitmask = row_groups * n * t * k / 8.0
         sram_b_payload = row_groups * t * b_payload_bytes

@@ -106,7 +106,8 @@ class LoASSimulator(SimulatorBase):
 
         # ---------------- compute cycles ---------------- #
         chunks = cfg.bitmask_chunks(k_dim)
-        task_cycles = chunks + matches + cfg.task_overhead_cycles
+        # Widened: the join is stored in a narrow unsigned dtype.
+        task_cycles = chunks + matches.astype(np.float64) + cfg.task_overhead_cycles
         compute_cycles = self.grouped_wave_cycles(task_cycles, cfg.num_tppes)
         compute_cycles += compression.cycles
 

@@ -56,11 +56,16 @@ class CacheStats:
         lookups are ``hits + disk_hits + misses``.
     maxsize:
         Memory LRU only -- the entry-count bound.
+    lookahead_served:
+        Evaluation-cache orchestrator only -- the ``misses`` whose tensors
+        a lookahead generated on a background thread (see
+        :mod:`repro.engine.cache`).
     stores:
         Disk tier only -- entries published since the last reset.
     refreshes:
         Disk tier only -- already-stored entries re-published with more
-        derived artifacts by the write-back pass.
+        derived artifacts by the write-back pass (a disk hit the
+        simulators enriched; a full miss is stored once, enriched).
     corrupt_dropped:
         Disk tier only -- torn/corrupt entries deleted on load.
     total_bytes:
@@ -73,6 +78,7 @@ class CacheStats:
     entries: int
     disk_hits: int = 0
     maxsize: int | None = None
+    lookahead_served: int = 0
     stores: int = 0
     refreshes: int = 0
     corrupt_dropped: int = 0
@@ -89,6 +95,7 @@ class CacheStats:
         if self.maxsize is not None:
             out["disk_hits"] = self.disk_hits
             out["maxsize"] = self.maxsize
+            out["lookahead_served"] = self.lookahead_served
         if self.total_bytes is not None:
             out["stores"] = self.stores
             out["refreshes"] = self.refreshes

@@ -17,9 +17,11 @@ Entry schema
   level of preprocessed children, each with its own packed words) via
   :meth:`~repro.engine.evaluation.LayerEvaluation.dehydrate`.  A disk-warm
   run therefore skips the matches/full-sums GEMM recomputation, not just
-  tensor generation.  Entries are first published with the words and
-  weights only at generation time and **refreshed** in place by the
-  cache's write-back pass once the simulators have enriched the evaluation.
+  tensor generation.  A generated entry is published once, by the
+  cache's write-back pass after the simulators have enriched the
+  evaluation; a disk hit that gains artifacts is **refreshed** in place.
+  The join matrices are stored in their narrow unsigned dtype; entries
+  written while they were float64 hydrate with equal values.
 * **Older entries** -- schema 2 (which also stored a dense ``spikes``
   tensor) and legacy v1 ``np.savez`` archives -- no longer hydrate: each is
   dropped like any corrupt entry, so it reads as a miss once and the

@@ -5,10 +5,13 @@ in this repository: it owns the ``(spikes A, weights B)`` tensor pair of one
 layer and computes -- lazily, and exactly once -- every derived quantity a
 simulator may ask for:
 
-* the packed-temporal compression of ``A`` and its non-silent mask (the
-  packed words are the only form of ``A`` an evaluation keeps: the dense
-  tensor is packed on construction and released),
-* the ``(M, N)`` matched-position matrix of the inner join,
+* the packed-temporal compression of ``A`` (the packed words are the only
+  form of ``A`` an evaluation keeps: the dense tensor is packed on
+  construction and released; the non-silent mask and the per-neuron spike
+  counts are rebuilt from the words whenever they are asked for),
+* the ``(M, N)`` matched-position and true-accumulation matrices of the
+  inner join, held in the narrowest unsigned dtype their ``K * T`` bound
+  fits (:func:`join_dtype`),
 * the full-sum tensor ``O`` (one GEMM over ``k`` instead of a per-timestep
   GEMM loop) and the LIF output spikes derived from it,
 * per-accelerator true-accumulation counts and the per-timestep / per-row /
@@ -47,6 +50,7 @@ __all__ = [
     "integer_bound",
     "gemm_dtype",
     "exact_matmul",
+    "join_dtype",
 ]
 
 #: float32 represents every integer of magnitude up to ``2**24`` exactly.
@@ -98,6 +102,17 @@ def exact_matmul(lhs, rhs, bound: int | None) -> np.ndarray:
     return product.reshape(lhs.shape[:-1] + rhs.shape[1:]).astype(np.float64, copy=False)
 
 
+def join_dtype(k: int, t: int) -> np.dtype:
+    """Dtype of the join matrices: the narrowest unsigned one covering ``K * T``.
+
+    A match count is at most ``K`` and a true-accumulation count at most
+    ``K * T``, so one dtype holds both (uint16 at paper scale).  Consumers
+    widen before arithmetic: under NEP 50, ``uint16 + int`` stays uint16
+    and would wrap.
+    """
+    return np.min_scalar_type(k * t)
+
+
 def _product_bound(k: int, *operands) -> int | None:
     """``k`` times the product of the operands' integer bounds (``None`` if any is)."""
     bound = k
@@ -117,8 +132,8 @@ _SCHEMA = 3
 #: Everything here is a pure array-valued function of ``(spikes, weights)``,
 #: stored losslessly, so hydration is bit-identical to recomputation.  The
 #: packed words are always present: they are the stored form of ``A``.  The
-#: cheap mask/count properties (``nonsilent``, ``spike_counts_int``, ...) are
-#: deliberately absent: they rebuild in microseconds from the seeded arrays.
+#: non-silent mask and the spike counts are not cached at all: they rebuild
+#: from the words on every access.
 _DEHYDRATED_PROPERTIES = (
     "packed_words",
     "matches",
@@ -243,8 +258,8 @@ class LayerEvaluation:
     def nonsilent(self) -> np.ndarray:
         """Boolean ``(M, K)`` mask of neurons firing at least once.
 
-        The packed matrix's mask (derived once from the words: a neuron is
-        silent exactly when its packed word is zero).
+        The packed matrix's mask, rebuilt from the words on every access (a
+        neuron is silent exactly when its packed word is zero).
         """
         return self.packed.nonsilent
 
@@ -253,9 +268,12 @@ class LayerEvaluation:
         """Number of non-zero weights in ``B``."""
         return int(self.weight_row_nnz.sum())
 
-    @cached_property
+    @property
     def spike_counts_int(self) -> np.ndarray:
-        """``(M, K)`` per-neuron spike counts (popcount of the packed words)."""
+        """``(M, K)`` per-neuron spike counts (popcount of the packed words).
+
+        Rebuilt on every access and never cached, like :attr:`nonsilent`.
+        """
         return _readonly(popcount(self.packed_words))
 
     @cached_property
@@ -282,32 +300,40 @@ class LayerEvaluation:
         the per-neuron spike counts halves the GEMM dispatch overhead
         without changing any value.  A count is at most ``T``, so ``K * T``
         bounds every sum; the weight mask exists only for this product and
-        is never cached.
+        is never cached.  Both results are stored in :func:`join_dtype`.
         """
         stacked = np.concatenate([self.nonsilent, self.spike_counts_int], axis=0)
         bound = self.k * max(self.t, 1)
         product = exact_matmul(stacked, self.weights != 0, bound)
-        return _readonly(product[: self.m]), _readonly(product[self.m :])
+        dtype = join_dtype(self.k, self.t)
+        return (
+            _readonly(product[: self.m].astype(dtype)),
+            _readonly(product[self.m :].astype(dtype)),
+        )
 
     @cached_property
     def matches(self) -> np.ndarray:
-        """``(M, N)`` matched (non-silent x non-zero-weight) positions."""
+        """``(M, N)`` matched (non-silent x non-zero-weight) positions.
+
+        In :func:`join_dtype` (an entry written before the join was narrowed
+        hydrates it as float64): widen before arithmetic.
+        """
         return self._join_products[0]
 
     @cached_property
     def total_matches(self) -> float:
         """Total matched positions across all output neurons."""
-        return float(self.matches.sum())
+        return float(self.matches.sum(dtype=np.int64))
 
     @cached_property
     def true_acs(self) -> np.ndarray:
-        """``(M, N)`` genuine accumulations, summed over timesteps."""
+        """``(M, N)`` genuine accumulations, summed over timesteps (dtype as :attr:`matches`)."""
         return self._join_products[1]
 
     @cached_property
     def true_accumulations(self) -> float:
         """Total genuine accumulate operations of the layer."""
-        return float(self.true_acs.sum())
+        return float(self.true_acs.sum(dtype=np.int64))
 
     @cached_property
     def true_acs_per_t(self) -> np.ndarray:
@@ -382,7 +408,7 @@ class LayerEvaluation:
             t=self.t,
             nnz_weights=self.nnz_weights,
             nnz_spikes=self.nnz_spikes,
-            nonsilent_neurons=int(self.nonsilent.sum()),
+            nonsilent_neurons=self.packed.nnz,
             matches=self.matches,
             true_acs=self.true_acs,
             true_acs_per_t=self.true_acs_per_t,

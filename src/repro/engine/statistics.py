@@ -33,10 +33,14 @@ class LayerStatistics:
     nonsilent_neurons:
         ``(m, k)`` positions that fire at least once.
     matches:
-        ``(M, N)`` array of non-silent x non-zero-weight matched positions.
+        ``(M, N)`` array of non-silent x non-zero-weight matched positions,
+        in :func:`repro.engine.evaluation.join_dtype` ``(K, T)`` (uint16 at
+        paper scale).  Widen before arithmetic: under NEP 50
+        ``matches + 1`` stays in that dtype and wraps silently.
     true_acs:
         ``(M, N)`` array of genuine accumulate operations (spike = 1 and
-        weight != 0, summed over timesteps).
+        weight != 0, summed over timesteps), in the same narrow dtype as
+        ``matches``; widen it too before arithmetic.
     true_acs_per_t:
         Total genuine accumulations per timestep, shape ``(T,)``.
     active_columns_per_t:

@@ -24,6 +24,14 @@ in three steps:
    cache's write-backs so the stored entries carry the derived statistics
    the simulators just computed.
 
+**Lookahead.** A serial run on a process with more than one usable CPU
+(:func:`_usable_cpus`) names each variant's next layer in every
+evaluation, so the cache generates it on a background thread while the
+current layer is simulated.  Pinned to one CPU the background thread would
+only contend for the interpreter lock, so none is started.  Pool workers
+never look ahead: each would start a lookahead thread beside the other
+workers, a configuration no benchmark has measured.
+
 Execution is **incremental**: :meth:`SweepRunner.iter_partitions` yields each
 partition's results the moment they are available (in plan order serially,
 in completion order over a pool via ``imap_unordered``), and
@@ -43,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import multiprocessing
+import os
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -103,8 +112,17 @@ class SweepResults:
         return [(cell, result) for cell, result in self._ordered if cell.tag == tag]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _execute_partition(
-    cells: Sequence[SweepCell], disk: DiskEvaluationCache | None = None
+    cells: Sequence[SweepCell],
+    disk: DiskEvaluationCache | None = None,
+    lookahead: bool = False,
 ) -> list[SimulationResult]:
     """Run one partition: all simulators of one ``(workload, seed)`` group.
 
@@ -119,6 +137,10 @@ def _execute_partition(
     maximally enriched exactly then (statistics, compressions, preprocessed
     variants), so the disk tier stores derived state instead of bare
     tensors.
+
+    ``lookahead`` (a serial run with a CPU to spare) passes each variant's
+    next layer to :meth:`WorkloadEvaluationCache.evaluate`, which generates
+    it in the background while this layer is simulated.
     """
     workload_spec = cells[0].workload
     seed = cells[0].seed
@@ -129,20 +151,28 @@ def _execute_partition(
     rngs = {variant: np.random.default_rng(seed) for variant in variants}
     layers = workload.layers if isinstance(workload, NetworkWorkload) else [workload]
     per_cell: list[list[SimulationResult]] = [[] for _ in cells]
-    for layer in layers:
-        evaluations = {
-            variant: cache.evaluate(layer, rngs[variant], finetuned=variant, disk=disk)
-            for variant in variants
-        }
-        for index, cell in enumerate(cells):
-            per_cell[index].append(
-                simulators[index].simulate_workload(
-                    layer,
-                    evaluation=evaluations[cell.simulator.finetuned],
-                    **dict(cell.simulator.kwargs),
+    try:
+        for position, layer in enumerate(layers):
+            upcoming = layers[position + 1] if lookahead and position + 1 < len(layers) else None
+            evaluations = {
+                variant: cache.evaluate(
+                    layer, rngs[variant], finetuned=variant, disk=disk, next_workload=upcoming
                 )
-            )
-        cache.flush_writebacks()
+                for variant in variants
+            }
+            for index, cell in enumerate(cells):
+                per_cell[index].append(
+                    simulators[index].simulate_workload(
+                        layer,
+                        evaluation=evaluations[cell.simulator.finetuned],
+                        **dict(cell.simulator.kwargs),
+                    )
+                )
+            cache.flush_writebacks()
+    finally:
+        # Only a partition that raised leaves a lookahead pending.
+        for rng in rngs.values():
+            cache.drop_lookahead(rng)
     if isinstance(workload, NetworkWorkload):
         return [
             aggregate_results(results, accelerator=simulators[index].name, workload=workload.name)
@@ -238,9 +268,10 @@ class SweepRunner:
     # Execution backends
     # ------------------------------------------------------------------ #
     def _iter_serial(self, plan: SweepPlan, partitions):
+        lookahead = _usable_cpus() > 1
         for ordinal, indices in enumerate(partitions):
             yield ordinal, indices, _execute_partition(
-                [plan.cells[i] for i in indices], disk=self.disk_tier
+                [plan.cells[i] for i in indices], disk=self.disk_tier, lookahead=lookahead
             )
 
     def _iter_pool(self, plan: SweepPlan, partitions):

@@ -14,7 +14,7 @@ the temporal dimension are contiguous -- exactly what the fully
 temporal-parallel dataflow needs.
 
 The matrix is stored array-backed (one ``(M, K)`` word matrix; the
-non-silent mask is derived from it on first use): construction, spike
+non-silent mask is derived from it on every use): construction, spike
 accounting and the aggregate storage footprint are fully vectorised / O(1),
 and the per-row :class:`Fiber` objects -- needed only by the fiber-level
 units such as the inner join -- are materialised lazily on first access.
@@ -123,7 +123,6 @@ class PackedSpikeMatrix:
 
     words: np.ndarray
     shape: tuple[int, int, int]
-    _nonsilent: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _fibers: list[Fiber] | None = field(default=None, init=False, repr=False, compare=False)
     _nnz: int | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -143,12 +142,12 @@ class PackedSpikeMatrix:
         """Boolean ``(M, K)`` mask of non-silent neurons (the fiber bitmasks).
 
         A neuron is silent exactly when its packed word is zero; the
-        read-only mask is derived on first access.
+        read-only mask is rebuilt from the words on every access, so it is
+        never resident beside them.
         """
-        if self._nonsilent is None:
-            self._nonsilent = self.words != 0
-            self._nonsilent.setflags(write=False)
-        return self._nonsilent
+        mask = self.words != 0
+        mask.setflags(write=False)
+        return mask
 
     @property
     def timesteps(self) -> int:
@@ -169,7 +168,7 @@ class PackedSpikeMatrix:
     def nnz(self) -> int:
         """Total number of stored (non-silent) neurons (computed once)."""
         if self._nnz is None:
-            self._nnz = int(self.nonsilent.sum())
+            self._nnz = int(np.count_nonzero(self.words))
         return self._nnz
 
     @property
@@ -189,14 +188,15 @@ class PackedSpikeMatrix:
     def fibers(self) -> list[Fiber]:
         """One fiber per row, materialised lazily from the backing arrays."""
         if self._fibers is None:
-            counts = self.nonsilent.sum(axis=1)
+            nonsilent = self.nonsilent
+            counts = nonsilent.sum(axis=1)
             pointers = np.zeros(self.num_rows, dtype=np.int64)
             if self.num_rows:
                 pointers[1:] = np.cumsum(counts)[:-1]
-            payload = self.words[self.nonsilent]  # row-major = coordinate order
+            payload = self.words[nonsilent]  # row-major = coordinate order
             self._fibers = [
                 Fiber(
-                    bitmask=self.nonsilent[i],
+                    bitmask=nonsilent[i],
                     values=payload[pointers[i] : pointers[i] + counts[i]],
                     pointer=int(pointers[i]),
                     value_bits=self.timesteps,

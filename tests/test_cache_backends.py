@@ -64,6 +64,13 @@ def consumed_evaluation(
     return evaluation, result
 
 
+def stored_evaluation(cache: WorkloadEvaluationCache, workload, seed=3, disk=None):
+    """A full miss over ``disk``, then the flush that writes its entry."""
+    evaluation = cache.evaluate(workload, np.random.default_rng(seed), disk=disk)
+    cache.flush_writebacks()
+    return evaluation
+
+
 # --------------------------------------------------------------------- #
 # Dehydrate / hydrate round trip
 # --------------------------------------------------------------------- #
@@ -172,9 +179,9 @@ class TestDiskV2:
     def test_writeback_enriches_the_stored_entry(self, tier, tiny_workload):
         cache = WorkloadEvaluationCache()
         _, reference = consumed_evaluation(cache, tiny_workload, disk=tier)
-        assert tier.stores == 1 and tier.refreshes == 0
+        assert tier.stores == 0  # a full miss is written by the flush only
         assert cache.flush_writebacks() == 1
-        assert tier.refreshes == 1
+        assert tier.stores == 1 and tier.refreshes == 0  # once, already enriched
 
         cold = WorkloadEvaluationCache()
         loaded = cold.evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
@@ -185,8 +192,9 @@ class TestDiskV2:
         assert_simulations_identical(result, reference)
 
     def test_unflushed_entries_stay_tensor_only_but_loadable(self, tier, tiny_workload):
-        cache = WorkloadEvaluationCache()
-        cache.evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
+        # Flushed before any simulator enriched it: the entry holds tensors only.
+        stored_evaluation(WorkloadEvaluationCache(), tiny_workload, disk=tier)
+        assert tier.stores == 1
         loaded = WorkloadEvaluationCache().evaluate(
             tiny_workload, np.random.default_rng(3), disk=tier
         )
@@ -263,9 +271,10 @@ class TestDegradation:
         assert np.array_equal(evaluation.spikes, v1_spikes)
         assert np.array_equal(evaluation.weights, v1_weights)
         assert_simulations_identical(result, reference)
-        # ...and the entry is re-published, then enriched, as v2.
-        assert tier.stores == 1
+        # ...and the entry is re-published, already enriched, as v2.
+        assert tier.stores == 0
         assert cache.flush_writebacks() == 1
+        assert tier.stores == 1 and tier.refreshes == 0
         assert not tier.entry_path(key).read_bytes().startswith(b"PK")  # flat (v2)
         loaded = WorkloadEvaluationCache().evaluate(
             tiny_workload, np.random.default_rng(3), disk=tier
@@ -297,8 +306,9 @@ class TestDegradation:
         assert tier.corrupt_dropped == 1
         assert cache.misses == 1 and cache.disk_hits == 0
         assert_simulations_identical(result, reference)
-        assert tier.stores == 1
+        assert tier.stores == 0
         assert cache.flush_writebacks() == 1
+        assert tier.stores == 1 and tier.refreshes == 0
         stored, stored_meta = unpack_payload(path.read_bytes())
         assert stored_meta["schema"] == 3 and "spikes" not in stored
         loaded = WorkloadEvaluationCache().evaluate(
@@ -322,6 +332,7 @@ class TestDegradation:
         result = LoASSimulator().simulate_workload(tiny_workload, evaluation=regenerated)
         assert_simulations_identical(result, reference)
         # The regeneration re-published a clean entry over the torn one.
+        assert cold.flush_writebacks() == 1
         assert len(tier) == 1
 
     def test_v2_meta_naming_missing_arrays_is_corrupt(self, tier, tiny_workload):
@@ -363,6 +374,7 @@ class TestDegradation:
             assert cache.misses == 1 and cache.disk_hits == 0
             assert tier.corrupt_dropped == 1
             # The damaged file was replaced by a freshly published entry.
+            assert cache.flush_writebacks() == 1
             assert tier.stores == 1 and path.read_bytes() != damaged
             assert DiskEvaluationCache(directory).get(clean.key) is not None
             assert np.array_equal(evaluation.full_sums, clean.full_sums)
@@ -382,7 +394,8 @@ def flushed_networks_tier(tmp_path_factory) -> DiskEvaluationCache:
     clear_default_cache()
     Session(cache_dir=tier).run("networks", scale=0.05)
     clear_default_cache()
-    assert len(tier) > 0 and tier.refreshes > 0
+    # Each entry is written once, at its layer's flush, already enriched.
+    assert len(tier) > 0 and tier.stores == len(tier) and tier.refreshes == 0
     return tier
 
 
@@ -483,7 +496,8 @@ class TestSweepRegimeCounters:
         cold = cache.stats()
         assert cold.misses > 0 and cold.hits == 0 and cold.disk_hits == 0
         assert set(computed) == {"matches", "full_sums"}
-        assert tier.refreshes > 0  # the write-back enriched the stored entries
+        # Each entry is written once, by the write-back, already enriched.
+        assert tier.stores == cold.misses and tier.refreshes == 0
 
         runner.run(plan)
         lru_warm = cache.stats()
@@ -501,7 +515,7 @@ class TestSweepRegimeCounters:
 
 class TestPromoteOnHit:
     def test_disk_hit_is_promoted_into_the_lru(self, tier, tiny_workload):
-        WorkloadEvaluationCache().evaluate(tiny_workload, np.random.default_rng(0), disk=tier)
+        stored_evaluation(WorkloadEvaluationCache(), tiny_workload, seed=0, disk=tier)
         cache = WorkloadEvaluationCache()
         first = cache.evaluate(tiny_workload, np.random.default_rng(0), disk=tier)
         assert cache.disk_hits == 1 and tier.hits == 1
@@ -523,10 +537,13 @@ class TestTwoLevelEvaluate:
         assert len(tier) == 0 and tier.stores == 0 and tier.misses == 0
 
     def test_full_miss_publishes_to_the_lru_and_the_tier(self, tier, tiny_workload):
+        # The LRU at once, the tier at the flush: each entry is written once.
         cache = WorkloadEvaluationCache()
         cache.evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
         assert cache.misses == 1 and len(cache) == 1
-        assert tier.misses == 1 and tier.stores == 1 and len(tier) == 1
+        assert tier.misses == 1 and tier.stores == 0 and len(tier) == 0
+        assert cache.flush_writebacks() == 1
+        assert tier.stores == 1 and tier.refreshes == 0 and len(tier) == 1
 
     def test_lru_hit_does_not_read_the_tier(self, tier, tiny_workload):
         cache = WorkloadEvaluationCache()
@@ -538,9 +555,9 @@ class TestTwoLevelEvaluate:
     def test_each_call_names_its_own_tier(self, tmp_path, tiny_workload):
         first, second = (DiskEvaluationCache(tmp_path / name) for name in ("a", "b"))
         cache = WorkloadEvaluationCache()
-        cache.evaluate(tiny_workload, np.random.default_rng(3), disk=first)
+        stored_evaluation(cache, tiny_workload, disk=first)
         cache.clear()
-        cache.evaluate(tiny_workload, np.random.default_rng(3), disk=second)
+        stored_evaluation(cache, tiny_workload, disk=second)
         # The second tier was never told about the first one's entry.
         assert cache.misses == 1 and cache.disk_hits == 0
         assert first.stores == 1 and second.stores == 1
@@ -552,6 +569,7 @@ class TestTwoLevelEvaluate:
         first = cache.evaluate(small, np.random.default_rng(3), disk=tier)
         cache.evaluate(other, np.random.default_rng(3), disk=tier)
         assert cache.evictions == 1
+        cache.flush_writebacks()
         reloaded = cache.evaluate(small, np.random.default_rng(3), disk=tier)
         assert cache.misses == 2 and cache.disk_hits == 1
         assert np.array_equal(reloaded.packed_words, first.packed_words)
@@ -559,14 +577,18 @@ class TestTwoLevelEvaluate:
 
     def test_writeback_refreshes_the_tier_the_entry_came_from(self, tmp_path, tiny_workload):
         first, second = (DiskEvaluationCache(tmp_path / name) for name in ("a", "b"))
+        other = make_workload("other", m=4)
+        stored_evaluation(WorkloadEvaluationCache(), tiny_workload, disk=first)
+        stored_evaluation(WorkloadEvaluationCache(), other, disk=second)
         cache = WorkloadEvaluationCache()
         consumed_evaluation(cache, tiny_workload, disk=first)
-        cache.evaluate(make_workload("other", m=4), np.random.default_rng(3), disk=second)
+        cache.evaluate(other, np.random.default_rng(3), disk=second)
+        assert cache.disk_hits == 2
         assert cache.flush_writebacks() == 1
         assert first.refreshes == 1 and second.refreshes == 0
 
     def test_disk_hit_registers_a_writeback(self, tier, tiny_workload):
-        WorkloadEvaluationCache().evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
+        stored_evaluation(WorkloadEvaluationCache(), tiny_workload, disk=tier)
         cache = WorkloadEvaluationCache()
         consumed_evaluation(cache, tiny_workload, disk=tier)
         assert cache.disk_hits == 1 and tier.refreshes == 0
@@ -574,17 +596,19 @@ class TestTwoLevelEvaluate:
         assert tier.refreshes == 1 and tier.stores == 1
 
     def test_flush_without_enrichment_republishes_nothing(self, tier, tiny_workload):
+        stored_evaluation(WorkloadEvaluationCache(), tiny_workload, disk=tier)
         cache = WorkloadEvaluationCache()
         cache.evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
+        assert cache.disk_hits == 1
         assert cache.flush_writebacks() == 0
-        assert tier.refreshes == 0
+        assert tier.stores == 1 and tier.refreshes == 0
 
     def test_flush_drains_the_pending_writebacks(self, tier, tiny_workload):
         cache = WorkloadEvaluationCache()
         consumed_evaluation(cache, tiny_workload, disk=tier)
         assert cache.flush_writebacks() == 1
         assert cache.flush_writebacks() == 0
-        assert tier.refreshes == 1
+        assert tier.stores == 1 and tier.refreshes == 0
 
     def test_pending_writebacks_flush_themselves_at_the_threshold(self, tier, monkeypatch):
         from repro.engine import cache as cache_module
@@ -593,22 +617,42 @@ class TestTwoLevelEvaluate:
         cache = WorkloadEvaluationCache()
         for seed in (1, 2):
             evaluation = cache.evaluate(make_workload(), np.random.default_rng(seed), disk=tier)
-            evaluation.matches  # enrich, so the flush re-publishes it
-        assert tier.refreshes == 0
+            evaluation.matches
+        assert tier.stores == 0
         # The third call finds two pending write-backs and flushes them first.
         cache.evaluate(make_workload(), np.random.default_rng(3), disk=tier)
-        assert tier.refreshes == 2
-        assert cache.flush_writebacks() == 0  # the third entry gained nothing
+        assert tier.stores == 2
+        assert cache.flush_writebacks() == 1  # the third entry's one write
 
     def test_clear_keeps_the_tier_and_drops_pending_writebacks(self, tier, tiny_workload):
         cache = WorkloadEvaluationCache()
-        consumed_evaluation(cache, tiny_workload, disk=tier)
+        stored_evaluation(cache, tiny_workload, disk=tier)  # tensors only
         cache.clear()
-        assert len(cache) == 0 and cache.misses == 0
+        consumed_evaluation(cache, tiny_workload, disk=tier)  # a pending refresh
+        cache.clear()
+        assert len(cache) == 0 and cache.misses == 0 and cache.disk_hits == 0
         assert cache.flush_writebacks() == 0 and tier.refreshes == 0
         assert len(tier) == 1
         cache.evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
         assert cache.disk_hits == 1 and cache.misses == 0
+
+    def test_clear_drops_an_unflushed_full_miss(self, tier, tiny_workload):
+        cache = WorkloadEvaluationCache()
+        cache.evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
+        cache.clear()
+        assert cache.flush_writebacks() == 0
+        assert len(tier) == 0 and tier.stores == 0
+
+    def test_a_pending_first_write_survives_the_callers_exception(self, tier, tiny_workload):
+        # The record lives in the cache, not in the caller: the next flush,
+        # from whichever run, writes it.
+        cache = WorkloadEvaluationCache()
+        with pytest.raises(RuntimeError):
+            cache.evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
+            raise RuntimeError("simulation failed before the flush")
+        assert len(tier) == 0
+        assert cache.flush_writebacks() == 1
+        assert tier.stores == 1 and len(tier) == 1
 
     def test_workload_without_a_fingerprint_bypasses_both_levels(self, tier, tiny_workload):
         class Unfingerprinted:
@@ -623,7 +667,7 @@ class TestTwoLevelEvaluate:
         assert len(tier) == 0 and tier.misses == 0
 
     def test_stats_report_each_level(self, tier, tiny_workload):
-        WorkloadEvaluationCache().evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
+        stored_evaluation(WorkloadEvaluationCache(), tiny_workload, disk=tier)
         cache = WorkloadEvaluationCache(maxsize=7)
         cache.evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
         cache.evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
@@ -634,8 +678,7 @@ class TestTwoLevelEvaluate:
 
 class TestDiskPut:
     def test_put_of_a_present_key_is_a_noop(self, tier, tiny_workload):
-        cache = WorkloadEvaluationCache()
-        evaluation = cache.evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
+        evaluation = stored_evaluation(WorkloadEvaluationCache(), tiny_workload, disk=tier)
         key = (
             workload_fingerprint(tiny_workload, False),
             generator_fingerprint(np.random.default_rng(3)),
@@ -647,8 +690,7 @@ class TestDiskPut:
         assert tier.entry_path(key).read_bytes() == before
 
     def test_put_with_replace_refreshes_in_place(self, tier, tiny_workload):
-        cache = WorkloadEvaluationCache()
-        evaluation = cache.evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
+        evaluation = stored_evaluation(WorkloadEvaluationCache(), tiny_workload, disk=tier)
         key = (
             workload_fingerprint(tiny_workload, False),
             generator_fingerprint(np.random.default_rng(3)),

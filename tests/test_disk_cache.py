@@ -30,12 +30,19 @@ def tier(tmp_path) -> DiskEvaluationCache:
     return DiskEvaluationCache(tmp_path / "evals")
 
 
+def populate(tier, workload, rng, finetuned=False, cache=None):
+    """A full miss over ``tier``, then the flush that writes its entry."""
+    cache = cache if cache is not None else WorkloadEvaluationCache()
+    evaluation = cache.evaluate(workload, rng, finetuned=finetuned, disk=tier)
+    cache.flush_writebacks()
+    return evaluation
+
+
 class TestRoundTrip:
     def test_disk_hit_is_bit_identical_to_generation(self, tier):
         workload = make_workload()
-        warm_cache = WorkloadEvaluationCache()
         rng_gen = np.random.default_rng(3)
-        generated = warm_cache.evaluate(workload, rng_gen, disk=tier)
+        generated = populate(tier, workload, rng_gen)
         assert tier.stores == 1
 
         cold_cache = WorkloadEvaluationCache()  # fresh process stand-in
@@ -50,7 +57,7 @@ class TestRoundTrip:
     def test_disk_hit_fast_forwards_the_generator(self, tier):
         workload = make_workload()
         rng_gen = np.random.default_rng(3)
-        WorkloadEvaluationCache().evaluate(workload, rng_gen, disk=tier)
+        populate(tier, workload, rng_gen)
         rng_disk = np.random.default_rng(3)
         WorkloadEvaluationCache().evaluate(workload, rng_disk, disk=tier)
         assert rng_gen.bit_generator.state == rng_disk.bit_generator.state
@@ -59,7 +66,7 @@ class TestRoundTrip:
 
     def test_simulation_through_disk_tier_matches_generation(self, tier):
         workload = make_workload()
-        WorkloadEvaluationCache().evaluate(workload, np.random.default_rng(3), disk=tier)
+        populate(tier, workload, np.random.default_rng(3))
 
         cold_cache = WorkloadEvaluationCache()
         loaded = cold_cache.evaluate(workload, np.random.default_rng(3), disk=tier)
@@ -73,7 +80,7 @@ class TestRoundTrip:
 
     def test_loaded_tensors_are_read_only(self, tier):
         workload = make_workload()
-        WorkloadEvaluationCache().evaluate(workload, np.random.default_rng(0), disk=tier)
+        populate(tier, workload, np.random.default_rng(0))
         loaded = WorkloadEvaluationCache().evaluate(
             workload, np.random.default_rng(0), disk=tier
         )
@@ -83,17 +90,15 @@ class TestRoundTrip:
     def test_finetuned_variant_has_its_own_entry(self, tier):
         workload = make_workload()
         cache = WorkloadEvaluationCache()
-        cache.evaluate(workload, np.random.default_rng(2), disk=tier)
-        cache.evaluate(workload, np.random.default_rng(2), finetuned=True, disk=tier)
+        populate(tier, workload, np.random.default_rng(2), cache=cache)
+        populate(tier, workload, np.random.default_rng(2), finetuned=True, cache=cache)
         assert len(tier) == 2
 
 
 class TestAtomicity:
     def test_corrupt_entry_is_dropped_and_regenerated(self, tier):
         workload = make_workload()
-        generated = WorkloadEvaluationCache().evaluate(
-            workload, np.random.default_rng(3), disk=tier
-        )
+        generated = populate(tier, workload, np.random.default_rng(3))
         (entry,) = tier._entry_files()
         entry.write_bytes(b"torn write: not a zip archive")
 
@@ -104,7 +109,8 @@ class TestAtomicity:
         assert cache.misses == 1 and cache.disk_hits == 0
         assert np.array_equal(generated.spikes, regenerated.spikes)
         assert np.array_equal(generated.weights, regenerated.weights)
-        # The regeneration re-published a clean entry.
+        # The regeneration re-published a clean entry at the flush.
+        cache.flush_writebacks()
         assert len(tier) == 1
         assert WorkloadEvaluationCache().evaluate(
             workload, np.random.default_rng(3), disk=tier
@@ -113,7 +119,7 @@ class TestAtomicity:
 
     def test_truncated_entry_counts_as_miss(self, tier):
         workload = make_workload()
-        WorkloadEvaluationCache().evaluate(workload, np.random.default_rng(3), disk=tier)
+        populate(tier, workload, np.random.default_rng(3))
         (entry,) = tier._entry_files()
         payload = entry.read_bytes()
         entry.write_bytes(payload[: len(payload) // 2])
@@ -124,7 +130,8 @@ class TestAtomicity:
 
     def test_no_temporary_files_left_behind(self, tier):
         workload = make_workload()
-        WorkloadEvaluationCache().evaluate(workload, np.random.default_rng(1), disk=tier)
+        populate(tier, workload, np.random.default_rng(1))
+        assert len(tier) == 1
         leftovers = [p for p in tier.directory.iterdir() if not p.name.endswith(".npz")]
         assert leftovers == []
 
@@ -138,7 +145,7 @@ class TestEviction:
         workloads = [make_workload(name=f"w{m}", m=m) for m in (6, 7, 8)]
         paths = []
         for workload in workloads:
-            cache.evaluate(workload, np.random.default_rng(0), disk=tier)
+            populate(tier, workload, np.random.default_rng(0), cache=cache)
             newest = max(tier._entry_files(), key=lambda p: p.stat().st_mtime_ns)
             paths.append(newest)
         assert len(tier) == 2
@@ -149,8 +156,8 @@ class TestEviction:
     def test_budget_smaller_than_one_entry_keeps_newest(self, tmp_path):
         tier = DiskEvaluationCache(tmp_path / "evals", max_bytes=16)
         cache = WorkloadEvaluationCache()
-        cache.evaluate(make_workload(name="a", m=6), np.random.default_rng(0), disk=tier)
-        cache.evaluate(make_workload(name="b", m=7), np.random.default_rng(0), disk=tier)
+        populate(tier, make_workload(name="a", m=6), np.random.default_rng(0), cache=cache)
+        populate(tier, make_workload(name="b", m=7), np.random.default_rng(0), cache=cache)
         assert len(tier) == 1  # the just-stored entry survives
 
     def test_rejects_non_positive_budget(self, tmp_path):
@@ -160,7 +167,7 @@ class TestEviction:
     @staticmethod
     def _entry_size(directory, workload) -> int:
         probe = DiskEvaluationCache(directory)
-        WorkloadEvaluationCache().evaluate(workload, np.random.default_rng(0), disk=probe)
+        populate(probe, workload, np.random.default_rng(0))
         return probe.total_bytes()
 
 
