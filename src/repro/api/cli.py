@@ -16,7 +16,8 @@ Subcommands::
 the full versioned :class:`~repro.api.result.ScenarioResult` record
 (payload + provenance), decodable with ``ScenarioResult.from_json``.
 ``--stream`` executes sweep scenarios incrementally, reporting each
-completed ``(workload, seed)`` partition on stderr as it lands.
+completed ``(workload, seed, finetuned)`` partition, with its simulator
+labels, on stderr as it lands.
 """
 
 from __future__ import annotations
@@ -221,14 +222,14 @@ def _command_run(session: Session, args: argparse.Namespace) -> int:
         for partition in stream:
             done += 1
             print(
-                "[%d/%d] partition %d: %s @ seed %d (%d cells)"
+                "[%d/%d] partition %d: %s @ seed %d: %s"
                 % (
                     done,
                     partition.total,
                     partition.index,
                     partition.workload_label,
                     partition.seed,
-                    len(partition.cells),
+                    ", ".join(partition.simulator_labels),
                 ),
                 file=sys.stderr,
             )

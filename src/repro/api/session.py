@@ -94,8 +94,8 @@ class ScenarioStream(Iterator[PartitionResult]):
 
     Returned by :meth:`Session.stream`.  Yields one
     :class:`~repro.api.result.PartitionResult` per completed ``(workload,
-    seed)`` partition -- in plan order serially, in completion order over a
-    worker pool.  Once exhausted, :attr:`result` holds the merged
+    seed, finetuned)`` partition -- in plan order serially, in completion
+    order over a worker pool.  Once exhausted, :attr:`result` holds the merged
     :class:`~repro.api.result.ScenarioResult`, bit-identical to what
     :meth:`Session.run` returns for the same arguments (results are slotted
     by cell index, so completion order is irrelevant).

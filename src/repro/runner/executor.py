@@ -3,29 +3,28 @@
 The :class:`SweepRunner` executes a :class:`~repro.runner.scenario.SweepPlan`
 in three steps:
 
-1. **Partition** -- cells sharing ``(workload, seed)`` form one partition;
-   partitions are independent (each starts its own per-variant generators
+1. **Partition** -- cells sharing ``(workload, seed, finetuned)`` form one
+   partition; partitions are independent (each starts its own generator
    from the cell seed), so they can run in any order and in any process.
 2. **Batch** -- inside a partition the workload is walked *layer-major*:
-   each layer is evaluated once per fine-tuning variant and that one
-   :class:`~repro.engine.LayerEvaluation` drives every simulator of the
-   partition before the next layer is touched.  Correctness therefore never
-   depends on the LRU holding more than the current layer (a ``maxsize=1``
-   cache still gets full cross-simulator sharing), which bounds peak cache
-   residency on very large networks.
+   each layer is evaluated once and that one :class:`~repro.engine.LayerEvaluation`
+   drives every simulator of the partition before the next layer is
+   touched.  Correctness therefore never depends on the LRU holding more
+   than the current layer (a ``maxsize=1`` cache still gets full
+   cross-simulator sharing), which bounds peak cache residency.
 3. **Execute** -- serially in-process in plan order, or across a
    ``multiprocessing`` pool (``workers >= 2``) that is handed the partitions
-   longest first (by :func:`_partition_cost`), so the largest network does
-   not start last and set the critical path alone.  The runner owns the
-   optional **disk tier** (from ``cache_dir``) below the process-wide LRU:
-   the serial path passes it per evaluation, each worker process builds
-   one equivalent tier from the picklable ``(directory, max_bytes)`` pair
-   in its task payload, and after every layer the executor flushes the
-   cache's write-backs so the stored entries carry the derived statistics
-   the simulators just computed.
+   longest first (by :func:`_partition_cost`), so the largest network's two
+   variants start at once, and whose workers keep only the layer in hand
+   (:func:`_lean_worker`).  The runner owns the optional **disk tier** (from
+   ``cache_dir``) below the process-wide LRU: the serial path passes it per
+   evaluation, each worker process builds one equivalent tier from the
+   picklable ``(directory, max_bytes)`` pair in its task payload, and after
+   every layer the executor flushes the cache's write-backs so the stored
+   entries carry the derived statistics the simulators just computed.
 
 **Lookahead.** A serial run on a process with more than one usable CPU
-(:func:`_usable_cpus`) names each variant's next layer in every
+(:func:`_usable_cpus`) names the partition's next layer in every
 evaluation, so the cache generates it on a background thread while the
 current layer is simulated.  Pinned to one CPU the background thread would
 only contend for the interpreter lock, so none is started.  Pool workers
@@ -41,10 +40,10 @@ slotted back by cell index, the batch result is bit-identical whichever
 order partitions complete in -- :class:`repro.api.Session.stream` builds the
 public streaming surface on this hook.
 
-Per-variant generators are seeded exactly like the historical serial loops
-(one fresh ``default_rng(seed)`` per simulator walk), and cache keys include
-the generator state, so serial, multi-process and legacy results are
-bit-identical -- asserted by ``tests/test_runner.py``.
+Each partition's generator is seeded exactly like the historical serial
+loops (one fresh ``default_rng(seed)`` per simulator walk), and cache keys
+include the generator state, so serial, multi-process and legacy results
+are bit-identical -- asserted by ``tests/test_runner.py``.
 """
 
 from __future__ import annotations
@@ -124,12 +123,12 @@ def _execute_partition(
     disk: DiskEvaluationCache | None = None,
     lookahead: bool = False,
 ) -> list[SimulationResult]:
-    """Run one partition: all simulators of one ``(workload, seed)`` group.
+    """Run one partition: all simulators of one ``(workload, seed, finetuned)`` group.
 
-    The workload is walked layer-major; each layer is evaluated once per
-    fine-tuning variant (with that variant's own generator, seeded exactly
-    like the historical per-simulator serial walks) and every simulator of
-    the partition consumes the shared evaluation before the next layer.
+    The workload is walked layer-major with one generator, seeded exactly
+    like the historical per-simulator serial walks; each layer is evaluated
+    once and every simulator of the partition consumes that evaluation
+    before the next layer.
 
     ``disk`` (the runner's disk tier, or ``None``) is forwarded to
     :meth:`WorkloadEvaluationCache.evaluate`.  After each layer's simulators
@@ -138,41 +137,33 @@ def _execute_partition(
     variants), so the disk tier stores derived state instead of bare
     tensors.
 
-    ``lookahead`` (a serial run with a CPU to spare) passes each variant's
-    next layer to :meth:`WorkloadEvaluationCache.evaluate`, which generates
-    it in the background while this layer is simulated.
+    ``lookahead`` (a serial run with a CPU to spare) passes the next layer
+    to :meth:`WorkloadEvaluationCache.evaluate`, which generates it in the
+    background while this layer is simulated.
     """
-    workload_spec = cells[0].workload
-    seed = cells[0].seed
-    workload = workload_spec.build()
+    workload = cells[0].workload.build()
+    finetuned = cells[0].simulator.finetuned
     simulators = [cell.simulator.build() for cell in cells]
     cache = default_cache()
-    variants = sorted({cell.simulator.finetuned for cell in cells})
-    rngs = {variant: np.random.default_rng(seed) for variant in variants}
+    rng = np.random.default_rng(cells[0].seed)
     layers = workload.layers if isinstance(workload, NetworkWorkload) else [workload]
     per_cell: list[list[SimulationResult]] = [[] for _ in cells]
     try:
         for position, layer in enumerate(layers):
             upcoming = layers[position + 1] if lookahead and position + 1 < len(layers) else None
-            evaluations = {
-                variant: cache.evaluate(
-                    layer, rngs[variant], finetuned=variant, disk=disk, next_workload=upcoming
-                )
-                for variant in variants
-            }
+            evaluation = cache.evaluate(
+                layer, rng, finetuned=finetuned, disk=disk, next_workload=upcoming
+            )
             for index, cell in enumerate(cells):
                 per_cell[index].append(
                     simulators[index].simulate_workload(
-                        layer,
-                        evaluation=evaluations[cell.simulator.finetuned],
-                        **dict(cell.simulator.kwargs),
+                        layer, evaluation=evaluation, **dict(cell.simulator.kwargs)
                     )
                 )
             cache.flush_writebacks()
     finally:
         # Only a partition that raised leaves a lookahead pending.
-        for rng in rngs.values():
-            cache.drop_lookahead(rng)
+        cache.drop_lookahead(rng)
     if isinstance(workload, NetworkWorkload):
         return [
             aggregate_results(results, accelerator=simulators[index].name, workload=workload.name)
@@ -186,6 +177,15 @@ def _partition_cost(cells: Sequence[SweepCell]) -> int:
     workload = cells[0].workload.build()
     layers = workload.layers if isinstance(workload, NetworkWorkload) else [workload]
     return sum(layer.shape.m * layer.shape.k * layer.shape.n * layer.shape.t for layer in layers)
+
+
+def _lean_worker() -> None:
+    """Pool initializer: the worker's LRU keeps only the layer in hand.
+
+    A partition never revisits a layer, so an entry is dead once its layer
+    is flushed.  Not in :func:`_pool_task`, which tests call in-process.
+    """
+    default_cache().resize(1)
 
 
 def _pool_task(payload) -> tuple[int, list[SimulationResult]]:
@@ -289,7 +289,7 @@ class SweepRunner:
         # sort is stable, so equal estimates keep plan order.
         payloads.sort(key=lambda payload: -_partition_cost(payload[1]))
         processes = min(self.workers, len(payloads))
-        with context.Pool(processes=processes) as pool:
+        with context.Pool(processes=processes, initializer=_lean_worker) as pool:
             for ordinal, results in pool.imap_unordered(_pool_task, payloads):
                 yield ordinal, partitions[ordinal], results
 

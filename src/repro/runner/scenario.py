@@ -325,10 +325,10 @@ class SweepCell:
 class SweepPlan:
     """An ordered, partitionable set of sweep cells.
 
-    Cells sharing ``(workload, seed)`` form one *partition*: the executor
-    evaluates the workload once per partition and drives every simulator of
-    the partition off the shared evaluation, layer by layer.  Partitions are
-    independent and may run in separate worker processes.
+    Cells sharing ``(workload, seed, finetuned)`` form one *partition*: the
+    executor evaluates the workload once per partition and drives every
+    simulator of the partition off the shared evaluation, layer by layer.
+    Partitions are independent and may run in separate worker processes.
     """
 
     name: str
@@ -352,9 +352,9 @@ class SweepPlan:
         ``"group.field"`` replacements.  Every simulator is replicated per
         point (labels suffixed ``"@<arch label>"`` so results stay
         addressable), and the point's arch travels in the cell -- **not** in
-        the evaluation cache key, so all points of one ``(workload, seed)``
-        partition share a single cached evaluation per layer.  The one
-        exception is the tensor-coupled fields
+        the evaluation cache key, so all points of one ``(workload, seed,
+        finetuned)`` partition share a single cached evaluation per layer.
+        The one exception is the tensor-coupled fields
         (:data:`repro.engine.TENSOR_COUPLED_ARCH_FIELDS`): a point that
         overrides ``pe.timesteps`` also re-timesteps the workload, putting
         the value into the workload fingerprint exactly because it changes
@@ -391,10 +391,10 @@ class SweepPlan:
         return SweepPlan(self.name, self.cells + other.cells)
 
     def partitions(self) -> list[list[int]]:
-        """Cell-index groups sharing ``(workload, seed)``, in plan order."""
+        """Cell-index groups sharing ``(workload, seed, finetuned)``, in plan order."""
         groups: OrderedDict[tuple, list[int]] = OrderedDict()
         for index, cell in enumerate(self.cells):
-            groups.setdefault((cell.workload, cell.seed), []).append(index)
+            groups.setdefault((cell.workload, cell.seed, cell.simulator.finetuned), []).append(index)
         return list(groups.values())
 
 

@@ -142,8 +142,8 @@ class TestSessionPolicy:
         assert result.payload == plain.payload
 
     def test_fig18_single_partition_records_in_process_counters(self):
-        # One (workload, seed) partition never pools, so the LRU counters
-        # the record carries are complete.
+        # One (workload, seed, finetuned) partition never pools, so the LRU
+        # counters the record carries are complete.
         result = Session(workers=2).run("fig18-snn-vs-ann", network="alexnet", scale=0.05)
         assert result.provenance["cache"]["scope"] == "in-process"
         assert result.provenance["partitions"] == 1
@@ -200,11 +200,12 @@ class TestSessionPolicy:
                 get_context=get_context,
             ),
         )
-        # Two networks -> two partitions, so the pool genuinely starts.
+        # Two networks x two variants -> four partitions, so the pool
+        # genuinely starts.
         params = {"networks": ("alexnet", "vgg16"), "scale": 0.05, "seed": SEED}
         result = Session(workers=2, mp_context="spawn").run("fig13-traffic", **params)
         assert methods == ["spawn"]
-        assert result.provenance["partitions"] == 2
+        assert result.provenance["partitions"] == 4
         reference = Session().run("fig13-traffic", **params)
         assert result.payload == reference.payload  # policy changes nothing numeric
 
@@ -501,6 +502,17 @@ class TestCli:
         assert "[2/2]" in captured.err
         payload = json.loads(captured.out)
         assert "V-L8" in payload
+
+    def test_run_stream_tells_a_networks_variants_apart(self, capsys):
+        code = cli_main(
+            ["run", "networks", "--scale", "0.05", "--set", "networks=('alexnet',)", "--stream"]
+        )
+        assert code == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert sorted(lines) == [
+            "[1/2] partition 0: alexnet @ seed 1: SparTen-SNN, GoSPA-SNN, Gamma-SNN, LoAS",
+            "[2/2] partition 1: alexnet @ seed 1: LoAS-FT",
+        ]
 
     def test_run_payload_matches_session(self, capsys):
         assert cli_main(["run", "fig5-psum-traffic", "--scale", str(SCALE)]) == 0

@@ -238,7 +238,7 @@ class TestArchAxisPlans:
             "LoAS@loas-32nm+pe.num_tppes=4",
             "LoAS@loas-32nm+pe.num_tppes=8",
         ]
-        # pure-cost points share one (workload, seed) partition
+        # pure-cost points share one (workload, seed, finetuned) partition
         assert plan.partitions() == [[0, 1]]
 
     def test_axis_accepts_presets_and_specs(self):

@@ -431,7 +431,7 @@ class TestStoredForm:
 # Bit-identity across both cache shapes (acceptance)
 # --------------------------------------------------------------------- #
 SCALE = 0.06
-NETWORKS = ("alexnet", "vgg16")  # two (workload, seed) partitions: real pool
+NETWORKS = ("alexnet", "vgg16")  # four partitions (network x variant): real pool
 SEED = 1
 
 

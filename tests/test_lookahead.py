@@ -164,7 +164,7 @@ class TestNoStrayThreads:
         from types import SimpleNamespace
 
         class InlinePool:
-            def __init__(self, processes):
+            def __init__(self, processes, initializer=None):
                 pass
 
             def __enter__(self):
@@ -200,9 +200,10 @@ class TestNoStrayThreads:
         assert payload_of(pooled) == reference
 
     def test_a_cold_run_starts_one_thread_per_partition(self, monkeypatch, spare_cpu):
-        # One worker serves every lookahead of a partition, both variants
-        # included, instead of one thread per lookahead.
+        # One worker serves every lookahead of a partition instead of one
+        # thread per lookahead; each variant is its own partition.
         spare_cpu(True)
+        plan = Session().describe("networks").build(scale=SCALE, seed=1, networks=NETWORKS)
         started = []
         original_start = threading.Thread.start
 
@@ -213,7 +214,7 @@ class TestNoStrayThreads:
         monkeypatch.setattr(threading.Thread, "start", counting_start)
         cold = run_networks(Session())
         assert cold.provenance["cache"]["lru_lookahead_served"] > 2 * len(NETWORKS)
-        assert started == ["repro-lookahead"] * len(NETWORKS)
+        assert started == ["repro-lookahead"] * len(plan.partitions())
 
     def test_active_thread_count_is_restored_when_run_returns(self, spare_cpu):
         spare_cpu(True)
@@ -281,7 +282,11 @@ class TestFailures:
         layer_fingerprints = {key[0] for key in cache.memory_backend._entries}
         assert workload_fingerprint(second, False) not in layer_fingerprints
         assert workload_fingerprint(second, True) not in layer_fingerprints
-        assert len(cache) == 2  # the first layer, once per variant
+        # The raising partition (LoAS, the plan's first variant) cached its
+        # first layer; the LoAS-FT partition never started.
+        first = network.cells[0].workload.build().layers[0]
+        assert layer_fingerprints == {workload_fingerprint(first, False)}
+        assert len(cache) == 1
 
 
 class TestCacheLookahead:

@@ -387,6 +387,17 @@ class TestPlanStructure:
         assert [len(p) for p in partitions] == [2, 2]
         assert partitions[0] == [0, 1]
 
+    def test_partitions_split_fine_tuning_variants(self):
+        loas_ft = SimulatorSpec("LoAS", label="LoAS-FT", finetuned=True)
+        plan = SweepPlan.product(
+            "p",
+            (WorkloadSpec("layer", "V-L8"),),
+            (SimulatorSpec("LoAS"), loas_ft, SimulatorSpec("PTB")),
+            seeds=(0, 1),
+        )
+        # One partition per (workload, seed, variant), in order of first cell.
+        assert plan.partitions() == [[0, 2], [1], [3, 5], [4]]
+
     def test_simulator_spec_label_defaults_to_key(self):
         assert SimulatorSpec("LoAS").label == "LoAS"
         assert SimulatorSpec("LoAS", label="LoAS-FT").label == "LoAS-FT"
@@ -546,10 +557,12 @@ class TestPoolDispatchOrder:
         from repro.runner import executor
 
         submitted = []
+        self.initializers = []
+        initializers = self.initializers
 
         class InlinePool:
-            def __init__(self, processes):
-                pass
+            def __init__(self, processes, initializer=None):
+                initializers.append(initializer)
 
             def __enter__(self):
                 return self
@@ -578,9 +591,10 @@ class TestPoolDispatchOrder:
         submitted = self._inline_pool(monkeypatch)
         plan = self._plan()
         pooled = list(SweepRunner(workers=2).run(plan))
-        # Ordinals 0-2 are seed 1 and 3-5 seed 2, each in plan network order;
-        # equal costs keep plan order.
-        assert submitted == [2, 5, 1, 4, 0, 3]
+        # Ordinals 0-5 are seed 1 and 6-11 seed 2, each network's LoAS
+        # partition before its LoAS-FT one, in plan network order; equal
+        # costs keep plan order, so both resnet19 walks go out first.
+        assert submitted == [4, 5, 10, 11, 2, 3, 8, 9, 0, 1, 6, 7]
 
         serial = list(SweepRunner().run(plan))
         assert [cell for cell, _ in pooled] == [cell for cell, _ in serial]
@@ -591,6 +605,67 @@ class TestPoolDispatchOrder:
         plan = self._plan()
         ordinals = [ordinal for ordinal, _, _ in SweepRunner().iter_partitions(plan)]
         assert ordinals == list(range(len(plan.partitions())))
+
+    def test_single_network_runs_on_the_pool_bit_identically(self):
+        import json
+
+        from repro.engine import clear_default_cache
+
+        params = {"networks": NETWORKS, "scale": SCALE, "seed": SEED}
+        serial = Session().run("networks", **params)
+        clear_default_cache()
+        pooled = Session(workers=2).run("networks", **params)
+        # Its two variants are two partitions, so the pool runs them and the
+        # parent evaluates nothing.
+        assert pooled.provenance["partitions"] == 2
+        assert pooled.provenance["cache"]["scope"].startswith("parent-process only")
+        assert pooled.provenance["cache"]["lru_misses"] == 0
+        assert json.dumps(json.loads(pooled.to_json())["payload"]) == json.dumps(
+            json.loads(serial.to_json())["payload"]
+        )
+
+
+def _worker_lru_after_partition(payload):
+    """Pool probe: run one partition task, then report the worker's LRU."""
+    from repro.engine import default_cache
+    from repro.runner import executor
+
+    executor._pool_task(payload)
+    stats = default_cache().stats()
+    return stats.entries, stats.maxsize
+
+
+class TestLeanWorkers:
+    """Pool workers keep only the layer in hand; the parent's LRU is untouched."""
+
+    def test_pool_is_built_with_the_lean_initializer(self, monkeypatch):
+        from repro.experiments.sweeps import network_sweep_plan
+        from repro.runner import executor
+
+        fake = TestPoolDispatchOrder()
+        fake._inline_pool(monkeypatch)
+        SweepRunner(workers=2).run(network_sweep_plan(NETWORKS, scale=SCALE, seed=SEED))
+        assert fake.initializers == [executor._lean_worker]
+
+    def test_worker_holds_at_most_one_evaluation_after_a_partition(self):
+        import multiprocessing
+
+        from repro.engine import default_cache
+        from repro.experiments.sweeps import network_sweep_plan
+        from repro.runner import executor
+
+        plan = network_sweep_plan(NETWORKS, scale=SCALE, seed=SEED)
+        indices = plan.partitions()[0]
+        layers = len(get_network_workload(NETWORKS[0]).layers)
+        assert layers > 1
+        payload = (0, tuple(plan.cells[i] for i in indices), None)
+        parent_maxsize = default_cache().stats().maxsize
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        context = multiprocessing.get_context(method)
+        with context.Pool(processes=1, initializer=executor._lean_worker) as pool:
+            (entries, maxsize), = pool.map(_worker_lru_after_partition, [payload])
+        assert (entries, maxsize) == (1, 1)
+        assert default_cache().stats().maxsize == parent_maxsize
 
 
 class TestWorkerDiskTier:
