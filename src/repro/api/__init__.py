@@ -9,8 +9,8 @@ Everything a caller needs lives behind three names:
   plus provenance (merged params, seeds, package version, cache counters),
   with a versioned :meth:`~ScenarioResult.to_json` /
   :meth:`~ScenarioResult.from_json` schema,
-* :class:`PartitionResult` -- one streamed ``(workload, seed, finetuned)``
-  partition.
+* :class:`PartitionResult` -- one streamed ``(workload, seed, finetuned,
+  layer type)`` partition.
 
 The same surface is scriptable from a shell via ``python -m repro``
 (:mod:`repro.api.cli`): ``list``, ``describe``, ``run`` and ``cache``

@@ -16,8 +16,8 @@ Subcommands::
 the full versioned :class:`~repro.api.result.ScenarioResult` record
 (payload + provenance), decodable with ``ScenarioResult.from_json``.
 ``--stream`` executes sweep scenarios incrementally, reporting each
-completed ``(workload, seed, finetuned)`` partition, with its simulator
-labels, on stderr as it lands.
+completed ``(workload, seed, finetuned, layer type)`` partition, with its
+simulator labels, on stderr as it lands.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ A :class:`ScenarioResult` is what :meth:`repro.api.Session.run` returns: the
 scenario's shaped payload plus provenance (scenario name, fully merged
 parameters, seeds, package version, execution policy and cache hit/miss
 counters).  :class:`PartitionResult` is the streaming twin -- one completed
-``(workload, seed, finetuned)`` partition yielded by
+``(workload, seed, finetuned, layer type)`` partition yielded by
 :meth:`repro.api.Session.stream`.
 
 Serialisation
@@ -94,7 +94,7 @@ def _decode(value: Any) -> Any:
 
 @dataclass(frozen=True)
 class PartitionResult:
-    """One completed ``(workload, seed, finetuned)`` partition of a streaming run.
+    """One completed ``(workload, seed, finetuned, layer type)`` partition of a streaming run.
 
     Yielded by :meth:`repro.api.Session.stream` the moment the partition
     finishes; over a worker pool partitions arrive in completion order, so

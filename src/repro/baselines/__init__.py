@@ -4,17 +4,13 @@
   accelerators (inner-product, outer-product, Gustavson) naively running a
   dual-sparse SNN with sequential timesteps (Section V "Baseline").
 * :class:`SparTenANN` / :class:`GammaANN` -- the original designs on a
-  dual-sparse ANN (Figure 18).
+  dual-sparse ANN (Figure 18), over :class:`AnnLayerWorkload` layers.
 * :class:`PTBSimulator` / :class:`StellarSimulator` -- dense SNN systolic
   accelerators (Figure 19).
 * :data:`TABLE1_CAPABILITIES` -- the qualitative capability matrix (Table I).
 """
 
-from .ann import (
-    ANN_ACTIVATION_SPARSITY,
-    ann_layer_tensors,
-    generate_ann_activations,
-)
+from .ann import ANN_ACTIVATION_SPARSITY, AnnLayerWorkload, generate_ann_activations
 from .capabilities import AcceleratorCapabilities, TABLE1_CAPABILITIES
 from .gamma import GammaANN, GammaSNN
 from .gospa import GoSPASNN
@@ -25,6 +21,7 @@ from .stellar import StellarSimulator
 __all__ = [
     "ANN_ACTIVATION_SPARSITY",
     "AcceleratorCapabilities",
+    "AnnLayerWorkload",
     "GammaANN",
     "GammaSNN",
     "GoSPASNN",
@@ -33,6 +30,5 @@ __all__ = [
     "SparTenSNN",
     "StellarSimulator",
     "TABLE1_CAPABILITIES",
-    "ann_layer_tensors",
     "generate_ann_activations",
 ]

@@ -2,9 +2,9 @@
 
 The ANN version of VGG16 used in the paper has 8-bit weights (98.2 % sparse,
 the same lottery-ticket weights as the SNN) and 8-bit activations at 43.9 %
-sparsity.  The helpers here generate matching activation matrices so the
-SparTen-ANN / Gamma-ANN baselines can be driven with the same layer shapes as
-the SNN workload.
+sparsity.  :class:`AnnLayerWorkload` is the ANN twin of an SNN layer (same
+shape and weights, 8-bit activations in place of the spikes), the
+``layer_type`` of the SparTen-ANN / Gamma-ANN baselines.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from ..snn.workloads import LayerWorkload
 
-__all__ = ["ANN_ACTIVATION_SPARSITY", "generate_ann_activations", "ann_layer_tensors"]
+__all__ = ["ANN_ACTIVATION_SPARSITY", "AnnLayerWorkload", "generate_ann_activations"]
 
 #: Activation sparsity of the ANN VGG16 reported in Section VI-B.
 ANN_ACTIVATION_SPARSITY = 0.439
@@ -36,19 +36,23 @@ def generate_ann_activations(
     return activations
 
 
-def ann_layer_tensors(
-    layer: LayerWorkload,
-    rng: np.random.Generator | None = None,
-    activation_sparsity: float = ANN_ACTIVATION_SPARSITY,
-) -> tuple[np.ndarray, np.ndarray]:
-    """ANN ``(activations, weights)`` pair matching an SNN layer workload.
+class AnnLayerWorkload(LayerWorkload):
+    """The dual-sparse ANN version of an SNN layer, evaluated to an ``AnnLayerEvaluation``."""
 
-    The weights reuse the layer's weight-sparsity profile; the activations
-    replace the spike tensor with an 8-bit matrix at the ANN sparsity.
-    """
-    rng = np.random.default_rng() if rng is None else rng
-    _, weights = layer.generate(rng=rng)
-    activations = generate_ann_activations(
-        layer.shape.m, layer.shape.k, activation_sparsity, rng=rng
-    )
-    return activations, weights
+    kind = "ann"
+
+    def generate(
+        self,
+        rng: np.random.Generator | None = None,
+        finetuned: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Generate ``(activations, weights)``; ``finetuned`` does not apply.
+
+        The weights are the SNN layer's, drawn (after its spikes) from the
+        same stream, and the activations replace the spike tensor with an
+        8-bit ``(M, K)`` matrix at the ANN sparsity.
+        """
+        rng = np.random.default_rng() if rng is None else rng
+        _, weights = super().generate(rng=rng)
+        activations = generate_ann_activations(self.shape.m, self.shape.k, rng=rng)
+        return activations, weights

@@ -19,6 +19,7 @@ import numpy as np
 from ..core.base import SimulatorBase
 from ..engine import AnnLayerEvaluation, LayerEvaluation
 from ..metrics.results import SimulationResult
+from .ann import AnnLayerWorkload
 from .common import bitmask_fiber_bytes, coordinate_bits
 
 __all__ = ["GammaSNN", "GammaANN"]
@@ -161,6 +162,7 @@ class GammaANN(SimulatorBase):
     """The original Gamma design running a dual-sparse ANN layer."""
 
     name = "Gamma-ANN"
+    layer_type = AnnLayerWorkload
 
     @property
     def merger_radix(self) -> int:
@@ -193,14 +195,13 @@ class GammaANN(SimulatorBase):
         m, k, n = evaluation.m, evaluation.k, evaluation.n
         result = SimulationResult(accelerator=self.name, workload=name)
 
-        act_mask = evaluation.act_mask
         weight_row_nnz = evaluation.weight_row_nnz
         true_macs = evaluation.total_matches
         nnz_act = evaluation.nnz_activations
         nnz_w = evaluation.nnz_weights
         activation_bits = 8
 
-        nnz_per_row = act_mask.sum(axis=1)
+        nnz_per_row = np.count_nonzero(evaluation.activations, axis=1)
         merge_rounds = np.ceil(np.maximum(nnz_per_row, 1.0) / self.merger_radix)
         remerged = float((np.maximum(merge_rounds - 1.0, 0.0) * n).sum())
         compute_cycles = (true_macs + remerged) / self.merge_throughput
@@ -216,7 +217,7 @@ class GammaANN(SimulatorBase):
         result.dram.add("output", output_bytes)
 
         weight_row_bytes = weight_row_nnz * (cfg.weight_bits + coordinate_bits(n)) / 8.0
-        sram_b = float((act_mask.sum(axis=0) * weight_row_bytes).sum())
+        sram_b = float((np.count_nonzero(evaluation.activations, axis=0) * weight_row_bytes).sum())
         partial_row_traffic = 2.0 * float((merge_rounds * n * self.psum_bytes).sum())
         result.sram.add("weight", sram_b)
         result.sram.add("psum", partial_row_traffic)

@@ -23,6 +23,7 @@ import numpy as np
 from ..core.base import SimulatorBase
 from ..engine import AnnLayerEvaluation, LayerEvaluation
 from ..metrics.results import SimulationResult
+from .ann import AnnLayerWorkload
 from .common import bitmask_fiber_bytes, streaming_refetch_factor
 
 __all__ = ["SparTenSNN", "SparTenANN"]
@@ -131,6 +132,7 @@ class SparTenANN(SimulatorBase):
     """The original SparTen design running a dual-sparse ANN layer."""
 
     name = "SparTen-ANN"
+    layer_type = AnnLayerWorkload
 
     def simulate_layer(
         self,
@@ -154,7 +156,8 @@ class SparTenANN(SimulatorBase):
         nnz_w = evaluation.nnz_weights
 
         chunks = cfg.bitmask_chunks(k)
-        task_cycles = chunks + matches + cfg.task_overhead_cycles
+        # Widen first: the join dtype wraps under ``uint16 + int``.
+        task_cycles = chunks + matches.astype(np.float64) + cfg.task_overhead_cycles
         compute_cycles = self.grouped_wave_cycles(task_cycles, cfg.num_tppes)
 
         activation_bits = 8

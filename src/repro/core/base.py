@@ -48,6 +48,10 @@ class SimulatorBase:
     #: Human-readable accelerator name; subclasses override.
     name: str = "abstract"
 
+    #: The layer workload class whose tensors ``simulate_layer`` takes; the
+    #: sweep executor walks a cell's network as layers of this type.
+    layer_type: type = LayerWorkload
+
     def __init__(self, config: LoASConfig | None = None):
         if config is None:
             config = LoASConfig()

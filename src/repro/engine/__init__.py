@@ -26,7 +26,6 @@ from .backend import CacheEntry, CacheStats, MemoryBackend
 from .cache import (
     TENSOR_COUPLED_ARCH_FIELDS,
     WorkloadEvaluationCache,
-    arch_tensor_fingerprint,
     clear_default_cache,
     default_cache,
     generator_fingerprint,
@@ -46,7 +45,6 @@ __all__ = [
     "MemoryBackend",
     "WorkloadEvaluationCache",
     "TENSOR_COUPLED_ARCH_FIELDS",
-    "arch_tensor_fingerprint",
     "clear_default_cache",
     "default_cache",
     "generator_fingerprint",

@@ -6,7 +6,7 @@
   fingerprinting, generator fast-forwarding and write-back over it and an
   optional :class:`~repro.engine.disk_cache.DiskEvaluationCache`.
 * :func:`pack_entry` / :func:`unpack_entry` -- one :class:`CacheEntry` as
-  self-contained bytes (:meth:`LayerEvaluation.dehydrate` under one
+  self-contained bytes (the evaluation's ``dehydrate()`` under one
   :mod:`repro.engine.serde` envelope): the disk tier's entry-file format.
 * :class:`CacheStats` -- the counter snapshot both levels report.
 """
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import LayerEvaluation
+from .evaluation import EVALUATION_KINDS, AnnLayerEvaluation, LayerEvaluation
 from .serde import decode_state, encode_state, pack_payload, unpack_payload
 
 __all__ = [
@@ -108,14 +108,14 @@ class CacheStats:
 class CacheEntry:
     """The value one cache key addresses, in the LRU or on disk.
 
-    ``evaluation`` carries the packed spike words and the weights plus
-    whatever derived artifacts have been computed (see
-    :meth:`LayerEvaluation.dehydrate`);
+    ``evaluation`` carries the layer's tensors -- the packed spike words (or
+    the ANN activations) and the weights -- plus whatever derived artifacts
+    have been computed (see :meth:`LayerEvaluation.dehydrate`);
     ``state_after`` is the post-generation bit-generator state used to
     fast-forward the caller's generator on a hit.
     """
 
-    evaluation: LayerEvaluation
+    evaluation: LayerEvaluation | AnnLayerEvaluation
     state_after: dict
 
 
@@ -133,11 +133,12 @@ def unpack_entry(data: bytes) -> CacheEntry:
     """Inverse of :func:`pack_entry`.
 
     Raises on a torn/corrupt container or on an entry of another schema
-    (see :meth:`LayerEvaluation.hydrate`).
+    (see :meth:`LayerEvaluation.hydrate`); the meta ``kind`` picks the class.
     """
     arrays, meta = unpack_payload(data)
     state = decode_state(json.loads(bytes(arrays.pop("state")).decode("utf-8")))
-    return CacheEntry(LayerEvaluation.hydrate(arrays, meta), state)
+    evaluation_type = EVALUATION_KINDS.get(meta.get("kind"), LayerEvaluation)
+    return CacheEntry(evaluation_type.hydrate(arrays, meta), state)
 
 
 class MemoryBackend:

@@ -11,9 +11,10 @@ A cached entry is keyed by the exact information that determines the
 generated tensors:
 
 * the **workload fingerprint** -- layer dimensions ``(m, k, n, t)``, the
-  four sparsity-profile fractions, the weight bit-width and the
-  ``finetuned`` flag (workload *names* are deliberately excluded: tensors
-  depend only on shape and sparsity), and
+  four sparsity-profile fractions, the weight bit-width, the ``finetuned``
+  flag and the workload's ``kind`` (``"snn"`` or ``"ann"``, which picks the
+  evaluation class); workload *names* are deliberately excluded: tensors
+  depend only on shape and sparsity, and
 * the **generator fingerprint** -- the full ``bit_generator.state`` of the
   :class:`numpy.random.Generator` at the moment of generation.
 
@@ -52,7 +53,7 @@ next ``evaluate`` whose key matches waits for it and takes its tensors.  Only
 counter, disk access and write-back registration stays under the cache's
 lock on the caller's thread.
 
-Generated weights are marked non-writeable before they are shared (the
+Generated tensors are marked non-writeable before they are shared (the
 spikes are held only as read-only packed words), so a misbehaving simulator
 cannot corrupt other simulators' results.
 """
@@ -69,16 +70,14 @@ import numpy.random  # noqa: F401 -- eager: numpy loads this lazily, and the
 # first simulated workload should not pay the submodule-import cost.
 
 from ..snn.workloads import LayerWorkload
-from ..sparse.packed import PackedSpikeMatrix
 from .backend import CacheEntry, CacheStats, MemoryBackend
 from .disk_cache import DiskEvaluationCache
-from .evaluation import LayerEvaluation
+from .evaluation import EVALUATION_KINDS, AnnLayerEvaluation, LayerEvaluation
 
 __all__ = [
     "CacheStats",
     "TENSOR_COUPLED_ARCH_FIELDS",
     "WorkloadEvaluationCache",
-    "arch_tensor_fingerprint",
     "clear_default_cache",
     "default_cache",
     "generator_fingerprint",
@@ -119,16 +118,6 @@ def generator_fingerprint(rng: np.random.Generator):
 TENSOR_COUPLED_ARCH_FIELDS = ("pe.timesteps",)
 
 
-def arch_tensor_fingerprint(spec) -> tuple:
-    """The (tiny) subset of an arch spec that can affect generated tensors.
-
-    See :data:`TENSOR_COUPLED_ARCH_FIELDS`: the provisioned timestep count is
-    the only arch knob with a tensor-side twin.  Two specs with equal
-    fingerprints here may share every cached evaluation.
-    """
-    return tuple((path, spec.get(path)) for path in TENSOR_COUPLED_ARCH_FIELDS)
-
-
 def workload_fingerprint(workload: LayerWorkload, finetuned: bool = False):
     """Hashable fingerprint of everything that determines a workload's tensors."""
     shape = workload.shape
@@ -144,6 +133,7 @@ def workload_fingerprint(workload: LayerWorkload, finetuned: bool = False):
         profile.weight_sparsity,
         workload.weight_bits,
         bool(finetuned),
+        workload.kind,
     )
 
 
@@ -200,7 +190,7 @@ class _Lookahead:
             self.done.set()
 
     def take(self):
-        """Wait for the worker; return ``(spikes, weights)`` or re-raise its exception.
+        """Wait for the worker; return the generated pair or re-raise its exception.
 
         The tensors are copied on the caller's thread and the worker's
         arrays released, so everything the cache keeps is allocated by its
@@ -211,9 +201,8 @@ class _Lookahead:
         self.done.wait()
         if self.error is not None:
             raise self.error
-        spikes, weights = self.tensors
-        self.tensors = None
-        return PackedSpikeMatrix(spikes.words.copy(), spikes.shape), weights.copy()
+        tensors, self.tensors = self.tensors, None
+        return copy.deepcopy(tensors)
 
 
 class _LookaheadWorker:
@@ -361,8 +350,8 @@ class WorkloadEvaluationCache:
         finetuned: bool = False,
         disk: DiskEvaluationCache | None = None,
         next_workload: LayerWorkload | None = None,
-    ) -> LayerEvaluation:
-        """Return the (possibly cached) evaluation of ``workload``.
+    ) -> LayerEvaluation | AnnLayerEvaluation:
+        """Return the (possibly cached) evaluation of ``workload``, of its ``kind``.
 
         Looks in the LRU, then in ``disk`` (promoting a hit into the LRU),
         and generates on a full miss, publishing the result to the LRU.  A
@@ -413,13 +402,16 @@ class WorkloadEvaluationCache:
                 return entry.evaluation
             self.misses += 1
             if lookahead is not None:
-                spikes, weights = lookahead.take()
+                first, weights = lookahead.take()
                 rng.bit_generator.state = lookahead.rng.bit_generator.state
                 self.lookahead_served += 1
             else:
-                spikes, weights = workload.generate(rng=rng, finetuned=finetuned)
+                first, weights = workload.generate(rng=rng, finetuned=finetuned)
+            if isinstance(first, np.ndarray):
+                first.setflags(write=False)
             weights.setflags(write=False)
-            entry = CacheEntry(LayerEvaluation(spikes, weights), rng.bit_generator.state)
+            evaluation = EVALUATION_KINDS[workload.kind](first, weights)
+            entry = CacheEntry(evaluation, rng.bit_generator.state)
             self._memory.put(key, entry)
             if disk is not None:
                 self._dirty.append(_Dirty(key, entry, disk, stored=False))

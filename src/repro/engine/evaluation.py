@@ -46,6 +46,7 @@ from .statistics import LayerStatistics
 __all__ = [
     "LayerEvaluation",
     "AnnLayerEvaluation",
+    "EVALUATION_KINDS",
     "FLOAT32_EXACT_LIMIT",
     "integer_bound",
     "gemm_dtype",
@@ -128,6 +129,15 @@ def _product_bound(k: int, *operands) -> int | None:
 #: :meth:`LayerEvaluation.hydrate` rejects any other.
 _SCHEMA = 3
 
+
+def _check_entry(meta: dict, kind: str) -> None:
+    """Reject a meta record of another schema or kind (no ``kind``: an SNN entry)."""
+    if meta.get("schema") != _SCHEMA or meta.get("kind", "snn") != kind:
+        raise ValueError(
+            "unsupported entry (schema %r, kind %r)" % (meta.get("schema"), meta.get("kind"))
+        )
+
+
 #: Cached-property names persisted by :meth:`LayerEvaluation.dehydrate`.
 #: Everything here is a pure array-valued function of ``(spikes, weights)``,
 #: stored losslessly, so hydration is bit-identical to recomputation.  The
@@ -167,6 +177,8 @@ class LayerEvaluation:
     non-writeable as it is computed, and the workload cache additionally
     marks the generated ``weights`` non-writeable.
     """
+
+    kind = "snn"
 
     def __init__(self, spikes, weights):
         if not isinstance(spikes, PackedSpikeMatrix):
@@ -529,7 +541,7 @@ class LayerEvaluation:
         :meth:`hydrate` is the inverse.
         """
         arrays: dict[str, np.ndarray] = {"weights": self.weights}
-        meta: dict = {"schema": _SCHEMA, "shape": list(self._shape)}
+        meta: dict = {"schema": _SCHEMA, "kind": self.kind, "shape": list(self._shape)}
         self._dehydrate_derived(arrays, meta, prefix="")
         preprocessed: dict[str, dict] = {}
         for max_spikes, child in self._preprocessed.items():
@@ -593,13 +605,12 @@ class LayerEvaluation:
         artifacts are seeded directly into the lazy-property slots (marked
         read-only), so a hydrated evaluation never recomputes what the entry
         carries -- in particular the matches / full-sums GEMMs.  Raises
-        ``ValueError`` on a meta record of another schema and ``KeyError``
-        on an entry whose meta names artifacts the container lacks (a torn
-        write); the disk tier treats either as corruption and falls back to
-        recomputation.
+        ``ValueError`` on a meta record of another schema or kind and
+        ``KeyError`` on an entry whose meta names artifacts the container
+        lacks (a torn write); the disk tier treats either as corruption and
+        falls back to recomputation.
         """
-        if meta.get("schema") != _SCHEMA:
-            raise ValueError("unsupported entry schema %r" % (meta.get("schema"),))
+        _check_entry(meta, cls.kind)
         packed = PackedSpikeMatrix(words=arrays["d_packed_words"], shape=tuple(meta["shape"]))
         evaluation = cls(packed, arrays["weights"])
         evaluation._hydrate_derived(arrays, meta, prefix="")
@@ -635,9 +646,11 @@ class AnnLayerEvaluation:
 
     The ANN counterpart of :class:`LayerEvaluation` for the SNN-vs-ANN
     comparison (Figure 18): the SparTen-ANN and Gamma-ANN baselines consume
-    the same activation/weight masks, matched-position matrix and ReLU
-    outputs, so one evaluation can drive both models.
+    the same matched-position matrix and output count, so one evaluation
+    drives both models.  The workload cache builds it for ``"ann"`` layers.
     """
+
+    kind = "ann"
 
     def __init__(self, activations: np.ndarray, weights: np.ndarray):
         activations = np.asarray(activations)
@@ -648,6 +661,11 @@ class AnnLayerEvaluation:
             raise ValueError("contraction dimension mismatch")
         self.activations = activations
         self.weights = weights
+
+    @property
+    def tensors(self) -> tuple:
+        """The ``(activations, weights)`` pair ``simulate_layer`` takes."""
+        return self.activations, self.weights
 
     @property
     def m(self) -> int:
@@ -665,52 +683,71 @@ class AnnLayerEvaluation:
         return self.weights.shape[1]
 
     @cached_property
-    def act_mask(self) -> np.ndarray:
-        """Float ``(M, K)`` indicator of non-zero activations."""
-        return _readonly((self.activations != 0).astype(np.float64))
-
-    @cached_property
-    def weight_mask(self) -> np.ndarray:
-        """Float ``(K, N)`` indicator of non-zero weights."""
-        return _readonly((self.weights != 0).astype(np.float64))
-
-    @cached_property
     def nnz_activations(self) -> int:
         """Number of non-zero activations."""
-        return int(self.act_mask.sum())
+        return int(np.count_nonzero(self.activations))
 
     @cached_property
     def nnz_weights(self) -> int:
         """Number of non-zero weights."""
-        return int(self.weight_mask.sum())
+        return int(np.count_nonzero(self.weights))
 
     @cached_property
     def weight_row_nnz(self) -> np.ndarray:
-        """Non-zero weights per row of ``B``, shape ``(K,)``."""
-        return _readonly(self.weight_mask.sum(axis=1))
+        """Non-zero weights per row of ``B``, shape ``(K,)`` (int64)."""
+        return _readonly(np.count_nonzero(self.weights, axis=1).astype(np.int64, copy=False))
 
     @cached_property
     def matches(self) -> np.ndarray:
-        """``(M, N)`` matched (non-zero activation x non-zero weight) pairs."""
-        return _readonly(exact_matmul(self.act_mask, self.weight_mask, self.k))
+        """``(M, N)`` matched (non-zero x non-zero) pairs, in ``join_dtype(K, 1)``."""
+        product = exact_matmul(self.activations != 0, self.weights != 0, self.k)
+        return _readonly(product.astype(join_dtype(self.k, 1)))
 
     @cached_property
     def total_matches(self) -> float:
         """Total matched positions (genuine multiply-accumulates)."""
-        return float(self.matches.sum())
-
-    @cached_property
-    def outputs(self) -> np.ndarray:
-        """ReLU outputs ``max(A @ B, 0)`` in float64 (exact integers).
-
-        With 8-bit activations the bound ``K * 255 * max|B|`` exceeds
-        ``2**24`` for all but the smallest ``K``, so this product usually
-        takes the float64 path.
-        """
-        bound = _product_bound(self.k, self.activations, self.weights)
-        return _readonly(np.maximum(exact_matmul(self.activations, self.weights, bound), 0))
+        return float(self.matches.sum(dtype=np.int64))
 
     @cached_property
     def output_nnz(self) -> int:
-        """Number of non-zero ReLU outputs."""
-        return int((self.outputs > 0).sum())
+        """Number of non-zero ReLU outputs ``max(A @ B, 0)``; the product is not kept.
+
+        With 8-bit activations the bound ``K * 255 * max|B|`` exceeds
+        ``2**24`` for all but the smallest ``K``, so it usually takes the
+        float64 path.
+        """
+        bound = _product_bound(self.k, self.activations, self.weights)
+        return int(np.count_nonzero(exact_matmul(self.activations, self.weights, bound) > 0))
+
+    # ------------------------------------------------------------------ #
+    # Dehydration (disk-tier persistence)
+    # ------------------------------------------------------------------ #
+    def dehydrate(self) -> tuple[dict[str, np.ndarray], dict]:
+        """The tensors plus every derived artifact already computed (the count 0-d)."""
+        derived = list(self.derived_signature())
+        arrays = {"activations": self.activations, "weights": self.weights}
+        arrays.update(("d_" + name, np.asarray(self.__dict__[name])) for name in derived)
+        return arrays, {"schema": _SCHEMA, "kind": self.kind, "derived": derived}
+
+    def derived_signature(self) -> tuple:
+        """Which derived artifacts are present (see :meth:`LayerEvaluation.derived_signature`)."""
+        return tuple(name for name in _ANN_DEHYDRATED_PROPERTIES if name in self.__dict__)
+
+    @classmethod
+    def hydrate(cls, arrays: dict[str, np.ndarray], meta: dict) -> "AnnLayerEvaluation":
+        """Inverse of :meth:`dehydrate`; raises like :meth:`LayerEvaluation.hydrate`."""
+        _check_entry(meta, cls.kind)
+        evaluation = cls(arrays["activations"], arrays["weights"])
+        for name in meta["derived"]:
+            if name not in _ANN_DEHYDRATED_PROPERTIES:
+                raise KeyError("unknown derived artifact %r" % (name,))
+            value = arrays["d_" + name]
+            evaluation.__dict__[name] = _readonly(value) if value.ndim else int(value)
+        return evaluation
+
+
+#: Cached properties :meth:`AnnLayerEvaluation.dehydrate` persists.
+_ANN_DEHYDRATED_PROPERTIES = ("matches", "weight_row_nnz", "output_nnz")
+
+#: The evaluation class of each workload ``kind`` (``LayerWorkload.kind``).
+EVALUATION_KINDS = {cls.kind: cls for cls in (LayerEvaluation, AnnLayerEvaluation)}

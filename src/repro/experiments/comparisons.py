@@ -7,9 +7,10 @@
 * Figure 19 -- LoAS on the dual-sparse workload versus the dense SNN
   accelerators PTB and Stellar.
 
-Figures 18 and 19 are declarative sweep scenarios: their plans carry the
-LoAS side, and Figure 18's shaper adds the ANN baselines through
-:func:`repro.runner.run_ann_network` (one shared evaluation per layer).
+Figures 18 and 19 are declarative sweep scenarios whose shapers only
+normalise: Figure 18's plan carries the LoAS-FT cell and the SparTen-ANN /
+Gamma-ANN cells, which the executor walks as a second partition of ANN
+layers (one shared ANN evaluation per layer, cached like any other).
 Figure 11 is a bespoke (training) scenario.
 """
 
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..baselines import GammaANN, SparTenANN
 from ..metrics.report import format_series, format_table
 from ..runner import (
     Scenario,
@@ -25,7 +25,6 @@ from ..runner import (
     SweepPlan,
     WorkloadSpec,
     register_scenario,
-    run_ann_network,
 )
 from ..snn.preprocessing import finetuned_preprocessing_experiment
 from ..snn.training import (
@@ -104,25 +103,22 @@ def fig18_plan(
     scale: float = 1.0,
     seed: int = 1,
 ) -> SweepPlan:
-    """The SNN side of Figure 18 -- LoAS with fine-tuning over one network."""
+    """LoAS-FT and the ANN baselines over one network: an SNN and an ANN partition."""
     return SweepPlan.product(
         "fig18",
         (WorkloadSpec("network", network, scale=scale),),
-        (LOAS_FINETUNED,),
+        (LOAS_FINETUNED, SimulatorSpec("SparTen-ANN"), SimulatorSpec("Gamma-ANN")),
         seeds=(seed,),
     )
 
 
 def _shape_fig18(results, **_) -> dict[str, dict[str, float]]:
     """Dual-sparse SNN (LoAS) versus dual-sparse ANN (SparTen / Gamma), Figure 18."""
-    ((cell, loas),) = results
-    # The ANN twin of the same network and seed; one shared ANN evaluation
-    # per layer drives both baselines.
-    ann_results = run_ann_network(
-        (SparTenANN(), GammaANN()), cell.workload.build(), cell.seed
-    )
-
-    everything = {"LoAS (SNN)": loas, **{f"{k} (ANN)": v for k, v in ann_results.items()}}
+    (_, loas), *baselines = results
+    everything = {
+        "LoAS (SNN)": loas,
+        **{f"{cell.simulator.label} (ANN)": result for cell, result in baselines},
+    }
     reference_energy = loas.energy_pj or 1.0
     reference_dram = loas.dram_bytes or 1.0
     reference_sram = loas.sram_bytes or 1.0

@@ -131,24 +131,6 @@ class SimulationResult:
             return float("inf")
         return other.cycles / self.cycles
 
-    def energy_efficiency_over(self, other: "SimulationResult") -> float:
-        """How many times less energy this result uses than ``other``."""
-        if self.energy_pj == 0:
-            return float("inf")
-        return other.energy_pj / self.energy_pj
-
-    def dram_reduction_over(self, other: "SimulationResult") -> float:
-        """How many times less DRAM traffic this result has than ``other``."""
-        if self.dram_bytes == 0:
-            return float("inf")
-        return other.dram_bytes / self.dram_bytes
-
-    def sram_reduction_over(self, other: "SimulationResult") -> float:
-        """How many times less SRAM traffic this result has than ``other``."""
-        if self.sram_bytes == 0:
-            return float("inf")
-        return other.sram_bytes / self.sram_bytes
-
 
 def aggregate_results(results: list[SimulationResult], accelerator: str, workload: str) -> SimulationResult:
     """Sum per-layer results into one network-level result.

@@ -21,7 +21,7 @@ See the "Sweep orchestration" section of ``ROADMAP.md`` for the
 architecture and the how-to-add-a-scenario recipe.
 """
 
-from .executor import SweepResults, SweepRunner, run_ann_network
+from .executor import SweepResults, SweepRunner
 from .scenario import (
     SIMULATOR_FACTORIES,
     Scenario,
@@ -46,5 +46,4 @@ __all__ = [
     "get_scenario",
     "list_scenarios",
     "register_scenario",
-    "run_ann_network",
 ]

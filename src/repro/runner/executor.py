@@ -3,12 +3,14 @@
 The :class:`SweepRunner` executes a :class:`~repro.runner.scenario.SweepPlan`
 in three steps:
 
-1. **Partition** -- cells sharing ``(workload, seed, finetuned)`` form one
-   partition; partitions are independent (each starts its own generator
-   from the cell seed), so they can run in any order and in any process.
+1. **Partition** -- cells sharing ``(workload, seed, finetuned, layer
+   type)`` form one partition (the layer type is the simulators'
+   ``layer_type``: ANN baselines walk ANN layers); partitions are
+   independent (each starts its own generator from the cell seed), so they
+   can run in any order and in any process.
 2. **Batch** -- inside a partition the workload is walked *layer-major*:
-   each layer is evaluated once and that one :class:`~repro.engine.LayerEvaluation`
-   drives every simulator of the partition before the next layer is
+   each layer is evaluated once and that one evaluation drives every
+   simulator of the partition before the next layer is
    touched.  Correctness therefore never depends on the LRU holding more
    than the current layer (a ``maxsize=1`` cache still gets full
    cross-simulator sharing), which bounds peak cache residency.
@@ -55,13 +57,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..baselines import ann_layer_tensors
-from ..engine import AnnLayerEvaluation, DiskEvaluationCache, default_cache
+from ..engine import DiskEvaluationCache, default_cache
 from ..metrics.results import SimulationResult, aggregate_results
 from ..snn.workloads import NetworkWorkload
 from .scenario import SweepCell, SweepPlan
 
-__all__ = ["SweepResults", "SweepRunner", "run_ann_network"]
+__all__ = ["SweepResults", "SweepRunner"]
 
 
 class SweepResults:
@@ -123,12 +124,12 @@ def _execute_partition(
     disk: DiskEvaluationCache | None = None,
     lookahead: bool = False,
 ) -> list[SimulationResult]:
-    """Run one partition: all simulators of one ``(workload, seed, finetuned)`` group.
+    """Run one partition: all simulators of one ``(workload, seed, finetuned, layer type)`` group.
 
     The workload is walked layer-major with one generator, seeded exactly
-    like the historical per-simulator serial walks; each layer is evaluated
-    once and every simulator of the partition consumes that evaluation
-    before the next layer.
+    like the historical per-simulator serial walks, as ``layer_type``
+    layers; each layer is evaluated once and every simulator of the
+    partition consumes that evaluation before the next layer.
 
     ``disk`` (the runner's disk tier, or ``None``) is forwarded to
     :meth:`WorkloadEvaluationCache.evaluate`.  After each layer's simulators
@@ -146,7 +147,10 @@ def _execute_partition(
     simulators = [cell.simulator.build() for cell in cells]
     cache = default_cache()
     rng = np.random.default_rng(cells[0].seed)
-    layers = workload.layers if isinstance(workload, NetworkWorkload) else [workload]
+    layers = [
+        simulators[0].layer_type(layer.shape, layer.profile, layer.weight_bits)
+        for layer in (workload.layers if isinstance(workload, NetworkWorkload) else [workload])
+    ]
     per_cell: list[list[SimulationResult]] = [[] for _ in cells]
     try:
         for position, layer in enumerate(layers):
@@ -292,35 +296,3 @@ class SweepRunner:
         with context.Pool(processes=processes, initializer=_lean_worker) as pool:
             for ordinal, results in pool.imap_unordered(_pool_task, payloads):
                 yield ordinal, partitions[ordinal], results
-
-
-def run_ann_network(
-    simulators: Sequence,
-    network: NetworkWorkload,
-    seed: int,
-) -> dict[str, SimulationResult]:
-    """Batched dual-sparse **ANN** network sweep (Figure 18's baselines).
-
-    The ANN twin of the partition executor: one pass over the layers, one
-    shared :class:`~repro.engine.AnnLayerEvaluation` per layer driving every
-    simulator, the evaluation released before the next layer.  Tensor
-    generation consumes one ``default_rng(seed)`` stream in layer order,
-    exactly like the historical implementation.
-    """
-    rng = np.random.default_rng(seed)
-    per_simulator: dict[str, list[SimulationResult]] = {sim.name: [] for sim in simulators}
-    for layer in network.layers:
-        evaluation = AnnLayerEvaluation(*ann_layer_tensors(layer, rng=rng))
-        for simulator in simulators:
-            per_simulator[simulator.name].append(
-                simulator.simulate_layer(
-                    evaluation.activations,
-                    evaluation.weights,
-                    name=layer.name,
-                    evaluation=evaluation,
-                )
-            )
-    return {
-        name: aggregate_results(results, accelerator=name, workload=network.name)
-        for name, results in per_simulator.items()
-    }

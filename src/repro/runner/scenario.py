@@ -35,9 +35,11 @@ from ..arch.spec import (
     resolve_arch,
 )
 from ..baselines import (
+    GammaANN,
     GammaSNN,
     GoSPASNN,
     PTBSimulator,
+    SparTenANN,
     SparTenSNN,
     StellarSimulator,
 )
@@ -71,6 +73,8 @@ SIMULATOR_FACTORIES: dict[str, type] = {
     "LoAS": LoASSimulator,
     "PTB": PTBSimulator,
     "Stellar": StellarSimulator,
+    "SparTen-ANN": SparTenANN,
+    "Gamma-ANN": GammaANN,
 }
 
 
@@ -325,10 +329,11 @@ class SweepCell:
 class SweepPlan:
     """An ordered, partitionable set of sweep cells.
 
-    Cells sharing ``(workload, seed, finetuned)`` form one *partition*: the
-    executor evaluates the workload once per partition and drives every
-    simulator of the partition off the shared evaluation, layer by layer.
-    Partitions are independent and may run in separate worker processes.
+    Cells sharing ``(workload, seed, finetuned, layer type)`` form one
+    *partition*: the executor evaluates the workload once per partition, as
+    layers of the simulators' ``layer_type``, and drives every simulator of
+    the partition off the shared evaluation, layer by layer.  Partitions are
+    independent and may run in separate worker processes.
     """
 
     name: str
@@ -391,10 +396,12 @@ class SweepPlan:
         return SweepPlan(self.name, self.cells + other.cells)
 
     def partitions(self) -> list[list[int]]:
-        """Cell-index groups sharing ``(workload, seed, finetuned)``, in plan order."""
+        """Cell-index groups sharing ``(workload, seed, finetuned, layer type)``, in plan order."""
         groups: OrderedDict[tuple, list[int]] = OrderedDict()
         for index, cell in enumerate(self.cells):
-            groups.setdefault((cell.workload, cell.seed, cell.simulator.finetuned), []).append(index)
+            layer_type = SIMULATOR_FACTORIES[cell.simulator.key].layer_type
+            key = (cell.workload, cell.seed, cell.simulator.finetuned, layer_type)
+            groups.setdefault(key, []).append(index)
         return list(groups.values())
 
 

@@ -104,6 +104,9 @@ class LayerWorkload:
     profile: SparsityProfile
     weight_bits: int = 8
 
+    #: Picks the evaluation the cache builds (``"snn"``: ``LayerEvaluation``).
+    kind = "snn"
+
     @property
     def name(self) -> str:
         """Layer name, e.g. ``"V-L8"``."""
@@ -111,7 +114,7 @@ class LayerWorkload:
 
     def scaled(self, scale: float) -> "LayerWorkload":
         """Proportionally smaller copy (same sparsity profile) for quick runs."""
-        return LayerWorkload(self.shape.scaled(scale), self.profile, self.weight_bits)
+        return type(self)(self.shape.scaled(scale), self.profile, self.weight_bits)
 
     def generate(
         self,

@@ -141,14 +141,17 @@ class TestSessionPolicy:
         plain = Session().run("fig18-snn-vs-ann", network="alexnet", scale=SCALE, seed=SEED)
         assert result.payload == plain.payload
 
-    def test_fig18_single_partition_records_in_process_counters(self):
-        # One (workload, seed, finetuned) partition never pools, so the LRU
-        # counters the record carries are complete.
-        result = Session(workers=2).run("fig18-snn-vs-ann", network="alexnet", scale=0.05)
+    def test_single_partition_records_in_process_counters(self):
+        # One (workload, seed, finetuned, layer type) partition never pools,
+        # so the LRU counters the record carries are complete.
+        result = Session(workers=2).run("fig19-dense-baselines", network="alexnet", scale=0.05)
         assert result.provenance["cache"]["scope"] == "in-process"
         assert result.provenance["partitions"] == 1
-        streamed = Session().stream("fig18-snn-vs-ann", network="alexnet", scale=0.05)
+        streamed = Session().stream("fig19-dense-baselines", network="alexnet", scale=0.05)
         assert result.payload == streamed.collect().payload
+        # fig18's ANN cells walk ANN layers: a partition of their own.
+        fig18 = Session().run("fig18-snn-vs-ann", network="alexnet", scale=0.05)
+        assert fig18.provenance["partitions"] == 2
 
     def test_abandoned_stream_releases_disk_tier_on_close(self, tmp_path):
         session = Session(cache_dir=tmp_path / "tier")

@@ -29,7 +29,6 @@ from repro.arch import (
 from repro.core import LoASConfig, LoASSimulator
 from repro.engine import (
     TENSOR_COUPLED_ARCH_FIELDS,
-    arch_tensor_fingerprint,
     clear_default_cache,
     default_cache,
 )
@@ -264,11 +263,8 @@ class TestArchAxisPlans:
         assert plan.partitions() == [[0, 1]]
 
     def test_tensor_coupled_fields_and_fingerprint(self):
+        # The coupling itself is covered by the two coupling tests below.
         assert TENSOR_COUPLED_ARCH_FIELDS == ("pe.timesteps",)
-        small = get_arch_spec("loas-32nm-small")
-        assert arch_tensor_fingerprint(default_arch()) == arch_tensor_fingerprint(small)
-        ablated = default_arch().with_overrides(**{"pe.timesteps": 8})
-        assert arch_tensor_fingerprint(ablated) != arch_tensor_fingerprint(default_arch())
 
     def test_simulator_spec_validates_arch(self):
         with pytest.raises(KeyError):

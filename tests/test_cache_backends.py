@@ -18,8 +18,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines import AnnLayerWorkload, GammaANN
 from repro.core import LoASSimulator
 from repro.engine import (
+    AnnLayerEvaluation,
     DiskEvaluationCache,
     LayerEvaluation,
     WorkloadEvaluationCache,
@@ -109,6 +111,21 @@ class TestDehydration:
         fresh = evaluation.derived_signature()
         evaluation.statistics
         assert evaluation.derived_signature() != fresh
+
+    def test_ann_entries_hydrate_by_their_kind(self, tiny_workload):
+        ann = AnnLayerWorkload(tiny_workload.shape, tiny_workload.profile)
+        evaluation = WorkloadEvaluationCache().evaluate(ann, np.random.default_rng(3))
+        assert isinstance(evaluation, AnnLayerEvaluation)
+        reference = GammaANN().simulate_workload(ann, evaluation=evaluation)
+        entry = CacheEntry(evaluation, np.random.default_rng(0).bit_generator.state)
+        hydrated = unpack_entry(pack_entry(entry)).evaluation
+        assert isinstance(hydrated, AnnLayerEvaluation)
+        assert np.array_equal(hydrated.activations, evaluation.activations)
+        assert hydrated.derived_signature() == evaluation.derived_signature()
+        assert_simulations_identical(GammaANN().simulate_workload(ann, evaluation=hydrated), reference)
+        # An SNN evaluation never hydrates from an ANN entry.
+        with pytest.raises(ValueError, match="kind"):
+            LayerEvaluation.hydrate(*evaluation.dehydrate())
 
     @pytest.mark.parametrize("schema", (2, 4, None))
     def test_hydrate_rejects_other_schemas(self, tiny_workload, schema):
@@ -510,6 +527,45 @@ class TestSweepRegimeCounters:
         disk_warm = cache.stats()
         assert disk_warm.misses == 0 and disk_warm.disk_hits == cold.misses
         assert computed == []  # statistics came from the tier, not the GEMMs
+        clear_default_cache()
+
+
+    def test_fig18_ann_cells_are_served_by_both_levels(self, tmp_path, monkeypatch):
+        """fig18's ANN half is cached and counted like the SNN half."""
+        from repro.api import Session
+        from repro.snn.workloads import get_network_workload
+
+        computed = []
+        for stage in ("matches", "output_nnz"):
+            descriptor = AnnLayerEvaluation.__dict__[stage]
+
+            def counting(evaluation, _compute=descriptor.func, _stage=stage):
+                computed.append(_stage)
+                return _compute(evaluation)
+
+            monkeypatch.setattr(descriptor, "func", counting)
+
+        params = dict(network="alexnet", scale=SCALE, seed=SEED)
+        layers = len(get_network_workload("alexnet").layers)
+        session = Session(cache_dir=tmp_path / "evals")
+        clear_default_cache()
+        cold = session.run("fig18-snn-vs-ann", **params)
+        assert cold.provenance["partitions"] == 2
+        assert cold.provenance["cache"]["lru_misses"] == 2 * layers
+        assert set(computed) == {"matches", "output_nnz"}
+
+        warm = session.run("fig18-snn-vs-ann", **params).provenance["cache"]
+        assert warm["lru_misses"] == 0 and warm["lru_hits"] == 2 * layers
+
+        clear_default_cache()
+        computed.clear()
+        disk_warm = session.run("fig18-snn-vs-ann", **params)
+        cache = disk_warm.provenance["cache"]
+        assert cache["lru_misses"] == 0 and cache["lru_hits"] == 0
+        assert cache["disk_hits"] == 2 * layers
+        assert cache["disk_stores"] == 0 and cache["disk_refreshes"] == 0
+        assert computed == []  # the ANN statistics came from the tier
+        assert disk_warm.payload == cold.payload
         clear_default_cache()
 
 

@@ -565,10 +565,20 @@ class TestSimulatorEquivalence:
         activations = generate_ann_activations(16, 128, rng=rng)
         weights = random_weight_matrix(128, 24, 0.9, rng=rng)
         raw = simulator_cls().simulate_layer(activations, weights, name="ann")
+        evaluation = AnnLayerEvaluation(activations, weights)
         shared = simulator_cls().simulate_layer(
-            activations, weights, name="ann", evaluation=AnnLayerEvaluation(activations, weights)
+            activations, weights, name="ann", evaluation=evaluation
         )
         assert_results_identical(raw, shared)
+        # The consumed evaluation through the disk tier's byte format: the
+        # derived state arrives seeded, and the results do not move.
+        hydrated = AnnLayerEvaluation.hydrate(*unpack_payload(pack_payload(*evaluation.dehydrate())))
+        assert hydrated.derived_signature() == evaluation.derived_signature()
+        assert "output_nnz" in hydrated.__dict__ and "matches" in hydrated.__dict__
+        restored = simulator_cls().simulate_layer(
+            activations, weights, name="ann", evaluation=hydrated
+        )
+        assert_results_identical(raw, restored)
 
 
 class TestCacheSemantics:

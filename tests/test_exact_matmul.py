@@ -19,6 +19,7 @@ from repro.engine.evaluation import (
     exact_matmul,
     gemm_dtype,
     integer_bound,
+    join_dtype,
 )
 from repro.sparse.matrix import random_weight_matrix
 
@@ -123,8 +124,7 @@ class TestAnnEvaluation:
         assert (bound < FLOAT32_EXACT_LIMIT) == (k == 16)
         evaluation = AnnLayerEvaluation(activations, weights)
         expected = np.maximum(float64_reference(activations, weights), 0)
-        assert evaluation.outputs.dtype == np.float64
-        assert np.array_equal(evaluation.outputs, expected)
+        assert evaluation.output_nnz == np.count_nonzero(expected)
         masks = float64_reference(activations != 0, weights != 0)
-        assert evaluation.matches.dtype == np.float64
+        assert evaluation.matches.dtype == join_dtype(k, 1)
         assert np.array_equal(evaluation.matches, masks)

@@ -107,6 +107,7 @@ class TestOlderEntries:
             results = [
                 factory().simulate_workload(workload, evaluation=evaluation)
                 for factory in SIMULATOR_FACTORIES.values()
+                if factory.layer_type is LayerWorkload
             ]
             preprocessed = LoASSimulator().simulate_workload(
                 workload, evaluation=evaluation, preprocess=True

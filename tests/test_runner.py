@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
+    AnnLayerWorkload,
     GammaANN,
     GammaSNN,
     GoSPASNN,
@@ -20,7 +21,6 @@ from repro.baselines import (
     SparTenANN,
     SparTenSNN,
     StellarSimulator,
-    ann_layer_tensors,
 )
 from repro.core import DEFAULT_RNG_SEED, LoASConfig, LoASSimulator
 from repro.engine import AnnLayerEvaluation
@@ -28,6 +28,7 @@ from repro.api import Session
 from repro.experiments import get_scenario, list_scenarios
 from repro.metrics.results import aggregate_results
 from repro.runner import (
+    SIMULATOR_FACTORIES,
     SimulatorSpec,
     SweepPlan,
     SweepRunner,
@@ -176,7 +177,12 @@ def legacy_run_fig18(network="alexnet", scale=SCALE, seed=SEED):
     )
     rng = np.random.default_rng(seed)
     evaluations = [
-        (layer.name, AnnLayerEvaluation(*ann_layer_tensors(layer, rng=rng)))
+        (
+            layer.name,
+            AnnLayerEvaluation(
+                *AnnLayerWorkload(layer.shape, layer.profile, layer.weight_bits).generate(rng=rng)
+            ),
+        )
         for layer in snn_network.layers
     ]
     ann_results = {}
@@ -397,6 +403,20 @@ class TestPlanStructure:
         )
         # One partition per (workload, seed, variant), in order of first cell.
         assert plan.partitions() == [[0, 2], [1], [3, 5], [4]]
+
+    def test_partitions_split_snn_and_ann_cells(self):
+        plan = SweepPlan.product(
+            "p",
+            (WorkloadSpec("layer", "V-L8"),),
+            (SimulatorSpec("LoAS"), SimulatorSpec("SparTen-ANN"), SimulatorSpec("PTB"),
+             SimulatorSpec("Gamma-ANN")),
+            seeds=(0,),
+        )
+        # The ANN cells walk AnnLayerWorkload layers: one generator apart
+        # from the SNN cells of the same workload and seed.
+        assert plan.partitions() == [[0, 2], [1, 3]]
+        assert SIMULATOR_FACTORIES["Gamma-ANN"].layer_type is AnnLayerWorkload
+        assert SIMULATOR_FACTORIES["PTB"].layer_type is LayerWorkload
 
     def test_simulator_spec_label_defaults_to_key(self):
         assert SimulatorSpec("LoAS").label == "LoAS"
