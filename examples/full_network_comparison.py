@@ -30,8 +30,8 @@ def main() -> None:
         f"{'serial' if not workers or workers < 2 else f'{workers} workers'}) ...\n"
     )
 
-    session = Session(workers=workers, scale=scale)
-    results = session.run("networks", networks=(network_name,), seed=1).payload[network_name]
+    with Session(workers=workers, scale=scale) as session:
+        results = session.run("networks", networks=(network_name,), seed=1).payload[network_name]
 
     reference = results["SparTen-SNN"]
     rows = []

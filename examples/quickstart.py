@@ -23,10 +23,6 @@ from repro.snn.lif import lif_fire
 
 
 def main() -> None:
-    # One Session owns the policy every call below shares: workload scale,
-    # worker-pool size and (optionally) the on-disk evaluation-cache tier.
-    session = Session(scale=0.25, workers=2)
-
     # Functional check of the FTP dataflow on a small slice of V-L8.
     workload = get_layer_workload("V-L8")
     spikes, weights = workload.generate(rng=np.random.default_rng(0))
@@ -37,41 +33,46 @@ def main() -> None:
     assert np.array_equal(slice_output, reference)
     print("FTP dataflow matches the dense LIF reference on a sample slice.\n")
 
-    # Batch mode: one call, a typed result record with provenance.
-    result = session.run("layers", layers=("V-L8",), seed=1)
-    per_accel = result.payload["V-L8"]
-    reference_result = per_accel["SparTen-SNN"]  # the paper's normalisation point
-    rows = [
-        [
-            name,
-            f"{res.cycles:,.0f}",
-            f"{reference_result.cycles / res.cycles:.2f}x",
-            f"{res.dram_bytes / 1e3:.1f}",
-            f"{res.sram_bytes / 1e6:.2f}",
-            f"{res.energy_pj / 1e6:.1f}",
+    # One Session owns the policy every call below shares: workload scale,
+    # worker-pool size and (optionally) the on-disk evaluation-cache tier.
+    # Its worker pool is forked by the first pooled run (the stream below),
+    # kept for any later one, and ended when the block exits.
+    with Session(scale=0.25, workers=2) as session:
+        # Batch mode: one call, a typed result record with provenance.
+        result = session.run("layers", layers=("V-L8",), seed=1)
+        per_accel = result.payload["V-L8"]
+        reference_result = per_accel["SparTen-SNN"]  # the paper's normalisation point
+        rows = [
+            [
+                name,
+                f"{res.cycles:,.0f}",
+                f"{reference_result.cycles / res.cycles:.2f}x",
+                f"{res.dram_bytes / 1e3:.1f}",
+                f"{res.sram_bytes / 1e6:.2f}",
+                f"{res.energy_pj / 1e6:.1f}",
+            ]
+            for name, res in per_accel.items()
         ]
-        for name, res in per_accel.items()
-    ]
-    print(
-        format_table(
-            ["Accelerator", "Cycles", "Speedup vs SparTen-SNN", "DRAM (KB)", "SRAM (MB)", "Energy (uJ)"],
-            rows,
-            title="V-L8 on LoAS and the dual-sparse SNN baselines",
+        print(
+            format_table(
+                ["Accelerator", "Cycles", "Speedup vs SparTen-SNN", "DRAM (KB)", "SRAM (MB)", "Energy (uJ)"],
+                rows,
+                title="V-L8 on LoAS and the dual-sparse SNN baselines",
+            )
         )
-    )
-    print(f"\nProvenance: repro {result.provenance['package_version']}, "
-          f"seeds {result.provenance['seeds']}, cache {result.provenance['cache']}")
+        print(f"\nProvenance: repro {result.provenance['package_version']}, "
+              f"seeds {result.provenance['seeds']}, cache {result.provenance['cache']}")
 
-    # Streaming mode: partitions arrive as the runner completes them; the
-    # merged result is bit-identical to the batch call.
-    print("\nStreaming the Figure 13 traffic sweep:")
-    stream = session.stream("fig13-traffic", networks=("alexnet", "vgg16"), seed=1)
-    for done, partition in enumerate(stream, start=1):
-        # Partitions arrive in completion order over a pool; count arrivals
-        # rather than printing partition.index (the stable plan position).
-        print(f"  [{done}/{partition.total}] {partition.workload_label} "
-              f"@ seed {partition.seed}: {', '.join(partition.simulator_labels)}")
-    merged = stream.result
+        # Streaming mode: partitions arrive as the runner completes them; the
+        # merged result is bit-identical to the batch call.
+        print("\nStreaming the Figure 13 traffic sweep:")
+        stream = session.stream("fig13-traffic", networks=("alexnet", "vgg16"), seed=1)
+        for done, partition in enumerate(stream, start=1):
+            # Partitions arrive in completion order over a pool; count arrivals
+            # rather than printing partition.index (the stable plan position).
+            print(f"  [{done}/{partition.total}] {partition.workload_label} "
+                  f"@ seed {partition.seed}: {', '.join(partition.simulator_labels)}")
+        merged = stream.result
 
     # Every record serialises under a versioned schema and decodes back
     # to an equal record -- SimulationResults included.

@@ -299,7 +299,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "describe":
             return _command_describe(Session(), args.scenario)
         if args.command == "run":
-            return _command_run(Session(), args)
+            # --workers / --cache-dir travel per call, so a pool they ask for
+            # runs on a one-off runner and ends with the run.
+            with Session() as session:
+                return _command_run(session, args)
         if args.command == "cache":
             return _command_cache(Session(cache_dir=args.cache_dir), args)
     except BrokenPipeError:

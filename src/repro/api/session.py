@@ -24,6 +24,16 @@ runs in-process without the session's pool or disk tier, whereas passing
 ``TypeError`` (silently dropping an explicitly requested pool or tier would
 misreport what ran).
 
+**Lifecycle.** A pooled session (``workers >= 2``) owns one worker pool.
+Building the session forks nothing: the pool is forked at the first pooled
+run and reused by every later one, so repeated runs skip the fork, the
+worker set-up and the teardown.  :meth:`Session.close`, leaving a ``with
+Session(...)`` block, the session's collection or interpreter exit ends
+it.  A run that fails or a stream closed early ends it too (no task of
+that run keeps running), and the next pooled run forks a fresh one.  A
+call that passes its own ``workers`` / ``cache_dir`` runs on a one-off
+pool that ends with that call's stream.
+
 Note the evaluation LRU itself is process-wide (simulators resolve it via
 :func:`repro.engine.default_cache`), so sessions in one process share
 cached tensors -- by design, that is the engine's cross-simulator sharing.
@@ -100,16 +110,26 @@ class ScenarioStream(Iterator[PartitionResult]):
     :meth:`Session.run` returns for the same arguments (results are slotted
     by cell index, so completion order is irrelevant).
 
-    In pooled mode the underlying executor holds the worker pool open for
-    the stream's lifetime.  When abandoning a stream early, call
-    :meth:`close` -- or iterate inside a ``with`` block -- to shut it down
-    immediately instead of waiting for garbage collection.
+    In pooled mode an abandoned stream leaves its tasks running until it
+    is closed.  When abandoning a stream early, call :meth:`close` -- or
+    iterate inside a ``with`` block -- to end them (and the worker pool)
+    immediately instead of waiting for garbage collection.  A stream over
+    a one-off runner (``owns_runner``) closes that runner when it ends.
     """
 
-    def __init__(self, scenario_name: str, plan, runner: SweepRunner, capture, finalise):
+    def __init__(
+        self,
+        scenario_name: str,
+        plan,
+        runner: SweepRunner,
+        capture,
+        finalise,
+        owns_runner: bool = False,
+    ):
         self.plan = plan
         self._scenario_name = scenario_name
         self._total = len(plan.partitions())
+        self._runner = runner if owns_runner else None
         self._iterator = runner.iter_partitions(plan)
         self._slots = [None] * len(plan.cells)
         self._capture = capture
@@ -135,6 +155,7 @@ class ScenarioStream(Iterator[PartitionResult]):
             # slots are only partially filled -- never finalise those.
             if self._result is None and not self._closed:
                 self._result = self._finalise(SweepResults(self.plan, self._slots))
+            self._close_runner()
             raise
         for index, result in zip(indices, results):
             self._slots[index] = result
@@ -155,6 +176,11 @@ class ScenarioStream(Iterator[PartitionResult]):
         """
         self._closed = True
         self._iterator.close()
+        self._close_runner()
+
+    def _close_runner(self) -> None:
+        if self._runner is not None:
+            self._runner.close()
 
     def __enter__(self) -> "ScenarioStream":
         return self
@@ -210,13 +236,18 @@ class Session:
     mp_context:
         Multiprocessing start method (``"fork"`` / ``"spawn"``).
 
+    ``workers`` and ``mp_context`` are fixed at construction: they size the
+    session's pool (see the module docstring's **Lifecycle**).  The pool
+    holds worker processes between runs, so close a pooled session when
+    done, or use it as a context manager.
+
     Examples
     --------
-    >>> session = Session(workers=2, cache_dir=".eval-cache", scale=0.25)
-    >>> result = session.run("fig12-overall")
+    >>> with Session(workers=2, cache_dir=".eval-cache", scale=0.25) as session:
+    ...     result = session.run("fig12-overall")
+    ...     for partition in session.stream("fig13-traffic"):
+    ...         print(partition.workload_label, partition.index, partition.total)
     >>> result.payload["vgg16"]["LoAS"]["speedup"]  # doctest: +SKIP
-    >>> for partition in session.stream("fig13-traffic"):
-    ...     print(partition.workload_label, partition.index, partition.total)
     """
 
     def __init__(
@@ -238,6 +269,23 @@ class Session:
         if lru_maxsize is not None:
             default_cache().resize(lru_maxsize)
         self._disk_tier = DiskEvaluationCache.coerce(cache_dir, max_bytes=disk_max_bytes)
+        #: Runs every call without its own ``workers`` / ``cache_dir``; it
+        #: forks its pool at the first pooled run, not here.
+        self._runner = SweepRunner(workers=workers, cache_dir=self._disk_tier, mp_context=mp_context)
+
+    def close(self) -> None:
+        """End the session's worker pool, if one runs.
+
+        Idempotent.  The session stays usable: a later pooled run forks a
+        new pool.
+        """
+        self._runner.close()
+
+    def __enter__(self) -> "Session":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -368,7 +416,13 @@ class Session:
         self.validate_run_options(scenario, stream=True, params=params)
         merged = self._merge_params(scenario, params)
         plan = scenario.build(**merged)
-        runner = self._make_runner(workers, cache_dir)
+        runner = self._runner
+        if workers is not None or cache_dir is not None:
+            runner = SweepRunner(
+                workers=workers if workers is not None else self.workers,
+                cache_dir=self._tier_for(cache_dir),
+                mp_context=self.mp_context,
+            )
         baselines: dict[str, Any] = {"lru": None, "disk": None}
 
         def capture() -> None:
@@ -404,7 +458,9 @@ class Session:
                 provenance=provenance,
             )
 
-        return ScenarioStream(scenario.name, plan, runner, capture, finalise)
+        return ScenarioStream(
+            scenario.name, plan, runner, capture, finalise, owns_runner=runner is not self._runner
+        )
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -429,13 +485,6 @@ class Session:
             merged["scale"] = self.scale
         merged.update(params)
         return merged
-
-    def _make_runner(self, workers, cache_dir) -> SweepRunner:
-        return SweepRunner(
-            workers=workers if workers is not None else self.workers,
-            cache_dir=self._tier_for(cache_dir),
-            mp_context=self.mp_context,
-        )
 
     def _tier_for(self, cache_dir) -> DiskEvaluationCache | None:
         if cache_dir is None:

@@ -26,13 +26,18 @@ def generate_ann_activations(
     rng: np.random.Generator | None = None,
     activation_bits: int = 8,
 ) -> np.ndarray:
-    """Generate an ``(M, K)`` 8-bit ReLU-style activation matrix."""
+    """Generate an ``(M, K)`` 8-bit ReLU-style activation matrix.
+
+    The values are drawn as int32, which fixes the random stream, and held
+    in the narrowest unsigned dtype covering ``activation_bits`` (uint8 by
+    default).
+    """
     if not 0.0 <= activation_sparsity <= 1.0:
         raise ValueError("activation_sparsity must lie in [0, 1]")
     rng = np.random.default_rng() if rng is None else rng
     activations = rng.integers(1, 2 ** activation_bits, size=(m, k), dtype=np.int32)
-    mask = rng.random((m, k)) < activation_sparsity
-    activations[mask] = 0
+    activations = activations.astype(np.min_scalar_type(2 ** activation_bits - 1))
+    activations[rng.random((m, k)) < activation_sparsity] = 0
     return activations
 
 

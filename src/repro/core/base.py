@@ -91,7 +91,19 @@ class SimulatorBase:
         with an equal generator state reuses the existing evaluation instead
         of regenerating.  Pass ``evaluation`` to simulate a pre-computed
         evaluation directly.
+
+        Raises ``TypeError`` when the workload's or the evaluation's
+        ``kind`` is not that of :attr:`layer_type` (an ANN simulator given
+        a spiking layer, or the reverse); an object without a ``kind`` is
+        spiking, as the cache and the disk entries read it.
         """
+        for given in (workload, evaluation):
+            kind = getattr(given, "kind", "snn")
+            if given is not None and kind != self.layer_type.kind:
+                raise TypeError(
+                    "%s simulates %r layers, not a %r %s"
+                    % (self.name, self.layer_type.kind, kind, type(given).__name__)
+                )
         if evaluation is None:
             rng = np.random.default_rng(DEFAULT_RNG_SEED) if rng is None else rng
             evaluation = default_cache().evaluate(workload, rng, finetuned=finetuned)

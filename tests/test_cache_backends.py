@@ -18,7 +18,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines import AnnLayerWorkload, GammaANN
+from repro.baselines import (
+    ANN_ACTIVATION_SPARSITY,
+    AnnLayerWorkload,
+    GammaANN,
+    SparTenANN,
+    generate_ann_activations,
+)
 from repro.core import LoASSimulator
 from repro.engine import (
     AnnLayerEvaluation,
@@ -34,6 +40,9 @@ from repro.snn.network import LayerShape
 from repro.snn.workloads import LayerWorkload, SparsityProfile
 
 from test_runner import assert_sweeps_identical, legacy_run_networks
+
+#: The simulators that consume ``AnnLayerEvaluation``.
+ANN_SIMULATORS = (SparTenANN, GammaANN)
 
 
 def make_workload(name="tiny", m=8, k=160, n=32, t=4) -> LayerWorkload:
@@ -188,6 +197,49 @@ class TestWeightStorage:
         child = hydrated.preprocessed(1)
         assert np.array_equal(child.full_sums, evaluation.preprocessed(1).full_sums)
 
+
+
+def int32_ann_activations(m, k, rng, activation_sparsity=ANN_ACTIVATION_SPARSITY):
+    """The int32 activation draw as it was before activations were narrowed."""
+    activations = rng.integers(1, 2**8, size=(m, k), dtype=np.int32)
+    activations[rng.random((m, k)) < activation_sparsity] = 0
+    return activations
+
+
+class TestAnnActivationStorage:
+    """ANN activations are uint8 on the int32 stream; int32 entries still load."""
+
+    def test_activations_are_uint8_on_the_int32_stream(self):
+        narrow_rng, wide_rng = np.random.default_rng(5), np.random.default_rng(5)
+        activations = generate_ann_activations(17, 300, rng=narrow_rng)
+        reference = int32_ann_activations(17, 300, wide_rng)
+        assert activations.dtype == np.uint8
+        assert np.array_equal(activations, reference)
+        assert narrow_rng.bit_generator.state == wide_rng.bit_generator.state
+
+    @pytest.mark.parametrize("saturated", (False, True), ids=("drawn", "all-255"))
+    def test_int32_activation_entries_hydrate_with_equal_values(self, tiny_workload, saturated):
+        ann = AnnLayerWorkload(tiny_workload.shape, tiny_workload.profile)
+        activations, weights = ann.generate(rng=np.random.default_rng(3))
+        if saturated:
+            # The uint8 edge, where an unwidened sum would wrap.
+            activations = np.full_like(activations, 255)
+            weights = np.where(weights != 0, np.int8(-128), weights).astype(np.int8)
+        evaluation = AnnLayerEvaluation(activations, weights)
+        references = [cls().simulate_workload(ann, evaluation=evaluation) for cls in ANN_SIMULATORS]
+        # An entry written while activations were int32: same values.
+        legacy = AnnLayerEvaluation(activations.astype(np.int32), weights)
+        for cls in ANN_SIMULATORS:
+            cls().simulate_workload(ann, evaluation=legacy)
+        data = pack_entry(CacheEntry(legacy, np.random.default_rng(0).bit_generator.state))
+        assert stored_record(data, "activations")["dtype"] == "<i4"
+        hydrated = unpack_entry(data).evaluation
+        assert hydrated.activations.dtype == np.int32
+        assert np.array_equal(hydrated.activations, activations)
+        for cls, reference in zip(ANN_SIMULATORS, references):
+            assert_simulations_identical(cls().simulate_workload(ann, evaluation=hydrated), reference)
+            fresh = cls().simulate_workload(ann, evaluation=AnnLayerEvaluation(activations, weights))
+            assert_simulations_identical(fresh, reference)
 
 # --------------------------------------------------------------------- #
 # v2 disk entries

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.baselines import (
+    AnnLayerWorkload,
     GammaANN,
     GammaSNN,
     GoSPASNN,
@@ -580,6 +581,35 @@ class TestSimulatorEquivalence:
         )
         assert_results_identical(raw, restored)
 
+
+
+class TestLayerKindBoundary:
+    """``simulate_workload`` rejects a layer of the wrong kind before simulating."""
+
+    @pytest.fixture
+    def snn_layer(self):
+        return get_layer_workload("V-L8").scaled(0.05)
+
+    @pytest.mark.parametrize("simulator_cls", [SparTenANN, GammaANN])
+    def test_ann_simulator_rejects_a_spiking_layer(self, simulator_cls, snn_layer):
+        with pytest.raises(TypeError, match="'ann' layers, not a 'snn' LayerWorkload"):
+            simulator_cls().simulate_workload(snn_layer, rng=np.random.default_rng(7))
+        evaluation = default_cache().evaluate(snn_layer, np.random.default_rng(7))
+        ann_layer = AnnLayerWorkload(snn_layer.shape, snn_layer.profile)
+        with pytest.raises(TypeError, match="not a 'snn' LayerEvaluation"):
+            simulator_cls().simulate_workload(ann_layer, evaluation=evaluation)
+
+    @pytest.mark.parametrize("simulator_cls", ALL_SNN_SIMULATORS)
+    def test_snn_simulator_rejects_an_ann_layer(self, simulator_cls, snn_layer):
+        ann_layer = AnnLayerWorkload(snn_layer.shape, snn_layer.profile)
+        misses = default_cache().misses
+        with pytest.raises(TypeError, match="'snn' layers, not a 'ann' AnnLayerWorkload"):
+            simulator_cls().simulate_workload(ann_layer, rng=np.random.default_rng(7))
+        # Rejected at the boundary: nothing was generated.
+        assert default_cache().misses == misses
+        evaluation = default_cache().evaluate(ann_layer, np.random.default_rng(7))
+        with pytest.raises(TypeError, match="not a 'ann' AnnLayerEvaluation"):
+            simulator_cls().simulate_workload(snn_layer, evaluation=evaluation)
 
 class TestCacheSemantics:
     def _workload(self, name="tiny", m=6, k=64, n=12, t=4):

@@ -173,6 +173,9 @@ class TestNoStrayThreads:
             def __exit__(self, *exc):
                 return False
 
+            def terminate(self):
+                pass
+
             def imap_unordered(self, task, payloads):
                 return map(task, payloads)
 

@@ -153,3 +153,5 @@ class TestJoinBounds:
             true_acs = evaluation.true_acs.astype(np.int64)
             assert np.all(matches <= true_acs)
             assert np.all(true_acs <= t * matches)
+            assert evaluation.total_matches <= evaluation.true_accumulations
+            assert evaluation.total_matches * t >= evaluation.true_accumulations

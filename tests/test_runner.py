@@ -590,6 +590,9 @@ class TestPoolDispatchOrder:
             def __exit__(self, *exc):
                 return False
 
+            def terminate(self):
+                pass
+
             def imap_unordered(self, task, payloads):
                 for payload in payloads:
                     submitted.append(payload[0])
