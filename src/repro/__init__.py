@@ -52,7 +52,7 @@ Low-level access stays available for single workloads::
     print(result.cycles, result.dram_bytes, result.energy_pj)
 """
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 from .api import PartitionResult, ScenarioResult, Session
 from .core import LoASConfig, LoASSimulator

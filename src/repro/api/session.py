@@ -104,17 +104,19 @@ class ScenarioStream(Iterator[PartitionResult]):
 
     Returned by :meth:`Session.stream`.  Yields one
     :class:`~repro.api.result.PartitionResult` per completed ``(workload,
-    seed, finetuned)`` partition -- in plan order serially, in completion
-    order over a worker pool.  Once exhausted, :attr:`result` holds the merged
+    seed, finetuned, layer type)`` partition, in completion order (a worker
+    pool, or a serial run's two threads, finish partitions in any order).
+    Once exhausted, :attr:`result` holds the merged
     :class:`~repro.api.result.ScenarioResult`, bit-identical to what
     :meth:`Session.run` returns for the same arguments (results are slotted
     by cell index, so completion order is irrelevant).
 
-    In pooled mode an abandoned stream leaves its tasks running until it
-    is closed.  When abandoning a stream early, call :meth:`close` -- or
-    iterate inside a ``with`` block -- to end them (and the worker pool)
-    immediately instead of waiting for garbage collection.  A stream over
-    a one-off runner (``owns_runner``) closes that runner when it ends.
+    An abandoned stream leaves its partitions running (in the pool, or on a
+    serial run's helper thread) until it is closed.  When abandoning a
+    stream early, call :meth:`close` -- or iterate inside a ``with`` block
+    -- to end them (and the worker pool) now instead of waiting for garbage
+    collection.  A stream over a one-off runner (``owns_runner``) closes
+    that runner when it ends.
     """
 
     def __init__(
@@ -236,8 +238,10 @@ class Session:
     mp_context:
         Multiprocessing start method (``"fork"`` / ``"spawn"``).
 
-    ``workers`` and ``mp_context`` are fixed at construction: they size the
-    session's pool (see the module docstring's **Lifecycle**).  The pool
+    ``workers``, ``cache_dir``, ``disk_max_bytes`` and ``mp_context`` are
+    fixed at construction (read-only attributes): they build the session's
+    disk tier and size its pool (see the module docstring's
+    **Lifecycle**); pass ``workers=`` / ``cache_dir=`` per call instead.  The pool
     holds worker processes between runs, so close a pooled session when
     done, or use it as a context manager.
 
@@ -261,11 +265,11 @@ class Session:
     ):
         if workers is not None and workers < 0:
             raise ValueError("workers must be non-negative")
-        self.workers = workers
-        self.cache_dir = cache_dir
+        self._workers = workers
+        self._cache_dir = cache_dir
         self.scale = scale
-        self.disk_max_bytes = disk_max_bytes
-        self.mp_context = mp_context
+        self._disk_max_bytes = disk_max_bytes
+        self._mp_context = mp_context
         if lru_maxsize is not None:
             default_cache().resize(lru_maxsize)
         self._disk_tier = DiskEvaluationCache.coerce(cache_dir, max_bytes=disk_max_bytes)
@@ -290,6 +294,28 @@ class Session:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
+    # The session's runner and tier are built from these at construction,
+    # so they are read-only: assigning one later would change nothing.
+    @property
+    def workers(self) -> int | None:
+        """The worker-pool size given at construction."""
+        return self._workers
+
+    @property
+    def cache_dir(self):
+        """The ``cache_dir`` given at construction."""
+        return self._cache_dir
+
+    @property
+    def disk_max_bytes(self) -> int | None:
+        """The disk tier's byte budget given at construction."""
+        return self._disk_max_bytes
+
+    @property
+    def mp_context(self) -> str | None:
+        """The multiprocessing start method given at construction."""
+        return self._mp_context
+
     @property
     def disk_tier(self) -> DiskEvaluationCache | None:
         """The session-owned on-disk tier (``None`` without ``cache_dir``)."""
@@ -407,9 +433,10 @@ class Session:
         """Incremental execution: a :class:`ScenarioStream` over partitions.
 
         Only sweep-shaped scenarios stream (bespoke ones have no plan to
-        partition -- ``ValueError``).  The merged ``stream.result`` is
-        bit-identical to :meth:`run` for equal arguments, in serial and
-        pooled modes alike.
+        partition -- ``ValueError``).  Partitions arrive in completion
+        order, serially too.  The merged ``stream.result`` is bit-identical
+        to :meth:`run` for equal arguments, in serial and pooled modes
+        alike.
         """
         _ensure_registry()
         scenario = get_scenario(name)
@@ -524,7 +551,6 @@ class Session:
             "lru_misses": lru_after.misses - lru_before.misses,
             "lru_disk_hits": lru_after.disk_hits - lru_before.disk_hits,
             "lru_evictions": lru_after.evictions - lru_before.evictions,
-            "lru_lookahead_served": lru_after.lookahead_served - lru_before.lookahead_served,
         }
         if tier is not None and disk_before is not None:
             disk_after = tier.stats()

@@ -56,10 +56,6 @@ class CacheStats:
         lookups are ``hits + disk_hits + misses``.
     maxsize:
         Memory LRU only -- the entry-count bound.
-    lookahead_served:
-        Evaluation-cache orchestrator only -- the ``misses`` whose tensors
-        a lookahead generated on a background thread (see
-        :mod:`repro.engine.cache`).
     stores:
         Disk tier only -- entries published since the last reset.
     refreshes:
@@ -78,7 +74,6 @@ class CacheStats:
     entries: int
     disk_hits: int = 0
     maxsize: int | None = None
-    lookahead_served: int = 0
     stores: int = 0
     refreshes: int = 0
     corrupt_dropped: int = 0
@@ -95,7 +90,6 @@ class CacheStats:
         if self.maxsize is not None:
             out["disk_hits"] = self.disk_hits
             out["maxsize"] = self.maxsize
-            out["lookahead_served"] = self.lookahead_served
         if self.total_bytes is not None:
             out["stores"] = self.stores
             out["refreshes"] = self.refreshes
@@ -161,6 +155,11 @@ class MemoryBackend:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+    def __contains__(self, key) -> bool:
+        """Whether ``key`` is held; unlike :meth:`get`, the LRU order stays."""
+        with self._lock:
+            return key in self._entries
 
     def get(self, key) -> CacheEntry | None:
         with self._lock:

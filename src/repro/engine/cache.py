@@ -40,18 +40,14 @@ once the simulators have *enriched* the evaluation (statistics GEMMs, LIF
 outputs, compressions), so each entry is written once and later disk hits
 skip that work too (the executor flushes after every layer).
 
-Lookahead
----------
-A layer's tensors depend only on its generator's state, not on the
-evaluation of the layers before it.  So when a full miss names the
-caller's next workload, :meth:`~WorkloadEvaluationCache.evaluate` queues
-that workload for generation on the cache's one background worker thread,
-from a copy of the caller's generator at its post-generation state.  The
-worker runs while some lookahead is pending and ends once none is.  The
-next ``evaluate`` whose key matches waits for it and takes its tensors.  Only
-``LayerWorkload.generate`` runs off the caller's thread: every LRU put,
-counter, disk access and write-back registration stays under the cache's
-lock on the caller's thread.
+Threads
+-------
+Callers on several threads may share the cache (a serial run's helper
+thread does).  Counters, LRU puts, disk gets and write-back registration
+happen under the cache's lock; generation does not.  A caller that misses
+on a key another thread is generating waits and takes it as a hit, and
+:meth:`~WorkloadEvaluationCache.flush_writebacks` writes only the entries
+no other live thread still enriches.
 
 Generated tensors are marked non-writeable before they are shared (the
 spikes are held only as read-only packed words), so a misbehaving simulator
@@ -60,9 +56,8 @@ cannot corrupt other simulators' results.
 
 from __future__ import annotations
 
-import contextlib
-import copy
-import queue
+import functools
+import os
 import threading
 
 import numpy as np
@@ -86,7 +81,7 @@ __all__ = [
 
 #: Auto-flush bound: evaluate() flushes the pending write-backs itself once
 #: this many accumulate, so callers that never call flush_writebacks()
-#: (plain ``simulate_workload`` loops) cannot grow the list without bound.
+#: (plain ``simulate_workload`` loops) cannot grow them without bound.
 _DIRTY_FLUSH_THRESHOLD = 64
 
 
@@ -149,88 +144,17 @@ class _Dirty:
     warm in-memory state, superseded artifacts included-out.  A full miss
     has no stored entry yet, so its ``baseline`` is ``None`` and the flush
     writes it whatever it holds.  ``disk`` is the tier the entry is written
-    back to.
+    back to.  ``holders`` are the threads that took the entry since it was
+    registered and may still be enriching it.
     """
 
-    __slots__ = ("key", "entry", "disk", "baseline")
+    __slots__ = ("entry", "disk", "baseline", "holders")
 
-    def __init__(self, key, entry: CacheEntry, disk: DiskEvaluationCache, stored: bool):
-        self.key = key
+    def __init__(self, entry: CacheEntry, disk: DiskEvaluationCache, stored: bool):
         self.entry = entry
         self.disk = disk
         self.baseline = entry.evaluation.derived_signature() if stored else None
-
-
-class _Lookahead:
-    """One workload's tensors, generated by the cache's lookahead worker.
-
-    ``key`` is the cache key the tensors belong to.  The worker draws from
-    ``rng``, a private copy of the caller's generator, which it leaves at the
-    post-generation state the caller is fast-forwarded to when it takes the
-    tensors.  ``done`` is set once the worker has finished with it.
-    """
-
-    __slots__ = ("key", "rng", "workload", "finetuned", "tensors", "error", "done")
-
-    def __init__(self, key, workload: LayerWorkload, rng: np.random.Generator, finetuned: bool):
-        self.key = key
-        self.rng = copy.deepcopy(rng)
-        self.workload = workload
-        self.finetuned = finetuned
-        self.tensors = None
-        self.error: BaseException | None = None
-        self.done = threading.Event()
-
-    def run(self) -> None:
-        try:
-            self.tensors = self.workload.generate(rng=self.rng, finetuned=self.finetuned)
-        except BaseException as exc:  # re-raised on the caller's thread by take()
-            self.error = exc
-        finally:
-            self.done.set()
-
-    def take(self):
-        """Wait for the worker; return the generated pair or re-raise its exception.
-
-        The tensors are copied on the caller's thread and the worker's
-        arrays released, so everything the cache keeps is allocated by its
-        callers, as without a lookahead, and the worker's malloc arena only
-        ever holds generation transients.  The resident set then does not
-        depend on how the two threads' allocations interleaved.
-        """
-        self.done.wait()
-        if self.error is not None:
-            raise self.error
-        tensors, self.tensors = self.tensors, None
-        return copy.deepcopy(tensors)
-
-
-class _LookaheadWorker:
-    """The one background thread that runs a cache's lookaheads, in order.
-
-    One thread serves every lookahead until none is pending, rather than one
-    thread per lookahead: at most one workload is generated beside the
-    callers at a time, and every lookahead draws its transients from the
-    same per-thread malloc arena instead of whichever arena a new thread
-    happened to be given.
-    """
-
-    def __init__(self):
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        self.thread = threading.Thread(target=self._run, name="repro-lookahead", daemon=True)
-        self.thread.start()
-
-    def submit(self, lookahead: _Lookahead) -> None:
-        self._queue.put(lookahead)
-
-    def stop(self) -> None:
-        """Finish the queued lookaheads, then end the thread."""
-        self._queue.put(None)
-        self.thread.join()
-
-    def _run(self) -> None:
-        while (lookahead := self._queue.get()) is not None:
-            lookahead.run()
+        self.holders = {threading.current_thread()}
 
 
 class WorkloadEvaluationCache:
@@ -239,29 +163,23 @@ class WorkloadEvaluationCache:
     ``maxsize`` bounds the number of evaluations the in-process
     :class:`~repro.engine.backend.MemoryBackend` holds (the paper's three
     networks evaluated with and without fine-tuning need ~80 entries).
-    The cache is thread-safe: the whole of :meth:`evaluate` -- lookup,
-    fast-forward, generation and insertion -- runs under one internal lock,
-    so concurrent callers sharing a cache (but not a generator) observe
-    consistent entries and counters.  The coarse lock deliberately trades
-    cross-thread concurrency for simplicity: the only generation that runs
-    beside it is a lookahead (see the module docstring), which touches no
-    cache state.  Parallel sweeps scale across *processes*
-    (:class:`repro.runner.SweepRunner`), each with its own cache, sharing
-    evaluations through the disk tier each call of :meth:`evaluate` names.
+    The cache is thread-safe for callers that share it but not a generator
+    (see the module docstring).  Parallel sweeps beyond two threads scale
+    across *processes* (:class:`repro.runner.SweepRunner`), each with its
+    own cache, sharing evaluations through the disk tier.
     """
 
     def __init__(self, maxsize: int = 128):
         self._memory = MemoryBackend(maxsize)
         self._lock = threading.RLock()
-        self._dirty: list[_Dirty] = []
-        #: Pending lookaheads, at most one per caller generator (by ``id``).
-        self._lookaheads: dict[int, _Lookahead] = {}
-        #: Runs the pending lookaheads; ``None`` while none is pending.
-        self._worker: _LookaheadWorker | None = None
+        #: Pending write-backs by key.
+        self._dirty: dict[tuple, _Dirty] = {}
+        #: Keys some thread is generating now, each with the event it sets
+        #: when done.
+        self._generating: dict[tuple, threading.Event] = {}
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
-        self.lookahead_served = 0
 
     # ------------------------------------------------------------------ #
     # Introspection / configuration
@@ -287,41 +205,17 @@ class WorkloadEvaluationCache:
     def clear(self) -> None:
         """Drop every cached evaluation and reset the hit/miss counters.
 
-        Pending lookaheads are joined and dropped, and so are pending
-        write-backs: a full miss not yet flushed never reaches its disk
-        tier.  Disk tiers keep the entries they hold (they are the
-        cross-process level; clear one explicitly via its own ``clear()``).
+        Pending write-backs are dropped too: a full miss not yet flushed
+        never reaches its disk tier.  Disk tiers keep the entries they hold
+        (they are the cross-process level; clear one explicitly via its own
+        ``clear()``).
         """
-        with self._locked():
-            self._lookaheads.clear()
+        with self._lock:
             self._memory.clear()
             self._dirty.clear()
             self.hits = 0
             self.misses = 0
             self.disk_hits = 0
-            self.lookahead_served = 0
-
-    def drop_lookahead(self, rng: np.random.Generator) -> None:
-        """Join and drop the pending lookahead of ``rng``, if it has one."""
-        with self._locked():
-            lookahead = self._lookaheads.pop(id(rng), None)
-            if lookahead is not None:
-                lookahead.done.wait()
-
-    @contextlib.contextmanager
-    def _locked(self):
-        """Hold the lock; on release, end the lookahead worker if none is pending.
-
-        The worker finishes what it was given before it ends, so a caller
-        that dropped its lookahead never leaves generation running.
-        """
-        with self._lock:
-            try:
-                yield
-            finally:
-                if not self._lookaheads and self._worker is not None:
-                    self._worker.stop()
-                    self._worker = None
 
     def resize(self, maxsize: int) -> None:
         """Change the entry bound, evicting least-recently-used overflow now."""
@@ -337,8 +231,15 @@ class WorkloadEvaluationCache:
                 entries=len(self._memory),
                 disk_hits=self.disk_hits,
                 maxsize=self._memory.maxsize,
-                lookahead_served=self.lookahead_served,
             )
+
+    def holds(self, workload: LayerWorkload, rng, finetuned: bool = False, disk=None) -> bool:
+        """Whether the LRU or ``disk`` holds ``workload`` at ``rng``'s state.
+
+        A peek: no counter moves, the LRU order stays, no entry is read.
+        """
+        key = (workload_fingerprint(workload, finetuned), generator_fingerprint(rng))
+        return key in self._memory or (disk is not None and disk.entry_path(key).exists())
 
     # ------------------------------------------------------------------ #
     # Evaluation
@@ -349,24 +250,17 @@ class WorkloadEvaluationCache:
         rng: np.random.Generator,
         finetuned: bool = False,
         disk: DiskEvaluationCache | None = None,
-        next_workload: LayerWorkload | None = None,
     ) -> LayerEvaluation | AnnLayerEvaluation:
         """Return the (possibly cached) evaluation of ``workload``, of its ``kind``.
 
         Looks in the LRU, then in ``disk`` (promoting a hit into the LRU),
         and generates on a full miss, publishing the result to the LRU.  A
-        full miss reaches ``disk`` only at the next :meth:`flush_writebacks`
-        (of this or any later run), already enriched; pending writes survive
-        a caller's exception and are dropped unwritten by :meth:`clear`.
-        On a hit the generator
-        is advanced to the state it would have reached by regenerating, so
+        full miss reaches ``disk`` only at a later :meth:`flush_writebacks`,
+        already enriched; pending writes survive a caller's exception and
+        are dropped unwritten by :meth:`clear`.  On a hit the generator is
+        advanced to the state it would have reached by regenerating, so
         callers sharing one generator across a sequence of layers observe
         bit-identical randomness either way.
-
-        ``next_workload`` names the workload this generator evaluates next.
-        On a full miss it starts a lookahead (see the module docstring); a
-        later full miss on that key takes its tensors instead of generating,
-        and any other call with this generator joins and drops it.
         """
         try:
             key = (workload_fingerprint(workload, finetuned), generator_fingerprint(rng))
@@ -375,57 +269,64 @@ class WorkloadEvaluationCache:
             # back to uncached generation.
             spikes, weights = workload.generate(rng=rng, finetuned=finetuned)
             return LayerEvaluation(spikes, weights)
-        with self._locked():
-            lookahead = self._lookaheads.pop(id(rng), None)
-            if lookahead is not None and lookahead.key != key:
-                lookahead.done.wait()
-                lookahead = None
-            if len(self._dirty) >= _DIRTY_FLUSH_THRESHOLD:
-                self._flush_locked()
-            entry = self._memory.get(key)
-            if entry is not None:
-                self.hits += 1
-            elif disk is not None:
-                entry = disk.get(key)
+        while True:
+            with self._lock:
+                if len(self._dirty) >= _DIRTY_FLUSH_THRESHOLD:
+                    self._flush_locked()
+                entry = self._lookup(key, disk)
                 if entry is not None:
-                    self.disk_hits += 1
-                    self._memory.put(key, entry)
-                    # A disk hit may carry less than the simulators are
-                    # about to compute (a tensor-only entry, or one from a
-                    # run that exercised fewer simulators); remember it so
-                    # the write-back pass can upgrade the stored entry.
-                    self._dirty.append(_Dirty(key, entry, disk, stored=True))
-            if entry is not None:
-                if lookahead is not None:
-                    lookahead.done.wait()
-                rng.bit_generator.state = entry.state_after
-                return entry.evaluation
-            self.misses += 1
-            if lookahead is not None:
-                first, weights = lookahead.take()
-                rng.bit_generator.state = lookahead.rng.bit_generator.state
-                self.lookahead_served += 1
-            else:
-                first, weights = workload.generate(rng=rng, finetuned=finetuned)
+                    rng.bit_generator.state = entry.state_after
+                    return entry.evaluation
+                generating = self._generating.get(key)
+                if generating is None:
+                    self.misses += 1
+                    generating = self._generating[key] = threading.Event()
+                    break
+            # Another thread generates this key: wait, then take its entry.
+            generating.wait()
+        try:
+            first, weights = workload.generate(rng=rng, finetuned=finetuned)
             if isinstance(first, np.ndarray):
                 first.setflags(write=False)
             weights.setflags(write=False)
-            evaluation = EVALUATION_KINDS[workload.kind](first, weights)
-            entry = CacheEntry(evaluation, rng.bit_generator.state)
-            self._memory.put(key, entry)
-            if disk is not None:
-                self._dirty.append(_Dirty(key, entry, disk, stored=False))
-            if next_workload is not None:
-                next_key = (
-                    workload_fingerprint(next_workload, finetuned),
-                    generator_fingerprint(rng),
-                )
-                lookahead = _Lookahead(next_key, next_workload, rng, finetuned)
-                if self._worker is None:
-                    self._worker = _LookaheadWorker()
-                self._worker.submit(lookahead)
-                self._lookaheads[id(rng)] = lookahead
-            return entry.evaluation
+            entry = CacheEntry(EVALUATION_KINDS[workload.kind](first, weights), rng.bit_generator.state)
+            with self._lock:
+                self._memory.put(key, entry)
+                if disk is not None:
+                    self._register(key, entry, disk, stored=False)
+        finally:
+            # On success a waiter finds the entry in the LRU; on failure it
+            # generates the key itself.
+            with self._lock:
+                self._generating.pop(key, None)
+            generating.set()
+        return entry.evaluation
+
+    def _lookup(self, key, disk: DiskEvaluationCache | None) -> CacheEntry | None:
+        """The LRU's entry, else ``disk``'s (promoted); counts the hit."""
+        entry = self._memory.get(key)
+        if entry is not None:
+            self.hits += 1
+            pending = self._dirty.get(key)
+            if pending is not None:
+                pending.holders.add(threading.current_thread())
+        elif disk is not None:
+            entry = disk.get(key)
+            if entry is not None:
+                self.disk_hits += 1
+                self._memory.put(key, entry)
+                # The simulators may add to what the stored entry carries:
+                # the write-back pass then upgrades it.
+                self._register(key, entry, disk, stored=True)
+        return entry
+
+    def _register(self, key, entry: CacheEntry, disk: DiskEvaluationCache, stored: bool) -> None:
+        """Record a pending write-back, or the caller as a holder of the one pending."""
+        pending = self._dirty.get(key)
+        if pending is None:
+            self._dirty[key] = _Dirty(entry, disk, stored)
+        else:
+            pending.holders.add(threading.current_thread())
 
     # ------------------------------------------------------------------ #
     # Write-back
@@ -440,21 +341,29 @@ class WorkloadEvaluationCache:
         miss once, with the dehydrated derived state, and refreshes each
         disk hit that gained artifacts; that is what makes disk-warm runs
         skip recomputation.  Disk hits whose evaluation gained nothing are
-        dropped silently.  Returns the number of entries written.
+        dropped silently.  The calling thread is done with its pending
+        entries; an entry another live thread took since it was registered
+        stays pending until that thread flushes too (or ends: the pending
+        writes of a thread that raised reach disk at a later flush).
+        Returns the number of entries written.
         """
         with self._lock:
             return self._flush_locked()
 
     def _flush_locked(self) -> int:
         flushed = 0
-        for dirty in self._dirty:
+        caller = threading.current_thread()
+        for key, dirty in list(self._dirty.items()):
+            dirty.holders.discard(caller)
+            if any(thread.is_alive() for thread in dirty.holders):
+                continue
+            del self._dirty[key]
             if dirty.baseline is None:
-                dirty.disk.put(dirty.key, dirty.entry)
+                dirty.disk.put(key, dirty.entry)
                 flushed += 1
             elif dirty.entry.evaluation.derived_signature() != dirty.baseline:
-                dirty.disk.put(dirty.key, dirty.entry, replace=True)
+                dirty.disk.put(key, dirty.entry, replace=True)
                 flushed += 1
-        self._dirty.clear()
         return flushed
 
 
@@ -469,3 +378,22 @@ def default_cache() -> WorkloadEvaluationCache:
 def clear_default_cache() -> None:
     """Reset the process-wide cache (used by cold-start benchmarks)."""
     _DEFAULT_CACHE.clear()
+
+
+def _after_fork_in_child() -> None:
+    """New locks, and no generation in flight, in a forked child.
+
+    The parent may fork while another thread (a serial run's helper) holds a
+    lock or generates; that thread does not exist in the child.  Before
+    Python 3.12 each cached property of the evaluations holds a lock too.
+    """
+    _DEFAULT_CACHE._lock, _DEFAULT_CACHE._memory._lock = threading.RLock(), threading.RLock()
+    _DEFAULT_CACHE._generating = {}
+    for evaluation_type in EVALUATION_KINDS.values():
+        for attribute in vars(evaluation_type).values():
+            if isinstance(attribute, functools.cached_property) and hasattr(attribute, "lock"):
+                attribute.lock = threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)

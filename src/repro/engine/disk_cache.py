@@ -80,6 +80,8 @@ class DiskEvaluationCache:
         # tier (or reading its stats) is a read-only act, so e.g. a CLI
         # `cache stats --cache-dir typo` does not litter the filesystem.
         self.directory = Path(directory)
+        if self.directory.exists() and not self.directory.is_dir():
+            raise NotADirectoryError("cache directory %s is not a directory" % self.directory)
         self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
@@ -120,7 +122,8 @@ class DiskEvaluationCache:
 
         A corrupt, partially written or older-schema entry counts as a miss:
         the file is deleted so the caller's regeneration can re-publish a
-        clean one.
+        clean one.  A tier whose directory became a file raises
+        ``NotADirectoryError``: no store could succeed there.
         """
         path = self.entry_path(key)
         try:
@@ -128,6 +131,8 @@ class DiskEvaluationCache:
         except FileNotFoundError:
             self.misses += 1
             return None
+        except NotADirectoryError:
+            raise
         except Exception:
             # Torn write / bad JSON / meta naming artifacts the container
             # lacks / an older schema: drop the entry.

@@ -735,9 +735,18 @@ class AnnLayerEvaluation:
 
     @classmethod
     def hydrate(cls, arrays: dict[str, np.ndarray], meta: dict) -> "AnnLayerEvaluation":
-        """Inverse of :meth:`dehydrate`; raises like :meth:`LayerEvaluation.hydrate`."""
+        """Inverse of :meth:`dehydrate`; raises like :meth:`LayerEvaluation.hydrate`.
+
+        Activations of an entry written while they were int32 are narrowed
+        to uint8 when every value fits, as generation holds them.
+        """
         _check_entry(meta, cls.kind)
-        evaluation = cls(arrays["activations"], arrays["weights"])
+        activations = arrays["activations"]
+        if activations.dtype.kind in "iu" and activations.dtype.itemsize > 1 and (
+            activations.size == 0 or (activations.min() >= 0 and activations.max() <= 255)
+        ):
+            activations = _readonly(activations.astype(np.uint8))
+        evaluation = cls(activations, arrays["weights"])
         for name in meta["derived"]:
             if name not in _ANN_DEHYDRATED_PROPERTIES:
                 raise KeyError("unknown derived artifact %r" % (name,))

@@ -5,65 +5,53 @@ in three steps:
 
 1. **Partition** -- cells sharing ``(workload, seed, finetuned, layer
    type)`` form one partition (the layer type is the simulators'
-   ``layer_type``: ANN baselines walk ANN layers); partitions are
-   independent (each starts its own generator from the cell seed), so they
-   can run in any order and in any process.
+   ``layer_type``: ANN baselines walk ANN layers).  Each partition starts
+   its own generator from the cell seed, so partitions run in any order,
+   on any thread and in any process with bit-identical results.
 2. **Batch** -- inside a partition the workload is walked *layer-major*:
-   each layer is evaluated once and that one evaluation drives every
-   simulator of the partition before the next layer is
-   touched.  Correctness therefore never depends on the LRU holding more
-   than the current layer (a ``maxsize=1`` cache still gets full
-   cross-simulator sharing), which bounds peak cache residency.
-3. **Execute** -- serially in-process in plan order, or across a
-   ``multiprocessing`` pool of ``workers`` processes (``workers >= 2``)
-   that is handed the partitions longest first (by :func:`_partition_cost`),
-   so the largest network's two variants start at once.  The runner owns
-   that pool: it forks it at its first pooled run and reuses it for every
-   later one, until :meth:`SweepRunner.close`, the runner's collection or
-   interpreter exit ends it (a ``weakref.finalize``).  A run that raises or
-   is abandoned mid-stream terminates the pool, so none of its tasks keeps
-   running and the next run forks afresh; so does a change to
-   ``SIMULATOR_FACTORIES`` or ``ARCH_PRESETS``, which forked workers hold as
-   they were at the fork.  A run started while another one still streams
-   on the pool gets a pool of its own, ended with it.  Workers keep only
-   the layer in hand (:func:`_lean_worker`) and start every task with an
-   empty LRU, so no run is served from an earlier run's entries.  The
-   runner owns the optional **disk tier** (from ``cache_dir``) below the
-   process-wide LRU: the serial path passes it per evaluation, each worker
-   process builds one equivalent tier from the picklable ``(directory,
-   max_bytes)`` pair in its task payload, and after every layer the
-   executor flushes the cache's write-backs so the stored entries carry the
+   each layer is evaluated once and drives every simulator of the
+   partition before the next layer, so correctness never depends on the
+   LRU holding more than the current layer.  After every layer the cache's
+   write-backs are flushed, so the optional **disk tier** stores the
    derived statistics the simulators just computed.
+3. **Execute** -- serially, on the caller's thread and at most one helper
+   thread, or over a ``multiprocessing`` pool of ``workers >= 2``
+   processes.  Both take the partitions longest first
+   (:func:`_partition_cost`) and yield them in completion order;
+   :meth:`SweepRunner.run` only drains :meth:`SweepRunner.iter_partitions`
+   and slots the results back by cell index.
 
-**Lookahead.** A serial run on a process with more than one usable CPU
-(:func:`_usable_cpus`) names the partition's next layer in every
-evaluation, so the cache generates it on a background thread while the
-current layer is simulated.  Pinned to one CPU the background thread would
-only contend for the interpreter lock, so none is started.  Pool workers
-never look ahead: each would start a lookahead thread beside the other
-workers, a configuration no benchmark has measured.
+**Helper thread.** A serial run gets one helper when the process has a
+spare CPU (:func:`_usable_cpus`), the plan has two partitions and some
+partition's first layer is in neither the LRU nor the disk tier; a run a
+cache tier serves stays on the caller's thread, where a second thread only
+costs.  Otherwise partitions run on the caller's thread in plan order.  A
+partition that raises on either thread stops the other after its current
+partition, and the error reaches the caller once the helper is joined; so
+does closing or dropping the stream.  Before the first helper starts, the
+whole process is pinned to one glibc malloc arena
+(:func:`_one_malloc_arena`).
 
-Execution is **incremental**: :meth:`SweepRunner.iter_partitions` yields each
-partition's results the moment they are available (in plan order serially,
-in completion order over a pool via ``imap_unordered``), and
-:meth:`SweepRunner.run` is merely that stream drained into a
-:class:`SweepResults`.  Because partitions are independent and results are
-slotted back by cell index, the batch result is bit-identical whichever
-order partitions complete in -- :class:`repro.api.Session.stream` builds the
-public streaming surface on this hook.
-
-Each partition's generator is seeded exactly like the historical serial
-loops (one fresh ``default_rng(seed)`` per simulator walk), and cache keys
-include the generator state, so serial, multi-process and legacy results
-are bit-identical -- asserted by ``tests/test_runner.py``.
+**Pool.** The runner forks its pool at its first pooled run and reuses it
+until :meth:`SweepRunner.close`, its collection or interpreter exit.  A run
+that raises or is abandoned ends the pool, and so does a change to the
+registries forked workers hold (``SIMULATOR_FACTORIES``,
+``ARCH_PRESETS``); the next run forks afresh.  A run started while another
+streams on the pool gets a pool of its own.  Ending a pool kills no worker
+(:func:`_end_pool`).  Workers keep only the layer in hand
+(:func:`_lean_worker`), start every task with an empty LRU, and build one
+disk tier from the ``(directory, max_bytes)`` pair in their task payload.
 """
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import functools
 import multiprocessing
 import os
+import queue
+import threading
 import weakref
 from typing import Iterator, Sequence
 
@@ -132,55 +120,41 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _partition_layers(cells: Sequence[SweepCell]):
+    """The partition's workload and its layers, rebuilt as the simulators' ``layer_type``."""
+    workload = cells[0].workload.build()
+    layer_type = SIMULATOR_FACTORIES[cells[0].simulator.key].layer_type
+    layers = workload.layers if isinstance(workload, NetworkWorkload) else [workload]
+    return workload, [layer_type(layer.shape, layer.profile, layer.weight_bits) for layer in layers]
+
+
 def _execute_partition(
     cells: Sequence[SweepCell],
     disk: DiskEvaluationCache | None = None,
-    lookahead: bool = False,
 ) -> list[SimulationResult]:
     """Run one partition: all simulators of one ``(workload, seed, finetuned, layer type)`` group.
 
     The workload is walked layer-major with one generator, seeded exactly
-    like the historical per-simulator serial walks, as ``layer_type``
-    layers; each layer is evaluated once and every simulator of the
-    partition consumes that evaluation before the next layer.
-
-    ``disk`` (the runner's disk tier, or ``None``) is forwarded to
-    :meth:`WorkloadEvaluationCache.evaluate`.  After each layer's simulators
-    have run, the cache's write-backs are flushed: the evaluation is
-    maximally enriched exactly then (statistics, compressions, preprocessed
-    variants), so the disk tier stores derived state instead of bare
-    tensors.
-
-    ``lookahead`` (a serial run with a CPU to spare) passes the next layer
-    to :meth:`WorkloadEvaluationCache.evaluate`, which generates it in the
-    background while this layer is simulated.
+    like the historical per-simulator serial walks.  ``disk`` (the runner's
+    disk tier, or ``None``) is forwarded to
+    :meth:`WorkloadEvaluationCache.evaluate`, and the cache's write-backs are
+    flushed after each layer, when its evaluation is maximally enriched.
     """
-    workload = cells[0].workload.build()
+    workload, layers = _partition_layers(cells)
     finetuned = cells[0].simulator.finetuned
     simulators = [cell.simulator.build() for cell in cells]
     cache = default_cache()
     rng = np.random.default_rng(cells[0].seed)
-    layers = [
-        simulators[0].layer_type(layer.shape, layer.profile, layer.weight_bits)
-        for layer in (workload.layers if isinstance(workload, NetworkWorkload) else [workload])
-    ]
     per_cell: list[list[SimulationResult]] = [[] for _ in cells]
-    try:
-        for position, layer in enumerate(layers):
-            upcoming = layers[position + 1] if lookahead and position + 1 < len(layers) else None
-            evaluation = cache.evaluate(
-                layer, rng, finetuned=finetuned, disk=disk, next_workload=upcoming
-            )
-            for index, cell in enumerate(cells):
-                per_cell[index].append(
-                    simulators[index].simulate_workload(
-                        layer, evaluation=evaluation, **dict(cell.simulator.kwargs)
-                    )
+    for layer in layers:
+        evaluation = cache.evaluate(layer, rng, finetuned=finetuned, disk=disk)
+        for index, cell in enumerate(cells):
+            per_cell[index].append(
+                simulators[index].simulate_workload(
+                    layer, evaluation=evaluation, **dict(cell.simulator.kwargs)
                 )
-            cache.flush_writebacks()
-    finally:
-        # Only a partition that raised leaves a lookahead pending.
-        cache.drop_lookahead(rng)
+            )
+        cache.flush_writebacks()
     if isinstance(workload, NetworkWorkload):
         return [
             aggregate_results(results, accelerator=simulators[index].name, workload=workload.name)
@@ -189,34 +163,107 @@ def _execute_partition(
     return [results[0] for results in per_cell]
 
 
+def _needs_helper(runs, disk: DiskEvaluationCache | None) -> bool:
+    """A spare CPU, two partitions, and some first layer neither the LRU nor ``disk`` holds."""
+    if _usable_cpus() < 2 or len(runs) < 2:
+        return False
+    first_layers = ((_partition_layers(cells)[1][0], cells[0]) for _, cells in runs)
+    return not all(
+        default_cache().holds(layer, np.random.default_rng(cell.seed), cell.simulator.finetuned, disk)
+        for layer, cell in first_layers
+    )
+
+
+def _run_partitions(pending: collections.deque, finished: queue.SimpleQueue, stop, disk, once=False):
+    """Run pending partitions, putting ``(ordinal, results or exception)`` on ``finished``.
+
+    Stops when none is left, when ``stop`` is set, or after one partition
+    with ``once``; a partition that raises sets ``stop``, and the caller's
+    thread re-raises its exception.
+    """
+    while not stop.is_set():
+        try:
+            ordinal, cells = pending.popleft()
+        except IndexError:
+            return
+        try:
+            finished.put((ordinal, _execute_partition(cells, disk=disk)))
+        except BaseException as exc:
+            stop.set()
+            finished.put((ordinal, exc))
+        if once:
+            return
+
+
+def _glibc(name: str, *argtypes):
+    """The C library's function ``name`` (glibc's), or ``None`` where it has none."""
+    try:
+        function = getattr(ctypes.CDLL(None), name)
+    except (AttributeError, OSError, TypeError):
+        return None
+    function.argtypes, function.restype = list(argtypes), ctypes.c_int
+    return function
+
+
+@functools.cache
+def _one_malloc_arena() -> None:
+    """Pin the whole process to one glibc malloc arena (``M_ARENA_MAX`` = 1), for good.
+
+    glibc gives a new thread its own arena; the helper's raised the resident
+    peak of a paper-scale sweep by ~10 MB, by a varying amount per run.
+    """
+    mallopt = _glibc("mallopt", ctypes.c_int, ctypes.c_int)
+    if mallopt is not None:
+        mallopt(-8, 1)  # M_ARENA_MAX
+
+
 def _partition_cost(cells: Sequence[SweepCell]) -> int:
     """Work estimate of one partition: ``m * k * n * t`` summed over its layers."""
-    workload = cells[0].workload.build()
-    layers = workload.layers if isinstance(workload, NetworkWorkload) else [workload]
+    _, layers = _partition_layers(cells)
     return sum(layer.shape.m * layer.shape.k * layer.shape.n * layer.shape.t for layer in layers)
 
 
-def _lean_worker() -> None:
-    """Pool initializer: the worker's LRU keeps only the layer in hand.
+#: The pool's cancel flag, in a pool worker (set by :func:`_lean_worker`).
+_CANCELLED = None
+
+
+def _lean_worker(cancelled=None) -> None:
+    """Pool initializer: keep the pool's cancel flag, and an LRU of one entry.
 
     A partition never revisits a layer, so an entry is dead once its layer
     is flushed.  Not in :func:`_pool_task`, which tests call in-process.
     """
+    global _CANCELLED
+    _CANCELLED = cancelled
     default_cache().resize(1)
 
 
-def _pool_task(payload) -> tuple[int, list[SimulationResult]]:
+def _pool_task(payload) -> tuple[int, list[SimulationResult] | None]:
     """Worker-process entry point: run one partition over the worker's disk tier.
 
-    The LRU is emptied first: a worker outlives its run, and an entry left
-    from an earlier run would be served without being stored in this run's
-    tier.  The heap it freed is then handed back (:func:`_trim_heap`).
+    A task of a cancelled pool returns ``None`` without running.  The LRU
+    is emptied first: an entry left from an earlier run would be served
+    without being stored in this run's tier.  The freed heap is then handed
+    back (:func:`_trim_heap`).
     """
     ordinal, cells, disk_spec = payload
+    if _CANCELLED is not None and _CANCELLED.is_set():
+        return ordinal, None
     default_cache().clear()
     _trim_heap()
     disk = _worker_disk(*disk_spec) if disk_spec is not None else None
     return ordinal, _execute_partition(cells, disk=disk)
+
+
+def _end_pool(pool, cancelled) -> None:
+    """End ``pool``: queued tasks see ``cancelled`` and skip, running ones finish, workers exit.
+
+    Never ``terminate()``: a worker killed while it sends a result leaves the
+    result queue's lock held, and the pool's teardown waits on it for ever.
+    """
+    cancelled.set()
+    pool.close()
+    pool.join()
 
 
 def _trim_heap() -> None:
@@ -227,12 +274,9 @@ def _trim_heap() -> None:
     resident set of two workers reloading a disk tier measured ~17 MB above
     that of freshly forked ones.
     """
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):
-        return
-    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    trim(0)
+    trim = _glibc("malloc_trim", ctypes.c_size_t)
+    if trim is not None:
+        trim(0)
 
 
 def _registries() -> tuple[dict, dict]:
@@ -320,10 +364,12 @@ class SweepRunner:
         """Yield ``(ordinal, cell_indices, results)`` per completed partition.
 
         ``ordinal`` indexes into ``plan.partitions()`` and ``cell_indices``
-        are the partition's positions in ``plan.cells``.  Serial runs yield
-        in plan order; pool runs yield in completion order
-        (``imap_unordered``), so consumers must not assume ordering --
-        every partition is yielded exactly once either way.
+        are the partition's positions in ``plan.cells``.  Partitions are
+        yielded in completion order -- by the pool (``imap_unordered``) or
+        by the caller's thread and its helper (see the module docstring);
+        only a serial run without a helper completes in plan order -- so
+        consumers must not assume ordering.  Every partition is yielded
+        exactly once either way.
         """
         partitions = plan.partitions()
         if self.workers >= 2 and len(partitions) > 1:
@@ -334,11 +380,30 @@ class SweepRunner:
     # Execution backends
     # ------------------------------------------------------------------ #
     def _iter_serial(self, plan: SweepPlan, partitions):
-        lookahead = _usable_cpus() > 1
-        for ordinal, indices in enumerate(partitions):
-            yield ordinal, indices, _execute_partition(
-                [plan.cells[i] for i in indices], disk=self.disk_tier, lookahead=lookahead
-            )
+        disk = self.disk_tier
+        runs = [(ordinal, [plan.cells[i] for i in indices]) for ordinal, indices in enumerate(partitions)]
+        helped = _needs_helper(runs, disk)
+        if helped:
+            runs.sort(key=lambda run: -_partition_cost(run[1]))
+        pending, finished, stop = collections.deque(runs), queue.SimpleQueue(), threading.Event()
+        helper = threading.Thread(
+            target=_run_partitions, args=(pending, finished, stop, disk), name="repro-partition-helper"
+        )
+        if helped:
+            _one_malloc_arena()
+            helper.start()
+        try:
+            for _ in runs:
+                if finished.empty():
+                    _run_partitions(pending, finished, stop, disk, once=True)
+                ordinal, outcome = finished.get()
+                if isinstance(outcome, BaseException):
+                    raise outcome
+                yield ordinal, partitions[ordinal], outcome
+        finally:
+            stop.set()  # the helper ends after its current partition
+            if helped:
+                helper.join()
 
     def _iter_pool(self, plan: SweepPlan, partitions):
         disk = self.disk_tier
@@ -353,9 +418,12 @@ class SweepRunner:
         if self._pool_busy:
             # Another run still streams on the shared pool; ending it on a
             # failure here would strand that run's tasks.
-            with self._start_pool() as pool:
+            pool, cancelled = self._start_pool()
+            try:
                 for ordinal, results in pool.imap_unordered(_pool_task, payloads):
                     yield ordinal, partitions[ordinal], results
+            finally:
+                _end_pool(pool, cancelled)
             return
         pool = self._shared_pool()
         self._pool_busy = True
@@ -363,7 +431,7 @@ class SweepRunner:
             completed = pool.imap_unordered(_pool_task, payloads)
             for _ in payloads:
                 if self._pool is not pool:
-                    # A terminated pool never delivers the rest.
+                    # An ended pool never delivers the rest.
                     raise RuntimeError("the runner was closed while a pooled run was streaming")
                 ordinal, results = next(completed)
                 yield ordinal, partitions[ordinal], results
@@ -381,16 +449,19 @@ class SweepRunner:
         if self._pool is not None and registries != self._pool_registries:
             self.close()
         if self._pool is None:
-            self._pool = self._start_pool()
+            self._pool, cancelled = self._start_pool()
             self._pool_registries = registries
             # Bound to the pool, not the runner: collecting the runner ends
             # the pool, and so does interpreter exit.
-            self._release = weakref.finalize(self, self._pool.terminate)
+            self._release = weakref.finalize(self, _end_pool, self._pool, cancelled)
         return self._pool
 
     def _start_pool(self):
+        """A new pool of ``workers`` processes and its cancel flag."""
         method = self.mp_context
         if method is None:
             method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         context = multiprocessing.get_context(method)
-        return context.Pool(processes=self.workers, initializer=_lean_worker)
+        cancelled = context.Event()
+        pool = context.Pool(processes=self.workers, initializer=_lean_worker, initargs=(cancelled,))
+        return pool, cancelled

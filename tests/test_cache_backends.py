@@ -32,6 +32,7 @@ from repro.engine import (
     LayerEvaluation,
     WorkloadEvaluationCache,
     clear_default_cache,
+    default_cache,
 )
 from repro.engine.backend import CacheEntry, pack_entry, unpack_entry
 from repro.engine.cache import generator_fingerprint, workload_fingerprint
@@ -234,12 +235,44 @@ class TestAnnActivationStorage:
         data = pack_entry(CacheEntry(legacy, np.random.default_rng(0).bit_generator.state))
         assert stored_record(data, "activations")["dtype"] == "<i4"
         hydrated = unpack_entry(data).evaluation
-        assert hydrated.activations.dtype == np.int32
+        # Narrowed on load to the dtype generation holds them in.
+        assert hydrated.activations.dtype == np.uint8
+        assert not hydrated.activations.flags.writeable
         assert np.array_equal(hydrated.activations, activations)
         for cls, reference in zip(ANN_SIMULATORS, references):
             assert_simulations_identical(cls().simulate_workload(ann, evaluation=hydrated), reference)
             fresh = cls().simulate_workload(ann, evaluation=AnnLayerEvaluation(activations, weights))
             assert_simulations_identical(fresh, reference)
+
+    def test_a_tier_of_int32_activation_entries_serves_identical_fig18_payloads(self, tmp_path):
+        from repro.api import Session
+
+        params = dict(network="alexnet", scale=SCALE, seed=SEED)
+        session = Session(cache_dir=tmp_path / "evals")
+        clear_default_cache()
+        cold = session.run("fig18-snn-vs-ann", **params)
+        # Rewrite every ANN entry as one written while activations were int32.
+        rewritten = 0
+        for path in sorted((tmp_path / "evals").glob("*.npz")):
+            arrays, meta = unpack_payload(path.read_bytes())
+            if meta.get("kind") == "ann":
+                arrays["activations"] = arrays["activations"].astype(np.int32)
+                path.write_bytes(pack_payload(arrays, meta))
+                assert stored_record(path.read_bytes(), "activations")["dtype"] == "<i4"
+                rewritten += 1
+        assert rewritten > 0
+        clear_default_cache()
+        disk_warm = session.run("fig18-snn-vs-ann", **params)
+        assert disk_warm.provenance["cache"]["lru_misses"] == 0
+        assert json.loads(disk_warm.to_json())["payload"] == json.loads(cold.to_json())["payload"]
+        held = [
+            entry.evaluation.activations.dtype
+            for entry in default_cache().memory_backend._entries.values()
+            if entry.evaluation.kind == "ann"
+        ]
+        assert held and set(held) == {np.dtype(np.uint8)}
+        clear_default_cache()
+
 
 # --------------------------------------------------------------------- #
 # v2 disk entries

@@ -9,6 +9,8 @@ registry are covered alongside.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -581,16 +583,13 @@ class TestPoolDispatchOrder:
         initializers = self.initializers
 
         class InlinePool:
-            def __init__(self, processes, initializer=None):
+            def __init__(self, processes, initializer=None, initargs=()):
                 initializers.append(initializer)
 
-            def __enter__(self):
-                return self
+            def close(self):
+                pass
 
-            def __exit__(self, *exc):
-                return False
-
-            def terminate(self):
+            def join(self):
                 pass
 
             def imap_unordered(self, task, payloads):
@@ -603,7 +602,9 @@ class TestPoolDispatchOrder:
             "multiprocessing",
             SimpleNamespace(
                 get_all_start_methods=multiprocessing.get_all_start_methods,
-                get_context=lambda method=None: SimpleNamespace(Pool=InlinePool),
+                get_context=lambda method=None: SimpleNamespace(
+                    Pool=InlinePool, Event=threading.Event
+                ),
             ),
         )
         return submitted
@@ -624,7 +625,12 @@ class TestPoolDispatchOrder:
         for (_, a), (_, b) in zip(pooled, serial):
             assert_results_identical(a, b)
 
-    def test_serial_path_stays_in_plan_order(self):
+    def test_serial_path_stays_in_plan_order(self, monkeypatch):
+        from repro.runner import executor
+
+        # Without a spare CPU no helper thread starts (see
+        # tests/test_partition_helper.py for the order with one).
+        monkeypatch.setattr(executor, "_usable_cpus", lambda: 1)
         plan = self._plan()
         ordinals = [ordinal for ordinal, _, _ in SweepRunner().iter_partitions(plan)]
         assert ordinals == list(range(len(plan.partitions())))

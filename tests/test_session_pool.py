@@ -18,7 +18,7 @@ import pytest
 from repro.api import Session
 from repro.arch.spec import ARCH_PRESETS, DEFAULT_ARCH, default_arch
 from repro.core import LoASSimulator
-from repro.engine import clear_default_cache
+from repro.engine import clear_default_cache, default_cache
 from repro.runner import SIMULATOR_FACTORIES, SimulatorSpec, SweepPlan, SweepRunner, WorkloadSpec
 from repro.runner import executor
 
@@ -226,3 +226,97 @@ class TestEmptyWorkerLru:
             assert len(session.disk_tier) == 0
             session.run("networks", **PARAMS)
             assert len(session.disk_tier) == populated > 0
+
+
+class TestEndingAPoolKillsNoWorker:
+    """A pool is ended by its cancel flag, ``close()`` and ``join()``, never ``terminate()``.
+
+    A worker killed while it sends a result keeps the result queue's lock
+    held, and the pool's own teardown then waits on that lock for ever.
+    """
+
+    @staticmethod
+    def _payloads(count: int):
+        from repro.experiments.sweeps import network_sweep_plan
+
+        plan = network_sweep_plan(("alexnet",), scale=PARAMS["scale"], seed=1)
+        cells = tuple(plan.cells[i] for i in plan.partitions()[0])
+        return [(ordinal, cells, None) for ordinal in range(count)]
+
+    def test_a_task_of_a_cancelled_pool_runs_nothing(self, monkeypatch):
+        import threading
+
+        cancelled = threading.Event()
+        cancelled.set()
+        monkeypatch.setattr(executor, "_CANCELLED", cancelled)
+        clear_default_cache()
+        assert executor._pool_task(self._payloads(1)[0]) == (0, None)
+        assert default_cache().stats().misses == 0
+
+    def test_queued_tasks_of_a_cancelled_pool_return_without_running(self, workers):
+        with SweepRunner(workers=2) as runner:
+            pool, cancelled = runner._start_pool()
+            try:
+                cancelled.set()
+                results = list(pool.imap_unordered(executor._pool_task, self._payloads(4)))
+            finally:
+                executor._end_pool(pool, cancelled)
+        assert sorted(results) == [(ordinal, None) for ordinal in range(4)]
+        assert workers() == set()
+
+    def test_failed_and_abandoned_runs_end_the_pool_without_terminate(
+        self, tmp_path, monkeypatch, workers, reference
+    ):
+        from multiprocessing.pool import Pool
+
+        terminated = []
+        original_terminate = Pool.terminate
+
+        def recording_terminate(pool):
+            terminated.append(pool)
+            return original_terminate(pool)
+
+        monkeypatch.setattr(Pool, "terminate", recording_terminate)
+        tier = tmp_path / "tier"
+        with Session(workers=2, cache_dir=tier) as session:
+            session.run("networks", **PARAMS)
+            shutil.rmtree(tier)
+            tier.write_text("not a directory")
+            with pytest.raises(NotADirectoryError):
+                session.run("networks", **PARAMS)
+            assert workers() == set()
+            tier.unlink()
+            stream = session.stream("networks", **PARAMS)
+            next(stream)
+            stream.close()
+            assert workers() == set()
+            assert payload_of(session.run("networks", **PARAMS)) == reference
+        assert workers() == set()
+        assert terminated == []
+
+
+class TestConstructionAttributes:
+    @pytest.mark.parametrize("name", ("workers", "cache_dir", "disk_max_bytes", "mp_context"))
+    def test_assigning_one_raises(self, tmp_path, name):
+        session = Session(workers=2, cache_dir=tmp_path / "tier", disk_max_bytes=1 << 20)
+        before = getattr(session, name)
+        with pytest.raises(AttributeError):
+            setattr(session, name, 4 if name in ("workers", "disk_max_bytes") else "spawn")
+        assert getattr(session, name) == before
+        assert session.scale is None
+        session.scale = 0.5  # a default for later calls, read per call
+
+    def test_a_cache_dir_that_is_a_file_fails_at_construction(self, tmp_path):
+        path = tmp_path / "not-a-directory"
+        path.write_text("a file")
+        with pytest.raises(NotADirectoryError):
+            Session(cache_dir=path)
+
+    def test_a_tier_whose_directory_became_a_file_raises_on_lookup(self, tmp_path):
+        from repro.engine import DiskEvaluationCache
+
+        tier = DiskEvaluationCache(tmp_path / "tier")
+        (tmp_path / "tier").write_text("a file")
+        with pytest.raises(NotADirectoryError):
+            tier.get(("any", "key"))
+        assert (tier.misses, tier.corrupt_dropped) == (0, 0)
