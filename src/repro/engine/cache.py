@@ -177,9 +177,7 @@ class WorkloadEvaluationCache:
         #: Keys some thread is generating now, each with the event it sets
         #: when done.
         self._generating: dict[tuple, threading.Event] = {}
-        self.hits = 0
-        self.misses = 0
-        self.disk_hits = 0
+        self.hits = self.misses = self.disk_hits = 0
 
     # ------------------------------------------------------------------ #
     # Introspection / configuration
@@ -213,9 +211,7 @@ class WorkloadEvaluationCache:
         with self._lock:
             self._memory.clear()
             self._dirty.clear()
-            self.hits = 0
-            self.misses = 0
-            self.disk_hits = 0
+            self.hits = self.misses = self.disk_hits = 0
 
     def resize(self, maxsize: int) -> None:
         """Change the entry bound, evicting least-recently-used overflow now."""
@@ -307,9 +303,8 @@ class WorkloadEvaluationCache:
         entry = self._memory.get(key)
         if entry is not None:
             self.hits += 1
-            pending = self._dirty.get(key)
-            if pending is not None:
-                pending.holders.add(threading.current_thread())
+            if key in self._dirty:
+                self._dirty[key].holders.add(threading.current_thread())
         elif disk is not None:
             entry = disk.get(key)
             if entry is not None:

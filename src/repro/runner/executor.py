@@ -131,6 +131,7 @@ def _partition_layers(cells: Sequence[SweepCell]):
 def _execute_partition(
     cells: Sequence[SweepCell],
     disk: DiskEvaluationCache | None = None,
+    built=None,
 ) -> list[SimulationResult]:
     """Run one partition: all simulators of one ``(workload, seed, finetuned, layer type)`` group.
 
@@ -139,8 +140,9 @@ def _execute_partition(
     disk tier, or ``None``) is forwarded to
     :meth:`WorkloadEvaluationCache.evaluate`, and the cache's write-backs are
     flushed after each layer, when its evaluation is maximally enriched.
+    ``built``, where the caller has it, is :func:`_partition_layers` of ``cells``.
     """
-    workload, layers = _partition_layers(cells)
+    workload, layers = built or _partition_layers(cells)
     finetuned = cells[0].simulator.finetuned
     simulators = [cell.simulator.build() for cell in cells]
     cache = default_cache()
@@ -167,10 +169,10 @@ def _needs_helper(runs, disk: DiskEvaluationCache | None) -> bool:
     """A spare CPU, two partitions, and some first layer neither the LRU nor ``disk`` holds."""
     if _usable_cpus() < 2 or len(runs) < 2:
         return False
-    first_layers = ((_partition_layers(cells)[1][0], cells[0]) for _, cells in runs)
+    cache = default_cache()
     return not all(
-        default_cache().holds(layer, np.random.default_rng(cell.seed), cell.simulator.finetuned, disk)
-        for layer, cell in first_layers
+        cache.holds(layers[0], np.random.default_rng(cells[0].seed), cells[0].simulator.finetuned, disk)
+        for _, cells, (_, layers) in runs
     )
 
 
@@ -183,11 +185,11 @@ def _run_partitions(pending: collections.deque, finished: queue.SimpleQueue, sto
     """
     while not stop.is_set():
         try:
-            ordinal, cells = pending.popleft()
+            ordinal, cells, built = pending.popleft()
         except IndexError:
             return
         try:
-            finished.put((ordinal, _execute_partition(cells, disk=disk)))
+            finished.put((ordinal, _execute_partition(cells, disk=disk, built=built)))
         except BaseException as exc:
             stop.set()
             finished.put((ordinal, exc))
@@ -210,16 +212,17 @@ def _one_malloc_arena() -> None:
     """Pin the whole process to one glibc malloc arena (``M_ARENA_MAX`` = 1), for good.
 
     glibc gives a new thread its own arena; the helper's raised the resident
-    peak of a paper-scale sweep by ~10 MB, by a varying amount per run.
+    peak of a paper-scale sweep by ~10 MB, by a varying amount per run.  The
+    pin cannot be confined to a run: glibc ignores ``M_ARENA_MAX`` = 0 and
+    latches the limit the first time a thread asks for an arena (2.36).
     """
     mallopt = _glibc("mallopt", ctypes.c_int, ctypes.c_int)
     if mallopt is not None:
         mallopt(-8, 1)  # M_ARENA_MAX
 
 
-def _partition_cost(cells: Sequence[SweepCell]) -> int:
+def _partition_cost(layers) -> int:
     """Work estimate of one partition: ``m * k * n * t`` summed over its layers."""
-    _, layers = _partition_layers(cells)
     return sum(layer.shape.m * layer.shape.k * layer.shape.n * layer.shape.t for layer in layers)
 
 
@@ -382,9 +385,10 @@ class SweepRunner:
     def _iter_serial(self, plan: SweepPlan, partitions):
         disk = self.disk_tier
         runs = [(ordinal, [plan.cells[i] for i in indices]) for ordinal, indices in enumerate(partitions)]
+        runs = [(ordinal, cells, _partition_layers(cells)) for ordinal, cells in runs]
         helped = _needs_helper(runs, disk)
         if helped:
-            runs.sort(key=lambda run: -_partition_cost(run[1]))
+            runs.sort(key=lambda run: -_partition_cost(run[2][1]))
         pending, finished, stop = collections.deque(runs), queue.SimpleQueue(), threading.Event()
         helper = threading.Thread(
             target=_run_partitions, args=(pending, finished, stop, disk), name="repro-partition-helper"
@@ -414,7 +418,7 @@ class SweepRunner:
         ]
         # Longest first: the pool hands tasks out in submission order.  The
         # sort is stable, so equal estimates keep plan order.
-        payloads.sort(key=lambda payload: -_partition_cost(payload[1]))
+        payloads.sort(key=lambda payload: -_partition_cost(_partition_layers(payload[1])[1]))
         if self._pool_busy:
             # Another run still streams on the shared pool; ending it on a
             # failure here would strand that run's tasks.

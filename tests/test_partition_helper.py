@@ -24,7 +24,13 @@ import numpy as np
 import pytest
 
 from repro.api import Session
-from repro.engine import DiskEvaluationCache, WorkloadEvaluationCache, clear_default_cache, default_cache
+from repro.engine import (
+    DiskEvaluationCache,
+    WorkloadEvaluationCache,
+    clear_default_cache,
+    default_cache,
+    workload_fingerprint,
+)
 from repro.runner import SimulatorSpec, SweepPlan, SweepRunner, WorkloadSpec, executor
 from repro.snn.network import LayerShape
 from repro.snn.workloads import LayerWorkload, SparsityProfile
@@ -250,13 +256,56 @@ class TestWhenAHelperStarts:
         )
         assert run_script(script).endswith("ok")
 
+    @pytest.mark.skipif(executor._glibc("malloc_info") is None, reason="glibc malloc arenas")
+    def test_the_helper_shares_one_malloc_arena_for_the_rest_of_the_process(self):
+        # glibc reports one <heap> per arena.  Without the pin the helper
+        # takes an arena of its own; with it, the helper and every later
+        # thread share the main one, because glibc latches the limit.
+        script = textwrap.dedent(
+            """
+            import ctypes, os, sys, tempfile, threading
+            from repro.api import Session
+            from repro.runner import executor
 
-def run_script(script: str) -> str:
+            libc = ctypes.CDLL(None)
+            libc.fopen.restype = ctypes.c_void_p
+            libc.fopen.argtypes = [ctypes.c_char_p, ctypes.c_char_p]
+            libc.fclose.argtypes = [ctypes.c_void_p]
+            libc.malloc_info.argtypes = [ctypes.c_int, ctypes.c_void_p]
+
+            def arenas():
+                handle, path = tempfile.mkstemp()
+                os.close(handle)
+                stream = libc.fopen(path.encode(), b"w")
+                libc.malloc_info(0, stream)
+                libc.fclose(stream)
+                with open(path) as report:
+                    text = report.read()
+                os.unlink(path)
+                return text.count("<heap nr=")
+
+            executor._usable_cpus = lambda: 64
+            if sys.argv[1] == "unpinned":
+                executor._one_malloc_arena = lambda: None
+            Session().run("networks", scale=0.05, seed=1, networks=("alexnet", "vgg16"))
+            after_run = arenas()
+            # A thread of the embedding program's own, started after the run.
+            thread = threading.Thread(target=lambda: [bytes(100) for _ in range(20000)])
+            thread.start()
+            thread.join()
+            print(after_run, arenas())
+            """
+        )
+        assert run_script(script, "pinned") == "1 1"
+        assert int(run_script(script, "unpinned").split()[0]) >= 2
+
+
+def run_script(script: str, *args: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.strip()
@@ -282,6 +331,33 @@ class TestNoThreadOutlivesARun:
         assert started == [HELPER]
         assert threading.active_count() == before
         assert not default_cache()._generating
+
+    def test_an_error_with_one_cpu_reaches_the_caller_and_stops_the_run(
+        self, monkeypatch, spare_cpu, started
+    ):
+        spare_cpu(False)
+        network = Session().describe("networks").build(scale=SCALE, seed=1, networks=("alexnet",))
+        first, second = network.cells[0].workload.build().layers[:2]
+        original_generate = LayerWorkload.generate
+
+        def failing_generate(workload, rng=None, finetuned=False):
+            if workload.name == second.name:
+                raise RuntimeError("generation failed on %s" % workload.name)
+            return original_generate(workload, rng=rng, finetuned=finetuned)
+
+        monkeypatch.setattr(LayerWorkload, "generate", failing_generate)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="generation failed on %s" % second.name):
+            Session().run("networks", scale=SCALE, seed=1, networks=("alexnet",))
+        assert started == []
+        assert threading.active_count() == before
+        cache = default_cache()
+        assert not cache._generating
+        # The raising partition (LoAS, the plan's first variant) cached its
+        # first layer; the LoAS-FT partition never started.
+        layer_fingerprints = {key[0] for key in cache.memory_backend._entries}
+        assert layer_fingerprints == {workload_fingerprint(first, False)}
+        assert len(cache) == 1
 
     def test_an_abandoned_stream_joins_the_helper(self, spare_cpu, started):
         spare_cpu(True)
