@@ -70,6 +70,23 @@ __all__ = [
 DEFAULT_ARCH = "loas-32nm"
 
 
+def _check_int_field(spec, name: str, minimum: int = 0) -> None:
+    """Reject a field that is not an ``int`` of at least ``minimum``.
+
+    ``bool`` is refused although it subclasses ``int``.  The cost models
+    charge the PE count, the per-task cycle overheads and the weight width
+    as exact integers (the wave costs through
+    :meth:`repro.engine.LayerEvaluation.wave_max_sum`, the weight-fetch
+    bytes as integer counts times the element width), so a float or a
+    negative value fails here instead of deep inside a cost model.
+    """
+    value = getattr(spec, name)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s must be an int, got %r" % (name, value))
+    if value < minimum:
+        raise ValueError("%s must be at least %d, got %r" % (name, minimum, value))
+
+
 @dataclass(frozen=True)
 class PESpec:
     """Provisioning of the temporal-parallel processing elements.
@@ -110,8 +127,9 @@ class PESpec:
     task_overhead_cycles: int = 8
 
     def __post_init__(self) -> None:
-        if self.num_tppes < 1:
-            raise ValueError("num_tppes must be at least 1")
+        _check_int_field(self, "num_tppes", minimum=1)
+        _check_int_field(self, "task_overhead_cycles")
+        _check_int_field(self, "weight_bits", minimum=1)
         if self.timesteps < 1:
             raise ValueError("timesteps must be at least 1")
         if self.bitmask_chunk_bits < 1:
@@ -203,6 +221,7 @@ class BaselineSpec:
             raise ValueError("systolic array dimensions must be at least 1")
         if self.merger_radix < 1 or self.effective_merge_radix < 1:
             raise ValueError("merger radices must be at least 1")
+        _check_int_field(self, "per_timestep_overhead_cycles")
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,7 @@ class GammaSNN(SimulatorBase):
         stats = evaluation.statistics
         m, k, n, t = stats.m, stats.k, stats.n, stats.t
         result = SimulationResult(accelerator=self.name, workload=name)
-        total_true_acs = float(stats.true_acs_per_t.sum())
+        total_true_acs = evaluation.true_accumulations
 
         # ---------------- compute cycles ---------------- #
         # Each genuine accumulation flows through the merger once; partial
@@ -121,11 +121,10 @@ class GammaSNN(SimulatorBase):
         psum_dram = 2.0 * partial_row_working_set * spill_fraction
         result.dram.add("psum", psum_dram)
 
-        # On-chip: every non-zero spike pulls a weight row from the
-        # fiber cache; every merge round reads and writes the partial row.
-        weight_row_bytes = stats.weight_row_nnz * (cfg.weight_bits + coordinate_bits(n)) / 8.0
-        spikes_per_column_t = stats.spikes_per_column_t.astype(np.float64)  # (K, T)
-        sram_b = float((spikes_per_column_t.sum(axis=1) * weight_row_bytes).sum())
+        # On-chip: every non-zero spike pulls a weight row from the fiber
+        # cache, so the elements fetched are the genuine accumulations;
+        # every merge round reads and writes the partial row.
+        sram_b = total_true_acs * (cfg.weight_bits + coordinate_bits(n)) / 8.0
         partial_row_traffic = 2.0 * float(
             (merge_rounds * partial_row_elements * self.psum_bytes).sum()
         )
@@ -135,7 +134,7 @@ class GammaSNN(SimulatorBase):
         result.sram.add("output", output_bytes)
 
         fiber_accesses = float(stats.nnz_spikes) + m * t
-        fiber_misses = float((spikes_per_column_t.any(axis=1)).sum()) + m * t
+        fiber_misses = float(stats.active_columns) + m * t
         result.sram_miss_rate = fiber_misses / fiber_accesses if fiber_accesses else 0.0
 
         # ---------------- energy ---------------- #

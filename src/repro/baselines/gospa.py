@@ -69,7 +69,7 @@ class GoSPASNN(SimulatorBase):
         stats = evaluation.statistics
         m, k, n, t = stats.m, stats.k, stats.n, stats.t
         result = SimulationResult(accelerator=self.name, workload=name)
-        total_true_acs = float(stats.true_acs_per_t.sum())
+        total_true_acs = evaluation.true_accumulations
 
         # ---------------- compute cycles ---------------- #
         # The multiplier-free update stream is bounded by how many psum
@@ -112,12 +112,7 @@ class GoSPASNN(SimulatorBase):
         # On-chip: the input stream is read once; every active column of A
         # pulls the corresponding weight row once per timestep; every psum
         # update reads and writes the psum memory.
-        weight_row_bytes = stats.weight_row_nnz * (cfg.weight_bits + coordinate_bits(n)) / 8.0
-        # One weight-row fetch per active k column per timestep, in one
-        # masked product instead of a per-timestep Python loop.
-        active_mask = stats.active_column_mask  # (K, T)
-        sram_b = float((weight_row_bytes[:, None] * active_mask).sum())
-        active_any = active_mask.any(axis=1)
+        sram_b = stats.active_row_weights * (cfg.weight_bits + coordinate_bits(n)) / 8.0
         sram_psum = total_true_acs * self.psum_access_bytes + 2.0 * psum_dram_bytes
         result.sram.add("input", a_csr_bytes)
         result.sram.add("weight", sram_b)
@@ -126,8 +121,8 @@ class GoSPASNN(SimulatorBase):
 
         # Output-stationary streaming keeps the miss rate low: inputs and
         # weights are each fetched once, psum spills are the only re-reads.
-        fiber_accesses = m * t + float(np.sum(stats.active_columns_per_t))
-        fiber_misses = m * t + float(active_any.sum())
+        fiber_accesses = m * t + float(stats.active_column_steps)
+        fiber_misses = m * t + float(stats.active_columns)
         result.sram_miss_rate = fiber_misses / (fiber_accesses + 2 * m * t) if fiber_accesses else 0.0
 
         # ---------------- energy ---------------- #

@@ -149,27 +149,3 @@ class SimulatorBase:
         sram_cycles = self.config.sram.cycles_for_bytes(sram_bytes)
         memory_cycles = max(dram_cycles, sram_cycles)
         return max(compute_cycles, memory_cycles), memory_cycles
-
-    @staticmethod
-    def grouped_wave_cycles(task_cycles: np.ndarray, group_size: int) -> float:
-        """Sum of per-wave maxima when rows are processed ``group_size`` at a time.
-
-        ``task_cycles`` is an ``(M, N)`` array of per-output-neuron cycle
-        counts; rows are dispatched to the parallel PEs in groups, one output
-        column at a time, so each wave costs the maximum of its members
-        (load imbalance is therefore captured exactly).
-        """
-        task_cycles = np.asarray(task_cycles, dtype=np.float64)
-        if task_cycles.ndim != 2:
-            raise ValueError("task_cycles must be an (M, N) array")
-        m, n = task_cycles.shape
-        if group_size < 1:
-            raise ValueError("group_size must be at least 1")
-        groups = -(-m // group_size)
-        if m == groups * group_size:
-            padded = np.ascontiguousarray(task_cycles)
-        else:
-            padded = np.zeros((groups * group_size, n))
-            padded[:m] = task_cycles
-        waves = padded.reshape(groups, group_size, n).max(axis=1)
-        return float(waves.sum())

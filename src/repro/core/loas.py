@@ -92,9 +92,8 @@ class LoASSimulator(SimulatorBase):
         packed = evaluation.packed
         nnz_weights = evaluation.nnz_weights
 
-        # Matched positions per output neuron (non-silent spike AND non-zero
-        # weight): the work each TPPE performs.
-        matches = evaluation.matches  # (M, N)
+        # Matched positions (non-silent spike AND non-zero weight) are the
+        # work each TPPE performs per output neuron.
         total_matches = evaluation.total_matches
 
         # True accumulations and the output full sums come from the shared
@@ -105,10 +104,15 @@ class LoASSimulator(SimulatorBase):
         compression = evaluation.compress_output(self.compressor, self.lif, preprocess=preprocess)
 
         # ---------------- compute cycles ---------------- #
+        # A task costs one cycle per bitmask chunk and per matched position
+        # plus a fixed overhead; each of the row_groups x N waves costs its
+        # slowest task, and the constant part commutes with that maximum.
         chunks = cfg.bitmask_chunks(k_dim)
-        # Widened: the join is stored in a narrow unsigned dtype.
-        task_cycles = chunks + matches.astype(np.float64) + cfg.task_overhead_cycles
-        compute_cycles = self.grouped_wave_cycles(task_cycles, cfg.num_tppes)
+        row_groups = -(-m_dim // cfg.num_tppes)
+        compute_cycles = float(
+            evaluation.wave_max_sum("matches", cfg.num_tppes)
+            + row_groups * n_dim * (chunks + cfg.task_overhead_cycles)
+        )
         compute_cycles += compression.cycles
 
         # ---------------- traffic ---------------- #
@@ -116,7 +120,6 @@ class LoASSimulator(SimulatorBase):
         a_bitmask_bytes = (packed.bitmask_bits() + m_dim * cfg.pointer_bits) / 8.0
         b_payload_bytes = nnz_weights * cfg.weight_bits / 8.0
         b_bitmask_bytes = (k_dim * n_dim + n_dim * cfg.pointer_bits) / 8.0
-        row_groups = -(-m_dim // cfg.num_tppes)
 
         # Off-chip: each compressed operand crosses DRAM once; the compressed
         # output is written back once.

@@ -11,7 +11,9 @@ simulator may ask for:
   counts are rebuilt from the words whenever they are asked for),
 * the ``(M, N)`` matched-position and true-accumulation matrices of the
   inner join, held in the narrowest unsigned dtype their ``K * T`` bound
-  fits (:func:`join_dtype`),
+  fits (:func:`join_dtype`), and their per-wave maxima summed over the
+  PE schedule (:meth:`LayerEvaluation.wave_max_sum`, memoised per group
+  size),
 * the full-sum tensor ``O`` (one GEMM over ``k`` instead of a per-timestep
   GEMM loop) and the LIF output spikes derived from it,
 * per-accelerator true-accumulation counts and the per-timestep / per-row /
@@ -114,6 +116,62 @@ def join_dtype(k: int, t: int) -> np.dtype:
     return np.min_scalar_type(k * t)
 
 
+def _wave_max_sum(join: np.ndarray, group_size: int) -> int:
+    """Sum over waves of the largest entry of each wave of an ``(M, N)`` join.
+
+    Rows are dispatched ``group_size`` at a time, one output column at a
+    time: wave ``(g, n)`` holds rows ``g * group_size`` up to the next
+    group and costs the maximum of its members.  A short last group is
+    reduced on its own, which equals padding it with zeros because every
+    join count is non-negative.  The maxima are taken in the join's own
+    dtype and summed in int64, so no float temporary is built; a legacy
+    float64 join holds exact integers and sums to the same value.
+    """
+    if group_size < 1:
+        raise ValueError("group_size must be at least 1")
+    m, n = join.shape
+    full = m - m % group_size
+    waves = join[:full].reshape(full // group_size, group_size, n).max(axis=1)
+    total = int(waves.sum(dtype=np.int64))
+    if full < m:
+        total += int(join[full:].max(axis=0).sum(dtype=np.int64))
+    return total
+
+
+class _WaveMaxSums:
+    """Per-instance memo of :func:`_wave_max_sum` over an evaluation's joins.
+
+    A plain dict rather than a cached property: before Python 3.12 those
+    take a class-wide lock.  Two threads that miss the same key both reduce
+    and store the same value, so the dict needs no lock of its own.  The
+    sums are not persisted (they are not dehydrated and not part of the
+    derived signature), so a disk hit that computes one is not rewritten.
+    """
+
+    #: The ``(M, N)`` join attributes :meth:`wave_max_sum` reduces.
+    WAVE_JOINS: tuple[str, ...] = ()
+
+    def wave_max_sum(self, join: str, group_size: int) -> int:
+        """Sum of the per-wave maxima of the ``join`` matrix, as a Python int.
+
+        Output neurons go to ``group_size`` parallel PEs a group of rows at
+        a time, and each wave costs as much as its slowest member.  A cost
+        constant added to every task commutes with the maximum, so a cost
+        model charges ``wave_max_sum(join, g) + waves * constant`` with
+        ``waves = ceil(M / g) * N`` instead of widening the join.
+        """
+        key = (join, group_size)
+        total = self._wave_max_sums.get(key)
+        if total is None:
+            if join not in self.WAVE_JOINS:
+                raise ValueError(
+                    "join must be one of %s, got %r" % (list(self.WAVE_JOINS), join)
+                )
+            total = _wave_max_sum(getattr(self, join), group_size)
+            self._wave_max_sums[key] = total
+        return total
+
+
 def _product_bound(k: int, *operands) -> int | None:
     """``k`` times the product of the operands' integer bounds (``None`` if any is)."""
     bound = k
@@ -158,7 +216,7 @@ _DEHYDRATED_PROPERTIES = (
 )
 
 
-class LayerEvaluation:
+class LayerEvaluation(_WaveMaxSums):
     """Lazily-computed, shareable evaluation of one ``(A, B)`` layer pair.
 
     Parameters
@@ -179,6 +237,7 @@ class LayerEvaluation:
     """
 
     kind = "snn"
+    WAVE_JOINS = ("matches", "true_acs")
 
     def __init__(self, spikes, weights):
         if not isinstance(spikes, PackedSpikeMatrix):
@@ -195,6 +254,7 @@ class LayerEvaluation:
         self._output_spikes: dict[tuple, np.ndarray] = {}
         self._compressions: dict[tuple, object] = {}
         self._preprocessed: dict[int, "LayerEvaluation"] = {}
+        self._wave_max_sums: dict[tuple[str, int], int] = {}
         if isinstance(spikes, PackedSpikeMatrix):
             self.__dict__["packed"] = spikes
             self.__dict__["packed_words"] = _readonly(spikes.words)
@@ -641,7 +701,7 @@ class LayerEvaluation:
             )
 
 
-class AnnLayerEvaluation:
+class AnnLayerEvaluation(_WaveMaxSums):
     """Shared evaluation of one dual-sparse ANN ``(activations, weights)`` pair.
 
     The ANN counterpart of :class:`LayerEvaluation` for the SNN-vs-ANN
@@ -651,6 +711,7 @@ class AnnLayerEvaluation:
     """
 
     kind = "ann"
+    WAVE_JOINS = ("matches",)
 
     def __init__(self, activations: np.ndarray, weights: np.ndarray):
         activations = np.asarray(activations)
@@ -661,6 +722,7 @@ class AnnLayerEvaluation:
             raise ValueError("contraction dimension mismatch")
         self.activations = activations
         self.weights = weights
+        self._wave_max_sums: dict[tuple[str, int], int] = {}
 
     @property
     def tensors(self) -> tuple:

@@ -11,7 +11,7 @@ as a thin compatibility wrapper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,6 +56,20 @@ class LayerStatistics:
     spikes_per_column_t:
         Non-zero spikes per ``(k, t)`` pair, shape ``(K, T)`` (drives
         Gustavson weight-row fetch counts).
+
+    The remaining attributes are integers derived from the ones above when
+    the bundle is built, once per evaluation, so the cost models do not
+    reduce the same arrays again on every call:
+
+    active_columns:
+        Number of ``k`` columns with a spike at any timestep.
+    active_column_steps:
+        Number of active ``(k, t)`` pairs (the sum of
+        ``active_columns_per_t``).
+    active_row_weights:
+        Non-zero weights in the rows of ``B`` that the active ``(k, t)``
+        pairs select, summed over timesteps (the weight elements an
+        outer-product dataflow fetches).
     """
 
     m: int
@@ -73,3 +87,12 @@ class LayerStatistics:
     spikes_per_row_t: np.ndarray
     active_column_mask: np.ndarray
     spikes_per_column_t: np.ndarray
+    active_columns: int = field(init=False)
+    active_column_steps: int = field(init=False)
+    active_row_weights: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        steps_per_column = self.active_column_mask.sum(axis=1, dtype=np.int64)  # (K,)
+        self.active_columns = int(np.count_nonzero(steps_per_column))
+        self.active_column_steps = int(steps_per_column.sum())
+        self.active_row_weights = int(steps_per_column @ self.weight_row_nnz)

@@ -93,6 +93,37 @@ class TestArchSpecAddressing:
         with pytest.raises(ValueError):
             default_arch().with_overrides(**{"memory.cache_banks": 0})
 
+    @pytest.mark.parametrize(
+        "path, value",
+        (
+            ("pe.task_overhead_cycles", 2.5),
+            ("pe.task_overhead_cycles", -3),
+            ("pe.task_overhead_cycles", True),
+            ("baseline.per_timestep_overhead_cycles", 1.5),
+            ("baseline.per_timestep_overhead_cycles", -1),
+            ("pe.num_tppes", 16.0),
+            ("pe.num_tppes", True),
+            ("pe.num_tppes", np.int64(16)),
+            ("pe.weight_bits", 7.5),
+            ("pe.weight_bits", 0),
+        ),
+    )
+    def test_integer_fields_reject_other_values(self, path, value):
+        field_name = path.partition(".")[2]
+        with pytest.raises(ValueError, match=field_name):
+            default_arch().with_overrides(**{path: value})
+
+    def test_integer_fields_accept_zero_overheads(self):
+        spec = default_arch().with_overrides(
+            **{"pe.task_overhead_cycles": 0, "baseline.per_timestep_overhead_cycles": 0}
+        )
+        assert spec.pe.task_overhead_cycles == 0
+        assert spec.baseline.per_timestep_overhead_cycles == 0
+        with pytest.raises(ValueError, match="num_tppes"):
+            PESpec(num_tppes=0)
+        with pytest.raises(ValueError, match="per_timestep_overhead_cycles"):
+            BaselineSpec(per_timestep_overhead_cycles=2.0)
+
     def test_get_and_flat_items_roundtrip(self):
         spec = default_arch()
         for path, value in spec.flat_items():
@@ -597,3 +628,10 @@ class TestArchCli:
         from repro.api.cli import main
 
         assert main(["run", "fig16-temporal", "--arch", "loas-32nm"]) == 2
+
+    def test_fractional_task_overhead_fails_naming_the_field(self):
+        from repro.api.cli import main
+
+        args = ["run", "networks", "--scale", "0.05", "--set", "arch.pe.task_overhead_cycles=2.5"]
+        with pytest.raises(ValueError, match="task_overhead_cycles"):
+            main(args)

@@ -58,6 +58,8 @@ from repro.sparse.matrix import (
     random_weight_matrix,
 )
 
+from test_wave_max_sum import grouped_wave_cycles
+
 ALL_SNN_SIMULATORS = [
     LoASSimulator,
     SparTenSNN,
@@ -93,6 +95,7 @@ def reference_statistics(spikes, weights):
     true_acs = np.zeros((m, n), dtype=np.float64)
     true_acs_per_t = np.zeros(t, dtype=np.float64)
     active_columns = np.zeros(t, dtype=np.int64)
+    active_row_weights = 0
     true_accumulations = 0.0
     for ti in range(t):
         spikes_t = spikes[:, :, ti].astype(np.float64)
@@ -100,6 +103,7 @@ def reference_statistics(spikes, weights):
         true_acs += acs_t
         true_acs_per_t[ti] = acs_t.sum()
         active_columns[ti] = int(spikes[:, :, ti].any(axis=0).sum())
+        active_row_weights += int(spikes[:, :, ti].any(axis=0) @ (weights != 0).sum(axis=1))
         true_accumulations += float(acs_t.sum())
     return {
         "nnz_weights": int(weight_mask.sum()),
@@ -114,6 +118,9 @@ def reference_statistics(spikes, weights):
         "spikes_per_row_t": spikes.sum(axis=1).astype(np.int64),
         "spikes_per_column_t": spikes.sum(axis=0).astype(np.int64),
         "active_column_mask": spikes.any(axis=0),
+        "active_columns": int(spikes.any(axis=(0, 2)).sum()),
+        "active_column_steps": int(active_columns.sum()),
+        "active_row_weights": active_row_weights,
     }
 
 
@@ -132,6 +139,9 @@ def assert_statistics_match(evaluation, spikes, weights):
     assert np.array_equal(stats.spikes_per_row_t, ref["spikes_per_row_t"])
     assert np.array_equal(stats.spikes_per_column_t, ref["spikes_per_column_t"])
     assert np.array_equal(stats.active_column_mask, ref["active_column_mask"])
+    assert stats.active_columns == ref["active_columns"]
+    assert stats.active_column_steps == ref["active_column_steps"]
+    assert stats.active_row_weights == ref["active_row_weights"]
     assert evaluation.true_accumulations == ref["true_accumulations"]
 
 
@@ -323,7 +333,7 @@ class TestInnerJoinOracleOnLoAS:
         compression = evaluation.compress_output(
             simulator.compressor, simulator.lif, preprocess=preprocess
         )
-        expected = simulator.grouped_wave_cycles(task_cycles, simulator.config.num_tppes)
+        expected = grouped_wave_cycles(task_cycles, simulator.config.num_tppes)
         assert result.compute_cycles == expected + compression.cycles
 
 

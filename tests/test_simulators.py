@@ -31,6 +31,8 @@ from repro.core.base import SimulatorBase
 from repro.metrics.results import SimulationResult, aggregate_results
 from repro.sparse.matrix import sparsity
 
+from test_wave_max_sum import grouped_wave_cycles
+
 
 ALL_SNN_SIMULATORS = [LoASSimulator, SparTenSNN, GoSPASNN, GammaSNN, PTBSimulator, StellarSimulator]
 
@@ -110,14 +112,14 @@ class TestSimulatorBase:
 
     def test_grouped_wave_cycles_captures_imbalance(self):
         task_cycles = np.array([[1.0, 1.0], [9.0, 1.0]])
-        assert SimulatorBase.grouped_wave_cycles(task_cycles, group_size=2) == pytest.approx(10.0)
-        assert SimulatorBase.grouped_wave_cycles(task_cycles, group_size=1) == pytest.approx(12.0)
+        assert grouped_wave_cycles(task_cycles, group_size=2) == pytest.approx(10.0)
+        assert grouped_wave_cycles(task_cycles, group_size=1) == pytest.approx(12.0)
 
     def test_grouped_wave_cycles_validation(self):
         with pytest.raises(ValueError):
-            SimulatorBase.grouped_wave_cycles(np.zeros(3), 2)
+            grouped_wave_cycles(np.zeros(3), 2)
         with pytest.raises(ValueError):
-            SimulatorBase.grouped_wave_cycles(np.zeros((2, 2)), 0)
+            grouped_wave_cycles(np.zeros((2, 2)), 0)
 
     def test_roofline_zero_byte_transfers_cost_nothing(self):
         base = SimulatorBase(LoASConfig())
