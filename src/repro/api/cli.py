@@ -28,6 +28,7 @@ import json
 import sys
 from typing import Any, Sequence
 
+from ..arch import resolve_arch
 from .result import _encode
 from .session import Session
 
@@ -198,9 +199,10 @@ def _command_run(session: Session, args: argparse.Namespace) -> int:
                 "%r given both via %s and --set; pick one" % (flag_name, flag)
             )
         params[flag_name] = flag_value
-    # Pre-flight the option/param mismatches (Session's own rules) so they
-    # surface as clean one-liners, while errors raised during actual
-    # execution keep their traceback.
+    # Pre-flight the option/param mismatches (Session's own rules) and the
+    # requested design point (ArchSpec's own checks) so they surface as clean
+    # one-liners, while errors raised during actual execution keep their
+    # traceback.
     try:
         session.validate_run_options(
             scenario,
@@ -209,7 +211,9 @@ def _command_run(session: Session, args: argparse.Namespace) -> int:
             stream=args.stream,
             params=params,
         )
-    except (TypeError, ValueError) as error:
+        design = {**dict(scenario.defaults), **params}
+        resolve_arch(design.get("arch"), design.get("arch_overrides", ()))
+    except (KeyError, TypeError, ValueError) as error:
         raise _CliError(error.args[0]) from error
     if args.stream:
         stream = session.stream(

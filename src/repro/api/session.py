@@ -123,6 +123,7 @@ class ScenarioStream(Iterator[PartitionResult]):
         self,
         scenario_name: str,
         plan,
+        partitions: list[list[int]],
         runner: SweepRunner,
         capture,
         finalise,
@@ -130,9 +131,9 @@ class ScenarioStream(Iterator[PartitionResult]):
     ):
         self.plan = plan
         self._scenario_name = scenario_name
-        self._total = len(plan.partitions())
+        self._total = len(partitions)
         self._runner = runner if owns_runner else None
-        self._iterator = runner.iter_partitions(plan)
+        self._iterator = runner.iter_partitions(plan, partitions)
         self._slots = [None] * len(plan.cells)
         self._capture = capture
         self._finalise = finalise
@@ -443,6 +444,7 @@ class Session:
         self.validate_run_options(scenario, stream=True, params=params)
         merged = self._merge_params(scenario, params)
         plan = scenario.build(**merged)
+        partitions = plan.partitions()
         runner = self._runner
         if workers is not None or cache_dir is not None:
             runner = SweepRunner(
@@ -464,20 +466,16 @@ class Session:
                 if scenario.shape is not None
                 else sweep_results
             )
-            # Mirror the executor's own fallback rule: a single-partition
-            # plan runs serially even on a workers>=2 session, and the
-            # record must say so.
-            pooled = runner.workers >= 2 and len(plan.partitions()) > 1
             provenance = self._provenance(
                 runner.disk_tier,
                 runner.workers,
                 baselines["lru"],
                 baselines["disk"],
-                pooled=pooled,
+                pooled=runner.runs_pooled(partitions),
             )
             provenance["seeds"] = tuple(sorted({cell.seed for cell in plan.cells}))
             provenance["cells"] = len(plan.cells)
-            provenance["partitions"] = len(plan.partitions())
+            provenance["partitions"] = len(partitions)
             return ScenarioResult(
                 scenario=scenario.name,
                 params=dict(merged),
@@ -486,7 +484,7 @@ class Session:
             )
 
         return ScenarioStream(
-            scenario.name, plan, runner, capture, finalise, owns_runner=runner is not self._runner
+            scenario.name, plan, partitions, runner, capture, finalise, owns_runner=runner is not self._runner
         )
 
     # ------------------------------------------------------------------ #

@@ -99,13 +99,6 @@ class EnergyAccount:
         total = self.total()
         return movement / total if total else 0.0
 
-    def merged_with(self, other: "EnergyAccount") -> "EnergyAccount":
-        """Return a new account holding the sum of both accounts."""
-        merged = EnergyAccount(dict(self.entries))
-        for category, value in other.entries.items():
-            merged.add(category, value)
-        return merged
-
     def as_dict(self) -> dict[str, float]:
         """Copy of the per-category energies."""
         return dict(self.entries)

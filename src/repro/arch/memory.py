@@ -47,13 +47,6 @@ class TrafficCounter:
         """Copy of the per-category byte counts."""
         return dict(self.entries)
 
-    def merged_with(self, other: "TrafficCounter") -> "TrafficCounter":
-        """Return a new counter with the sum of both counters."""
-        merged = TrafficCounter(dict(self.entries))
-        for category, value in other.entries.items():
-            merged.add(category, value)
-        return merged
-
 
 @dataclass(frozen=True)
 class DRAMModel:

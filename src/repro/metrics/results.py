@@ -147,9 +147,9 @@ def aggregate_results(results: list[SimulationResult], accelerator: str, workloa
         total.cycles += result.cycles
         total.compute_cycles += result.compute_cycles
         total.memory_cycles += result.memory_cycles
-        total.dram = total.dram.merged_with(result.dram)
-        total.sram = total.sram.merged_with(result.sram)
-        total.energy = total.energy.merged_with(result.energy)
+        for into, ledger in ((total.dram, result.dram), (total.sram, result.sram), (total.energy, result.energy)):
+            for category, value in ledger.entries.items():
+                into.add(category, value)
         for category, count in result.ops.items():
             total.add_ops(category, count)
         weighted_miss += result.sram_miss_rate * result.sram_bytes

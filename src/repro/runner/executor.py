@@ -14,23 +14,19 @@ in three steps:
    LRU holding more than the current layer.  After every layer the cache's
    write-backs are flushed, so the optional **disk tier** stores the
    derived statistics the simulators just computed.
-3. **Execute** -- serially, on the caller's thread and at most one helper
-   thread, or over a ``multiprocessing`` pool of ``workers >= 2``
-   processes.  Both take the partitions longest first
-   (:func:`_partition_cost`) and yield them in completion order;
-   :meth:`SweepRunner.run` only drains :meth:`SweepRunner.iter_partitions`
-   and slots the results back by cell index.
+3. **Execute** -- one dispatcher (:func:`_dispatch`) yields the
+   partitions in completion order from the caller's thread and at most one
+   helper thread, or from a ``multiprocessing`` pool of ``workers >= 2``
+   processes, which both take them longest first (:func:`_longest_first`).
+   A raise on any of them stops the partitions not started and reaches the
+   caller; a closed or dropped stream ends its helper or pool as well.
 
 **Helper thread.** A serial run gets one helper when the process has a
 spare CPU (:func:`_usable_cpus`), the plan has two partitions and some
 partition's first layer is in neither the LRU nor the disk tier; a run a
-cache tier serves stays on the caller's thread, where a second thread only
-costs.  Otherwise partitions run on the caller's thread in plan order.  A
-partition that raises on either thread stops the other after its current
-partition, and the error reaches the caller once the helper is joined; so
-does closing or dropping the stream.  Before the first helper starts, the
-whole process is pinned to one glibc malloc arena
-(:func:`_one_malloc_arena`).
+cache tier serves stays on the caller's thread, in plan order, where a
+second thread only costs.  Before the first helper starts, the whole
+process is pinned to one glibc malloc arena (:func:`_one_malloc_arena`).
 
 **Pool.** The runner forks its pool at its first pooled run and reuses it
 until :meth:`SweepRunner.close`, its collection or interpreter exit.  A run
@@ -165,36 +161,42 @@ def _execute_partition(
     return [results[0] for results in per_cell]
 
 
-def _needs_helper(runs, disk: DiskEvaluationCache | None) -> bool:
+def _work_units(plan: SweepPlan, partitions) -> list[tuple[int, tuple[SweepCell, ...]]]:
+    """One ``(ordinal, cells)`` work unit per partition, in plan order."""
+    return [(ordinal, tuple(plan.cells[i] for i in indices)) for ordinal, indices in enumerate(partitions)]
+
+
+def _needs_helper(units, disk: DiskEvaluationCache | None) -> bool:
     """A spare CPU, two partitions, and some first layer neither the LRU nor ``disk`` holds."""
-    if _usable_cpus() < 2 or len(runs) < 2:
+    if _usable_cpus() < 2 or len(units) < 2:
         return False
     cache = default_cache()
     return not all(
         cache.holds(layers[0], np.random.default_rng(cells[0].seed), cells[0].simulator.finetuned, disk)
-        for _, cells, (_, layers) in runs
+        for _, cells, (_, layers) in units
     )
 
 
-def _run_partitions(pending: collections.deque, finished: queue.SimpleQueue, stop, disk, once=False):
-    """Run pending partitions, putting ``(ordinal, results or exception)`` on ``finished``.
+def _run_next(pending: collections.deque, finished: queue.SimpleQueue, disk) -> None:
+    """Put the next pending unit's ``(ordinal, results or exception)`` on ``finished``.
 
-    Stops when none is left, when ``stop`` is set, or after one partition
-    with ``once``; a partition that raises sets ``stop``, and the caller's
-    thread re-raises its exception.
+    A unit that raises empties ``pending``, so no unit starts after it.
     """
-    while not stop.is_set():
-        try:
-            ordinal, cells, built = pending.popleft()
-        except IndexError:
-            return
-        try:
-            finished.put((ordinal, _execute_partition(cells, disk=disk, built=built)))
-        except BaseException as exc:
-            stop.set()
-            finished.put((ordinal, exc))
-        if once:
-            return
+    try:
+        ordinal, cells, built = pending.popleft()
+    except IndexError:
+        return
+    try:
+        finished.put((ordinal, _execute_partition(cells, disk=disk, built=built)))
+    except BaseException as exc:
+        pending.clear()
+        finished.put((ordinal, exc))
+
+
+def _help(pending: collections.deque, finished: queue.SimpleQueue, disk) -> None:
+    """The helper thread: run pending units until none is left."""
+    while pending:
+        _run_next(pending, finished, disk)
 
 
 def _glibc(name: str, *argtypes):
@@ -221,9 +223,26 @@ def _one_malloc_arena() -> None:
         mallopt(-8, 1)  # M_ARENA_MAX
 
 
-def _partition_cost(layers) -> int:
-    """Work estimate of one partition: ``m * k * n * t`` summed over its layers."""
-    return sum(layer.shape.m * layer.shape.k * layer.shape.n * layer.shape.t for layer in layers)
+def _longest_first(units: list) -> list:
+    """Units ``(ordinal, cells, ...)`` by falling dense MAC count; ties keep plan order."""
+    return sorted(units, key=lambda unit: unit[1][0].workload.build().total_macs(), reverse=True)
+
+
+def _dispatch(partitions, take, stop):
+    """Yield ``(ordinal, partitions[ordinal], results)`` per ``(ordinal, outcome)`` from ``take()``.
+
+    An exception outcome reaches the caller; ``stop(complete)`` ends the slots however the stream ends.
+    """
+    complete = False
+    try:
+        for _ in partitions:
+            ordinal, outcome = take()
+            if isinstance(outcome, BaseException):
+                raise outcome
+            yield ordinal, partitions[ordinal], outcome
+        complete = True
+    finally:
+        stop(complete)
 
 
 #: The pool's cancel flag, in a pool worker (set by :func:`_lean_worker`).
@@ -282,11 +301,6 @@ def _trim_heap() -> None:
         trim(0)
 
 
-def _registries() -> tuple[dict, dict]:
-    """Copies of the registries a forked worker resolves cells through."""
-    return dict(SIMULATOR_FACTORIES), dict(ARCH_PRESETS)
-
-
 @functools.lru_cache(maxsize=1)
 def _worker_disk(directory: str, max_bytes: int | None) -> DiskEvaluationCache:
     """The one disk tier a worker process reuses across its partitions."""
@@ -328,11 +342,9 @@ class SweepRunner:
         #: The on-disk tier (``None`` without one); kept as an attribute
         #: because provenance and ``cache stats`` report it.
         self.disk_tier = DiskEvaluationCache.coerce(cache_dir)
-        #: The shared pool (``None`` until the first pooled run), the
-        #: registries it was forked with, and the finalizer that ends it.
-        self._pool = None
-        self._pool_registries = None
-        self._release = None
+        #: The shared ``(pool, cancel flag)`` (``None`` until the first pooled
+        #: run), the registries it was forked with, and the finalizer ending it.
+        self._pool = self._pool_registries = self._release = None
         #: Whether a run is streaming on the shared pool.
         self._pool_busy = False
 
@@ -362,102 +374,89 @@ class SweepRunner:
         return SweepResults(plan, results)
 
     def iter_partitions(
-        self, plan: SweepPlan
+        self, plan: SweepPlan, partitions: list[list[int]] | None = None
     ) -> Iterator[tuple[int, list[int], list[SimulationResult]]]:
-        """Yield ``(ordinal, cell_indices, results)`` per completed partition.
+        """Yield ``(ordinal, cell_indices, results)`` per partition, in completion order.
 
-        ``ordinal`` indexes into ``plan.partitions()`` and ``cell_indices``
-        are the partition's positions in ``plan.cells``.  Partitions are
-        yielded in completion order -- by the pool (``imap_unordered``) or
-        by the caller's thread and its helper (see the module docstring);
-        only a serial run without a helper completes in plan order -- so
-        consumers must not assume ordering.  Every partition is yielded
-        exactly once either way.
+        ``ordinal`` indexes ``partitions`` (``plan.partitions()``, unless the
+        caller has it) and ``cell_indices`` are the partition's positions in
+        ``plan.cells``.  Every partition is yielded exactly once.
         """
-        partitions = plan.partitions()
-        if self.workers >= 2 and len(partitions) > 1:
+        if partitions is None:
+            partitions = plan.partitions()
+        if self.runs_pooled(partitions):
             return self._iter_pool(plan, partitions)
         return self._iter_serial(plan, partitions)
+
+    def runs_pooled(self, partitions: Sequence) -> bool:
+        """Whether a plan of these ``partitions`` runs on the pool (else on this process)."""
+        return self.workers >= 2 and len(partitions) > 1
 
     # ------------------------------------------------------------------ #
     # Execution backends
     # ------------------------------------------------------------------ #
     def _iter_serial(self, plan: SweepPlan, partitions):
         disk = self.disk_tier
-        runs = [(ordinal, [plan.cells[i] for i in indices]) for ordinal, indices in enumerate(partitions)]
-        runs = [(ordinal, cells, _partition_layers(cells)) for ordinal, cells in runs]
-        helped = _needs_helper(runs, disk)
-        if helped:
-            runs.sort(key=lambda run: -_partition_cost(run[2][1]))
-        pending, finished, stop = collections.deque(runs), queue.SimpleQueue(), threading.Event()
+        units = [(ordinal, cells, _partition_layers(cells)) for ordinal, cells in _work_units(plan, partitions)]
+        helped = _needs_helper(units, disk)
+        pending, finished = collections.deque(_longest_first(units) if helped else units), queue.SimpleQueue()
         helper = threading.Thread(
-            target=_run_partitions, args=(pending, finished, stop, disk), name="repro-partition-helper"
+            target=_help, args=(pending, finished, disk), name="repro-partition-helper"
         )
         if helped:
             _one_malloc_arena()
             helper.start()
-        try:
-            for _ in runs:
-                if finished.empty():
-                    _run_partitions(pending, finished, stop, disk, once=True)
-                ordinal, outcome = finished.get()
-                if isinstance(outcome, BaseException):
-                    raise outcome
-                yield ordinal, partitions[ordinal], outcome
-        finally:
-            stop.set()  # the helper ends after its current partition
+
+        def take():
+            if finished.empty():
+                _run_next(pending, finished, disk)
+            return finished.get()
+
+        def stop(complete):
+            pending.clear()  # the helper ends after its current unit
             if helped:
                 helper.join()
+
+        yield from _dispatch(partitions, take, stop)
 
     def _iter_pool(self, plan: SweepPlan, partitions):
         disk = self.disk_tier
         disk_spec = (str(disk.directory), disk.max_bytes) if disk is not None else None
-        payloads = [
-            (ordinal, tuple(plan.cells[i] for i in indices), disk_spec)
-            for ordinal, indices in enumerate(partitions)
-        ]
-        # Longest first: the pool hands tasks out in submission order.  The
-        # sort is stable, so equal estimates keep plan order.
-        payloads.sort(key=lambda payload: -_partition_cost(_partition_layers(payload[1])[1]))
-        if self._pool_busy:
-            # Another run still streams on the shared pool; ending it on a
-            # failure here would strand that run's tasks.
-            pool, cancelled = self._start_pool()
-            try:
-                for ordinal, results in pool.imap_unordered(_pool_task, payloads):
-                    yield ordinal, partitions[ordinal], results
-            finally:
-                _end_pool(pool, cancelled)
-            return
-        pool = self._shared_pool()
+        payloads = [(ordinal, cells, disk_spec) for ordinal, cells in _longest_first(_work_units(plan, partitions))]
+        # While another run streams on the shared pool, ending it would strand that run's tasks.
+        one_off = self._pool_busy
+        pool, cancelled = self._start_pool() if one_off else self._shared_pool()
         self._pool_busy = True
-        try:
-            completed = pool.imap_unordered(_pool_task, payloads)
-            for _ in payloads:
-                if self._pool is not pool:
-                    # An ended pool never delivers the rest.
-                    raise RuntimeError("the runner was closed while a pooled run was streaming")
-                ordinal, results = next(completed)
-                yield ordinal, partitions[ordinal], results
-        except BaseException:
+        completed = pool.imap_unordered(_pool_task, payloads)
+
+        def take():
+            if cancelled.is_set():  # the runner was closed: the rest never arrives
+                raise RuntimeError("the runner was closed while a pooled run was streaming")
+            return next(completed)
+
+        def stop(complete):
             # A failed or abandoned run may leave tasks running: end them
             # with the pool, and let the next run fork a fresh one.
-            self.close()
-            raise
-        finally:
-            self._pool_busy = False
+            if one_off:
+                _end_pool(pool, cancelled)
+            else:
+                self._pool_busy = False
+                if not complete:
+                    self.close()
+
+        yield from _dispatch(partitions, take, stop)
 
     def _shared_pool(self):
-        """The runner's pool, forked now if none runs or the registries changed."""
-        registries = _registries()
+        """The runner's ``(pool, cancel flag)``, forked now if none runs or the registries changed."""
+        registries = dict(SIMULATOR_FACTORIES), dict(ARCH_PRESETS)
         if self._pool is not None and registries != self._pool_registries:
             self.close()
         if self._pool is None:
-            self._pool, cancelled = self._start_pool()
+            self._pool = self._start_pool()
             self._pool_registries = registries
             # Bound to the pool, not the runner: collecting the runner ends
             # the pool, and so does interpreter exit.
-            self._release = weakref.finalize(self, _end_pool, self._pool, cancelled)
+            self._release = weakref.finalize(self, _end_pool, *self._pool)
         return self._pool
 
     def _start_pool(self):

@@ -116,6 +116,10 @@ class LayerWorkload:
         """Proportionally smaller copy (same sparsity profile) for quick runs."""
         return type(self)(self.shape.scaled(scale), self.profile, self.weight_bits)
 
+    def total_macs(self) -> int:
+        """Dense MAC count of the layer across all timesteps."""
+        return self.shape.total_macs
+
     def generate(
         self,
         rng: np.random.Generator | None = None,

@@ -546,6 +546,23 @@ class TestCli:
         assert cli_main(["run", "table2-workloads", "--seed", "3", "--scale", "0.05"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        (
+            (["--set", "arch.pe.task_overhead_cycles=2.5"], "error: task_overhead_cycles must be an int, got 2.5"),
+            (["--arch", "no-such-preset"], "unknown arch preset 'no-such-preset'"),
+            (["--set", "arch.pe.no_such_field=3"], "unknown field 'no_such_field'"),
+        ),
+        ids=("fractional-field", "unknown-preset", "unknown-field"),
+    )
+    def test_a_rejected_design_point_exits_2_with_one_line(self, argv, message, capsys, monkeypatch):
+        # Rejected before any partition runs: nothing is evaluated.
+        monkeypatch.setattr(Session, "stream", lambda *args, **kwargs: pytest.fail("the run started"))
+        assert cli_main(["run", "networks", "--scale", str(SCALE), *argv]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_library_errors_keep_their_traceback(self):
         # A well-named param with a nonsense value fails inside the plan
         # builder: that is a real exception with a traceback, not a

@@ -37,10 +37,6 @@ class TestEnergyAccount:
         account = EnergyAccount({"dram": 40.0, "sram": 20.0, "compute": 40.0})
         assert account.data_movement_fraction() == pytest.approx(0.6)
 
-    def test_merged_with(self):
-        merged = EnergyAccount({"dram": 10.0}).merged_with(EnergyAccount({"dram": 5.0, "lif": 1.0}))
-        assert merged.entries == {"dram": 15.0, "lif": 1.0}
-
     def test_total_microjoules(self):
         account = EnergyAccount({"dram": 2e6})
         assert account.total_microjoules() == pytest.approx(2.0)
@@ -120,10 +116,6 @@ class TestTrafficCounter:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             TrafficCounter().add("input", -1)
-
-    def test_merged_with(self):
-        merged = TrafficCounter({"a": 1.0}).merged_with(TrafficCounter({"a": 2.0, "b": 3.0}))
-        assert merged.as_dict() == {"a": 3.0, "b": 3.0}
 
 
 class TestDRAMAndSRAM:

@@ -654,6 +654,46 @@ class TestPoolDispatchOrder:
         )
 
 
+class TestOneDispatcher:
+    """The helper thread and the pool share one dispatcher, so one failure path."""
+
+    @pytest.mark.parametrize("slots", ("pool", "helper"))
+    def test_a_raise_reaches_the_caller_and_no_partition_starts_after_it(self, monkeypatch, slots):
+        from repro.engine import clear_default_cache
+        from repro.runner import executor
+
+        if slots == "pool":
+            # Runs the tasks in this process, one after another: one slot.
+            TestPoolDispatchOrder()._inline_pool(monkeypatch)
+            runner, slot_count, helpers = SweepRunner(workers=2), 1, []
+        else:
+            # A cold run with a spare CPU: the caller's thread and the helper.
+            monkeypatch.setattr(executor, "_usable_cpus", lambda: 64)
+            runner, slot_count, helpers = SweepRunner(), 2, ["repro-partition-helper"]
+        threads, started = [], []
+        original_start = threading.Thread.start
+
+        def counting_start(thread):
+            threads.append(thread.name)
+            return original_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+
+        def failing_partition(cells, disk=None, built=None):
+            started.append(cells)
+            raise RuntimeError("partition failed")
+
+        monkeypatch.setattr(executor, "_execute_partition", failing_partition)
+        plan = TestPoolDispatchOrder()._plan()
+        clear_default_cache()
+        with pytest.raises(RuntimeError, match="partition failed"):
+            runner.run(plan)
+        assert threads == helpers
+        # Each slot raises on its first partition; none starts another.
+        assert 1 <= len(started) <= slot_count < len(plan.partitions())
+        clear_default_cache()
+
+
 def _worker_lru_after_partition(payload):
     """Pool probe: run one partition task, then report the worker's LRU."""
     from repro.engine import default_cache

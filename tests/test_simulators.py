@@ -381,11 +381,22 @@ class TestMetricsResults:
     def test_aggregate_sums(self):
         a = SimulationResult("x", "l1", cycles=10)
         a.dram.add("input", 100)
+        a.sram.add("a", 1.0)
+        a.energy.add("dram", 10.0)
         b = SimulationResult("x", "l2", cycles=20)
         b.dram.add("input", 50)
+        b.sram.add("a", 2.0)
+        b.sram.add("b", 3.0)
+        b.energy.add("dram", 5.0)
+        b.energy.add("lif", 1.0)
         total = aggregate_results([a, b], "x", "net")
         assert total.cycles == 30
         assert total.dram.get("input") == 150
+        # A category only the second layer has is added after the first's.
+        assert list(total.sram.as_dict().items()) == [("a", 3.0), ("b", 3.0)]
+        assert list(total.energy.as_dict().items()) == [("dram", 15.0), ("lif", 1.0)]
+        # The layers' own ledgers are left as they were.
+        assert a.sram.as_dict() == {"a": 1.0} and a.energy.as_dict() == {"dram": 10.0}
 
     def test_aggregate_empty_rejected(self):
         with pytest.raises(ValueError):
