@@ -180,8 +180,8 @@ def _command_run(session: Session, args: argparse.Namespace) -> int:
         params["arch_overrides"] = arch_overrides
     for reserved, flag in (("workers", "--workers"), ("cache_dir", "--cache-dir")):
         if reserved in params:
-            # These travel as Session.run keyword arguments; accepting them
-            # via --set too would collide ("multiple values for ...").
+            # These build the Session, not the scenario: via --set they
+            # would reach the scenario as an unknown parameter.
             raise _CliError(
                 "%r is controlled by the %s flag, not --set" % (reserved, flag)
             )
@@ -199,29 +199,22 @@ def _command_run(session: Session, args: argparse.Namespace) -> int:
                 "%r given both via %s and --set; pick one" % (flag_name, flag)
             )
         params[flag_name] = flag_value
-    # Pre-flight the option/param mismatches (Session's own rules) and the
-    # requested design point (ArchSpec's own checks) so they surface as clean
-    # one-liners, while errors raised during actual execution keep their
-    # traceback.
+    # Pre-flight the param mismatches (Session's own rules), the runner
+    # flags a bespoke scenario cannot honour (the session would run it
+    # without them, misreporting what ran) and the requested design point
+    # (ArchSpec's own checks) so they surface as clean one-liners, while
+    # errors raised during actual execution keep their traceback.
     try:
-        session.validate_run_options(
-            scenario,
-            workers=args.workers,
-            cache_dir=args.cache_dir,
-            stream=args.stream,
-            params=params,
-        )
+        session.validate_run_options(scenario, stream=args.stream, params=params)
+        for option, value in (("workers", args.workers), ("cache_dir", args.cache_dir)):
+            if scenario.run is not None and value is not None:
+                raise TypeError("scenario %r does not support %r" % (scenario.name, option))
         design = {**dict(scenario.defaults), **params}
         resolve_arch(design.get("arch"), design.get("arch_overrides", ()))
     except (KeyError, TypeError, ValueError) as error:
         raise _CliError(error.args[0]) from error
     if args.stream:
-        stream = session.stream(
-            args.scenario,
-            workers=args.workers,
-            cache_dir=args.cache_dir,
-            **params,
-        )
+        stream = session.stream(args.scenario, **params)
         done = 0
         for partition in stream:
             done += 1
@@ -239,12 +232,7 @@ def _command_run(session: Session, args: argparse.Namespace) -> int:
             )
         result = stream.result
     else:
-        result = session.run(
-            args.scenario,
-            workers=args.workers,
-            cache_dir=args.cache_dir,
-            **params,
-        )
+        result = session.run(args.scenario, **params)
     if args.json:
         print(result.to_json(indent=2))
     else:
@@ -303,9 +291,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "describe":
             return _command_describe(Session(), args.scenario)
         if args.command == "run":
-            # --workers / --cache-dir travel per call, so a pool they ask for
-            # runs on a one-off runner and ends with the run.
-            with Session() as session:
+            # --workers / --cache-dir build the session; a pool they ask for
+            # ends with the command.
+            with Session(workers=args.workers, cache_dir=args.cache_dir) as session:
                 return _command_run(session, args)
         if args.command == "cache":
             return _command_cache(Session(cache_dir=args.cache_dir), args)

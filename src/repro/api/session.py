@@ -2,13 +2,13 @@
 
 A :class:`Session` configures ``workers`` / ``cache_dir`` / ``scale`` once
 instead of threading them through every call.  It is the only source of
-execution resources: every sweep-shaped scenario runs on the
-:class:`~repro.runner.SweepRunner` the session builds, and a plan carries
-nothing but the work itself.
+execution resources: its constructor is the one place that sets them,
+every sweep-shaped scenario runs on the :class:`~repro.runner.SweepRunner`
+the session builds, and a plan carries nothing but the work itself.
 
-* **cache levels** -- the size of the process-wide evaluation LRU
-  (``lru_maxsize``) and the shared on-disk tier below it (``cache_dir`` +
-  ``disk_max_bytes``).  The session owns its
+* **cache levels** -- the shared on-disk tier (``cache_dir`` +
+  ``disk_max_bytes``) below the process-wide evaluation LRU (sized with
+  ``default_cache().resize()``).  The session owns its
   :class:`~repro.engine.DiskEvaluationCache` instance, so its counters
   accumulate across runs and :meth:`cache_stats` reports real numbers.
 * **execution policy** -- the worker-pool size (``workers``; ``None``/0/1 =
@@ -16,13 +16,10 @@ nothing but the work itself.
 * **workload defaults** -- a default ``scale`` applied to every scenario
   that declares one, so quick-look sessions shrink every sweep uniformly.
 
-Per-call keyword arguments always win over session defaults.  Bespoke
-scenarios (training runs, static tables: no plan behind them) take no
-runner options.  Session defaults are *soft*: a bespoke scenario simply
-runs in-process without the session's pool or disk tier, whereas passing
-``workers`` / ``cache_dir`` explicitly to :meth:`Session.run` for one raises
-``TypeError`` (silently dropping an explicitly requested pool or tier would
-misreport what ran).
+Per-call ``params`` always win over the session's ``scale``.  Bespoke
+scenarios (training runs, static tables: no plan behind them) have no
+runner to put the session's pool or disk tier on, so they run in-process
+without them.
 
 **Lifecycle.** A pooled session (``workers >= 2``) owns one worker pool.
 Building the session forks nothing: the pool is forked at the first pooled
@@ -31,8 +28,8 @@ worker set-up and the teardown.  :meth:`Session.close`, leaving a ``with
 Session(...)`` block, the session's collection or interpreter exit ends
 it.  A run that fails or a stream closed early ends it too (no task of
 that run keeps running), and the next pooled run forks a fresh one.  A
-call that passes its own ``workers`` / ``cache_dir`` runs on a one-off
-pool that ends with that call's stream.
+stream that starts while another still streams on the pool gets a pool of
+its own, ended with it.
 
 Note the evaluation LRU itself is process-wide (simulators resolve it via
 :func:`repro.engine.default_cache`), so sessions in one process share
@@ -41,6 +38,8 @@ cached tensors -- by design, that is the engine's cross-simulator sharing.
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Any, Iterator, Mapping
 
 from ..engine import CacheStats, DiskEvaluationCache, default_cache
@@ -88,15 +87,25 @@ def _package_version() -> str:
     return __version__
 
 
-def _same_directory(a, b) -> bool:
-    """Whether two directory spellings name the same place.
+def _check_workload_params(params: Mapping[str, Any]) -> None:
+    """Reject a ``scale`` that is not a finite real above 0 or a ``seed``
+    that is not an integer of at least 0 (``bool`` refused for both).
 
-    Normalised (absolute, no trailing slash, symlinks resolved where the
-    path exists) so ``"/tmp/tier/"`` and ``"/tmp/tier"`` compare equal.
+    ``TypeError`` for a wrong type, ``ValueError`` for a value out of range,
+    each naming the parameter, before any workload is generated.
     """
-    from pathlib import Path
-
-    return Path(a).expanduser().resolve() == Path(b).expanduser().resolve()
+    if "scale" in params:
+        scale = params["scale"]
+        if isinstance(scale, bool) or not isinstance(scale, numbers.Real):
+            raise TypeError("scale must be a real number, got %r" % (scale,))
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError("scale must be finite and above 0, got %r" % (scale,))
+    if "seed" in params:
+        seed = params["seed"]
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise TypeError("seed must be an int, got %r" % (seed,))
+        if seed < 0:
+            raise ValueError("seed must be at least 0, got %r" % (seed,))
 
 
 class ScenarioStream(Iterator[PartitionResult]):
@@ -115,8 +124,7 @@ class ScenarioStream(Iterator[PartitionResult]):
     serial run's helper thread) until it is closed.  When abandoning a
     stream early, call :meth:`close` -- or iterate inside a ``with`` block
     -- to end them (and the worker pool) now instead of waiting for garbage
-    collection.  A stream over a one-off runner (``owns_runner``) closes
-    that runner when it ends.
+    collection.
     """
 
     def __init__(
@@ -127,12 +135,10 @@ class ScenarioStream(Iterator[PartitionResult]):
         runner: SweepRunner,
         capture,
         finalise,
-        owns_runner: bool = False,
     ):
         self.plan = plan
         self._scenario_name = scenario_name
         self._total = len(partitions)
-        self._runner = runner if owns_runner else None
         self._iterator = runner.iter_partitions(plan, partitions)
         self._slots = [None] * len(plan.cells)
         self._capture = capture
@@ -158,7 +164,6 @@ class ScenarioStream(Iterator[PartitionResult]):
             # slots are only partially filled -- never finalise those.
             if self._result is None and not self._closed:
                 self._result = self._finalise(SweepResults(self.plan, self._slots))
-            self._close_runner()
             raise
         for index, result in zip(indices, results):
             self._slots[index] = result
@@ -179,11 +184,6 @@ class ScenarioStream(Iterator[PartitionResult]):
         """
         self._closed = True
         self._iterator.close()
-        self._close_runner()
-
-    def _close_runner(self) -> None:
-        if self._runner is not None:
-            self._runner.close()
 
     def __enter__(self) -> "ScenarioStream":
         return self
@@ -224,13 +224,8 @@ class Session:
         Directory of the session's on-disk evaluation-cache tier; created on
         first use and shared with worker processes.
     scale:
-        Default workload ``scale`` for every scenario declaring one.
-    lru_maxsize:
-        Resize the process-wide evaluation LRU at construction.  The LRU is
-        shared by every session in the process and the new bound persists
-        beyond this session's lifetime -- shrinking it evicts entries other
-        sessions may have warmed, so size it for the whole process, not one
-        quick look.
+        Default workload ``scale`` for every scenario declaring one (a
+        finite real number above 0).
     disk_max_bytes:
         Byte budget of the on-disk tier (LRU eviction above it).  Applies
         only when ``cache_dir`` is a path: an already-constructed
@@ -242,7 +237,7 @@ class Session:
     ``workers``, ``cache_dir``, ``disk_max_bytes`` and ``mp_context`` are
     fixed at construction (read-only attributes): they build the session's
     disk tier and size its pool (see the module docstring's
-    **Lifecycle**); pass ``workers=`` / ``cache_dir=`` per call instead.  The pool
+    **Lifecycle**); build another session for other resources.  The pool
     holds worker processes between runs, so close a pooled session when
     done, or use it as a context manager.
 
@@ -260,22 +255,19 @@ class Session:
         workers: int | None = None,
         cache_dir=None,
         scale: float | None = None,
-        lru_maxsize: int | None = None,
         disk_max_bytes: int | None = None,
         mp_context: str | None = None,
     ):
-        if workers is not None and workers < 0:
-            raise ValueError("workers must be non-negative")
+        if scale is not None:
+            _check_workload_params({"scale": scale})
         self._workers = workers
         self._cache_dir = cache_dir
         self.scale = scale
         self._disk_max_bytes = disk_max_bytes
         self._mp_context = mp_context
-        if lru_maxsize is not None:
-            default_cache().resize(lru_maxsize)
         self._disk_tier = DiskEvaluationCache.coerce(cache_dir, max_bytes=disk_max_bytes)
-        #: Runs every call without its own ``workers`` / ``cache_dir``; it
-        #: forks its pool at the first pooled run, not here.
+        #: Runs every sweep; it forks its pool at the first pooled run, not
+        #: here.
         self._runner = SweepRunner(workers=workers, cache_dir=self._disk_tier, mp_context=mp_context)
 
     def close(self) -> None:
@@ -336,22 +328,18 @@ class Session:
         self,
         scenario: Scenario,
         *,
-        workers=None,
-        cache_dir=None,
         stream: bool = False,
         params: Mapping[str, Any] | None = None,
     ) -> None:
-        """Raise if the explicit options/params cannot be honoured by ``scenario``.
+        """Raise if the params or the streaming request cannot be honoured.
 
-        The single source of the option/scenario compatibility rules: a
-        bespoke scenario cannot stream (``ValueError``) and takes no
-        explicitly requested ``workers`` / ``cache_dir`` (``TypeError`` --
-        silently dropping a requested pool or tier would misreport what
-        ran).
-        When ``params`` is given, each key must be accepted by the
-        scenario's ``build``/``run`` callable (declared defaults or a named
-        parameter).  Used by :meth:`run` / :meth:`stream` and pre-flighted
-        by the CLI.
+        The single source of the parameter/scenario rules: each key of
+        ``params`` must be accepted by the scenario's ``build``/``run``
+        callable (declared defaults or a named parameter; ``TypeError``),
+        a ``scale`` or ``seed`` must be well-formed (``TypeError`` /
+        ``ValueError`` naming it), and a bespoke scenario cannot stream
+        (``ValueError``).  Used by :meth:`run` / :meth:`stream` and
+        pre-flighted by the CLI.
         """
         if params:
             accepted = _accepted_params(scenario)
@@ -362,18 +350,12 @@ class Session:
                             "scenario %r does not accept parameter %r "
                             "(accepted: %s)" % (scenario.name, key, sorted(accepted))
                         )
-        if scenario.run is None:
-            return
-        if stream:
+            _check_workload_params(params)
+        if stream and scenario.run is not None:
             raise ValueError(
                 "scenario %r is bespoke (no sweep plan behind it); streaming "
                 "requires a sweep-shaped scenario" % (scenario.name,)
             )
-        for option, value in (("workers", workers), ("cache_dir", cache_dir)):
-            if value is not None:
-                raise TypeError(
-                    "scenario %r does not support %r" % (scenario.name, option)
-                )
 
     def cache_stats(self) -> dict[str, CacheStats | None]:
         """``{"lru": ..., "disk": ...}`` snapshots of the two cache levels.
@@ -398,39 +380,22 @@ class Session:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def run(
-        self,
-        name: str,
-        *,
-        workers: int | None = None,
-        cache_dir=None,
-        **params,
-    ) -> ScenarioResult:
+    def run(self, name: str, **params) -> ScenarioResult:
         """Execute scenario ``name`` and return its :class:`ScenarioResult`.
 
-        ``params`` override the scenario's declared defaults; ``workers`` /
-        ``cache_dir`` override the session's execution policy for this
-        call.  Sweep-shaped scenarios run through
-        :meth:`stream` internally, so batch and streaming results are one
-        code path.
+        ``params`` override the scenario's declared defaults; the
+        execution resources are the session's.  Sweep-shaped scenarios run
+        through :meth:`stream` internally, so batch and streaming results
+        are one code path.
         """
         _ensure_registry()
         scenario = get_scenario(name)
         if scenario.run is not None:
-            self.validate_run_options(
-                scenario, workers=workers, cache_dir=cache_dir, params=params
-            )
+            self.validate_run_options(scenario, params=params)
             return self._run_bespoke(scenario, params)
-        return self.stream(name, workers=workers, cache_dir=cache_dir, **params).collect()
+        return self.stream(name, **params).collect()
 
-    def stream(
-        self,
-        name: str,
-        *,
-        workers: int | None = None,
-        cache_dir=None,
-        **params,
-    ) -> ScenarioStream:
+    def stream(self, name: str, **params) -> ScenarioStream:
         """Incremental execution: a :class:`ScenarioStream` over partitions.
 
         Only sweep-shaped scenarios stream (bespoke ones have no plan to
@@ -446,12 +411,6 @@ class Session:
         plan = scenario.build(**merged)
         partitions = plan.partitions()
         runner = self._runner
-        if workers is not None or cache_dir is not None:
-            runner = SweepRunner(
-                workers=workers if workers is not None else self.workers,
-                cache_dir=self._tier_for(cache_dir),
-                mp_context=self.mp_context,
-            )
         baselines: dict[str, Any] = {"lru": None, "disk": None}
 
         def capture() -> None:
@@ -483,9 +442,7 @@ class Session:
                 provenance=provenance,
             )
 
-        return ScenarioStream(
-            scenario.name, plan, partitions, runner, capture, finalise, owns_runner=runner is not self._runner
-        )
+        return ScenarioStream(scenario.name, plan, partitions, runner, capture, finalise)
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -510,20 +467,6 @@ class Session:
             merged["scale"] = self.scale
         merged.update(params)
         return merged
-
-    def _tier_for(self, cache_dir) -> DiskEvaluationCache | None:
-        if cache_dir is None:
-            return self._disk_tier
-        if isinstance(cache_dir, DiskEvaluationCache):
-            return cache_dir
-        if self._disk_tier is not None and _same_directory(
-            self._disk_tier.directory, cache_dir
-        ):
-            return self._disk_tier
-        # A per-call override names a directory the session does not own:
-        # the session's disk_max_bytes budget must not evict entries some
-        # other tool cached there.
-        return DiskEvaluationCache(cache_dir)
 
     def _provenance(
         self,

@@ -74,11 +74,12 @@ def _check_int_field(spec, name: str, minimum: int = 0) -> None:
     """Reject a field that is not an ``int`` of at least ``minimum``.
 
     ``bool`` is refused although it subclasses ``int``.  The cost models
-    charge the PE count, the per-task cycle overheads and the weight width
-    as exact integers (the wave costs through
-    :meth:`repro.engine.LayerEvaluation.wave_max_sum`, the weight-fetch
-    bytes as integer counts times the element width), so a float or a
-    negative value fails here instead of deep inside a cost model.
+    charge the PE count, the per-task cycle overheads, the weight width and
+    Gamma's merger radices and partial-sum width as exact integers (the
+    wave costs through :meth:`repro.engine.LayerEvaluation.wave_max_sum`,
+    the merge rounds through ``merge_round_sum``, the weight-fetch bytes as
+    integer counts times the element width), so a float or a negative
+    value fails here instead of deep inside a cost model.
     """
     value = getattr(spec, name)
     if isinstance(value, bool) or not isinstance(value, int):
@@ -219,8 +220,9 @@ class BaselineSpec:
     def __post_init__(self) -> None:
         if self.systolic_rows < 1 or self.systolic_cols < 1:
             raise ValueError("systolic array dimensions must be at least 1")
-        if self.merger_radix < 1 or self.effective_merge_radix < 1:
-            raise ValueError("merger radices must be at least 1")
+        _check_int_field(self, "merger_radix", minimum=1)
+        _check_int_field(self, "effective_merge_radix", minimum=1)
+        _check_int_field(self, "psum_bytes", minimum=1)
         _check_int_field(self, "per_timestep_overhead_cycles")
 
 

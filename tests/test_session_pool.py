@@ -68,17 +68,6 @@ class TestPoolLifetime:
             session.run("networks", **PARAMS)
             assert workers() == set()
 
-    def test_a_per_call_pool_ends_with_its_run(self, workers, reference):
-        with Session() as session:
-            result = session.run("networks", workers=2, **PARAMS)
-            assert workers() == set()
-            stream = session.stream("networks", workers=2, **PARAMS)
-            next(stream)
-            assert len(workers()) == 2
-            assert payload_of(stream.collect()) == reference
-            assert workers() == set()
-        assert payload_of(result) == reference
-
     def test_a_failing_run_ends_its_pool_and_the_next_forks_afresh(
         self, tmp_path, workers, reference
     ):

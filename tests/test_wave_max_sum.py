@@ -1,4 +1,4 @@
-"""The memoised wave-max sums the LoAS and SparTen cost models charge.
+"""The memoised integer sums the LoAS, SparTen and Gamma cost models charge.
 
 Output neurons go to ``num_tppes`` parallel PEs a group of rows at a time,
 one output column at a time, and each wave costs as much as its slowest
@@ -6,7 +6,9 @@ member.  A constant added to every task commutes with that maximum, so
 ``LayerEvaluation.wave_max_sum(join, g) + waves * c`` must equal the sum of
 per-wave maxima of the widened task-cycle matrix ``c + join``, which
 :func:`grouped_wave_cycles` (the cost models' former float64 reduction) still
-computes here as the oracle.
+computes here as the oracle.  Gamma-SNN's merge rounds
+(``LayerEvaluation.merge_round_sum``) are checked the same way against the
+float64 charges it used to compute (:func:`gamma_float_charges`).
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.api import Session
+from repro.arch import default_arch
+from repro.baselines import GammaSNN
 from repro.core import LoASSimulator
 from repro.engine import (
     AnnLayerEvaluation,
@@ -201,3 +205,58 @@ class TestMemo:
         assert default_cache().misses == misses
         assert len(calls) == reduced
         assert warm.payload == cold.payload
+
+
+def gamma_float_charges(spikes_per_row_t, n, merger_radix, effective_merge_radix, psum_bytes):
+    """Gamma-SNN's former float64 ``(remerged elements, partial-row traffic)``."""
+    spikes = spikes_per_row_t.astype(np.float64)
+    compute_rounds = np.ceil(np.maximum(spikes, 1.0) / merger_radix)
+    remerged = float((np.maximum(compute_rounds - 1.0, 0.0) * float(n)).sum())
+    merge_rounds = np.ceil(np.maximum(spikes, 1.0) / effective_merge_radix)
+    traffic = 2.0 * float((merge_rounds * float(n) * psum_bytes).sum())
+    return remerged, traffic
+
+
+class TestGammaMergeRounds:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 24),
+        k=st.integers(1, 300),
+        t=st.integers(1, 6),
+        n=st.integers(1, 12),
+        density=st.sampled_from((0.0, 0.05, 0.5, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+        merger_radix=st.integers(1, 80),
+        effective_merge_radix=st.integers(1, 9),
+        psum_bytes=st.integers(1, 4),
+    )
+    def test_integer_charges_equal_the_float_oracle(
+        self, m, k, t, n, density, seed, merger_radix, effective_merge_radix, psum_bytes
+    ):
+        rng = np.random.default_rng(seed)
+        spikes = (rng.random((m, k, t)) < density).astype(np.uint8)
+        weights = rng.integers(-3, 4, size=(k, n)).astype(np.int8)
+        spec = default_arch().with_overrides(**{
+            "baseline.merger_radix": merger_radix,
+            "baseline.effective_merge_radix": effective_merge_radix,
+            "baseline.psum_bytes": psum_bytes,
+        })
+        evaluation = LayerEvaluation(spikes, weights)
+        result = GammaSNN(spec).simulate_layer(spikes, weights, evaluation=evaluation)
+
+        remerged, traffic = gamma_float_charges(
+            evaluation.spikes_per_row_t, n, merger_radix, effective_merge_radix, psum_bytes
+        )
+        assert result.ops["remerged_elements"] == remerged
+        assert result.sram.as_dict()["psum"] == traffic + 2.0 * result.dram.as_dict()["psum"]
+        assert {("spikes_per_row_t", merger_radix), ("spikes_per_row_t", effective_merge_radix)} <= set(
+            evaluation._wave_max_sums
+        )
+        for radix in (merger_radix, effective_merge_radix):
+            assert type(evaluation.merge_round_sum(radix)) is int
+
+    def test_rejects_a_radix_below_one(self, small_layer):
+        evaluation = LayerEvaluation(*small_layer)
+        with pytest.raises(ValueError, match="radix"):
+            evaluation.merge_round_sum(0)
+        assert evaluation._wave_max_sums == {}
