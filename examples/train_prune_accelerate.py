@@ -20,6 +20,7 @@ import numpy as np
 
 from repro import LoASSimulator
 from repro.baselines import SparTenSNN
+from repro.engine import LayerEvaluation
 from repro.metrics import format_table
 from repro.snn.preprocessing import finetuned_preprocessing_experiment
 from repro.snn.pruning import PruningConfig, lottery_ticket_prune, weight_sparsity
@@ -65,8 +66,9 @@ def main() -> None:
           f"{silent_neuron_fraction(hidden_spikes):.1%}, weight sparsity "
           f"{1.0 - np.count_nonzero(pruned_weights) / pruned_weights.size:.1%}")
 
-    loas = LoASSimulator().simulate_layer(hidden_spikes, pruned_weights, name="toy-hidden")
-    sparten = SparTenSNN().simulate_layer(hidden_spikes, pruned_weights, name="toy-hidden")
+    evaluation = LayerEvaluation(hidden_spikes, pruned_weights)
+    loas = LoASSimulator().simulate_layer(evaluation, name="toy-hidden")
+    sparten = SparTenSNN().simulate_layer(evaluation, name="toy-hidden")
     rows = [
         ["LoAS", f"{loas.cycles:,.0f}", f"{loas.energy_pj/1e3:.1f}"],
         ["SparTen-SNN", f"{sparten.cycles:,.0f}", f"{sparten.energy_pj/1e3:.1f}"],

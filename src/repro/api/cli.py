@@ -292,8 +292,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _command_describe(Session(), args.scenario)
         if args.command == "run":
             # --workers / --cache-dir build the session; a pool they ask for
-            # ends with the command.
-            with Session(workers=args.workers, cache_dir=args.cache_dir) as session:
+            # ends with the command, and a value the session rejects
+            # (``--workers -1``) is a usage error like any other option.
+            try:
+                session = Session(workers=args.workers, cache_dir=args.cache_dir)
+            except ValueError as error:
+                raise _CliError(error.args[0]) from error
+            with session:
                 return _command_run(session, args)
         if args.command == "cache":
             return _command_cache(Session(cache_dir=args.cache_dir), args)

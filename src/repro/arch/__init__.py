@@ -32,7 +32,7 @@ from .spec import (
     register_arch_preset,
     resolve_arch,
 )
-from .systolic import SystolicArray, SystolicRunEstimate
+from .systolic import SystolicArray
 
 __all__ = [
     "ARCH_PRESETS",
@@ -48,7 +48,6 @@ __all__ = [
     "PESpec",
     "SRAMModel",
     "SystolicArray",
-    "SystolicRunEstimate",
     "TrafficCounter",
     "arch_label",
     "default_arch",

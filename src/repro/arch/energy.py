@@ -80,10 +80,6 @@ class EnergyAccount:
         """Total energy across all categories, in picojoules."""
         return float(sum(self.entries.values()))
 
-    def total_microjoules(self) -> float:
-        """Total energy in microjoules."""
-        return self.total() / 1e6
-
     def fraction(self, category: str) -> float:
         """Fraction of total energy spent in ``category``."""
         total = self.total()

@@ -1,53 +1,19 @@
-"""Analytical systolic-array model for the dense SNN baselines (PTB, Stellar).
+"""Systolic-array geometry of the dense SNN baselines (PTB, Stellar).
 
 The paper estimates PTB's and Stellar's cycle counts and memory traffic with
-ScaleSim.  This module provides an analytical replacement that captures the
-behaviours Figure 19 depends on:
-
-* a weight-stationary systolic array of ``rows x cols`` processing elements,
-* dense weight and activation traffic (no compression -- neither baseline
-  supports weight sparsity),
-* PTB's *partially* temporal-parallel mapping: time-windows map to array
-  columns, timesteps inside a window run sequentially, and array utilisation
-  collapses when the number of timesteps is far below the window capacity,
-* Stellar's fully temporal-parallel FS-neuron mapping with spike skipping
-  (zero activations do not occupy compute cycles).
+ScaleSim.  The analytical replacements live in
+:class:`~repro.baselines.ptb.PTBSimulator` and
+:class:`~repro.baselines.stellar.StellarSimulator`, which charge their own
+mappings (PTB's partially temporal-parallel time-windows, Stellar's fully
+temporal-parallel spike skipping) on the weight-stationary array described
+here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 
-__all__ = ["SystolicArray", "SystolicRunEstimate"]
-
-
-@dataclass(frozen=True)
-class SystolicRunEstimate:
-    """Cycle and traffic estimate of one GEMM on a systolic array.
-
-    Attributes
-    ----------
-    cycles:
-        Estimated compute cycles including pipeline fill/drain.
-    macs:
-        Number of multiply-accumulate (or AC) operations actually executed.
-    utilization:
-        Fraction of PE-cycles doing useful work.
-    weight_bytes:
-        Dense weight bytes streamed into the array.
-    activation_bytes:
-        Dense activation (spike) bytes streamed into the array.
-    output_bytes:
-        Output bytes written back.
-    """
-
-    cycles: float
-    macs: float
-    utilization: float
-    weight_bytes: float
-    activation_bytes: float
-    output_bytes: float
+__all__ = ["SystolicArray"]
 
 
 @dataclass(frozen=True)
@@ -61,53 +27,3 @@ class SystolicArray:
     def num_pes(self) -> int:
         """Total number of processing elements."""
         return self.rows * self.cols
-
-    def dense_gemm(
-        self,
-        m: int,
-        k: int,
-        n: int,
-        activation_density: float = 1.0,
-        weight_bytes_per_element: float = 1.0,
-        activation_bits_per_element: float = 1.0,
-        output_bytes_per_element: float = 1.0,
-        skip_zero_activations: bool = False,
-        temporal_copies: int = 1,
-    ) -> SystolicRunEstimate:
-        """Estimate one ``(m x k) @ (k x n)`` GEMM pass.
-
-        Parameters
-        ----------
-        activation_density:
-            Fraction of non-zero activations (spikes).  Only consumes compute
-            cycles when ``skip_zero_activations`` is set (Stellar); dense
-            designs always pay the full cycle count.
-        temporal_copies:
-            How many copies of the pass are effectively run (e.g. sequential
-            timesteps inside a PTB time-window).
-        """
-        if min(m, k, n) <= 0:
-            raise ValueError("GEMM dimensions must be positive")
-        if not 0.0 <= activation_density <= 1.0:
-            raise ValueError("activation_density must lie in [0, 1]")
-        row_folds = ceil(n / self.rows)
-        col_folds = ceil(m / self.cols)
-        effective_k = k * activation_density if skip_zero_activations else k
-        # Weight-stationary pass: each fold streams K partial sums through the
-        # array; fill/drain adds (rows + cols) cycles per fold.
-        cycles_per_fold = effective_k + self.rows + self.cols
-        cycles = row_folds * col_folds * cycles_per_fold * temporal_copies
-        macs = m * k * n * (activation_density if skip_zero_activations else 1.0) * temporal_copies
-        peak = cycles * self.num_pes
-        utilization = macs / peak if peak else 0.0
-        weight_bytes = k * n * weight_bytes_per_element * col_folds
-        activation_bytes = m * k * activation_bits_per_element / 8.0 * row_folds * temporal_copies
-        output_bytes = m * n * output_bytes_per_element * temporal_copies
-        return SystolicRunEstimate(
-            cycles=float(cycles),
-            macs=float(macs),
-            utilization=float(min(1.0, utilization)),
-            weight_bytes=float(weight_bytes),
-            activation_bytes=float(activation_bytes),
-            output_bytes=float(output_bytes),
-        )

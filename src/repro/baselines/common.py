@@ -9,18 +9,13 @@ match statistics and the simple capacity-based refetch estimator used when a
 working set exceeds the global SRAM.
 
 The per-layer statistics themselves are computed by the shared
-workload-evaluation engine (:mod:`repro.engine`); the
-:func:`collect_layer_statistics` entry point is kept as a thin wrapper for
-callers driving a model with raw tensors.
+workload-evaluation engine (:mod:`repro.engine`).
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from ..engine.evaluation import LayerEvaluation
 from ..engine.statistics import LayerStatistics
 
 __all__ = [
@@ -29,7 +24,6 @@ __all__ = [
     "bitmask_fiber_bytes",
     "streaming_refetch_factor",
     "LayerStatistics",
-    "collect_layer_statistics",
 ]
 
 
@@ -67,15 +61,3 @@ def streaming_refetch_factor(operand_bytes: float, resident_bytes: float, capaci
     leftover = max(0.0, capacity_bytes - resident_bytes)
     missing_fraction = max(0.0, 1.0 - leftover / operand_bytes)
     return 1.0 + (passes - 1) * missing_fraction
-
-
-def collect_layer_statistics(spikes: np.ndarray, weights: np.ndarray) -> LayerStatistics:
-    """Compute the exact per-layer statistics every baseline model consumes.
-
-    Thin wrapper over the shared workload-evaluation engine: builds a
-    one-off :class:`~repro.engine.evaluation.LayerEvaluation` and returns
-    its vectorised statistics bundle.  Simulators driven through
-    ``simulate_workload`` receive a cached evaluation instead and never call
-    this.
-    """
-    return LayerEvaluation(spikes, weights).statistics

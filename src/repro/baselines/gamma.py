@@ -61,18 +61,11 @@ class GammaSNN(SimulatorBase):
         return self.arch.baseline.merge_throughput
 
     def simulate_layer(
-        self,
-        spikes: np.ndarray,
-        weights: np.ndarray,
-        name: str = "layer",
-        evaluation: LayerEvaluation | None = None,
-        **kwargs,
+        self, evaluation: LayerEvaluation, *, name: str = "layer", **kwargs
     ) -> SimulationResult:
         """Simulate one dual-sparse SNN layer on Gamma-SNN."""
         cfg = self.config
         energy_model = cfg.energy
-        if evaluation is None:
-            evaluation = LayerEvaluation(spikes, weights)
         stats = evaluation.statistics
         m, k, n, t = stats.m, stats.k, stats.n, stats.t
         result = SimulationResult(accelerator=self.name, workload=name)
@@ -172,16 +165,9 @@ class GammaANN(SimulatorBase):
         return self.arch.baseline.merge_throughput
 
     def simulate_layer(
-        self,
-        activations: np.ndarray,
-        weights: np.ndarray,
-        name: str = "layer",
-        evaluation: AnnLayerEvaluation | None = None,
-        **kwargs,
+        self, evaluation: AnnLayerEvaluation, *, name: str = "layer", **kwargs
     ) -> SimulationResult:
-        """Simulate one dual-sparse ANN layer (``activations`` is ``(M, K)``)."""
-        if evaluation is None:
-            evaluation = AnnLayerEvaluation(activations, weights)
+        """Simulate one dual-sparse ANN layer (``evaluation.activations`` is ``(M, K)``)."""
         cfg = self.config
         energy_model = cfg.energy
         m, k, n = evaluation.m, evaluation.k, evaluation.n

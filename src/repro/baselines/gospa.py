@@ -15,8 +15,6 @@ Figure 14.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.base import SimulatorBase
 from ..engine import LayerEvaluation
 from ..metrics.results import SimulationResult
@@ -54,18 +52,11 @@ class GoSPASNN(SimulatorBase):
         return self.arch.baseline.psum_update_throughput
 
     def simulate_layer(
-        self,
-        spikes: np.ndarray,
-        weights: np.ndarray,
-        name: str = "layer",
-        evaluation: LayerEvaluation | None = None,
-        **kwargs,
+        self, evaluation: LayerEvaluation, *, name: str = "layer", **kwargs
     ) -> SimulationResult:
         """Simulate one dual-sparse SNN layer on GoSPA-SNN."""
         cfg = self.config
         energy_model = cfg.energy
-        if evaluation is None:
-            evaluation = LayerEvaluation(spikes, weights)
         stats = evaluation.statistics
         m, k, n, t = stats.m, stats.k, stats.n, stats.t
         result = SimulationResult(accelerator=self.name, workload=name)

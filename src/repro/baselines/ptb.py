@@ -12,8 +12,6 @@ VGG16 workload.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..arch.systolic import SystolicArray
 from ..core.base import SimulatorBase
 from ..engine import LayerEvaluation
@@ -42,16 +40,9 @@ class PTBSimulator(SimulatorBase):
         )
 
     def simulate_layer(
-        self,
-        spikes: np.ndarray,
-        weights: np.ndarray,
-        name: str = "layer",
-        evaluation: LayerEvaluation | None = None,
-        **kwargs,
+        self, evaluation: LayerEvaluation, *, name: str = "layer", **kwargs
     ) -> SimulationResult:
         """Simulate one SNN layer (processed densely) on PTB."""
-        if evaluation is None:
-            evaluation = LayerEvaluation(spikes, weights)
         cfg = self.config
         energy_model = cfg.energy
         m, k, t = evaluation.m, evaluation.k, evaluation.t

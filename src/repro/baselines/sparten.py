@@ -18,8 +18,6 @@ compute, two fast prefix-sum circuits and no temporal loop.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.base import SimulatorBase
 from ..engine import AnnLayerEvaluation, LayerEvaluation
 from ..metrics.results import SimulationResult
@@ -42,18 +40,11 @@ class SparTenSNN(SimulatorBase):
         return self.arch.baseline.per_timestep_overhead_cycles
 
     def simulate_layer(
-        self,
-        spikes: np.ndarray,
-        weights: np.ndarray,
-        name: str = "layer",
-        evaluation: LayerEvaluation | None = None,
-        **kwargs,
+        self, evaluation: LayerEvaluation, *, name: str = "layer", **kwargs
     ) -> SimulationResult:
         """Simulate one dual-sparse SNN layer on SparTen-SNN."""
         cfg = self.config
         energy_model = cfg.energy
-        if evaluation is None:
-            evaluation = LayerEvaluation(spikes, weights)
         stats = evaluation.statistics
         m, k, n, t = stats.m, stats.k, stats.n, stats.t
         result = SimulationResult(accelerator=self.name, workload=name)
@@ -137,16 +128,9 @@ class SparTenANN(SimulatorBase):
     layer_type = AnnLayerWorkload
 
     def simulate_layer(
-        self,
-        activations: np.ndarray,
-        weights: np.ndarray,
-        name: str = "layer",
-        evaluation: AnnLayerEvaluation | None = None,
-        **kwargs,
+        self, evaluation: AnnLayerEvaluation, *, name: str = "layer", **kwargs
     ) -> SimulationResult:
-        """Simulate one dual-sparse ANN layer (``activations`` is ``(M, K)``)."""
-        if evaluation is None:
-            evaluation = AnnLayerEvaluation(activations, weights)
+        """Simulate one dual-sparse ANN layer (``evaluation.activations`` is ``(M, K)``)."""
         cfg = self.config
         energy_model = cfg.energy
         m, k, n = evaluation.m, evaluation.k, evaluation.n

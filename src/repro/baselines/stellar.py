@@ -11,8 +11,6 @@ dual-sparse workload thanks to weight sparsity and compressed spike fetch.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..arch.systolic import SystolicArray
 from ..core.base import SimulatorBase
 from ..engine import LayerEvaluation
@@ -34,16 +32,9 @@ class StellarSimulator(SimulatorBase):
         )
 
     def simulate_layer(
-        self,
-        spikes: np.ndarray,
-        weights: np.ndarray,
-        name: str = "layer",
-        evaluation: LayerEvaluation | None = None,
-        **kwargs,
+        self, evaluation: LayerEvaluation, *, name: str = "layer", **kwargs
     ) -> SimulationResult:
         """Simulate one SNN layer on Stellar (spike skipping, dense weights)."""
-        if evaluation is None:
-            evaluation = LayerEvaluation(spikes, weights)
         cfg = self.config
         energy_model = cfg.energy
         m, k, t = evaluation.m, evaluation.k, evaluation.t

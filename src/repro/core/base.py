@@ -1,12 +1,14 @@
 """Shared simulator interface for LoAS and every baseline accelerator.
 
-All accelerator models implement ``simulate_layer(spikes, weights, name)``
-returning a :class:`~repro.metrics.results.SimulationResult`.  This base
-class adds the common plumbing on top of that single method:
+All accelerator models implement ``simulate_layer(evaluation, *, name)``,
+which charges one layer's :class:`~repro.engine.evaluation.LayerEvaluation`
+(or :class:`~repro.engine.evaluation.AnnLayerEvaluation`) and returns a
+:class:`~repro.metrics.results.SimulationResult`.  This base class adds the
+common plumbing on top of that single method:
 
 * evaluating a :class:`~repro.snn.workloads.LayerWorkload` through the
   shared workload-evaluation engine and simulating it
-  (``simulate_workload``) -- tensors and statistics come from the
+  (``simulate_workload``) -- evaluations come from the
   process-wide :class:`~repro.engine.cache.WorkloadEvaluationCache`, so
   several simulators sweeping the same workloads share one evaluation,
 * iterating a :class:`~repro.snn.workloads.NetworkWorkload` layer by layer
@@ -48,8 +50,8 @@ class SimulatorBase:
     #: Human-readable accelerator name; subclasses override.
     name: str = "abstract"
 
-    #: The layer workload class whose tensors ``simulate_layer`` takes; the
-    #: sweep executor walks a cell's network as layers of this type.
+    #: The layer workload class whose evaluation ``simulate_layer`` takes;
+    #: the sweep executor walks a cell's network as layers of this type.
     layer_type: type = LayerWorkload
 
     def __init__(self, config: LoASConfig | None = None):
@@ -67,10 +69,13 @@ class SimulatorBase:
     # ------------------------------------------------------------------ #
     # Interface implemented by subclasses
     # ------------------------------------------------------------------ #
-    def simulate_layer(
-        self, spikes: np.ndarray, weights: np.ndarray, name: str = "layer", **kwargs
-    ) -> SimulationResult:
-        """Simulate one layer given concrete tensors.  Must be overridden."""
+    def simulate_layer(self, evaluation, *, name: str = "layer", **kwargs) -> SimulationResult:
+        """Simulate one evaluated layer.  Must be overridden.
+
+        ``evaluation`` is a :class:`~repro.engine.evaluation.LayerEvaluation`
+        (or an :class:`~repro.engine.evaluation.AnnLayerEvaluation` for an
+        ANN model); callers holding raw tensors build one themselves.
+        """
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #
@@ -107,17 +112,7 @@ class SimulatorBase:
         if evaluation is None:
             rng = np.random.default_rng(DEFAULT_RNG_SEED) if rng is None else rng
             evaluation = default_cache().evaluate(workload, rng, finetuned=finetuned)
-        # The tensors travel as the packed matrix and the weights: every
-        # simulator reads the shared evaluation when one is passed, so no
-        # layer is unpacked to a dense tensor just to be forwarded.
-        spikes, weights = evaluation.tensors
-        return self.simulate_layer(
-            spikes,
-            weights,
-            name=workload.name,
-            evaluation=evaluation,
-            **kwargs,
-        )
+        return self.simulate_layer(evaluation, name=workload.name, **kwargs)
 
     def simulate_network(
         self,

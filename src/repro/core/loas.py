@@ -24,8 +24,6 @@ Modelled behaviour (Sections III and IV of the paper):
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..engine import LayerEvaluation
 from ..metrics.results import SimulationResult
 from ..snn.lif import LIFParameters
@@ -53,32 +51,27 @@ class LoASSimulator(SimulatorBase):
     # ------------------------------------------------------------------ #
     def simulate_layer(
         self,
-        spikes: np.ndarray,
-        weights: np.ndarray,
+        evaluation: LayerEvaluation,
+        *,
         name: str = "layer",
         preprocess: bool = False,
-        evaluation: LayerEvaluation | None = None,
         **kwargs,
     ) -> SimulationResult:
         """Simulate one layer of a dual-sparse SNN on LoAS.
 
         Parameters
         ----------
-        spikes:
-            Input spike tensor ``A`` of shape ``(M, K, T)``.
-        weights:
-            Weight matrix ``B`` of shape ``(K, N)``.
+        evaluation:
+            Evaluation of the layer's ``(A, B)`` pair: input spikes ``A`` of
+            shape ``(M, K, T)`` and weights ``B`` of shape ``(K, N)``.  The
+            workload cache hands out shared ones; wrap raw tensors as
+            ``LayerEvaluation(spikes, weights)``.
         name:
             Workload name recorded in the result.
         preprocess:
             Apply the fine-tuned preprocessing (mask input neurons firing
             only once, and drop such neurons from the produced output).
-        evaluation:
-            Pre-computed (possibly cached) evaluation of the tensor pair;
-            built on the fly when driven with raw tensors.
         """
-        if evaluation is None:
-            evaluation = LayerEvaluation(spikes, weights)
         cfg = self.config
         energy_model = cfg.energy
 

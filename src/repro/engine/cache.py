@@ -258,13 +258,7 @@ class WorkloadEvaluationCache:
         callers sharing one generator across a sequence of layers observe
         bit-identical randomness either way.
         """
-        try:
-            key = (workload_fingerprint(workload, finetuned), generator_fingerprint(rng))
-        except AttributeError:
-            # Custom workload objects without shape/profile fingerprints fall
-            # back to uncached generation.
-            spikes, weights = workload.generate(rng=rng, finetuned=finetuned)
-            return LayerEvaluation(spikes, weights)
+        key = (workload_fingerprint(workload, finetuned), generator_fingerprint(rng))
         while True:
             with self._lock:
                 if len(self._dirty) >= _DIRTY_FLUSH_THRESHOLD:

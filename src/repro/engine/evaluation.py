@@ -28,10 +28,12 @@ exact integer, so the results are bit-identical to the loop-based seed
 implementations regardless of summation order, and they are returned as
 float64 whichever path ran.
 
-Simulators receive a ``LayerEvaluation`` either from the workload cache
-(:mod:`repro.engine.cache`) -- in which case the heavy statistics are shared
-across *all* simulators evaluating the same workload -- or build a private
-one on the fly when driven with raw tensors through ``simulate_layer``.
+Every simulator's ``simulate_layer`` takes one evaluation (a
+``LayerEvaluation``, or an ``AnnLayerEvaluation`` for an ANN model) and
+nothing else.  Evaluations from the workload cache (:mod:`repro.engine.cache`)
+share the heavy statistics across *all* simulators evaluating the same
+workload; a caller holding raw tensors wraps them as
+``LayerEvaluation(spikes, weights)``.
 """
 
 from __future__ import annotations
@@ -271,19 +273,6 @@ class LayerEvaluation(_WaveMaxSums):
         cached: the words stay the only resident form of ``A``.
         """
         return _readonly(unpack_spike_words(self.packed_words, self.t))
-
-    @property
-    def tensors(self) -> tuple:
-        """The ``(packed A, weights)`` pair *without* unpacking ``A``.
-
-        For callers that forward the tensors positionally alongside the
-        evaluation itself (``SimulatorBase.simulate_workload``): every
-        simulator reads the evaluation when one is passed, so handing over
-        the packed matrix keeps every simulator free of a dense unpack per
-        layer.  Both are accepted back by ``LayerEvaluation(...)`` should a
-        consumer rebuild one.
-        """
-        return self.packed, self.weights
 
     # ------------------------------------------------------------------ #
     # Dimensions
@@ -741,11 +730,6 @@ class AnnLayerEvaluation(_WaveMaxSums):
         self.activations = activations
         self.weights = weights
         self._wave_max_sums: dict[tuple[str, int], int] = {}
-
-    @property
-    def tensors(self) -> tuple:
-        """The ``(activations, weights)`` pair ``simulate_layer`` takes."""
-        return self.activations, self.weights
 
     @property
     def m(self) -> int:

@@ -5,8 +5,7 @@ every count in it is computed from the *actual* tensors of a layer (not from
 expected densities), so the cost models stay exact with respect to the
 workload's sparsity structure.  The statistics are produced once per layer by
 :class:`repro.engine.evaluation.LayerEvaluation` and shared by all
-simulators; :func:`repro.baselines.common.collect_layer_statistics` remains
-as a thin compatibility wrapper.
+simulators.
 """
 
 from __future__ import annotations

@@ -265,7 +265,3 @@ class PackedSpikeMatrix:
     def to_dense(self) -> np.ndarray:
         """Reconstruct the dense ``M x K x T`` unary spike tensor."""
         return unpack_spike_words(self.words, self.timesteps)
-
-    def nonsilent_matrix(self) -> np.ndarray:
-        """Boolean ``M x K`` matrix of non-silent neurons (the fiber bitmasks)."""
-        return self.nonsilent

@@ -591,7 +591,10 @@ class TestCli:
         assert message in err and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("argv, name", ((["--scale", "nan"], "scale"), (["--seed", "-1"], "seed")))
+    @pytest.mark.parametrize(
+        "argv, name",
+        ((["--scale", "nan"], "scale"), (["--seed", "-1"], "seed"), (["--workers", "-1"], "workers")),
+    )
     def test_a_malformed_scale_or_seed_exits_2_with_one_line(self, argv, name, capsys, monkeypatch):
         monkeypatch.setattr(Session, "stream", lambda *args, **kwargs: pytest.fail("the run started"))
         assert cli_main(["run", "networks", *argv]) == 2

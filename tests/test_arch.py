@@ -1,4 +1,4 @@
-"""Unit tests for the hardware substrates (energy, area, memory, systolic array)."""
+"""Unit tests for the hardware substrates (energy, area, memory)."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from repro.arch.area import (
 )
 from repro.arch.energy import EnergyAccount, EnergyModel
 from repro.arch.memory import DRAMModel, SRAMModel, TrafficCounter
-from repro.arch.systolic import SystolicArray
 
 
 class TestEnergyAccount:
@@ -36,10 +35,6 @@ class TestEnergyAccount:
     def test_data_movement_fraction(self):
         account = EnergyAccount({"dram": 40.0, "sram": 20.0, "compute": 40.0})
         assert account.data_movement_fraction() == pytest.approx(0.6)
-
-    def test_total_microjoules(self):
-        account = EnergyAccount({"dram": 2e6})
-        assert account.total_microjoules() == pytest.approx(2.0)
 
     def test_empty_total_is_zero(self):
         assert EnergyAccount().total() == 0.0
@@ -140,33 +135,3 @@ class TestDRAMAndSRAM:
         sram = SRAMModel(capacity_bytes=1024)
         assert sram.fits(1000)
         assert not sram.fits(2000)
-
-
-class TestSystolicArray:
-    def test_dense_gemm_cycles_scale_with_size(self):
-        array = SystolicArray(rows=16, cols=4)
-        small = array.dense_gemm(16, 128, 64)
-        big = array.dense_gemm(32, 128, 64)
-        assert big.cycles > small.cycles
-
-    def test_spike_skipping_reduces_cycles(self):
-        array = SystolicArray(rows=16, cols=4)
-        dense = array.dense_gemm(16, 256, 64, activation_density=0.2, skip_zero_activations=False)
-        skipped = array.dense_gemm(16, 256, 64, activation_density=0.2, skip_zero_activations=True)
-        assert skipped.cycles < dense.cycles
-
-    def test_utilization_bounded(self):
-        estimate = SystolicArray().dense_gemm(8, 64, 8)
-        assert 0.0 < estimate.utilization <= 1.0
-
-    def test_invalid_dimensions_rejected(self):
-        with pytest.raises(ValueError):
-            SystolicArray().dense_gemm(0, 1, 1)
-        with pytest.raises(ValueError):
-            SystolicArray().dense_gemm(1, 1, 1, activation_density=1.5)
-
-    def test_temporal_copies_multiply_cycles(self):
-        array = SystolicArray()
-        one = array.dense_gemm(16, 128, 64, temporal_copies=1)
-        four = array.dense_gemm(16, 128, 64, temporal_copies=4)
-        assert four.cycles == pytest.approx(one.cycles * 4)

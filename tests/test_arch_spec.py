@@ -565,16 +565,18 @@ class TestBaselineSpecKnobs:
 
     def test_smaller_gospa_psum_buffer_spills_more(self, rng):
         from repro.baselines import GoSPASNN
+        from repro.engine import LayerEvaluation
         from repro.sparse.matrix import random_spike_tensor, random_weight_matrix
 
         spikes = random_spike_tensor(32, 256, 4, 0.8, silent_fraction=0.7, rng=rng)
         weights = random_weight_matrix(256, 128, 0.9, rng=rng)
+        evaluation = LayerEvaluation(spikes, weights)
         big = GoSPASNN(
             default_arch().with_overrides(**{"baseline.psum_buffer_bytes": 1 << 20})
-        ).simulate_layer(spikes, weights)
+        ).simulate_layer(evaluation)
         small = GoSPASNN(
             default_arch().with_overrides(**{"baseline.psum_buffer_bytes": 512})
-        ).simulate_layer(spikes, weights)
+        ).simulate_layer(evaluation)
         assert small.dram.get("psum") > big.dram.get("psum")
 
 

@@ -795,18 +795,6 @@ class TestTwoLevelEvaluate:
         assert cache.flush_writebacks() == 1
         assert tier.stores == 1 and len(tier) == 1
 
-    def test_workload_without_a_fingerprint_bypasses_both_levels(self, tier, tiny_workload):
-        class Unfingerprinted:
-            def generate(self, rng, finetuned=False):
-                return tiny_workload.generate(rng=rng, finetuned=finetuned)
-
-        cache = WorkloadEvaluationCache()
-        evaluation = cache.evaluate(Unfingerprinted(), np.random.default_rng(3), disk=tier)
-        reference = WorkloadEvaluationCache().evaluate(tiny_workload, np.random.default_rng(3))
-        assert np.array_equal(evaluation.packed_words, reference.packed_words)
-        assert len(cache) == 0 and cache.misses == 0 and cache.hits == 0
-        assert len(tier) == 0 and tier.misses == 0
-
     def test_stats_report_each_level(self, tier, tiny_workload):
         stored_evaluation(WorkloadEvaluationCache(), tiny_workload, disk=tier)
         cache = WorkloadEvaluationCache(maxsize=7)

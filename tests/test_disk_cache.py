@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import LoASSimulator
-from repro.engine import DiskEvaluationCache, WorkloadEvaluationCache
+from repro.engine import DiskEvaluationCache, LayerEvaluation, WorkloadEvaluationCache
 from repro.snn.network import LayerShape
 from repro.snn.workloads import LayerWorkload, SparsityProfile
 
@@ -72,11 +72,13 @@ class TestRoundTrip:
         loaded = cold_cache.evaluate(workload, np.random.default_rng(3), disk=tier)
         via_disk = LoASSimulator().simulate_workload(workload, evaluation=loaded)
         spikes, weights = workload.generate(rng=np.random.default_rng(3))
-        via_tensors = LoASSimulator().simulate_layer(spikes, weights, name=workload.name)
-        assert via_disk.cycles == via_tensors.cycles
-        assert via_disk.dram.as_dict() == via_tensors.dram.as_dict()
-        assert dict(via_disk.energy.entries) == dict(via_tensors.energy.entries)
-        assert via_disk.ops == via_tensors.ops
+        via_fresh = LoASSimulator().simulate_layer(
+            LayerEvaluation(spikes, weights), name=workload.name
+        )
+        assert via_disk.cycles == via_fresh.cycles
+        assert via_disk.dram.as_dict() == via_fresh.dram.as_dict()
+        assert dict(via_disk.energy.entries) == dict(via_fresh.energy.entries)
+        assert via_disk.ops == via_fresh.ops
 
     def test_loaded_tensors_are_read_only(self, tier):
         workload = make_workload()

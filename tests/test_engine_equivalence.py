@@ -9,8 +9,8 @@ Three families of guarantees are asserted here:
 2. **Simulator equivalence** -- every accelerator produces a
    ``SimulationResult`` through the cached-engine path
    (``simulate_workload`` / ``simulate_network``) that is bit-identical to
-   simulating the very same tensors through the raw ``simulate_layer``
-   entry point, and repeated cached evaluations replay the generator
+   simulating a fresh ``LayerEvaluation`` of the very same tensors through
+   ``simulate_layer``, and repeated cached evaluations replay the generator
    stream exactly.
 3. **Inner-join oracle** -- the per-fiber :class:`InnerJoinUnit` (pseudo
    accumulation minus per-timestep corrections) reproduces the engine's
@@ -315,7 +315,7 @@ class TestInnerJoinOracleOnLoAS:
         workload = get_layer_workload(layer_name).scaled(scale)
         spikes, weights = workload.generate(rng=np.random.default_rng(11), finetuned=preprocess)
         simulator = LoASSimulator(LoASConfig(num_tppes=4))
-        result = simulator.simulate_layer(spikes, weights, preprocess=preprocess)
+        result = simulator.simulate_layer(LayerEvaluation(spikes, weights), preprocess=preprocess)
 
         evaluation = LayerEvaluation(spikes, weights)
         if preprocess:
@@ -365,10 +365,10 @@ class TestResidentSet:
         spikes, weights = layer_pair
         assert len({spikes.shape[0], *weights.shape}) == 3  # (K, N) is unambiguous
         evaluation = LayerEvaluation(spikes, weights)
-        LoASSimulator().simulate_layer(spikes, weights, evaluation=evaluation)
-        LoASSimulator().simulate_layer(spikes, weights, preprocess=True, evaluation=evaluation)
+        LoASSimulator().simulate_layer(evaluation)
+        LoASSimulator().simulate_layer(evaluation, preprocess=True)
         for simulator_cls in (SparTenSNN, GoSPASNN, GammaSNN):
-            simulator_cls().simulate_layer(spikes, weights, evaluation=evaluation)
+            simulator_cls().simulate_layer(evaluation)
         child = evaluation.preprocessed(max_spikes=1)
         assert "matches" in vars(evaluation) and "matches" in vars(child)
         assert float_kn_arrays(evaluation) == []
@@ -527,30 +527,32 @@ class TestInt8Weights:
 
 
 class TestSimulatorEquivalence:
-    """Cached-engine path == raw-tensor path for every accelerator."""
+    """Cached-engine path == a fresh evaluation of the raw tensors, for every accelerator."""
 
     @pytest.mark.parametrize("simulator_cls", ALL_SNN_SIMULATORS)
     @pytest.mark.parametrize("layer_name", REPRESENTATIVE_LAYERS)
     def test_workload_path_matches_raw_tensor_path(self, simulator_cls, layer_name):
         workload = get_layer_workload(layer_name).scaled(0.05)
         spikes, weights = workload.generate(rng=np.random.default_rng(7))
-        via_tensors = simulator_cls().simulate_layer(spikes, weights, name=workload.name)
+        via_fresh = simulator_cls().simulate_layer(
+            LayerEvaluation(spikes, weights), name=workload.name
+        )
         via_engine = simulator_cls().simulate_workload(
             workload, rng=np.random.default_rng(7)
         )
-        assert_results_identical(via_tensors, via_engine)
+        assert_results_identical(via_fresh, via_engine)
 
     @pytest.mark.parametrize("layer_name", REPRESENTATIVE_LAYERS)
     def test_loas_finetuned_preprocess_path(self, layer_name):
         workload = get_layer_workload(layer_name).scaled(0.05)
         spikes, weights = workload.generate(rng=np.random.default_rng(7), finetuned=True)
-        via_tensors = LoASSimulator().simulate_layer(
-            spikes, weights, name=workload.name, preprocess=True
+        via_fresh = LoASSimulator().simulate_layer(
+            LayerEvaluation(spikes, weights), name=workload.name, preprocess=True
         )
         via_engine = LoASSimulator().simulate_workload(
             workload, rng=np.random.default_rng(7), finetuned=True, preprocess=True
         )
-        assert_results_identical(via_tensors, via_engine)
+        assert_results_identical(via_fresh, via_engine)
 
     def test_cache_hits_are_bit_identical_across_simulators(self, tiny_workload):
         cache = default_cache()
@@ -565,8 +567,10 @@ class TestSimulatorEquivalence:
         # Fresh uncached runs reproduce every cached result exactly.
         for simulator_cls in ALL_SNN_SIMULATORS:
             spikes, weights = tiny_workload.generate(rng=np.random.default_rng(3))
-            raw = simulator_cls().simulate_layer(spikes, weights, name=tiny_workload.name)
-            assert_results_identical(raw, results[simulator_cls.name])
+            fresh = simulator_cls().simulate_layer(
+                LayerEvaluation(spikes, weights), name=tiny_workload.name
+            )
+            assert_results_identical(fresh, results[simulator_cls.name])
 
     @pytest.mark.parametrize("simulator_cls", [SparTenANN, GammaANN])
     def test_ann_shared_evaluation_matches_raw_path(self, simulator_cls, rng):
@@ -575,21 +579,19 @@ class TestSimulatorEquivalence:
 
         activations = generate_ann_activations(16, 128, rng=rng)
         weights = random_weight_matrix(128, 24, 0.9, rng=rng)
-        raw = simulator_cls().simulate_layer(activations, weights, name="ann")
+        fresh = simulator_cls().simulate_layer(AnnLayerEvaluation(activations, weights), name="ann")
         evaluation = AnnLayerEvaluation(activations, weights)
-        shared = simulator_cls().simulate_layer(
-            activations, weights, name="ann", evaluation=evaluation
-        )
-        assert_results_identical(raw, shared)
+        simulator_cls().simulate_layer(evaluation, name="ann")
+        # The second simulation reads the derived state the first computed.
+        shared = simulator_cls().simulate_layer(evaluation, name="ann")
+        assert_results_identical(fresh, shared)
         # The consumed evaluation through the disk tier's byte format: the
         # derived state arrives seeded, and the results do not move.
         hydrated = AnnLayerEvaluation.hydrate(*unpack_payload(pack_payload(*evaluation.dehydrate())))
         assert hydrated.derived_signature() == evaluation.derived_signature()
         assert "output_nnz" in hydrated.__dict__ and "matches" in hydrated.__dict__
-        restored = simulator_cls().simulate_layer(
-            activations, weights, name="ann", evaluation=hydrated
-        )
-        assert_results_identical(raw, restored)
+        restored = simulator_cls().simulate_layer(hydrated, name="ann")
+        assert_results_identical(fresh, restored)
 
 
 

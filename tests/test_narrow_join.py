@@ -92,8 +92,8 @@ class TestJoinDtype:
         assert narrow.true_accumulations == reference.true_accumulations
         assert narrow.true_accumulations == float(2 * 3 * k * t)
         assert_simulations_identical(
-            simulator().simulate_layer(*narrow.tensors, evaluation=narrow),
-            simulator().simulate_layer(*reference.tensors, evaluation=reference),
+            simulator().simulate_layer(narrow),
+            simulator().simulate_layer(reference),
         )
 
 

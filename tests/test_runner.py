@@ -191,9 +191,7 @@ def legacy_run_fig18(network="alexnet", scale=SCALE, seed=SEED):
     ann_results = {}
     for simulator in (SparTenANN(), GammaANN()):
         layer_results = [
-            simulator.simulate_layer(
-                evaluation.activations, evaluation.weights, name=name, evaluation=evaluation
-            )
+            simulator.simulate_layer(evaluation, name=name)
             for name, evaluation in evaluations
         ]
         ann_results[simulator.name] = aggregate_results(

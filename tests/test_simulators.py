@@ -21,14 +21,15 @@ from repro.baselines import (
 )
 from repro.baselines.common import (
     bitmask_fiber_bytes,
-    collect_layer_statistics,
     coordinate_bits,
     csr_bytes,
     streaming_refetch_factor,
 )
 from repro.core import LoASConfig, LoASSimulator
 from repro.core.base import SimulatorBase
+from repro.engine import AnnLayerEvaluation, LayerEvaluation
 from repro.metrics.results import SimulationResult, aggregate_results
+from repro.runner import SIMULATOR_FACTORIES
 from repro.sparse.matrix import sparsity
 
 from test_wave_max_sum import grouped_wave_cycles
@@ -82,9 +83,9 @@ class TestCommonHelpers:
         # One byte over the leftover starts interpolating above 1.
         assert streaming_refetch_factor(501, 500, 1000, passes=4) > 1.0
 
-    def test_collect_layer_statistics(self, small_layer):
+    def test_layer_statistics(self, small_layer):
         spikes, weights = small_layer
-        stats = collect_layer_statistics(spikes, weights)
+        stats = LayerEvaluation(spikes, weights).statistics
         assert stats.nnz_spikes == int(spikes.sum())
         assert stats.nnz_weights == int(np.count_nonzero(weights))
         assert stats.matches.shape == (8, 24)
@@ -93,14 +94,25 @@ class TestCommonHelpers:
 
     def test_statistics_reject_bad_shapes(self):
         with pytest.raises(ValueError):
-            collect_layer_statistics(np.zeros((2, 2)), np.zeros((2, 2)))
+            LayerEvaluation(np.zeros((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            LayerEvaluation(np.zeros((2, 3, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            AnnLayerEvaluation(np.zeros((2, 2, 2)), np.zeros((2, 2)))
 
 
 class TestSimulatorBase:
     def test_simulate_layer_is_abstract(self, small_layer):
-        spikes, weights = small_layer
         with pytest.raises(NotImplementedError):
-            SimulatorBase().simulate_layer(spikes, weights)
+            SimulatorBase().simulate_layer(LayerEvaluation(*small_layer))
+
+    @pytest.mark.parametrize("key", sorted(SIMULATOR_FACTORIES))
+    def test_simulate_layer_rejects_raw_tensors(self, key, small_layer):
+        # A cost model takes one evaluation; the old (spikes, weights) call
+        # fails at the boundary instead of deep inside the model.
+        spikes, weights = small_layer
+        with pytest.raises(TypeError):
+            SIMULATOR_FACTORIES[key]().simulate_layer(spikes, weights)
 
     def test_roofline_combines_compute_and_memory(self):
         base = SimulatorBase(LoASConfig())
@@ -161,8 +173,7 @@ class TestSimulatorBase:
 @pytest.mark.parametrize("simulator_cls", ALL_SNN_SIMULATORS)
 class TestAllSimulatorsBasicContract:
     def test_result_is_well_formed(self, simulator_cls, medium_layer):
-        spikes, weights = medium_layer
-        result = simulator_cls().simulate_layer(spikes, weights, name="unit")
+        result = simulator_cls().simulate_layer(LayerEvaluation(*medium_layer), name="unit")
         assert isinstance(result, SimulationResult)
         assert result.cycles > 0
         assert result.compute_cycles > 0
@@ -170,10 +181,6 @@ class TestAllSimulatorsBasicContract:
         assert result.sram_bytes > 0
         assert result.energy_pj > 0
         assert result.workload == "unit"
-
-    def test_rejects_bad_shapes(self, simulator_cls):
-        with pytest.raises(ValueError):
-            simulator_cls().simulate_layer(np.zeros((2, 3)), np.zeros((3, 2)))
 
     def test_workload_driver(self, simulator_cls, tiny_workload):
         result = simulator_cls().simulate_workload(tiny_workload, rng=np.random.default_rng(0))
@@ -184,8 +191,7 @@ class TestAllSimulatorsBasicContract:
 class TestLoASSimulator:
     @pytest.fixture
     def result(self, medium_layer):
-        spikes, weights = medium_layer
-        return LoASSimulator().simulate_layer(spikes, weights, name="layer")
+        return LoASSimulator().simulate_layer(LayerEvaluation(*medium_layer), name="layer")
 
     def test_traffic_categories_present(self, result):
         for category in ("input", "weight", "format", "output"):
@@ -209,15 +215,14 @@ class TestLoASSimulator:
             assert result.energy.entries.get(category, 0.0) > 0
 
     def test_preprocessing_reduces_work(self, medium_layer):
-        spikes, weights = medium_layer
-        plain = LoASSimulator().simulate_layer(spikes, weights)
-        preprocessed = LoASSimulator().simulate_layer(spikes, weights, preprocess=True)
+        evaluation = LayerEvaluation(*medium_layer)
+        plain = LoASSimulator().simulate_layer(evaluation)
+        preprocessed = LoASSimulator().simulate_layer(evaluation, preprocess=True)
         assert preprocessed.ops["pseudo_accumulations"] <= plain.ops["pseudo_accumulations"]
         assert preprocessed.cycles <= plain.cycles
         assert preprocessed.extra["silent_fraction"] >= plain.extra["silent_fraction"]
 
     def test_functional_run_matches_reference(self, small_layer):
-        from repro.engine import LayerEvaluation
         from repro.snn.layers import spmspm_reference
         from repro.snn.lif import lif_fire
 
@@ -258,7 +263,8 @@ class TestPaperShapeClaims:
         spikes = random_spike_tensor(64, 1024, 4, spike_sparsity=0.82, silent_fraction=0.72, rng=rng)
         weights = random_weight_matrix(1024, 128, weight_sparsity=0.97, rng=rng)
         simulators = [LoASSimulator(), SparTenSNN(), GoSPASNN(), GammaSNN(), PTBSimulator(), StellarSimulator()]
-        return {sim.name: sim.simulate_layer(spikes, weights, name="mid") for sim in simulators}
+        evaluation = LayerEvaluation(spikes, weights)
+        return {sim.name: sim.simulate_layer(evaluation, name="mid") for sim in simulators}
 
     def test_loas_is_fastest(self, results):
         loas = results["LoAS"]
@@ -314,7 +320,7 @@ class TestGoSPAPsumScaling:
         results = {}
         for t in (1, 4):
             spikes = random_spike_tensor(64, 512, t, 0.8, silent_fraction=0.7, rng=rng)
-            results[t] = GoSPASNN().simulate_layer(spikes, weights)
+            results[t] = GoSPASNN().simulate_layer(LayerEvaluation(spikes, weights))
         psum_1 = results[1].dram.get("psum")
         psum_4 = results[4].dram.get("psum")
         assert psum_4 > 0
@@ -334,13 +340,8 @@ class TestANNBaselines:
     def test_ann_simulators_contract(self, simulator_cls, rng):
         activations = generate_ann_activations(32, 256, rng=rng)
         weights = np.where(rng.random((256, 64)) < 0.95, 0, rng.integers(1, 127, (256, 64)))
-        result = simulator_cls().simulate_layer(activations, weights, name="ann")
+        result = simulator_cls().simulate_layer(AnnLayerEvaluation(activations, weights), name="ann")
         assert result.cycles > 0 and result.energy_pj > 0 and result.dram_bytes > 0
-
-    @pytest.mark.parametrize("simulator_cls", [SparTenANN, GammaANN])
-    def test_ann_simulators_reject_3d(self, simulator_cls):
-        with pytest.raises(ValueError):
-            simulator_cls().simulate_layer(np.zeros((2, 2, 2)), np.zeros((2, 2)))
 
     def test_snn_on_loas_beats_ann_on_sparten_energy(self, rng):
         """Figure 18 headline: the dual-sparse SNN is more energy efficient."""
@@ -349,8 +350,8 @@ class TestANNBaselines:
         weights = random_weight_matrix(1024, 128, 0.982, rng=rng)
         spikes = random_spike_tensor(64, 1024, 4, 0.823, silent_fraction=0.796, rng=rng)
         activations = generate_ann_activations(64, 1024, 0.439, rng=rng)
-        snn = LoASSimulator().simulate_layer(spikes, weights)
-        ann = SparTenANN().simulate_layer(activations, weights)
+        snn = LoASSimulator().simulate_layer(LayerEvaluation(spikes, weights))
+        ann = SparTenANN().simulate_layer(AnnLayerEvaluation(activations, weights))
         assert snn.energy_pj < ann.energy_pj
         assert snn.dram_bytes < ann.dram_bytes
 

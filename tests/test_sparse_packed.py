@@ -150,9 +150,9 @@ class TestPackedSpikeMatrix:
         expected = float((spikes.sum(axis=2) == 0).mean())
         assert packed.silent_fraction == pytest.approx(expected)
 
-    def test_nonsilent_matrix_matches_dense(self, spikes):
+    def test_nonsilent_matches_dense(self, spikes):
         packed = PackedSpikeMatrix.from_dense(spikes)
-        assert np.array_equal(packed.nonsilent_matrix(), spikes.sum(axis=2) > 0)
+        assert np.array_equal(packed.nonsilent, spikes.sum(axis=2) > 0)
 
     def test_payload_bits(self, spikes):
         packed = PackedSpikeMatrix.from_dense(spikes)

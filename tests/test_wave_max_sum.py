@@ -242,7 +242,7 @@ class TestGammaMergeRounds:
             "baseline.psum_bytes": psum_bytes,
         })
         evaluation = LayerEvaluation(spikes, weights)
-        result = GammaSNN(spec).simulate_layer(spikes, weights, evaluation=evaluation)
+        result = GammaSNN(spec).simulate_layer(evaluation)
 
         remerged, traffic = gamma_float_charges(
             evaluation.spikes_per_row_t, n, merger_radix, effective_merge_radix, psum_bytes
