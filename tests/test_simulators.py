@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
+    AnnLayerWorkload,
     GammaANN,
     GammaSNN,
     GoSPASNN,
@@ -27,15 +28,40 @@ from repro.baselines.common import (
 )
 from repro.core import LoASConfig, LoASSimulator
 from repro.core.base import SimulatorBase
-from repro.engine import AnnLayerEvaluation, LayerEvaluation
+from repro.engine import AnnLayerEvaluation, LayerEvaluation, default_cache
 from repro.metrics.results import SimulationResult, aggregate_results
 from repro.runner import SIMULATOR_FACTORIES
+from repro.snn.network import LayerShape
+from repro.snn.workloads import LayerWorkload, SparsityProfile
 from repro.sparse.matrix import sparsity
 
 from test_wave_max_sum import grouped_wave_cycles
 
 
 ALL_SNN_SIMULATORS = [LoASSimulator, SparTenSNN, GoSPASNN, GammaSNN, PTBSimulator, StellarSimulator]
+
+
+def assert_malformed_layer_rejected(simulator, workload_cls, first_operand):
+    """``simulator`` refuses a layer whose generator yields ``first_operand``.
+
+    The shapes are checked where the workload cache builds the evaluation,
+    so the cost model never sees them, and a failed generation leaves no
+    entry behind: a second attempt is refused again instead of hanging on
+    or reading a half-made entry.
+    """
+
+    class Malformed(workload_cls):
+        def generate(self, rng=None, finetuned=False):
+            return first_operand, np.zeros((3, 2))
+
+    # A fingerprint no other test generates, so no cached entry answers it.
+    workload = Malformed(
+        LayerShape("malformed", m=2, k=3, n=2, t=7), SparsityProfile(0.5, 0.25, 0.125, 0.75)
+    )
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            simulator.simulate_workload(workload, rng=np.random.default_rng(0))
+    assert not default_cache().holds(workload, np.random.default_rng(0))
 
 
 class TestCommonHelpers:
@@ -181,6 +207,9 @@ class TestAllSimulatorsBasicContract:
         assert result.sram_bytes > 0
         assert result.energy_pj > 0
         assert result.workload == "unit"
+
+    def test_rejects_bad_shapes(self, simulator_cls):
+        assert_malformed_layer_rejected(simulator_cls(), LayerWorkload, np.zeros((2, 3)))
 
     def test_workload_driver(self, simulator_cls, tiny_workload):
         result = simulator_cls().simulate_workload(tiny_workload, rng=np.random.default_rng(0))
@@ -342,6 +371,10 @@ class TestANNBaselines:
         weights = np.where(rng.random((256, 64)) < 0.95, 0, rng.integers(1, 127, (256, 64)))
         result = simulator_cls().simulate_layer(AnnLayerEvaluation(activations, weights), name="ann")
         assert result.cycles > 0 and result.energy_pj > 0 and result.dram_bytes > 0
+
+    @pytest.mark.parametrize("simulator_cls", [SparTenANN, GammaANN])
+    def test_ann_simulators_reject_3d(self, simulator_cls):
+        assert_malformed_layer_rejected(simulator_cls(), AnnLayerWorkload, np.zeros((2, 3, 2)))
 
     def test_snn_on_loas_beats_ann_on_sparten_energy(self, rng):
         """Figure 18 headline: the dual-sparse SNN is more energy efficient."""
