@@ -49,6 +49,9 @@ from .result import PartitionResult, ScenarioResult
 
 __all__ = ["ScenarioStream", "Session"]
 
+#: Disk-tier counters a sweep run's provenance reports as deltas.
+_DISK_COUNTERS = ("hits", "misses", "stores", "refreshes")
+
 
 def _ensure_registry() -> None:
     """Populate the scenario registry (importing the experiment modules)."""
@@ -415,8 +418,13 @@ class Session:
 
         def capture() -> None:
             baselines["lru"] = default_cache().stats()
+            # The counters alone, off the tier object: stats() would also
+            # walk every entry file.
+            tier = runner.disk_tier
             baselines["disk"] = (
-                runner.disk_tier.stats() if runner.disk_tier is not None else None
+                {name: getattr(tier, name) for name in _DISK_COUNTERS}
+                if tier is not None
+                else None
             )
 
         def finalise(sweep_results: SweepResults) -> ScenarioResult:
@@ -494,12 +502,9 @@ class Session:
             "lru_evictions": lru_after.evictions - lru_before.evictions,
         }
         if tier is not None and disk_before is not None:
-            disk_after = tier.stats()
-            cache["disk_hits"] = disk_after.hits - disk_before.hits
-            cache["disk_misses"] = disk_after.misses - disk_before.misses
-            cache["disk_stores"] = disk_after.stores - disk_before.stores
-            cache["disk_refreshes"] = disk_after.refreshes - disk_before.refreshes
-            cache["disk_entries"] = disk_after.entries
+            for name in _DISK_COUNTERS:
+                cache["disk_" + name] = getattr(tier, name) - disk_before[name]
+            cache["disk_entries"] = len(tier)
         provenance: dict[str, Any] = {
             "package_version": _package_version(),
             "workers": workers or None,

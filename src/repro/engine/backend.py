@@ -123,11 +123,13 @@ def pack_entry(entry: CacheEntry) -> bytes:
     return pack_payload(arrays, meta)
 
 
-def unpack_entry(data: bytes) -> CacheEntry:
-    """Inverse of :func:`pack_entry`.
+def unpack_entry(data) -> CacheEntry:
+    """Inverse of :func:`pack_entry`, over ``bytes`` or a read-only ``mmap``.
 
-    Raises on a torn/corrupt container or on an entry of another schema
-    (see :meth:`LayerEvaluation.hydrate`); the meta ``kind`` picks the class.
+    The evaluation's verbatim arrays are views of ``data`` (see
+    :func:`~repro.engine.serde.unpack_payload`).  Raises on a torn/corrupt
+    container or on an entry of another schema (see
+    :meth:`LayerEvaluation.hydrate`); the meta ``kind`` picks the class.
     """
     arrays, meta = unpack_payload(data)
     state = decode_state(json.loads(bytes(arrays.pop("state")).decode("utf-8")))

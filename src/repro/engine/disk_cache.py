@@ -19,7 +19,11 @@ Entry schema
   run therefore skips the matches/full-sums GEMM recomputation, not just
   tensor generation.  A generated entry is published once, by the
   cache's write-back pass after the simulators have enriched the
-  evaluation; a disk hit that gains artifacts is **refreshed** in place.
+  evaluation; a disk hit that gains artifacts is **refreshed** (its file
+  replaced by a new one).  The ``meta`` record also carries the scalar
+  memos the cost models computed (wave-max and merge-round sums, spike and
+  weight counts), so a hit recomputes none of them; they are not derived
+  artifacts, so a hit that computes a new one is not refreshed.
   The join matrices are stored in their narrow unsigned dtype; entries
   written while they were float64 hydrate with equal values.
 * **Older entries** -- schema 2 (which also stored a dense ``spikes``
@@ -34,7 +38,10 @@ Design constraints:
   regeneration.
 * **Atomicity** -- entries are written to a temporary file in the cache
   directory and published with :func:`os.replace`, so a concurrent reader
-  never observes a partial entry.  A corrupt entry (e.g. a torn write from
+  never observes a partial entry.  An entry file is only ever renamed into
+  place or deleted, never rewritten or truncated in place, which is what
+  lets a hit map the file instead of reading it (see
+  :meth:`DiskEvaluationCache.get`).  A corrupt entry (e.g. a torn write from
   a crashed process, or a container whose meta names artifacts it
   lacks) is deleted and treated as a miss; the workload is simply
   regenerated.
@@ -45,6 +52,7 @@ Design constraints:
 
 from __future__ import annotations
 
+import mmap
 import os
 import tempfile
 from pathlib import Path
@@ -120,22 +128,38 @@ class DiskEvaluationCache:
     def get(self, key) -> CacheEntry | None:
         """The hydrated entry for ``key``, or ``None`` on a miss.
 
-        A corrupt, partially written or older-schema entry counts as a miss:
-        the file is deleted so the caller's regeneration can re-publish a
-        clean one.  A tier whose directory became a file raises
+        The entry file is mapped read-only, not read: the evaluation's
+        verbatim arrays (the weights, the packed words, the compression
+        words) are views of the mapping, so a page no cost model touches is
+        never read.  Each live mapped entry holds one file descriptor (the
+        mapping's own duplicate) until its last view is released.
+
+        Mapping is safe because the tier never changes an entry file in
+        place: it writes a new file and renames it over the old one
+        (:meth:`put`), or deletes it (:meth:`clear`, eviction, a corrupt
+        entry), and a live mapping keeps the old file's pages either way.
+        Nothing may truncate an entry file: reading a mapped page past the
+        new end raises ``SIGBUS`` and kills the process.
+
+        A corrupt, partially written, empty or older-schema entry counts as
+        a miss: the file is deleted so the caller's regeneration can
+        re-publish a clean one.  A tier whose directory became a file raises
         ``NotADirectoryError``: no store could succeed there.
         """
         path = self.entry_path(key)
         try:
-            entry = unpack_entry(path.read_bytes())
+            with open(path, "rb") as handle:
+                # An empty file cannot be mapped (ValueError): a corrupt entry.
+                data = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+            entry = unpack_entry(data)
         except FileNotFoundError:
             self.misses += 1
             return None
         except NotADirectoryError:
             raise
         except Exception:
-            # Torn write / bad JSON / meta naming artifacts the container
-            # lacks / an older schema: drop the entry.
+            # Torn write / empty file / bad JSON / meta naming artifacts
+            # the container lacks / an older schema: drop the entry.
             self.corrupt_dropped += 1
             self.misses += 1
             try:

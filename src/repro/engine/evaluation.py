@@ -141,17 +141,44 @@ def _wave_max_sum(join: np.ndarray, group_size: int) -> int:
 
 
 class _WaveMaxSums:
-    """Per-instance memo of :func:`_wave_max_sum` over an evaluation's joins.
+    """An evaluation's scalar memos: the integer sums and counts cost models read.
 
-    A plain dict rather than a cached property: before Python 3.12 those
-    take a class-wide lock.  Two threads that miss the same key both reduce
-    and store the same value, so the dict needs no lock of its own.  The
-    sums are not persisted (they are not dehydrated and not part of the
-    derived signature), so a disk hit that computes one is not rewritten.
+    The sums of :func:`_wave_max_sum` over the joins (and, on
+    :class:`LayerEvaluation`, the merge-round sums) live in a plain
+    per-instance dict rather than a cached property: before Python 3.12
+    those take a class-wide lock.  Two threads that miss the same key both
+    reduce and store the same value, so the dict needs no lock of its own.
+
+    :meth:`_dehydrate_memos` writes that dict and every computed scalar of
+    :attr:`MEMO_SCALARS` into the entry's ``meta`` record, and
+    :meth:`_hydrate_memos` seeds them back, so a disk hit recomputes none
+    of them.  They are not derived artifacts: they stay out of
+    ``derived_signature()``, so a disk hit that computes a new one is not
+    rewritten.  Each key is written only when non-empty, so an entry
+    written before the memos were persisted hydrates (and computes them
+    lazily) and re-packs to the same bytes.
     """
 
     #: The ``(M, N)`` join attributes :meth:`wave_max_sum` reduces.
     WAVE_JOINS: tuple[str, ...] = ()
+    #: Cached scalar properties persisted in ``meta``, each with its type.
+    MEMO_SCALARS: dict[str, type] = {}
+
+    def _dehydrate_memos(self, meta: dict) -> None:
+        sums = list(self._wave_max_sums.items())
+        if sums:
+            meta["sums"] = [[join, size, total] for (join, size), total in sums]
+        scalars = {name: self.__dict__[name] for name in self.MEMO_SCALARS if name in self.__dict__}
+        if scalars:
+            meta["scalars"] = scalars
+
+    def _hydrate_memos(self, meta: dict) -> None:
+        for join, size, total in meta.get("sums", ()):
+            self._wave_max_sums[(join, int(size))] = int(total)
+        for name, value in meta.get("scalars", {}).items():
+            if name not in self.MEMO_SCALARS:
+                raise KeyError("unknown scalar memo %r" % (name,))
+            self.__dict__[name] = self.MEMO_SCALARS[name](value)
 
     def wave_max_sum(self, join: str, group_size: int) -> int:
         """Sum of the per-wave maxima of the ``join`` matrix, as a Python int.
@@ -240,6 +267,13 @@ class LayerEvaluation(_WaveMaxSums):
 
     kind = "snn"
     WAVE_JOINS = ("matches", "true_acs")
+    MEMO_SCALARS = {
+        "nnz_spikes": int,
+        "nnz_weights": int,
+        "total_matches": float,
+        "true_accumulations": float,
+        "spike_density": float,
+    }
 
     def __init__(self, spikes, weights):
         if not isinstance(spikes, PackedSpikeMatrix):
@@ -598,7 +632,9 @@ class LayerEvaluation(_WaveMaxSums):
         other persisted cached properties
         (:data:`_DEHYDRATED_PROPERTIES`), the memoised LIF output spikes and
         output compressions, and one level of memoised preprocessed child
-        evaluations (each with its own derived artifacts).  Nothing is
+        evaluations (each with its own derived artifacts).  Each level's
+        ``meta`` also carries its scalar memos (see :class:`_WaveMaxSums`)
+        and, once counted, the packed matrix's non-silent count.  Nothing is
         force-computed: dehydrating a fresh evaluation yields the weights
         and packed words only, dehydrating one that simulators have consumed
         yields exactly the warm in-memory state, so a hydrated entry skips
@@ -643,6 +679,10 @@ class LayerEvaluation(_WaveMaxSums):
                 }
             )
         meta["compressions"] = compressions
+        self._dehydrate_memos(meta)
+        packed = self.__dict__.get("packed")
+        if packed is not None and packed._nnz is not None:
+            meta["packed_nnz"] = packed._nnz
 
     def derived_signature(self) -> tuple:
         """Hashable fingerprint of which derived artifacts are present.
@@ -669,9 +709,10 @@ class LayerEvaluation(_WaveMaxSums):
 
         ``A`` and every preprocessed child are rebuilt from their stored
         packed words (zero-copy views of the entry), and the derived
-        artifacts are seeded directly into the lazy-property slots (marked
-        read-only), so a hydrated evaluation never recomputes what the entry
-        carries -- in particular the matches / full-sums GEMMs.  Raises
+        artifacts and scalar memos are seeded directly into their lazy slots
+        (arrays marked read-only), so a hydrated evaluation never recomputes
+        what the entry carries -- the matches / full-sums GEMMs, and the
+        popcounts and wave reductions behind the scalars.  Raises
         ``ValueError`` on a meta record of another schema or kind and
         ``KeyError`` on an entry whose meta names artifacts the container
         lacks (a torn write); the disk tier treats either as corruption and
@@ -706,6 +747,9 @@ class LayerEvaluation(_WaveMaxSums):
                 dropped_neurons=record["dropped_neurons"],
                 silent_output_neurons=record["silent_output_neurons"],
             )
+        self._hydrate_memos(meta)
+        if "packed_nnz" in meta:
+            self.packed._nnz = int(meta["packed_nnz"])
 
 
 class AnnLayerEvaluation(_WaveMaxSums):
@@ -719,6 +763,7 @@ class AnnLayerEvaluation(_WaveMaxSums):
 
     kind = "ann"
     WAVE_JOINS = ("matches",)
+    MEMO_SCALARS = {"nnz_activations": int, "nnz_weights": int, "total_matches": float}
 
     def __init__(self, activations: np.ndarray, weights: np.ndarray):
         activations = np.asarray(activations)
@@ -787,11 +832,14 @@ class AnnLayerEvaluation(_WaveMaxSums):
     # Dehydration (disk-tier persistence)
     # ------------------------------------------------------------------ #
     def dehydrate(self) -> tuple[dict[str, np.ndarray], dict]:
-        """The tensors plus every derived artifact already computed (the count 0-d)."""
+        """The tensors, every derived artifact already computed (the count
+        0-d) and, in ``meta``, the scalar memos."""
         derived = list(self.derived_signature())
         arrays = {"activations": self.activations, "weights": self.weights}
         arrays.update(("d_" + name, np.asarray(self.__dict__[name])) for name in derived)
-        return arrays, {"schema": _SCHEMA, "kind": self.kind, "derived": derived}
+        meta = {"schema": _SCHEMA, "kind": self.kind, "derived": derived}
+        self._dehydrate_memos(meta)
+        return arrays, meta
 
     def derived_signature(self) -> tuple:
         """Which derived artifacts are present (see :meth:`LayerEvaluation.derived_signature`)."""
@@ -816,6 +864,7 @@ class AnnLayerEvaluation(_WaveMaxSums):
                 raise KeyError("unknown derived artifact %r" % (name,))
             value = arrays["d_" + name]
             evaluation.__dict__[name] = _readonly(value) if value.ndim else int(value)
+        evaluation._hydrate_memos(meta)
         return evaluation
 
 

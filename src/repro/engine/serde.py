@@ -12,9 +12,11 @@ artifacts; this module owns how those become bytes:
   is flat (one JSON header, then the raw C-order array blobs): an entry
   holds a dozen-plus derived arrays and ``np.savez``'s per-member
   zipfile machinery costs more than the GEMMs the entry exists to skip,
-  whereas the flat layout decodes with one read and ``np.frombuffer``
-  slices.  Anything else -- including a legacy v1 ``.npz`` entry -- fails
-  to decode, which the disk tier treats as a miss.
+  whereas the flat layout decodes from one buffer -- ``bytes`` or a
+  read-only ``mmap`` of the entry file -- by ``np.frombuffer`` views, so a
+  verbatim member whose bytes nobody reads is never read from disk.
+  Anything else -- including a legacy v1 ``.npz`` entry -- fails to
+  decode, which the disk tier treats as a miss.
 * :func:`key_digest` -- the stable cross-process address of a cache key
   (the SHA-256 of the fingerprint tuple's ``repr``), used as the disk
   entry file name.
@@ -184,7 +186,7 @@ def pack_payload(arrays: dict, meta: dict) -> bytes:
     return b"".join([_MAGIC, _HEADER_LENGTH.pack(len(header)), header] + blobs)
 
 
-def _decode_array(data: bytes, record: dict, offset: int) -> np.ndarray:
+def _decode_array(data, record: dict, offset: int) -> np.ndarray:
     dtype = np.dtype(record["dtype"])
     stored = record.get("stored", record["dtype"])
     shape = tuple(record["shape"])
@@ -206,16 +208,19 @@ def _decode_array(data: bytes, record: dict, offset: int) -> np.ndarray:
     return array
 
 
-def unpack_payload(data: bytes) -> tuple[dict, dict]:
+def unpack_payload(data) -> tuple[dict, dict]:
     """Inverse of :func:`pack_payload`: ``(arrays, meta)``.
 
-    Every decoded array is read-only (entries are shared read-only): a
-    verbatim member is an ``np.frombuffer`` view over ``data`` (no copy),
-    a bit-packed or downcast one a fresh array in its original dtype.
-    Raises on a torn or corrupt container, or on anything without the v2
-    magic such as a legacy v1 ``.npz`` entry (callers treat that as a miss).
+    ``data`` is any read-only buffer of the container: ``bytes``, or an
+    ``mmap`` of an entry file.  Every decoded array is read-only (entries
+    are shared read-only): a verbatim member is an ``np.frombuffer`` view
+    over ``data`` (no copy; over a mapping, its pages are read only when
+    the array is), a bit-packed or downcast one a fresh array in its
+    original dtype.  A view keeps ``data`` alive.  Raises on a torn or
+    corrupt container, or on anything without the v2 magic such as a
+    legacy v1 ``.npz`` entry (callers treat that as a miss).
     """
-    if not data.startswith(_MAGIC):
+    if data[: len(_MAGIC)] != _MAGIC:
         raise ValueError("not a v2 entry container")
     offset = len(_MAGIC)
     (header_length,) = _HEADER_LENGTH.unpack_from(data, offset)

@@ -490,6 +490,29 @@ class TestCacheStats:
         assert isinstance(snapshot["disk"], CacheStats)
         assert snapshot["disk"].entries >= 1  # the serial run spilled tensors
 
+    def test_a_run_walks_its_tier_once(self, tmp_path, monkeypatch):
+        from repro.engine import clear_default_cache
+
+        walks = []
+        entry_files = DiskEvaluationCache._entry_files
+
+        def counted(tier):
+            walks.append(tier)
+            return entry_files(tier)
+
+        monkeypatch.setattr(DiskEvaluationCache, "_entry_files", counted)
+        session = Session(cache_dir=tmp_path / "tier")
+        for _ in range(2):  # a cold populate, then a disk-warm re-read
+            clear_default_cache()
+            walks.clear()
+            result = session.run("layers", layers=("V-L8", "A-L4"), scale=SCALE, seed=SEED)
+            assert len(walks) == 1  # provenance's disk_entries, not its counters
+        monkeypatch.undo()
+        cache = result.provenance["cache"]
+        assert cache["disk_entries"] == session.cache_stats()["disk"].entries == 2
+        assert (cache["disk_hits"], cache["disk_misses"], cache["disk_stores"]) == (2, 0, 0)
+        assert cache["disk_refreshes"] == 0
+
 
 # --------------------------------------------------------------------- #
 # CLI

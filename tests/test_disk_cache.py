@@ -9,6 +9,9 @@ and the byte budget must evict least-recently-used entries.
 
 from __future__ import annotations
 
+import gc
+import mmap
+import os
 import threading
 
 import numpy as np
@@ -16,6 +19,8 @@ import pytest
 
 from repro.core import LoASSimulator
 from repro.engine import DiskEvaluationCache, LayerEvaluation, WorkloadEvaluationCache
+from repro.engine.cache import generator_fingerprint, workload_fingerprint
+from repro.runner import SIMULATOR_FACTORIES
 from repro.snn.network import LayerShape
 from repro.snn.workloads import LayerWorkload, SparsityProfile
 
@@ -136,6 +141,99 @@ class TestAtomicity:
         assert len(tier) == 1
         leftovers = [p for p in tier.directory.iterdir() if not p.name.endswith(".npz")]
         assert leftovers == []
+
+
+def snn_results(evaluation) -> list:
+    """Every SNN cost model's ``as_dict()`` on ``evaluation``, and its tensors."""
+    results = [np.array(evaluation.weights), evaluation.spikes]
+    for key in ("LoAS", "SparTen-SNN", "GoSPA-SNN", "Gamma-SNN"):
+        results.append(SIMULATOR_FACTORIES[key]().simulate_layer(evaluation).as_dict())
+    results.append(LoASSimulator().simulate_layer(evaluation, preprocess=True).as_dict())
+    return results
+
+
+def assert_same(left, right):
+    assert len(left) == len(right)
+    for a, b in zip(left, right):
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b) and a.dtype == b.dtype
+        else:
+            assert a == b
+
+
+def mapped_buffer(array):
+    """The object at the bottom of ``array``'s base chain."""
+    while isinstance(array, np.ndarray) and array.base is not None:
+        array = array.base
+    return array
+
+
+def open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestMappedEntries:
+    """A hit maps its entry file; the tier only ever renames into place or deletes."""
+
+    def test_a_hit_views_the_weights_and_words_in_the_mapped_file(self, tier):
+        populate(tier, make_workload(), np.random.default_rng(3))
+        loaded = WorkloadEvaluationCache().evaluate(make_workload(), np.random.default_rng(3), disk=tier)
+        for array in (loaded.weights, loaded.packed_words):
+            assert isinstance(mapped_buffer(array), (mmap.mmap, memoryview))
+            assert not array.flags.writeable
+
+    @pytest.mark.parametrize("how", ["clear", "evict", "replace"])
+    def test_a_mapped_evaluation_outlives_its_file(self, tmp_path, how):
+        workload = make_workload()
+        budget = 16 if how == "evict" else None
+        tier = DiskEvaluationCache(tmp_path / "evals", max_bytes=budget)
+        generated = populate(tier, workload, np.random.default_rng(3))
+        expected = snn_results(generated)
+        (path,) = tier._entry_files()
+
+        cache = WorkloadEvaluationCache()
+        loaded = cache.evaluate(workload, np.random.default_rng(3), disk=tier)
+        assert cache.disk_hits == 1
+        if how == "clear":
+            tier.clear()
+        elif how == "evict":
+            populate(tier, make_workload(name="other", m=9), np.random.default_rng(4))
+            assert tier.evictions == 1
+        else:
+            key = (workload_fingerprint(workload), generator_fingerprint(np.random.default_rng(3)))
+            tier.put(key, tier.get(key), replace=True)
+            assert tier.refreshes == 1
+        assert not path.exists() or how == "replace"
+        assert_same(snn_results(loaded), expected)
+
+    def test_an_empty_entry_file_is_a_corrupt_miss(self, tier):
+        workload = make_workload()
+        populate(tier, workload, np.random.default_rng(3))
+        (path,) = tier._entry_files()
+        path.write_bytes(b"")
+        misses = tier.misses
+        cache = WorkloadEvaluationCache()
+        cache.evaluate(workload, np.random.default_rng(3), disk=tier)
+        assert tier.corrupt_dropped == 1 and tier.misses == misses + 1 and tier.hits == 0
+        assert cache.misses == 1 and not path.exists()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_live_mappings_hold_at_most_one_descriptor_each(self, tier):
+        workloads = [make_workload(name="w%d" % m, m=m) for m in range(4, 12)]
+        for workload in workloads:
+            populate(tier, workload, np.random.default_rng(0))
+        gc.collect()
+        baseline = open_descriptors()
+        cache = WorkloadEvaluationCache(maxsize=3)
+        for workload in workloads:
+            cache.evaluate(workload, np.random.default_rng(0), disk=tier)
+            cache.flush_writebacks()
+        assert tier.hits == len(workloads)
+        gc.collect()
+        assert open_descriptors() <= baseline + cache.maxsize + 2
+        cache.clear()
+        gc.collect()
+        assert open_descriptors() == baseline
 
 
 class TestEviction:

@@ -13,6 +13,7 @@ float64 charges it used to compute (:func:`gamma_float_charges`).
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -32,6 +33,9 @@ from repro.engine import (
     default_cache,
 )
 from repro.engine import evaluation as evaluation_module
+from repro.engine.backend import CacheEntry, pack_entry, unpack_entry
+from repro.engine.serde import encode_state, pack_payload
+from repro.runner import SIMULATOR_FACTORIES
 
 
 def grouped_wave_cycles(task_cycles: np.ndarray, group_size: int) -> float:
@@ -182,12 +186,16 @@ class TestMemo:
         cache = WorkloadEvaluationCache()
         loaded = cache.evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
         assert cache.disk_hits == 1
-        assert loaded._wave_max_sums == {}
+        # The hit arrives carrying the stored sums; a second design point
+        # computes a group size the entry does not hold.
+        assert loaded._wave_max_sums == stored._wave_max_sums
+        assert set(loaded._wave_max_sums) == {("matches", 16)}
         signature = loaded.derived_signature()
+        loas = LoASSimulator(default_arch().with_overrides(**{"pe.num_tppes": 8}))
         for preprocess in (False, True):
-            LoASSimulator().simulate_workload(tiny_workload, evaluation=loaded, preprocess=preprocess)
-        assert ("matches", 16) in loaded._wave_max_sums
-        assert ("matches", 16) in loaded.preprocessed(max_spikes=1)._wave_max_sums
+            loas.simulate_workload(tiny_workload, evaluation=loaded, preprocess=preprocess)
+        assert ("matches", 8) in loaded._wave_max_sums
+        assert ("matches", 8) in loaded.preprocessed(max_spikes=1)._wave_max_sums
         assert loaded.derived_signature() == signature
         assert cache.flush_writebacks() == 0
         assert tier.stores == 1 and tier.refreshes == 0
@@ -205,6 +213,118 @@ class TestMemo:
         assert default_cache().misses == misses
         assert len(calls) == reduced
         assert warm.payload == cold.payload
+
+
+def run_every_model(evaluation) -> dict:
+    """``as_dict()`` of every registered cost model of ``evaluation``'s kind."""
+    results = {}
+    for key, cls in sorted(SIMULATOR_FACTORIES.items()):
+        if EVALUATION_OF[cls.layer_type.kind] is not type(evaluation):
+            continue
+        variants = ({}, {"preprocess": True}) if cls is LoASSimulator else ({},)
+        for kwargs in variants:
+            result = cls().simulate_layer(evaluation, name="layer", **kwargs)
+            results[(key, tuple(kwargs))] = result.as_dict()
+    return results
+
+
+EVALUATION_OF = {"snn": LayerEvaluation, "ann": AnnLayerEvaluation}
+
+
+def stored_memos(evaluation) -> tuple:
+    """What a hydration seeds: the sums dict, the cached scalars and ``packed._nnz``."""
+    scalars = {
+        name: (type(evaluation.__dict__[name]), evaluation.__dict__[name])
+        for name in evaluation.MEMO_SCALARS
+        if name in evaluation.__dict__
+    }
+    packed = evaluation.__dict__.get("packed")
+    return dict(evaluation._wave_max_sums), scalars, packed._nnz if packed is not None else None
+
+
+class TestPersistedMemos:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        m=st.integers(1, 12),
+        k=st.integers(1, 64),
+        t=st.integers(1, 6),
+        n=st.integers(1, 8),
+        density=st.sampled_from((0.0, 0.3, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+        group_sizes=st.lists(st.integers(1, 20), min_size=1, max_size=3),
+        radices=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    )
+    def test_a_hit_restores_what_a_fresh_evaluation_computes(
+        self, m, k, t, n, density, seed, group_sizes, radices
+    ):
+        rng = np.random.default_rng(seed)
+        spikes = (rng.random((m, k, t)) < density).astype(np.uint8)
+        weights = rng.integers(-3, 4, size=(k, n)).astype(np.int8)
+        activations = (rng.random((m, k)) < density).astype(np.uint8) * rng.integers(1, 256, (m, k))
+
+        def touch(evaluation):
+            for group_size in group_sizes:
+                for join in evaluation.WAVE_JOINS:
+                    evaluation.wave_max_sum(join, group_size)
+            if isinstance(evaluation, LayerEvaluation):
+                for radix in radices:
+                    evaluation.merge_round_sum(radix)
+                evaluation.spike_density
+            return run_every_model(evaluation)
+
+        for make in (
+            lambda: LayerEvaluation(spikes, weights),
+            lambda: AnnLayerEvaluation(activations.astype(np.uint8), weights),
+        ):
+            stored = make()
+            touch(stored)
+            hit = unpack_entry(pack_entry(CacheEntry(stored, {}))).evaluation
+            fresh = make()
+            warm = touch(fresh)
+            levels = [(hit, fresh)]
+            if isinstance(stored, LayerEvaluation):
+                levels.append((hit._preprocessed[1], fresh.preprocessed(max_spikes=1)))
+            for restored, computed in levels:
+                # Read before any model runs on the hit: hydration seeded them.
+                memos = stored_memos(restored)
+                assert memos == stored_memos(computed)
+                assert memos[0] and memos[1]
+            assert run_every_model(hit) == warm == run_every_model(stored)
+
+    def test_an_entry_without_memos_hydrates_and_repacks_to_its_bytes(self, small_layer):
+        stored = LayerEvaluation(*small_layer)
+        warm = run_every_model(stored)
+        arrays, meta = stored.dehydrate()
+        for record in (meta, *meta["preprocessed"].values()):
+            assert {"sums", "scalars", "packed_nnz"} <= set(record)
+            for key in ("sums", "scalars", "packed_nnz"):
+                del record[key]
+        state = json.dumps(encode_state({"seed": 1})).encode("utf-8")
+        written = pack_payload(dict(arrays, state=np.frombuffer(state, dtype=np.uint8)), meta)
+
+        entry = unpack_entry(written)
+        assert pack_entry(entry) == written
+        assert stored_memos(entry.evaluation) == ({}, {}, None)
+        assert run_every_model(entry.evaluation) == warm
+
+    def test_a_disk_hit_recomputes_no_sum_and_no_popcount(self, tmp_path, monkeypatch):
+        params = {"scale": 0.05, "networks": ("alexnet",)}
+        session = Session(cache_dir=tmp_path / "evals")
+        clear_default_cache()
+        cold = session.run("networks", **params)
+
+        def recomputed(*args, **kwargs):
+            raise AssertionError("a disk hit recomputed a stored memo")
+
+        monkeypatch.setattr(evaluation_module, "_wave_max_sum", recomputed)
+        monkeypatch.setattr(evaluation_module, "popcount", recomputed)
+        clear_default_cache()
+        warm = session.run("networks", **params)
+        cache = warm.provenance["cache"]
+        assert cache["disk_hits"] == cold.provenance["cache"]["disk_stores"] > 0
+        assert cache["lru_misses"] == cache["disk_stores"] == cache["disk_refreshes"] == 0
+        assert warm.payload == cold.payload
+        clear_default_cache()
 
 
 def gamma_float_charges(spikes_per_row_t, n, merger_radix, effective_merge_radix, psum_bytes):
