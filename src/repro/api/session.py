@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from ..engine import CacheStats, DiskEvaluationCache, default_cache
 from ..runner.executor import SweepResults, SweepRunner
@@ -109,6 +109,47 @@ def _check_workload_params(params: Mapping[str, Any]) -> None:
             raise TypeError("seed must be an int, got %r" % (seed,))
         if seed < 0:
             raise ValueError("seed must be at least 0, got %r" % (seed,))
+
+
+#: How a tuple parameter's entry types are named in errors.
+_ENTRY_TYPE_NAMES = {numbers.Integral: "int", numbers.Real: "float"}
+
+
+def _entry_type(value) -> type:
+    """The type a tuple parameter's entry is compared by (numbers by kind)."""
+    if isinstance(value, bool):
+        return bool
+    for kind in _ENTRY_TYPE_NAMES:
+        if isinstance(value, kind):
+            return kind
+    return type(value)
+
+
+def _check_tuple_params(scenario: Scenario, params: Mapping[str, Any]) -> None:
+    """Reject a bare string, or an entry of another type, where the default is a tuple.
+
+    ``TypeError`` naming the parameter, before any plan is built: a string
+    would be iterated by character (``networks="alexnet"`` asks for a
+    network ``'a'``), and an entry of the wrong type fails deep in the run.
+    Entries are checked against the default's entries: an ``int`` is a
+    valid ``float`` entry, a ``bool`` is not a number.
+    """
+    for name, default in scenario.defaults:
+        if name not in params or not isinstance(default, tuple):
+            continue
+        value = params[name]
+        if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+            raise TypeError("%s must be a tuple, got %r" % (name, value))
+        kinds = {_entry_type(entry) for entry in default}
+        if len(kinds) != 1 or not isinstance(value, (tuple, list)):
+            continue
+        (kind,) = kinds
+        for entry in value:
+            if not isinstance(entry, kind) or (isinstance(entry, bool) and kind is not bool):
+                raise TypeError(
+                    "%s entries must be %s, got %r"
+                    % (name, _ENTRY_TYPE_NAMES.get(kind, kind.__name__), entry)
+                )
 
 
 class ScenarioStream(Iterator[PartitionResult]):
@@ -340,9 +381,10 @@ class Session:
         ``params`` must be accepted by the scenario's ``build``/``run``
         callable (declared defaults or a named parameter; ``TypeError``),
         a ``scale`` or ``seed`` must be well-formed (``TypeError`` /
-        ``ValueError`` naming it), and a bespoke scenario cannot stream
-        (``ValueError``).  Used by :meth:`run` / :meth:`stream` and
-        pre-flighted by the CLI.
+        ``ValueError`` naming it), a parameter whose default is a tuple
+        takes no bare string and no entry of another type (``TypeError``
+        naming it), and a bespoke scenario cannot stream (``ValueError``).
+        Used by :meth:`run` / :meth:`stream` and pre-flighted by the CLI.
         """
         if params:
             accepted = _accepted_params(scenario)
@@ -354,6 +396,7 @@ class Session:
                             "(accepted: %s)" % (scenario.name, key, sorted(accepted))
                         )
             _check_workload_params(params)
+            _check_tuple_params(scenario, params)
         if stream and scenario.run is not None:
             raise ValueError(
                 "scenario %r is bespoke (no sweep plan behind it); streaming "

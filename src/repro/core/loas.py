@@ -82,7 +82,10 @@ class LoASSimulator(SimulatorBase):
         n_dim = evaluation.n
         result = SimulationResult(accelerator=self.name, workload=name)
 
-        packed = evaluation.packed
+        # A is stored in the packed-temporal format: one T-bit word per
+        # non-silent neuron, one bitmask bit per neuron.
+        nonsilent = evaluation.nonsilent_neurons
+        neurons = m_dim * k_dim
         nnz_weights = evaluation.nnz_weights
 
         # Matched positions (non-silent spike AND non-zero weight) are the
@@ -109,8 +112,8 @@ class LoASSimulator(SimulatorBase):
         compute_cycles += compression.cycles
 
         # ---------------- traffic ---------------- #
-        a_payload_bytes = packed.payload_bits() / 8.0
-        a_bitmask_bytes = (packed.bitmask_bits() + m_dim * cfg.pointer_bits) / 8.0
+        a_payload_bytes = nonsilent * t_dim / 8.0
+        a_bitmask_bytes = (neurons + m_dim * cfg.pointer_bits) / 8.0
         b_payload_bytes = nnz_weights * cfg.weight_bits / 8.0
         b_bitmask_bytes = (k_dim * n_dim + n_dim * cfg.pointer_bits) / 8.0
 
@@ -174,7 +177,7 @@ class LoASSimulator(SimulatorBase):
         result.add_ops("true_accumulations", true_accumulations)
         result.add_ops("lif_updates", m_dim * n_dim * t_dim)
         result.add_ops("prefix_sum_invocations", prefix_invocations)
-        result.extra["silent_fraction"] = packed.silent_fraction
+        result.extra["silent_fraction"] = (neurons - nonsilent) / neurons if neurons else 0.0
         result.extra["pe_utilization"] = self.scheduler.pe_utilization(m_dim, n_dim)
         result.extra["output_silent_fraction"] = (
             compression.silent_output_neurons / (m_dim * n_dim) if m_dim * n_dim else 0.0

@@ -126,13 +126,14 @@ def pack_entry(entry: CacheEntry) -> bytes:
 def unpack_entry(data) -> CacheEntry:
     """Inverse of :func:`pack_entry`, over ``bytes`` or a read-only ``mmap``.
 
-    The evaluation's verbatim arrays are views of ``data`` (see
-    :func:`~repro.engine.serde.unpack_payload`).  Raises on a torn/corrupt
-    container or on an entry of another schema (see
-    :meth:`LayerEvaluation.hydrate`); the meta ``kind`` picks the class.
+    The evaluation keeps the entry's members and decodes each the first
+    time something reads it (see :func:`~repro.engine.serde.unpack_payload`
+    and :meth:`LayerEvaluation.hydrate`); only the generator ``state``
+    member is decoded here.  Raises on a torn/corrupt container or on an
+    entry of another schema; the meta ``kind`` picks the class.
     """
     arrays, meta = unpack_payload(data)
-    state = decode_state(json.loads(bytes(arrays.pop("state")).decode("utf-8")))
+    state = decode_state(json.loads(bytes(arrays["state"]).decode("utf-8")))
     evaluation_type = EVALUATION_KINDS.get(meta.get("kind"), LayerEvaluation)
     return CacheEntry(evaluation_type.hydrate(arrays, meta), state)
 

@@ -25,7 +25,14 @@ Entry schema
   weight counts), so a hit recomputes none of them; they are not derived
   artifacts, so a hit that computes a new one is not refreshed.
   The join matrices are stored in their narrow unsigned dtype; entries
-  written while they were float64 hydrate with equal values.
+  written while they were float64 hydrate with equal values.  Since
+  0.21.0 every mostly-zero integer member -- the weights, the packed
+  words of parent and child, the compression words, the ANN activations
+  -- is stored as a bit-packed non-zero mask plus its non-zero values
+  (:mod:`repro.engine.serde`), which shrinks a scale-0.5 ``networks``
+  tier from 32.9 to 10.1 MB; the header names each member's form, so
+  entries written before (verbatim) hydrate with equal values and no
+  schema bump was needed.
 * **Older entries** -- schema 2 (which also stored a dense ``spikes``
   tensor) and legacy v1 ``np.savez`` archives -- no longer hydrate: each is
   dropped like any corrupt entry, so it reads as a miss once and the
@@ -128,11 +135,15 @@ class DiskEvaluationCache:
     def get(self, key) -> CacheEntry | None:
         """The hydrated entry for ``key``, or ``None`` on a miss.
 
-        The entry file is mapped read-only, not read: the evaluation's
-        verbatim arrays (the weights, the packed words, the compression
-        words) are views of the mapping, so a page no cost model touches is
-        never read.  Each live mapped entry holds one file descriptor (the
-        mapping's own duplicate) until its last view is released.
+        The entry file is mapped read-only, not read, and hydration decodes
+        no member: the evaluation decodes each tensor or derived array the
+        first time a cost model reads it (a verbatim member as a view of
+        the mapping), so a member no cost model reads -- at a stored
+        design point, the weights, the packed words, the compression words
+        and the joins -- is never decoded, and its pages are never read.
+        Each live hydrated entry holds the mapping, and so one file
+        descriptor (the mapping's own duplicate), until the evaluation is
+        released.
 
         Mapping is safe because the tier never changes an entry file in
         place: it writes a new file and renames it over the old one

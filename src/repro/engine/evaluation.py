@@ -45,6 +45,7 @@ import numpy as np
 
 from ..snn.lif import LIFParameters, lif_fire
 from ..sparse.packed import PackedSpikeMatrix, pack_spike_words, popcount, unpack_spike_words
+from .serde import EntryMembers
 from .statistics import LayerStatistics
 
 __all__ = [
@@ -140,11 +141,40 @@ def _wave_max_sum(join: np.ndarray, group_size: int) -> int:
     return total
 
 
-class _WaveMaxSums:
-    """An evaluation's scalar memos: the integer sums and counts cost models read.
+class _entry_property(cached_property):
+    """A cached property a hydrated evaluation reads from its entry before computing it.
 
-    The sums of :func:`_wave_max_sum` over the joins (and, on
-    :class:`LayerEvaluation`, the merge-round sums) live in a plain
+    On first access the evaluation's entry members are asked for
+    ``<prefix>d_<name>`` (see :meth:`_Evaluation._stored`); only when the
+    entry lacks it does the wrapped function compute the value.  Either
+    way the value lands in the instance ``__dict__`` like any cached
+    property's, so later reads skip this descriptor.
+    """
+
+    def __get__(self, instance, owner=None):
+        if instance is not None and self.attrname not in instance.__dict__:
+            value = instance._stored(self.attrname)
+            if value is not None:
+                instance.__dict__[self.attrname] = value
+                return value
+        return super().__get__(instance, owner)
+
+
+class _Evaluation:
+    """What both evaluation kinds share: entry members and scalar memos.
+
+    **Entry members.**  A hydrated evaluation keeps the
+    :class:`~repro.engine.serde.EntryMembers` of its entry (``_members``,
+    ``None`` on a generated one) and reads each tensor and derived array
+    from it the first time something asks: ``weights`` here, the
+    :class:`_entry_property` artifacts, and on :class:`LayerEvaluation`
+    the packed words and the compression words.  A member no cost model
+    reads is never decoded.  A preprocessed child shares its parent's
+    members under its own ``pre<n>_`` prefix (``_prefix``), and reads the
+    parent's ``weights`` member.
+
+    **Scalar memos.**  The sums of :func:`_wave_max_sum` over the joins
+    (and, on :class:`LayerEvaluation`, the merge-round sums) live in a plain
     per-instance dict rather than a cached property: before Python 3.12
     those take a class-wide lock.  Two threads that miss the same key both
     reduce and store the same value, so the dict needs no lock of its own.
@@ -163,6 +193,52 @@ class _WaveMaxSums:
     WAVE_JOINS: tuple[str, ...] = ()
     #: Cached scalar properties persisted in ``meta``, each with its type.
     MEMO_SCALARS: dict[str, type] = {}
+    #: Cached properties :meth:`dehydrate` persists as ``d_<name>`` members.
+    DEHYDRATED: tuple[str, ...] = ()
+
+    def _bind(self, n: int, members=None, prefix: str = "") -> None:
+        """Set the per-instance state every constructor path shares."""
+        self._n = n
+        self._members = members
+        self._prefix = prefix
+        self._wave_max_sums: dict[tuple[str, int], int] = {}
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Weight matrix ``B`` (a hydrated evaluation decodes it on first read)."""
+        return self._members["weights"]
+
+    @property
+    def n(self) -> int:
+        """Number of output neurons (columns of ``B``)."""
+        return self._n
+
+    def _stored(self, name: str):
+        """Entry member ``d_<name>`` of this level, or ``None`` when not stored.
+
+        A 0-d member is a count and reads as a Python int.
+        """
+        key = self._prefix + "d_" + name
+        if self._members is None or key not in self._members:
+            return None
+        value = self._members[key]
+        return value if value.ndim else int(value)
+
+    def _has(self, name: str) -> bool:
+        """Whether derived artifact ``name`` is computed or stored."""
+        if name in self.__dict__:
+            return True
+        return self._members is not None and self._prefix + "d_" + name in self._members
+
+    def _present(self) -> tuple[str, ...]:
+        """The :attr:`DEHYDRATED` artifacts computed or stored, in order."""
+        return tuple(name for name in self.DEHYDRATED if self._has(name))
+
+    def _check_stored(self, derived) -> None:
+        """Raise ``KeyError`` unless every artifact ``derived`` names is a member."""
+        for name in derived:
+            if name not in self.DEHYDRATED or not self._has(name):
+                raise KeyError("unknown or missing derived artifact %r" % (name,))
 
     def _dehydrate_memos(self, meta: dict) -> None:
         sums = list(self._wave_max_sums.items())
@@ -225,27 +301,7 @@ def _check_entry(meta: dict, kind: str) -> None:
         )
 
 
-#: Cached-property names persisted by :meth:`LayerEvaluation.dehydrate`.
-#: Everything here is a pure array-valued function of ``(spikes, weights)``,
-#: stored losslessly, so hydration is bit-identical to recomputation.  The
-#: packed words are always present: they are the stored form of ``A``.  The
-#: non-silent mask and the spike counts are not cached at all: they rebuild
-#: from the words on every access.
-_DEHYDRATED_PROPERTIES = (
-    "packed_words",
-    "matches",
-    "true_acs",
-    "true_acs_per_t",
-    "active_columns_per_t",
-    "weight_row_nnz",
-    "spikes_per_row_t",
-    "spikes_per_column_t",
-    "active_column_mask",
-    "full_sums",
-)
-
-
-class LayerEvaluation(_WaveMaxSums):
+class LayerEvaluation(_Evaluation):
     """Lazily-computed, shareable evaluation of one ``(A, B)`` layer pair.
 
     Parameters
@@ -274,6 +330,23 @@ class LayerEvaluation(_WaveMaxSums):
         "true_accumulations": float,
         "spike_density": float,
     }
+    #: Everything here is a pure array-valued function of ``(spikes,
+    #: weights)``, stored losslessly, so hydration is bit-identical to
+    #: recomputation.  The packed words are always present: they are the
+    #: stored form of ``A``.  The non-silent mask and the spike counts are
+    #: not cached at all: they rebuild from the words on every access.
+    DEHYDRATED = (
+        "packed_words",
+        "matches",
+        "true_acs",
+        "true_acs_per_t",
+        "active_columns_per_t",
+        "weight_row_nnz",
+        "spikes_per_row_t",
+        "spikes_per_column_t",
+        "active_column_mask",
+        "full_sums",
+    )
 
     def __init__(self, spikes, weights):
         if not isinstance(spikes, PackedSpikeMatrix):
@@ -284,13 +357,8 @@ class LayerEvaluation(_WaveMaxSums):
             raise ValueError("expected spikes (M, K, T) and weights (K, N)")
         if shape[1] != weights.shape[0]:
             raise ValueError("contraction dimension mismatch")
-        self._shape = shape
-        #: Weight matrix ``B``.
+        self._bind_layer(shape, weights.shape[1])
         self.weights = weights
-        self._output_spikes: dict[tuple, np.ndarray] = {}
-        self._compressions: dict[tuple, object] = {}
-        self._preprocessed: dict[int, "LayerEvaluation"] = {}
-        self._wave_max_sums: dict[tuple[str, int], int] = {}
         if isinstance(spikes, PackedSpikeMatrix):
             self.__dict__["packed"] = spikes
             self.__dict__["packed_words"] = _readonly(spikes.words)
@@ -298,6 +366,13 @@ class LayerEvaluation(_WaveMaxSums):
             #: The dense ``A`` until :attr:`packed_words` packs and drops it.
             self._dense = spikes
             self.packed_words  # pack now; the dense tensor is released
+
+    def _bind_layer(self, shape: tuple, n: int, members=None, prefix: str = "") -> None:
+        self._bind(n, members, prefix)
+        self._shape = shape
+        self._output_spikes: dict[tuple, np.ndarray] = {}
+        self._compressions: dict[tuple, object] = {}
+        self._preprocessed: dict[int, "LayerEvaluation"] = {}
 
     @property
     def spikes(self) -> np.ndarray:
@@ -326,15 +401,10 @@ class LayerEvaluation(_WaveMaxSums):
         """Number of timesteps."""
         return self._shape[2]
 
-    @property
-    def n(self) -> int:
-        """Number of output neurons (columns of ``B``)."""
-        return self.weights.shape[1]
-
     # ------------------------------------------------------------------ #
     # Compression and masks
     # ------------------------------------------------------------------ #
-    @cached_property
+    @_entry_property
     def packed_words(self) -> np.ndarray:
         """``(M, K)`` matrix of packed ``T``-bit spike words, the resident ``A``.
 
@@ -357,6 +427,15 @@ class LayerEvaluation(_WaveMaxSums):
         neuron is silent exactly when its packed word is zero).
         """
         return self.packed.nonsilent
+
+    @cached_property
+    def nonsilent_neurons(self) -> int:
+        """Number of ``(m, k)`` neurons firing at least once (the stored words).
+
+        Persisted in the entry's ``meta`` (as ``packed_nnz``), so a hit at a
+        stored design point charges the packed format without the words.
+        """
+        return self.packed.nnz
 
     @cached_property
     def nnz_weights(self) -> int:
@@ -406,7 +485,7 @@ class LayerEvaluation(_WaveMaxSums):
             _readonly(product[self.m :].astype(dtype)),
         )
 
-    @cached_property
+    @_entry_property
     def matches(self) -> np.ndarray:
         """``(M, N)`` matched (non-silent x non-zero-weight) positions.
 
@@ -420,7 +499,7 @@ class LayerEvaluation(_WaveMaxSums):
         """Total matched positions across all output neurons."""
         return float(self.matches.sum(dtype=np.int64))
 
-    @cached_property
+    @_entry_property
     def true_acs(self) -> np.ndarray:
         """``(M, N)`` genuine accumulations, summed over timesteps (dtype as :attr:`matches`)."""
         return self._join_products[1]
@@ -430,7 +509,7 @@ class LayerEvaluation(_WaveMaxSums):
         """Total genuine accumulate operations of the layer."""
         return float(self.true_acs.sum(dtype=np.int64))
 
-    @cached_property
+    @_entry_property
     def true_acs_per_t(self) -> np.ndarray:
         """Total genuine accumulations per timestep, shape ``(T,)``."""
         per_column = self.spikes_per_column_t  # (K, T)
@@ -440,17 +519,17 @@ class LayerEvaluation(_WaveMaxSums):
     # ------------------------------------------------------------------ #
     # Activity profiles (baseline dataflow traffic drivers)
     # ------------------------------------------------------------------ #
-    @cached_property
+    @_entry_property
     def active_column_mask(self) -> np.ndarray:
         """Boolean ``(K, T)`` mask of columns with at least one spike."""
         return _readonly(self.spikes_per_column_t > 0)
 
-    @cached_property
+    @_entry_property
     def active_columns_per_t(self) -> np.ndarray:
         """Active ``k`` columns per timestep, shape ``(T,)`` (int64)."""
         return _readonly(self.active_column_mask.sum(axis=0, dtype=np.int64))
 
-    @cached_property
+    @_entry_property
     def weight_row_nnz(self) -> np.ndarray:
         """Non-zero weights per row of ``B``, shape ``(K,)`` (int64)."""
         return _readonly(np.count_nonzero(self.weights, axis=1).astype(np.int64, copy=False))
@@ -483,12 +562,12 @@ class LayerEvaluation(_WaveMaxSums):
             _readonly(columns.reshape(t, k).T.astype(np.int64, order="C")),
         )
 
-    @cached_property
+    @_entry_property
     def spikes_per_row_t(self) -> np.ndarray:
         """Spikes per ``(m, t)`` pair, shape ``(M, T)`` (int64)."""
         return self._spike_sums[0]
 
-    @cached_property
+    @_entry_property
     def spikes_per_column_t(self) -> np.ndarray:
         """Spikes per ``(k, t)`` pair, shape ``(K, T)`` (int64)."""
         return self._spike_sums[1]
@@ -521,9 +600,7 @@ class LayerEvaluation(_WaveMaxSums):
             t=self.t,
             nnz_weights=self.nnz_weights,
             nnz_spikes=self.nnz_spikes,
-            nonsilent_neurons=self.packed.nnz,
-            matches=self.matches,
-            true_acs=self.true_acs,
+            nonsilent_neurons=self.nonsilent_neurons,
             true_acs_per_t=self.true_acs_per_t,
             active_columns_per_t=self.active_columns_per_t,
             weight_row_nnz=self.weight_row_nnz,
@@ -535,7 +612,7 @@ class LayerEvaluation(_WaveMaxSums):
     # ------------------------------------------------------------------ #
     # Functional outputs
     # ------------------------------------------------------------------ #
-    @cached_property
+    @_entry_property
     def full_sums(self) -> np.ndarray:
         """Full-sum tensor ``O`` of shape ``(M, N, T)`` (float64, exact).
 
@@ -607,17 +684,26 @@ class LayerEvaluation(_WaveMaxSums):
             # is built from the parent's words and spike counts.
             counts = self.spike_counts_int
             dropped = (counts > 0) & (counts <= max_spikes)
-            derived = self._add_child(max_spikes, np.where(dropped, 0, self.packed_words))
-            # Same weights, same per-row counts: share the parent's array
-            # if it has one.  Computing it here would add an artifact to
-            # the parent's stored entry that no simulator asked for.
+            derived = self._add_child(max_spikes)
+            derived.__dict__["packed_words"] = _readonly(np.where(dropped, 0, self.packed_words))
+            # Same per-row counts: share the parent's array if it has one.
+            # Computing it here would add an artifact to the parent's
+            # stored entry that no simulator asked for.
             if "weight_row_nnz" in self.__dict__:
                 derived.weight_row_nnz = self.weight_row_nnz
         return derived
 
-    def _add_child(self, max_spikes: int, words: np.ndarray) -> "LayerEvaluation":
-        """Memoise the preprocessed child of ``max_spikes`` with packed ``words``."""
-        child = LayerEvaluation(PackedSpikeMatrix(words=words, shape=self._shape), self.weights)
+    def _add_child(self, max_spikes: int) -> "LayerEvaluation":
+        """Memoise the preprocessed child of ``max_spikes``; the caller sets its words.
+
+        The child has the parent's shape and weights (shared when the
+        parent holds them, else read from the same entry member) and reads
+        its own stored artifacts under the ``pre<max_spikes>_`` prefix.
+        """
+        child = LayerEvaluation.__new__(LayerEvaluation)
+        child._bind_layer(self._shape, self._n, self._members, "pre%d_" % max_spikes)
+        if "weights" in self.__dict__:
+            child.weights = self.weights
         self._preprocessed[max_spikes] = child
         return child
 
@@ -628,13 +714,14 @@ class LayerEvaluation(_WaveMaxSums):
         """The evaluation as ``(arrays, meta)`` for the disk cache tier.
 
         Captures the weights plus every derived artifact **already
-        computed** -- the packed words (the one stored form of ``A``), the
-        other persisted cached properties
-        (:data:`_DEHYDRATED_PROPERTIES`), the memoised LIF output spikes and
+        computed** (or stored, on a hydrated evaluation, which decodes
+        them to re-pack) -- the packed words (the one stored form of ``A``),
+        the other persisted cached properties
+        (:attr:`DEHYDRATED`), the memoised LIF output spikes and
         output compressions, and one level of memoised preprocessed child
         evaluations (each with its own derived artifacts).  Each level's
-        ``meta`` also carries its scalar memos (see :class:`_WaveMaxSums`)
-        and, once counted, the packed matrix's non-silent count.  Nothing is
+        ``meta`` also carries its scalar memos (see :class:`_Evaluation`)
+        and, once counted, its non-silent neuron count.  Nothing is
         force-computed: dehydrating a fresh evaluation yields the weights
         and packed words only, dehydrating one that simulators have consumed
         yields exactly the warm in-memory state, so a hydrated entry skips
@@ -656,9 +743,9 @@ class LayerEvaluation(_WaveMaxSums):
         return arrays, meta
 
     def _dehydrate_derived(self, arrays: dict, meta: dict, prefix: str) -> None:
-        derived = [name for name in _DEHYDRATED_PROPERTIES if name in self.__dict__]
+        derived = list(self._present())
         for name in derived:
-            arrays[prefix + "d_" + name] = self.__dict__[name]
+            arrays[prefix + "d_" + name] = getattr(self, name)
         meta["derived"] = derived
         lif = []
         for index, ((threshold, leak), spikes) in enumerate(self._output_spikes.items()):
@@ -680,9 +767,8 @@ class LayerEvaluation(_WaveMaxSums):
             )
         meta["compressions"] = compressions
         self._dehydrate_memos(meta)
-        packed = self.__dict__.get("packed")
-        if packed is not None and packed._nnz is not None:
-            meta["packed_nnz"] = packed._nnz
+        if "nonsilent_neurons" in self.__dict__:
+            meta["packed_nnz"] = self.nonsilent_neurons
 
     def derived_signature(self) -> tuple:
         """Hashable fingerprint of which derived artifacts are present.
@@ -697,62 +783,83 @@ class LayerEvaluation(_WaveMaxSums):
             for max_spikes, child in self._preprocessed.items()
         )
         return (
-            tuple(name for name in _DEHYDRATED_PROPERTIES if name in self.__dict__),
+            self._present(),
             tuple(self._output_spikes),
             tuple(self._compressions),
             tuple(children),
         )
 
     @classmethod
-    def hydrate(cls, arrays: dict[str, np.ndarray], meta: dict) -> "LayerEvaluation":
-        """Rebuild an evaluation from :meth:`dehydrate` output.
+    def hydrate(cls, arrays: EntryMembers, meta: dict) -> "LayerEvaluation":
+        """Rebuild an evaluation from the members and meta of an entry.
 
-        ``A`` and every preprocessed child are rebuilt from their stored
-        packed words (zero-copy views of the entry), and the derived
-        artifacts and scalar memos are seeded directly into their lazy slots
-        (arrays marked read-only), so a hydrated evaluation never recomputes
-        what the entry carries -- the matches / full-sums GEMMs, and the
-        popcounts and wave reductions behind the scalars.  Raises
-        ``ValueError`` on a meta record of another schema or kind and
-        ``KeyError`` on an entry whose meta names artifacts the container
-        lacks (a torn write); the disk tier treats either as corruption and
-        falls back to recomputation.
+        ``arrays`` is what :func:`~repro.engine.serde.unpack_payload`
+        returns.  Hydration decodes no tensor, join or profile (only the
+        LIF output spikes an entry rarely holds): the evaluation and each
+        preprocessed child keep ``arrays`` and read a tensor or derived
+        array from it the first time something asks (see
+        :class:`_Evaluation`), and the scalar memos are seeded from
+        ``meta``, so a hydrated evaluation never recomputes what the entry
+        carries -- the matches / full-sums GEMMs, and the popcounts and
+        wave reductions behind the scalars -- and never decodes what no
+        cost model reads.  Raises ``ValueError`` on a meta record of
+        another schema or kind, or shapes that disagree, and ``KeyError``
+        on an entry whose meta names artifacts the container lacks (a torn
+        write); the disk tier treats either as corruption and falls back to
+        recomputation.
         """
         _check_entry(meta, cls.kind)
-        packed = PackedSpikeMatrix(words=arrays["d_packed_words"], shape=tuple(meta["shape"]))
-        evaluation = cls(packed, arrays["weights"])
-        evaluation._hydrate_derived(arrays, meta, prefix="")
+        shape = tuple(int(dim) for dim in meta["shape"])
+        weights = arrays.shape("weights")
+        if len(shape) != 3 or len(weights) != 2 or shape[1] != weights[0]:
+            raise ValueError("entry shapes %r and %r disagree" % (shape, weights))
+        evaluation = cls.__new__(cls)
+        evaluation._bind_layer(shape, weights[1], arrays)
+        evaluation._hydrate_derived(meta)
         for key, child_meta in meta.get("preprocessed", {}).items():
-            prefix = "pre%s_" % key
-            child = evaluation._add_child(int(key), arrays[prefix + "d_packed_words"])
-            child._hydrate_derived(arrays, child_meta, prefix=prefix)
+            evaluation._add_child(int(key))._hydrate_derived(child_meta)
         return evaluation
 
-    def _hydrate_derived(self, arrays: dict, meta: dict, prefix: str) -> None:
-        from ..core.compressor import CompressorResult  # local: core imports engine
-
-        for name in meta.get("derived", ()):
-            if name not in _DEHYDRATED_PROPERTIES:
-                raise KeyError("unknown derived artifact %r" % (name,))
-            self.__dict__[name] = _readonly(arrays[prefix + "d_" + name])
+    def _hydrate_derived(self, meta: dict) -> None:
+        self._check_stored(("packed_words",) + tuple(meta.get("derived", ())))
+        prefix, members = self._prefix, self._members
         for index, (threshold, leak) in enumerate(meta.get("lif", ())):
-            self._output_spikes[(threshold, leak)] = _readonly(arrays[prefix + "lif%d" % index])
+            self._output_spikes[(threshold, leak)] = members[prefix + "lif%d" % index]
         for index, record in enumerate(meta.get("compressions", ())):
-            words = _readonly(arrays[prefix + "comp%d" % index])
-            packed = PackedSpikeMatrix(words=words, shape=tuple(record["shape"]))
-            self._compressions[tuple(record["key"])] = CompressorResult(
-                packed=packed,
-                cycles=record["cycles"],
-                output_bytes=record["output_bytes"],
-                dropped_neurons=record["dropped_neurons"],
-                silent_output_neurons=record["silent_output_neurons"],
+            self._compressions[tuple(record["key"])] = _StoredCompression(
+                members, prefix + "comp%d" % index, record
             )
         self._hydrate_memos(meta)
         if "packed_nnz" in meta:
-            self.packed._nnz = int(meta["packed_nnz"])
+            self.__dict__["nonsilent_neurons"] = int(meta["packed_nnz"])
 
 
-class AnnLayerEvaluation(_WaveMaxSums):
+class _StoredCompression:
+    """A memoised output compression read back from an entry.
+
+    Carries the :class:`~repro.core.compressor.CompressorResult` fields;
+    its ``packed`` matrix is built from the entry's words member the first
+    time it is read (the cost models read only the scalars).
+    """
+
+    def __init__(self, members: EntryMembers, name: str, record: dict):
+        self._members = members
+        self._name = name
+        self._shape = tuple(record["shape"])
+        self.cycles = record["cycles"]
+        self.output_bytes = record["output_bytes"]
+        self.dropped_neurons = record["dropped_neurons"]
+        self.silent_output_neurons = record["silent_output_neurons"]
+        if name not in members:
+            raise KeyError("missing compression words %r" % (name,))
+
+    @cached_property
+    def packed(self) -> PackedSpikeMatrix:
+        """The compressed output (input format of the next layer)."""
+        return PackedSpikeMatrix(words=self._members[self._name], shape=self._shape)
+
+
+class AnnLayerEvaluation(_Evaluation):
     """Shared evaluation of one dual-sparse ANN ``(activations, weights)`` pair.
 
     The ANN counterpart of :class:`LayerEvaluation` for the SNN-vs-ANN
@@ -764,6 +871,7 @@ class AnnLayerEvaluation(_WaveMaxSums):
     kind = "ann"
     WAVE_JOINS = ("matches",)
     MEMO_SCALARS = {"nnz_activations": int, "nnz_weights": int, "total_matches": float}
+    DEHYDRATED = ("matches", "weight_row_nnz", "output_nnz")
 
     def __init__(self, activations: np.ndarray, weights: np.ndarray):
         activations = np.asarray(activations)
@@ -772,24 +880,34 @@ class AnnLayerEvaluation(_WaveMaxSums):
             raise ValueError("expected activations (M, K) and weights (K, N)")
         if activations.shape[1] != weights.shape[0]:
             raise ValueError("contraction dimension mismatch")
+        self._bind(weights.shape[1])
+        self._shape = activations.shape
         self.activations = activations
         self.weights = weights
-        self._wave_max_sums: dict[tuple[str, int], int] = {}
+
+    @cached_property
+    def activations(self) -> np.ndarray:
+        """Activation matrix ``A`` of shape ``(M, K)`` (decoded on first read on a hit).
+
+        Activations of an entry written while they were int32 are narrowed
+        to uint8 when every value fits, as generation holds them.
+        """
+        activations = self._members["activations"]
+        if activations.dtype.kind in "iu" and activations.dtype.itemsize > 1 and (
+            activations.size == 0 or (activations.min() >= 0 and activations.max() <= 255)
+        ):
+            activations = _readonly(activations.astype(np.uint8))
+        return activations
 
     @property
     def m(self) -> int:
         """Number of activation rows."""
-        return self.activations.shape[0]
+        return self._shape[0]
 
     @property
     def k(self) -> int:
         """Contraction dimension."""
-        return self.activations.shape[1]
-
-    @property
-    def n(self) -> int:
-        """Number of output neurons."""
-        return self.weights.shape[1]
+        return self._shape[1]
 
     @cached_property
     def nnz_activations(self) -> int:
@@ -801,12 +919,12 @@ class AnnLayerEvaluation(_WaveMaxSums):
         """Number of non-zero weights."""
         return int(np.count_nonzero(self.weights))
 
-    @cached_property
+    @_entry_property
     def weight_row_nnz(self) -> np.ndarray:
         """Non-zero weights per row of ``B``, shape ``(K,)`` (int64)."""
         return _readonly(np.count_nonzero(self.weights, axis=1).astype(np.int64, copy=False))
 
-    @cached_property
+    @_entry_property
     def matches(self) -> np.ndarray:
         """``(M, N)`` matched (non-zero x non-zero) pairs, in ``join_dtype(K, 1)``."""
         product = exact_matmul(self.activations != 0, self.weights != 0, self.k)
@@ -817,7 +935,7 @@ class AnnLayerEvaluation(_WaveMaxSums):
         """Total matched positions (genuine multiply-accumulates)."""
         return float(self.matches.sum(dtype=np.int64))
 
-    @cached_property
+    @_entry_property
     def output_nnz(self) -> int:
         """Number of non-zero ReLU outputs ``max(A @ B, 0)``; the product is not kept.
 
@@ -836,40 +954,30 @@ class AnnLayerEvaluation(_WaveMaxSums):
         0-d) and, in ``meta``, the scalar memos."""
         derived = list(self.derived_signature())
         arrays = {"activations": self.activations, "weights": self.weights}
-        arrays.update(("d_" + name, np.asarray(self.__dict__[name])) for name in derived)
+        arrays.update(("d_" + name, np.asarray(getattr(self, name))) for name in derived)
         meta = {"schema": _SCHEMA, "kind": self.kind, "derived": derived}
         self._dehydrate_memos(meta)
         return arrays, meta
 
     def derived_signature(self) -> tuple:
         """Which derived artifacts are present (see :meth:`LayerEvaluation.derived_signature`)."""
-        return tuple(name for name in _ANN_DEHYDRATED_PROPERTIES if name in self.__dict__)
+        return self._present()
 
     @classmethod
-    def hydrate(cls, arrays: dict[str, np.ndarray], meta: dict) -> "AnnLayerEvaluation":
-        """Inverse of :meth:`dehydrate`; raises like :meth:`LayerEvaluation.hydrate`.
-
-        Activations of an entry written while they were int32 are narrowed
-        to uint8 when every value fits, as generation holds them.
-        """
+    def hydrate(cls, arrays: EntryMembers, meta: dict) -> "AnnLayerEvaluation":
+        """Inverse of :meth:`dehydrate`; decodes nothing and raises like
+        :meth:`LayerEvaluation.hydrate`."""
         _check_entry(meta, cls.kind)
-        activations = arrays["activations"]
-        if activations.dtype.kind in "iu" and activations.dtype.itemsize > 1 and (
-            activations.size == 0 or (activations.min() >= 0 and activations.max() <= 255)
-        ):
-            activations = _readonly(activations.astype(np.uint8))
-        evaluation = cls(activations, arrays["weights"])
-        for name in meta["derived"]:
-            if name not in _ANN_DEHYDRATED_PROPERTIES:
-                raise KeyError("unknown derived artifact %r" % (name,))
-            value = arrays["d_" + name]
-            evaluation.__dict__[name] = _readonly(value) if value.ndim else int(value)
+        activations, weights = arrays.shape("activations"), arrays.shape("weights")
+        if len(activations) != 2 or len(weights) != 2 or activations[1] != weights[0]:
+            raise ValueError("entry shapes %r and %r disagree" % (activations, weights))
+        evaluation = cls.__new__(cls)
+        evaluation._bind(weights[1], arrays)
+        evaluation._shape = activations
+        evaluation._check_stored(meta["derived"])
         evaluation._hydrate_memos(meta)
         return evaluation
 
-
-#: Cached properties :meth:`AnnLayerEvaluation.dehydrate` persists.
-_ANN_DEHYDRATED_PROPERTIES = ("matches", "weight_row_nnz", "output_nnz")
 
 #: The evaluation class of each workload ``kind`` (``LayerWorkload.kind``).
 EVALUATION_KINDS = {cls.kind: cls for cls in (LayerEvaluation, AnnLayerEvaluation)}

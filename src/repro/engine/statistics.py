@@ -5,7 +5,9 @@ every count in it is computed from the *actual* tensors of a layer (not from
 expected densities), so the cost models stay exact with respect to the
 workload's sparsity structure.  The statistics are produced once per layer by
 :class:`repro.engine.evaluation.LayerEvaluation` and shared by all
-simulators.
+simulators.  The ``(M, N)`` join matrices are not part of the bundle: a cost
+model reads their per-wave sums through ``evaluation.wave_max_sum``, so a
+disk hit decodes a stored join only for a wave group size it lacks.
 """
 
 from __future__ import annotations
@@ -31,15 +33,6 @@ class LayerStatistics:
         Non-zero spikes in ``A`` (across all timesteps).
     nonsilent_neurons:
         ``(m, k)`` positions that fire at least once.
-    matches:
-        ``(M, N)`` array of non-silent x non-zero-weight matched positions,
-        in :func:`repro.engine.evaluation.join_dtype` ``(K, T)`` (uint16 at
-        paper scale).  Widen before arithmetic: under NEP 50
-        ``matches + 1`` stays in that dtype and wraps silently.
-    true_acs:
-        ``(M, N)`` array of genuine accumulate operations (spike = 1 and
-        weight != 0, summed over timesteps), in the same narrow dtype as
-        ``matches``; widen it too before arithmetic.
     true_acs_per_t:
         Total genuine accumulations per timestep, shape ``(T,)``.
     active_columns_per_t:
@@ -78,8 +71,6 @@ class LayerStatistics:
     nnz_weights: int
     nnz_spikes: int
     nonsilent_neurons: int
-    matches: np.ndarray
-    true_acs: np.ndarray
     true_acs_per_t: np.ndarray
     active_columns_per_t: np.ndarray
     weight_row_nnz: np.ndarray

@@ -15,6 +15,7 @@ The acceptance contract of the API redesign:
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +293,32 @@ class TestSessionPolicy:
         with pytest.raises(error, match=key):
             Session().run(name, **{**base, key: value})
         assert default_cache().stats().misses == misses  # nothing was generated
+
+    @pytest.mark.parametrize(
+        "name, params, message",
+        (
+            ("networks", {"networks": "alexnet"}, "networks must be a tuple, got 'alexnet'"),
+            ("networks", {"networks": (3,)}, "networks entries must be str, got 3"),
+            ("networks", {"networks": ("alexnet", None)}, "networks entries must be str"),
+            ("dse-pe-scaling", {"pe_counts": (4, 8.5)}, "pe_counts entries must be int"),
+            ("dse-pe-scaling", {"pe_counts": (4, True)}, "pe_counts entries must be int"),
+            ("fig17-scalability", {"weight_sparsities": "0.5"}, "weight_sparsities must be a tuple"),
+            ("fig5-psum-traffic", {"layers": 3}, "layers must be a tuple"),
+        ),
+        ids=("str-networks", "int-entry", "none-entry", "float-count", "bool-count", "str-floats",
+             "int-layers"),
+    )
+    def test_malformed_tuple_param_fails_before_any_work(self, name, params, message):
+        before = default_cache().stats()
+        with pytest.raises(TypeError, match=re.escape(message)):
+            Session().run(name, scale=0.05, **params)
+        assert default_cache().stats() == before  # nothing was looked up or generated
+
+    def test_tuple_params_take_lists_and_ints_for_floats(self):
+        session = Session()
+        listed = session.run("fig17-scalability", scale=0.05, timesteps=[4], weight_sparsities=[0.5, 1])
+        tupled = session.run("fig17-scalability", scale=0.05, timesteps=(4,), weight_sparsities=(0.5, 1.0))
+        assert listed.payload == tupled.payload
 
     @pytest.mark.parametrize("scale", (float("nan"), -0.5, "0.5", True))
     def test_session_scale_is_checked_when_built(self, scale):
@@ -616,7 +643,12 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "argv, name",
-        ((["--scale", "nan"], "scale"), (["--seed", "-1"], "seed"), (["--workers", "-1"], "workers")),
+        (
+            (["--scale", "nan"], "scale"),
+            (["--seed", "-1"], "seed"),
+            (["--workers", "-1"], "workers"),
+            (["--set", "networks=alexnet"], "networks"),
+        ),
     )
     def test_a_malformed_scale_or_seed_exits_2_with_one_line(self, argv, name, capsys, monkeypatch):
         monkeypatch.setattr(Session, "stream", lambda *args, **kwargs: pytest.fail("the run started"))
@@ -626,11 +658,11 @@ class TestCli:
         assert len(err.strip().splitlines()) == 1
 
     def test_library_errors_keep_their_traceback(self):
-        # A well-named param with a nonsense value fails inside the plan
-        # builder: that is a real exception with a traceback, not a
+        # A well-typed param naming no registered layer fails inside the
+        # plan builder: that is a real exception with a traceback, not a
         # flattened exit-2 one-liner.
-        with pytest.raises(TypeError):
-            cli_main(["run", "fig5-psum-traffic", "--set", "layers=3"])
+        with pytest.raises(KeyError, match="unknown layer"):
+            cli_main(["run", "fig5-psum-traffic", "--set", "layers=('no-such-layer',)"])
 
     @pytest.mark.parametrize(
         "argv",

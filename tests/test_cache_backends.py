@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,6 +42,7 @@ from repro.snn.network import LayerShape
 from repro.snn.workloads import LayerWorkload, SparsityProfile
 
 from test_runner import assert_sweeps_identical, legacy_run_networks
+from test_wave_max_sum import run_every_model
 
 #: The simulators that consume ``AnnLayerEvaluation``.
 ANN_SIMULATORS = (SparTenANN, GammaANN)
@@ -97,8 +99,9 @@ class TestDehydration:
         assert hydrated.spikes.dtype == evaluation.spikes.dtype
         assert np.array_equal(hydrated.weights, evaluation.weights)
         assert hydrated.weights.dtype == evaluation.weights.dtype
-        # The statistics GEMM outputs arrive pre-seeded, not recomputed.
-        assert "matches" in hydrated.__dict__
+        # The statistics GEMM outputs arrive stored (decoded on first read),
+        # not recomputed.
+        assert "matches" in hydrated.derived_signature()[0]
         assert np.array_equal(hydrated.matches, evaluation.matches)
         assert hydrated.matches.dtype == evaluation.matches.dtype
         # Memoised compressions survive, and the preprocessed child is built
@@ -108,7 +111,7 @@ class TestDehydration:
         child, reference_child = hydrated._preprocessed[1], evaluation._preprocessed[1]
         assert hydrated.preprocessed(1) is child
         assert np.array_equal(child.packed_words, reference_child.packed_words)
-        assert "matches" in child.__dict__  # seeded, not recomputed
+        assert "matches" in child.derived_signature()[0]  # stored, not recomputed
         assert np.array_equal(child.matches, reference_child.matches)
         assert child._compressions
         assert set(child._compressions) == set(reference_child._compressions)
@@ -158,16 +161,18 @@ def stored_record(data: bytes, name: str) -> dict:
 
 
 class TestWeightStorage:
-    """int8 weights round-trip verbatim; entries from int32 weights still load."""
+    """int8 weights round-trip as a bitmask plus non-zeros; int32 entries still load."""
 
-    def test_int8_weights_are_stored_verbatim(self, tiny_workload):
+    def test_int8_weights_are_stored_as_a_mask_and_their_non_zeros(self, tiny_workload):
         cache = WorkloadEvaluationCache()
         evaluation, _ = consumed_evaluation(cache, tiny_workload)
         assert evaluation.weights.dtype == np.int8
         data = pack_entry(CacheEntry(evaluation, np.random.default_rng(0).bit_generator.state))
         record = stored_record(data, "weights")
-        assert record["dtype"] == "|i1" and "stored" not in record
-        assert record["nbytes"] == evaluation.weights.size
+        assert record["dtype"] == "|i1" and record["stored"] == "sparse"
+        assert record["values"] == "|i1"
+        size = evaluation.weights.size
+        assert record["nbytes"] == -(-size // 8) + np.count_nonzero(evaluation.weights) < size
         hydrated = unpack_entry(data).evaluation
         assert hydrated.weights.dtype == np.int8
         assert np.array_equal(hydrated.weights, evaluation.weights)
@@ -189,7 +194,7 @@ class TestWeightStorage:
             LoASSimulator().simulate_workload(tiny_workload, evaluation=legacy, preprocess=True)
         data = pack_entry(CacheEntry(legacy, np.random.default_rng(0).bit_generator.state))
         record = stored_record(data, "weights")
-        assert record["dtype"] == "<i4" and record["stored"] == "|i1"
+        assert record["dtype"] == "<i4" and record["values"] == "|i1"
         hydrated = unpack_entry(data).evaluation
         assert hydrated.weights.dtype == np.int32
         assert np.array_equal(hydrated.weights, evaluation.weights)
@@ -256,7 +261,7 @@ class TestAnnActivationStorage:
         for path in sorted((tmp_path / "evals").glob("*.npz")):
             arrays, meta = unpack_payload(path.read_bytes())
             if meta.get("kind") == "ann":
-                arrays["activations"] = arrays["activations"].astype(np.int32)
+                arrays = dict(arrays, activations=arrays["activations"].astype(np.int32))
                 path.write_bytes(pack_payload(arrays, meta))
                 assert stored_record(path.read_bytes(), "activations")["dtype"] == "<i4"
                 rewritten += 1
@@ -288,7 +293,7 @@ class TestDiskV2:
         cold = WorkloadEvaluationCache()
         loaded = cold.evaluate(tiny_workload, np.random.default_rng(3), disk=tier)
         assert cold.disk_hits == 1 and cold.misses == 0
-        assert "matches" in loaded.__dict__  # statistics served from disk
+        assert "matches" in loaded.derived_signature()[0]  # statistics served from disk
         assert loaded._compressions  # compression served from disk
         result = LoASSimulator().simulate_workload(tiny_workload, evaluation=loaded)
         assert_simulations_identical(result, reference)
@@ -352,6 +357,32 @@ def enriched_entry(tmp_path_factory):
     )
 
 
+#: A consumed tiny-workload entry (seed 3) as version 0.20.0 wrote it, before
+#: the sparse storage form: schema 3, every tensor member verbatim.
+ENTRY_0_20_0 = Path(__file__).parent / "data" / "entry-0.20.0.bin"
+
+
+class TestEarlierEntries:
+    def test_a_schema3_entry_written_by_0_20_0_hydrates_with_equal_values(self, tiny_workload):
+        data = ENTRY_0_20_0.read_bytes()
+        assert "stored" not in stored_record(data, "weights")
+        assert "stored" not in stored_record(data, "d_packed_words")
+        entry = unpack_entry(data)
+        rng = np.random.default_rng(3)
+        fresh = WorkloadEvaluationCache().evaluate(tiny_workload, rng)
+        assert entry.state_after == rng.bit_generator.state
+        hydrated = entry.evaluation
+        for name in ("weights", "packed_words", "spikes"):
+            stored, computed = getattr(hydrated, name), getattr(fresh, name)
+            assert np.array_equal(stored, computed) and stored.dtype == computed.dtype
+        assert run_every_model(hydrated) == run_every_model(fresh)
+        # Re-packed today it takes the sparse form, and reads back equal.
+        repacked = pack_entry(entry)
+        assert stored_record(repacked, "weights")["stored"] == "sparse"
+        assert len(repacked) < len(data)
+        assert run_every_model(unpack_entry(repacked).evaluation) == run_every_model(fresh)
+
+
 class TestDegradation:
     def test_v1_entry_is_a_miss_rewritten_as_v2(self, tier, tiny_workload):
         key = write_v1_entry(tier, tiny_workload, seed=3)
@@ -381,7 +412,7 @@ class TestDegradation:
         loaded = WorkloadEvaluationCache().evaluate(
             tiny_workload, np.random.default_rng(3), disk=tier
         )
-        assert "matches" in loaded.__dict__
+        assert "matches" in loaded.derived_signature()[0]
 
     def test_schema2_entry_is_a_miss_rewritten_as_schema3(self, tier, tiny_workload):
         # A schema-2 entry: a dense ``spikes`` member beside the words, and
@@ -416,7 +447,7 @@ class TestDegradation:
         loaded = WorkloadEvaluationCache().evaluate(
             tiny_workload, np.random.default_rng(3), disk=tier
         )
-        assert tier.corrupt_dropped == 1 and "matches" in loaded.__dict__
+        assert tier.corrupt_dropped == 1 and "matches" in loaded.derived_signature()[0]
 
     def test_torn_v2_statistics_payload_falls_back_to_recompute(self, tier, tiny_workload):
         cache = WorkloadEvaluationCache()
@@ -830,4 +861,4 @@ class TestDiskPut:
         tier.put(key, entry, replace=True)
         assert tier.stores == 1 and tier.refreshes == 1 and len(tier) == 1
         assert tier.entry_path(key).read_bytes() != before
-        assert "matches" in tier.get(key).evaluation.__dict__
+        assert "matches" in tier.get(key).evaluation.derived_signature()[0]

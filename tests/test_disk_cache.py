@@ -10,19 +10,30 @@ and the byte budget must evict least-recently-used entries.
 from __future__ import annotations
 
 import gc
+import json
 import mmap
 import os
+import re
 import threading
 
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.core import LoASSimulator
-from repro.engine import DiskEvaluationCache, LayerEvaluation, WorkloadEvaluationCache
+from repro.engine import (
+    DiskEvaluationCache,
+    LayerEvaluation,
+    WorkloadEvaluationCache,
+    clear_default_cache,
+    default_cache,
+)
 from repro.engine.cache import generator_fingerprint, workload_fingerprint
 from repro.runner import SIMULATOR_FACTORIES
 from repro.snn.network import LayerShape
 from repro.snn.workloads import LayerWorkload, SparsityProfile
+
+from test_cache_backends import stored_record
 
 
 def make_workload(name="tiny", m=8, k=160, n=32, t=4) -> LayerWorkload:
@@ -175,12 +186,18 @@ def open_descriptors() -> int:
 class TestMappedEntries:
     """A hit maps its entry file; the tier only ever renames into place or deletes."""
 
-    def test_a_hit_views_the_weights_and_words_in_the_mapped_file(self, tier):
+    def test_a_hit_views_its_verbatim_members_in_the_mapped_file(self, tier):
         populate(tier, make_workload(), np.random.default_rng(3))
+        (path,) = tier._entry_files()
+        data = path.read_bytes()
         loaded = WorkloadEvaluationCache().evaluate(make_workload(), np.random.default_rng(3), disk=tier)
-        for array in (loaded.weights, loaded.packed_words):
-            assert isinstance(mapped_buffer(array), (mmap.mmap, memoryview))
+        members = loaded._members
+        verbatim = {name for name in members if "stored" not in stored_record(data, name)}
+        assert "state" in verbatim and "weights" not in verbatim
+        for name in members:
+            array = members[name]
             assert not array.flags.writeable
+            assert isinstance(mapped_buffer(array), (mmap.mmap, memoryview)) == (name in verbatim)
 
     @pytest.mark.parametrize("how", ["clear", "evict", "replace"])
     def test_a_mapped_evaluation_outlives_its_file(self, tmp_path, how):
@@ -234,6 +251,62 @@ class TestMappedEntries:
         cache.clear()
         gc.collect()
         assert open_descriptors() == baseline
+
+
+def decoded_kinds(cache) -> set[str]:
+    """Which tensors and joins the LRU's hydrated evaluations decoded from their entries."""
+    kinds = set()
+    for entry in cache.memory_backend._entries.values():
+        for name in entry.evaluation._members.decoded:
+            member = re.sub(r"^pre\d+_", "", name)
+            if member == "weights":
+                kinds.add("weights")
+            elif member == "d_packed_words":
+                kinds.add("words")
+            elif re.fullmatch(r"comp\d+", member):
+                kinds.add("compression words")
+            elif member in ("d_matches", "d_true_acs"):
+                kinds.add("joins")
+    return kinds
+
+
+class TestLazyMembers:
+    """A disk hit decodes a member only when a cost model reads it.
+
+    Three disk-warm reruns of one tier: at the stored design point, at a
+    new TPPE group size (new wave sums over the joins) and at a new
+    compression chunk width (a new compression, which recomputes the full
+    sums from ``A`` and ``B``).
+    """
+
+    PARAMS = {"scale": 0.05, "networks": ("alexnet",)}
+
+    def rerun(self, session, overrides=()):
+        clear_default_cache()
+        result = session.run("networks", arch_overrides=overrides, **self.PARAMS)
+        cache = result.provenance["cache"]
+        assert cache["disk_hits"] > 0 and cache["lru_misses"] == cache["disk_stores"] == 0
+        kinds = decoded_kinds(default_cache())
+        clear_default_cache()
+        memory = Session().run("networks", arch_overrides=overrides, **self.PARAMS)
+        assert json.loads(result.to_json())["payload"] == json.loads(memory.to_json())["payload"]
+        return cache, kinds
+
+    def test_each_design_point_decodes_only_what_its_models_read(self, tmp_path):
+        session = Session(cache_dir=tmp_path / "evals")
+        clear_default_cache()
+        session.run("networks", **self.PARAMS)
+
+        cache, kinds = self.rerun(session)
+        assert kinds == set() and cache["disk_refreshes"] == 0
+
+        cache, kinds = self.rerun(session, (("pe.num_tppes", 8),))
+        assert kinds == {"joins"} and cache["disk_refreshes"] == 0
+
+        cache, kinds = self.rerun(session, (("pe.bitmask_chunk_bits", 64),))
+        assert kinds == {"weights", "words", "compression words", "joins"}
+        assert cache["disk_refreshes"] == cache["disk_hits"]
+        clear_default_cache()
 
 
 class TestEviction:

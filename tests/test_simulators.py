@@ -111,12 +111,13 @@ class TestCommonHelpers:
 
     def test_layer_statistics(self, small_layer):
         spikes, weights = small_layer
-        stats = LayerEvaluation(spikes, weights).statistics
+        evaluation = LayerEvaluation(spikes, weights)
+        stats = evaluation.statistics
         assert stats.nnz_spikes == int(spikes.sum())
         assert stats.nnz_weights == int(np.count_nonzero(weights))
-        assert stats.matches.shape == (8, 24)
+        assert evaluation.matches.shape == (8, 24)
         assert stats.true_acs_per_t.shape == (4,)
-        assert stats.true_acs.sum() == pytest.approx(stats.true_acs_per_t.sum())
+        assert evaluation.true_acs.sum() == pytest.approx(stats.true_acs_per_t.sum())
 
     def test_statistics_reject_bad_shapes(self):
         with pytest.raises(ValueError):

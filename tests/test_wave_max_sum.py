@@ -232,14 +232,13 @@ EVALUATION_OF = {"snn": LayerEvaluation, "ann": AnnLayerEvaluation}
 
 
 def stored_memos(evaluation) -> tuple:
-    """What a hydration seeds: the sums dict, the cached scalars and ``packed._nnz``."""
+    """What a hydration seeds: the sums dict, the cached scalars and the non-silent count."""
     scalars = {
         name: (type(evaluation.__dict__[name]), evaluation.__dict__[name])
         for name in evaluation.MEMO_SCALARS
         if name in evaluation.__dict__
     }
-    packed = evaluation.__dict__.get("packed")
-    return dict(evaluation._wave_max_sums), scalars, packed._nnz if packed is not None else None
+    return dict(evaluation._wave_max_sums), scalars, evaluation.__dict__.get("nonsilent_neurons")
 
 
 class TestPersistedMemos:
